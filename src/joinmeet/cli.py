@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -401,6 +402,22 @@ def cmd_posetideals(config, verify):
 # argument parsing
 
 
+_PRIME_LIMIT = 2**31
+
+
+def _odd_prime(text):
+    """argparse type for --prime: an odd prime below 2^31, by trial division."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not 2 < p < _PRIME_LIMIT or p % 2 == 0 or any(
+        p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)
+    ):
+        raise argparse.ArgumentTypeError(f"{p} is not an odd prime below 2^31")
+    return p
+
+
 def _add_common(parser, needs_lattice=True):
     if needs_lattice:
         parser.add_argument("--builtin", help="pentagon, diamond, chain, boolean, divisor")
@@ -408,7 +425,8 @@ def _add_common(parser, needs_lattice=True):
         parser.add_argument("--input", help="lattice JSON file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--field", choices=("rational", "prime"), default="rational")
-    parser.add_argument("--prime", type=int, default=32003)
+    parser.add_argument("--prime", type=_odd_prime, default=32003,
+                        help="odd prime below 2^31 for --field prime (default 32003)")
 
 
 def build_parser():

@@ -5,6 +5,17 @@ intersections, colon ideals) that backs every "one can check" equality in the
 package.  Ideals here are tiny (tens of generators, ~10 variables), so the
 classic algorithm with the coprime and chain criteria is enough; pair
 selection follows the normal strategy (smallest lcm degree first).
+
+Linear generators are split off before Buchberger runs: their reduced basis
+is a row echelon form, and substituting it out of the other generators leaves
+a smaller system in the remaining variables.
+
+Intersections take one of two routes, chosen from the input alone.  When the
+first ideal is homogeneous and the second is generated by one linear form l,
+I ∩ (l) = l·(I : l), and I : l comes from a degrevlex basis with l as the
+smallest variable (Bayer–Stillman 1987; Eisenbud, Commutative Algebra,
+Prop. 15.12), with no extra variable.  Every other intersection eliminates an
+auxiliary variable under a block order.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 
-from .poly import MonomialOrder, Ring
+from .poly import MonomialOrder, Polynomial, Ring
 
 
 class ZeroDivisorArgument(ValueError):
@@ -259,6 +270,46 @@ def _cache_key(I):
     return (I.ring, frozenset(g.terms for g in I.generators))
 
 
+def _split_linear(gens):
+    """The reduced basis of the linear forms among gens, and the other
+    generators with that basis substituted out (zeros dropped).
+
+    The reduced basis of linear forms is their reduced row echelon form.  The
+    substituted generators avoid its leading variables, so no S-pair between
+    the two parts needs reducing: their leading monomials are coprime.
+    """
+    linear = []
+    rest = []
+    for g in gens:
+        if g:
+            (linear if g.is_linear_form() else rest).append(g)
+    echelon = []
+    for g in linear:
+        r = normal_form(g, echelon)
+        if r:
+            echelon.append(r.monic())
+    if not echelon:
+        return [], rest
+    echelon = list(reduce_basis(echelon).basis)
+    rest = [r for r in (normal_form(g, echelon) for g in rest) if r]
+    return echelon, rest
+
+
+def _reduced_basis(gens, ring):
+    """The reduced basis of (gens), uncached: the linear part joined with the
+    reduced basis of the substituted rest."""
+    linear, rest = _split_linear(gens)
+    gb = reduce_basis(buchberger(rest, ring=ring))
+    if not linear:
+        return gb
+    if any(sum(g.leading_monomial()) <= 1 for g in gb.basis):
+        # a constant or a leading variable can still reduce the linear part
+        return reduce_basis(GroebnerBasis(ring, tuple(linear) + gb.basis))
+    key = ring.key
+    joined = sorted(linear + list(gb.basis), key=lambda g: key(g.leading_monomial()))
+    return GroebnerBasis(ring, tuple(joined), reduced=True)
+
+
 def groebner_basis(I):
     """Reduced Groebner basis of I, shared through a synchronized cache."""
     key = _cache_key(I)
@@ -266,10 +317,7 @@ def groebner_basis(I):
         got = _GB_CACHE.get(key)
     if got is not None:
         return got
-    if not I.generators:
-        gb = GroebnerBasis(I.ring, (), reduced=True)
-    else:
-        gb = reduce_basis(buchberger(I.generators))
+    gb = _reduced_basis(I.generators, I.ring)
     with _GB_LOCK:
         _GB_CACHE.setdefault(key, gb)
     return gb
@@ -311,6 +359,30 @@ def _fresh_aux_name(ring):
 
 
 def intersect(I, J):
+    """I ∩ J, by one of two routes chosen from the input.
+
+    If every generator of I is homogeneous and J is generated by one linear
+    form l, then I ∩ (l) = l·(I : l): the result is l times the reduced basis
+    of I : l, computed without elimination (_colon_by_linear_form), and that
+    basis is registered in the cache as the basis of the colon.  Every other
+    pair of ideals goes through _intersect_by_elimination.
+    """
+    if I.ring != J.ring:
+        raise ValueError("mixed rings")
+    ring = I.ring
+    if (
+        len(J.generators) == 1
+        and J.generators[0].is_linear_form()
+        and all(g.is_homogeneous() for g in I.generators)
+    ):
+        l = J.generators[0]
+        colon = _colon_by_linear_form(I, l)
+        _register_gb(ideal(ring, colon.basis), colon)
+        return ideal(ring, tuple(l * g for g in colon.basis))
+    return _intersect_by_elimination(I, J)
+
+
+def _intersect_by_elimination(I, J):
     """I ∩ J via elimination: compute t·I + (1-t)·J and drop the auxiliary t.
 
     The auxiliary variable is prepended in a 2-block order (t-block dominant,
@@ -318,8 +390,6 @@ def intersect(I, J):
     the intersection, and for degrevlex base rings it already IS its reduced
     basis, which is registered in the cache.
     """
-    if I.ring != J.ring:
-        raise ValueError("mixed rings")
     ring = I.ring
     if not I.generators or not J.generators:
         return ideal(ring, ())
@@ -342,8 +412,81 @@ def intersect(I, J):
     return result
 
 
+def _same(m):
+    return m
+
+
+def _ring_with_last(ring, v):
+    """The variables of ring under degrevlex, in ring's priority but with
+    variable v moved to the end (the smallest)."""
+    priority = tuple(p for p in ring.order.priority if p != v) + (v,)
+    order = MonomialOrder("degrevlex", priority)
+    if order == ring.order:
+        return ring
+    return Ring(ring.names, order, ring.field)
+
+
+def _substitute(p, v, s):
+    """p with variable v replaced by the polynomial s, in the ring of s."""
+    ring = s.ring
+    parts = {}
+    for m, c in p.terms:
+        parts.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1 :]] = c
+    result = ring.zero()
+    power = ring.one()
+    for e in range(max(parts, default=0) + 1):
+        if e in parts:
+            result = result + ring.from_dict(parts[e]) * power
+        power = power * s
+    return result
+
+
+def _colon_by_linear_form(I, l):
+    """Reduced basis of I : l, for homogeneous I and a linear form l.
+
+    1. Split off the linear generators of I as their reduced basis (row
+       echelon form) and substitute it out of the rest and out of l.  If l
+       reduces to 0 it lies in I and the colon is the unit ideal.
+    2. Change coordinates so that the reduced l becomes its smallest
+       variable x (the identity when l is a multiple of a variable).
+    3. In degrevlex with x last, divide by x every element of a Groebner
+       basis that x divides: that is a basis of the colon by x
+       (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
+    4. Map back, add the linear generators, and reduce in ring's own order.
+    """
+    ring = I.ring
+    linear, rest = _split_linear(I.generators)
+    l = normal_form(l, linear)
+    if not l:
+        return GroebnerBasis(ring, (ring.one(),), reduced=True)
+    (x, c), others = l.terms[-1], l.terms[:-1]
+    v = x.index(1)
+    ring_x = _ring_with_last(ring, v)
+    var = ring_x.var(ring.names[v])
+    if others:
+        # x -> (x - (l - c*x)) / c sends l to x; x -> l undoes it
+        tail = Polynomial(ring, others).map_exponents(ring_x, _same)
+        forward = (var - tail) * (ring.field.one / c)
+        rest = [_substitute(g, v, forward) for g in rest]
+    elif ring_x is not ring:
+        rest = [g.map_exponents(ring_x, _same) for g in rest]
+    gb = buchberger(rest, ring=ring_x)
+    quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
+    if others:
+        quotients = [_substitute(q, v, l) for q in quotients]
+    elif ring_x is not ring:
+        quotients = [q.map_exponents(ring, _same) for q in quotients]
+    # the quotients may include linear forms, which split off in turn
+    return _reduced_basis(linear + quotients, ring)
+
+
 def colon_element(I, f):
-    """I : f = { g : g·f ∈ I }, computed as (1/f) · (I ∩ (f))."""
+    """I : f = { g : g·f ∈ I }, computed as (1/f) · (I ∩ (f)).
+
+    For a homogeneous I and a linear form f, intersect takes the route
+    without elimination: its generators are f times the reduced basis of the
+    colon, so the quotients here are that basis and the cache already holds it.
+    """
     if not f:
         raise ZeroDivisorArgument("colon by the zero polynomial")
     inter = intersect(I, ideal(I.ring, (f,)))

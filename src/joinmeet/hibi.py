@@ -88,9 +88,26 @@ class JoinMeetIdeal:
         return groebner_basis(self.ideal)
 
 
+_JOIN_MEET_CACHE = {}
+
+
 def join_meet_ideal(L, field=QQ):
     """Basic binomials ab - (a∨b)(a∧b), one per incomparable pair, in
-    deterministic (linear extension) order."""
+    deterministic (linear extension) order.
+
+    Built once per (lattice, field) and kept beside the ring in the same way.
+    """
+    key = (L, field)
+    with _RING_LOCK:
+        got = _JOIN_MEET_CACHE.get(key)
+    if got is None:
+        got = _build_join_meet_ideal(L, field)
+        with _RING_LOCK:
+            got = _JOIN_MEET_CACHE.setdefault(key, got)
+    return got
+
+
+def _build_join_meet_ideal(L, field):
     ring = lattice_ring(L, field)
     position = {e: i for i, e in enumerate(L.linear_extension)}
     pairs = sorted(

@@ -38,6 +38,18 @@ def stacked_diamond():
     )
 
 
+def m3_on_m3():
+    """Two diamonds M3 stacked top to bottom: e < x, y, z < f < p, q, r < t.
+    9 elements, modular, non-distributive."""
+    return Lattice.from_covers(
+        ["e", "x", "y", "z", "f", "p", "q", "r", "t"],
+        [("e", a) for a in "xyz"]
+        + [(a, "f") for a in "xyz"]
+        + [("f", a) for a in "pqr"]
+        + [(a, "t") for a in "pqr"],
+    )
+
+
 def corpus():
     """The named small lattices used throughout the property suites."""
     return [

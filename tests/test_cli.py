@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from joinmeet.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -216,3 +218,17 @@ def test_prime_mode_is_stamped(capsys):
     code, out, _ = run(capsys, "colon", "--builtin", "diamond", "--j", "", "--by", "x",
                        "--field", "prime")
     assert "unverified arithmetic" in out
+
+
+def test_prime_must_be_an_odd_prime(capsys):
+    for bad in ("4", "0", "-5", "1", "2", "2147483648", "seven"):
+        with pytest.raises(SystemExit) as exc:
+            main(["colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
+                  "--field", "prime", "--prime", bad])
+        assert exc.value.code == 2, bad
+        err = capsys.readouterr().err
+        assert "--prime" in err and "Traceback" not in err, bad
+    code, out, _ = run(capsys, "colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
+                       "--field", "prime", "--prime", "7")
+    assert code == 0
+    assert "prime(7)" in out
