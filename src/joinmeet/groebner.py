@@ -11,11 +11,12 @@ is a row echelon form, and substituting it out of the other generators leaves
 a smaller system in the remaining variables.
 
 Intersections take one of two routes, chosen from the input alone.  When the
-first ideal is homogeneous and the second is generated by one linear form l,
-I ∩ (l) = l·(I : l), and I : l comes from a degrevlex basis with l as the
-smallest variable (Bayer–Stillman 1987; Eisenbud, Commutative Algebra,
-Prop. 15.12), with no extra variable.  Every other intersection eliminates an
-auxiliary variable under a block order.
+first ideal I is homogeneous and the second is generated by one linear form l
+that is a multiple of a variable x modulo the linear generators of I (as
+every variable is), I ∩ (l) = l·(I : x), and I : x comes from a degrevlex
+basis with x as the smallest variable (Bayer–Stillman 1987; Eisenbud,
+Commutative Algebra, Prop. 15.12), with no extra variable.  Every other
+intersection eliminates an auxiliary variable under a block order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import heapq
 import threading
 from dataclasses import dataclass
 
-from .poly import MonomialOrder, Polynomial, Ring
+from .poly import MonomialOrder, Ring
 
 
 class ZeroDivisorArgument(ValueError):
@@ -362,10 +363,12 @@ def intersect(I, J):
     """I ∩ J, by one of two routes chosen from the input.
 
     If every generator of I is homogeneous and J is generated by one linear
-    form l, then I ∩ (l) = l·(I : l): the result is l times the reduced basis
-    of I : l, computed without elimination (_colon_by_linear_form), and that
-    basis is registered in the cache as the basis of the colon.  Every other
-    pair of ideals goes through _intersect_by_elimination.
+    form l that reduces to a multiple of one variable modulo the linear
+    generators of I (every variable does), then I ∩ (l) = l·(I : l): the
+    result is l times the reduced basis of I : l, computed without
+    elimination (_colon_by_linear_form), and that basis is registered in the
+    cache as the basis of the colon.  Every other pair of ideals goes through
+    _intersect_by_elimination.
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
@@ -377,8 +380,9 @@ def intersect(I, J):
     ):
         l = J.generators[0]
         colon = _colon_by_linear_form(I, l)
-        _register_gb(ideal(ring, colon.basis), colon)
-        return ideal(ring, tuple(l * g for g in colon.basis))
+        if colon is not None:
+            _register_gb(ideal(ring, colon.basis), colon)
+            return ideal(ring, tuple(l * g for g in colon.basis))
     return _intersect_by_elimination(I, J)
 
 
@@ -426,55 +430,35 @@ def _ring_with_last(ring, v):
     return Ring(ring.names, order, ring.field)
 
 
-def _substitute(p, v, s):
-    """p with variable v replaced by the polynomial s, in the ring of s."""
-    ring = s.ring
-    parts = {}
-    for m, c in p.terms:
-        parts.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1 :]] = c
-    result = ring.zero()
-    power = ring.one()
-    for e in range(max(parts, default=0) + 1):
-        if e in parts:
-            result = result + ring.from_dict(parts[e]) * power
-        power = power * s
-    return result
-
-
 def _colon_by_linear_form(I, l):
-    """Reduced basis of I : l, for homogeneous I and a linear form l.
+    """Reduced basis of I : l, for homogeneous I and a linear form l, or None
+    unless l is a multiple of one variable modulo the linear generators of I.
 
     1. Split off the linear generators of I as their reduced basis (row
        echelon form) and substitute it out of the rest and out of l.  If l
-       reduces to 0 it lies in I and the colon is the unit ideal.
-    2. Change coordinates so that the reduced l becomes its smallest
-       variable x (the identity when l is a multiple of a variable).
-    3. In degrevlex with x last, divide by x every element of a Groebner
+       reduces to 0 it lies in I and the colon is the unit ideal.  If it
+       reduces to c·x for a variable x, then I : l = I : x; any longer form
+       is left to elimination.
+    2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
-    4. Map back, add the linear generators, and reduce in ring's own order.
+    3. Map back, add the linear generators, and reduce in ring's own order.
     """
     ring = I.ring
     linear, rest = _split_linear(I.generators)
     l = normal_form(l, linear)
     if not l:
         return GroebnerBasis(ring, (ring.one(),), reduced=True)
-    (x, c), others = l.terms[-1], l.terms[:-1]
-    v = x.index(1)
+    if len(l.terms) > 1:
+        return None
+    v = l.terms[0][0].index(1)
     ring_x = _ring_with_last(ring, v)
     var = ring_x.var(ring.names[v])
-    if others:
-        # x -> (x - (l - c*x)) / c sends l to x; x -> l undoes it
-        tail = Polynomial(ring, others).map_exponents(ring_x, _same)
-        forward = (var - tail) * (ring.field.one / c)
-        rest = [_substitute(g, v, forward) for g in rest]
-    elif ring_x is not ring:
+    if ring_x is not ring:
         rest = [g.map_exponents(ring_x, _same) for g in rest]
     gb = buchberger(rest, ring=ring_x)
     quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
-    if others:
-        quotients = [_substitute(q, v, l) for q in quotients]
-    elif ring_x is not ring:
+    if ring_x is not ring:
         quotients = [q.map_exponents(ring, _same) for q in quotients]
     # the quotients may include linear forms, which split off in turn
     return _reduced_basis(linear + quotients, ring)
@@ -483,7 +467,8 @@ def _colon_by_linear_form(I, l):
 def colon_element(I, f):
     """I : f = { g : g·f ∈ I }, computed as (1/f) · (I ∩ (f)).
 
-    For a homogeneous I and a linear form f, intersect takes the route
+    For a homogeneous I and a variable f (or a linear form that is a multiple
+    of one variable modulo I's linear generators), intersect takes the route
     without elimination: its generators are f times the reduced basis of the
     colon, so the quotients here are that basis and the cache already holds it.
     """

@@ -221,7 +221,9 @@ def test_prime_mode_is_stamped(capsys):
 
 
 def test_prime_must_be_an_odd_prime(capsys):
-    for bad in ("4", "0", "-5", "1", "2", "2147483648", "seven"):
+    # 3215031751 = 151·751·28351 passes Miller-Rabin to bases 2, 3, 5 and 7
+    for bad in ("4", "0", "-5", "1", "2", "2147483648", "3215031751",
+                str(2**64 + 13), "seven"):
         with pytest.raises(SystemExit) as exc:
             main(["colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
                   "--field", "prime", "--prime", bad])
@@ -232,3 +234,8 @@ def test_prime_must_be_an_odd_prime(capsys):
                        "--field", "prime", "--prime", "7")
     assert code == 0
     assert "prime(7)" in out
+    for big in (2147483659, 2**61 - 1):  # primes above 2^31
+        code, out, _ = run(capsys, "colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
+                           "--field", "prime", "--prime", str(big))
+        assert code == 0
+        assert f"prime({big})" in out

@@ -1,8 +1,10 @@
 """The two routes of intersect agree.
 
-For a homogeneous ideal and one linear form, intersect computes the colon
-without elimination; _intersect_by_elimination is the reference it must
-match, reduced basis for reduced basis.  The split of linear generators in
+For a homogeneous ideal and a variable (or a linear form that reduces to a
+multiple of one variable modulo the ideal's linear generators), intersect
+computes the colon without elimination; _intersect_by_elimination is the
+reference it must match, reduced basis for reduced basis.  Other linear
+forms take the elimination route.  The split of linear generators in
 groebner_basis must match plain Buchberger, and sympy is an independent
 oracle for both the colon and its reduced basis.
 """
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import m3_on_m3
 from joinmeet.groebner import (
+    _colon_by_linear_form,
     _intersect_by_elimination,
     buchberger,
     clear_cache,
@@ -81,10 +84,27 @@ def test_fast_colon_matches_elimination(name, field):
     rng = random.Random(f"{L.labels}/{field}")
     for I, f in cases(L, field, rng):
         assert groebner_basis(I).basis == plain_basis(I), (I.generators, f)
-        fast = colon_element(I, f)
-        assert fast.generators == elimination_colon(I, f), (I.generators, f)
-        # the colon's reduced basis is what the cache holds for it
-        assert groebner_basis(fast).basis == fast.generators
+        expected = elimination_colon(I, f)
+        colon = colon_element(I, f)
+        assert groebner_basis(colon).basis == expected, (I.generators, f)
+        if _colon_by_linear_form(I, f) is not None:
+            # the fast route returns the colon's reduced basis, and the cache
+            # holds that basis for it
+            assert colon.generators == expected, (I.generators, f)
+
+
+def test_route_is_chosen_by_the_reduced_divisor():
+    R = lattice_ring(pentagon())
+    I_L = join_meet_ideal(pentagon())
+    x, y, z = R.var("x"), R.var("y"), R.var("z")
+    # a variable, and a form that is a multiple of one variable modulo (y)
+    assert _colon_by_linear_form(I_L, x) is not None
+    assert _colon_by_linear_form(ideal(R, I_L.generators + (y,)), x + 2 * y) is not None
+    # a form that stays a sum of two variables goes to elimination
+    assert _colon_by_linear_form(I_L, y - z) is None
+    assert groebner_basis(colon_element(I_L, y - z)).basis == elimination_colon(I_L, y - z)
+    # a form inside the ideal gives the unit ideal
+    assert _colon_by_linear_form(ideal(R, (y, z)), y - z).basis == (R.one(),)
 
 
 def test_split_linear_basis_edge_cases():
@@ -123,7 +143,7 @@ SMALL_LATTICES = _small_lattices()
 def test_fast_colon_matches_elimination_on_random_lattices(L, field, seed):
     rng = random.Random(seed)
     for I, f in cases(L, field, rng)[::2]:
-        assert colon_element(I, f).generators == elimination_colon(I, f)
+        assert groebner_basis(colon_element(I, f)).basis == elimination_colon(I, f)
         assert groebner_basis(I).basis == plain_basis(I)
 
 
@@ -151,7 +171,7 @@ def test_fast_colon_matches_sympy(name):
     t = sympy.Symbol("t")
     rng = random.Random(L.n)
     for I, f in cases(L, QQ, rng):
-        ours = colon_element(I, f).generators
+        ours = groebner_basis(colon_element(I, f)).basis
         F = _sympy_poly(f, symbols)
         # I ∩ (f) by sympy's own elimination: lex with t biggest
         E = sympy.groebner(
