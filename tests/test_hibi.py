@@ -1,8 +1,9 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from conftest import corpus, distributive_corpus, small_corpus
+from oracles import macaulay_member
 from joinmeet.groebner import groebner_basis, ideal, ideal_equal, ideal_member
 from joinmeet.hibi import (
     NotLinear,
@@ -186,6 +187,40 @@ def test_colon_by_ideal_reduces_to_added_generator():
     by_elem = colon_in_H(J, "y")
     assert by_ideal.semantic_key() == by_elem.semantic_key()
     assert by_ideal.divisors == (lattice_ring(P).var("y"),)
+
+
+@pytest.mark.parametrize(
+    "make, j_gens, i_gens, differences",
+    [(pentagon, ["x"], ["x", "y", "z"], False), (diamond, [], ["x", "y"], True)],
+)
+def test_colon_by_ideal_with_several_generators_outside_j(make, j_gens, i_gens, differences):
+    # the colon contract, decided by Macaulay matrices: g lies in the lift of
+    # J : I exactly when g·h lies in the lift of J for every generator h of I.
+    # g runs over the monomials of degree <= 2; 0 : (x, y) on the diamond holds
+    # no monomial, so there g also runs over the differences of two of them
+    L = make()
+    J = residue_ideal(L, j_gens)
+    I = residue_ideal(L, i_gens)
+    rep = colon_in_H_by_ideal(J, I)
+    assert len(rep.divisors) >= 2
+    R = lattice_ring(L)
+    verdicts = set()
+    for d in range(3):
+        monomials = []
+        for combo in combinations_with_replacement(R.gens(), d):
+            g = R.one()
+            for v in combo:
+                g = g * v
+            monomials.append(g)
+        if differences:
+            monomials += [a - b for a, b in combinations(monomials, 2)]
+        for g in monomials:
+            expected = all(
+                macaulay_member(J.lift.generators, g * h) for h in I.linear_generators
+            )
+            assert macaulay_member(rep.lift.generators, g) == expected, str(g)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_colon_by_zero_ideal_is_whole_ring():
