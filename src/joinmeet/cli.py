@@ -118,21 +118,41 @@ def load_lattice(config):
             raise ValueError(f"builtin {name!r} needs --n")
         return BUILTINS[name](config.n)
     if config.input:
-        with open(config.input) as fh:
-            doc = json.load(fh)
+        path = config.input
+        doc = _load_json(path, "elements", "covers")
+        for name in doc["elements"]:
+            if not isinstance(name, _NAMES):
+                raise ValueError(f"{path}: element {name!r} is not a name")
+        for pair in doc["covers"]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(a, _NAMES) for a in pair)):
+                raise ValueError(f"{path}: cover {pair!r} is not a [lower, upper] pair of names")
         return Lattice.from_covers(doc["elements"], doc["covers"])
     raise ValueError("provide --builtin or --input")
 
 
-def load_filtration(L, path, field):
+# element names may be JSON strings or numbers; from_covers turns them into strings
+_NAMES = (str, int, float)
+
+
+def _load_json(path, *lists):
+    """The JSON object in path, which must hold a list under each key."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in lists)):
+        raise ValueError(f"{path}: expected an object with lists {', '.join(lists)}")
+    return doc
+
+
+def load_filtration(L, path, field):
+    doc = _load_json(path, "ideals")
     members = []
     for entry in doc["ideals"]:
         if entry == "m":
-            members.append(residue_ideal(L, list(L.labels), field))
-        else:
-            members.append(residue_ideal(L, entry, field))
+            entry = list(L.labels)
+        elif not (isinstance(entry, list) and all(isinstance(g, str) for g in entry)):
+            raise ValueError(f'{path}: ideal {entry!r} is neither "m" nor a list of linear forms')
+        members.append(residue_ideal(L, entry, field))
     return filtration(L, members, field)
 
 

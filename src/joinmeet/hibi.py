@@ -3,6 +3,10 @@
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L]; identity is always the reduced Groebner basis of the lift, never the
 generator list, so two presentations of the same ideal compare equal.
+
+colon_in_H is colon_element on the lift of J, colon_in_H_by_ideal is
+colon_ideal on it.  Both end in one report, whose verdicts are read from the
+degree-1 part of the colon's reduced basis, a reduced echelon form.
 """
 
 from __future__ import annotations
@@ -10,16 +14,15 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from . import linalg
 from .groebner import (
     GroebnerBasis,
     Ideal,
     colon_element,
+    colon_ideal,
     groebner_basis,
     ideal,
     ideal_equal,
     ideal_member,
-    intersect,
 )
 from .lattice import Lattice
 from .poly import MonomialOrder, QQ, Ring
@@ -238,8 +241,10 @@ class ResidueColonReport:
 
     ``lift`` is the colon of the lifted ideals in K[L]; ``degree1`` its linear
     part; ``linear_generated`` says whether the colon equals (I_L, degree1);
-    ``variable_generated`` additionally requires the linear part to be spanned
-    by variables, recorded in ``variables`` (element indices).
+    ``variable_generated`` additionally requires every element of
+    ``degree1``, which is in reduced echelon form, to be a variable; those
+    are recorded in ``variables`` (element indices).  ``whole_ring`` marks the
+    unit ideal, which is never linear-generated.
     """
 
     lattice: Lattice
@@ -269,51 +274,20 @@ class ResidueColonReport:
         return sorted(self.lattice.labels[e] for e in self.variables)
 
 
-def _whole_ring_report(L, J, divisors, field):
-    ring = lattice_ring(L, field)
-    unit = ideal(ring, (ring.one(),))
-    return ResidueColonReport(
-        lattice=L,
-        field=field,
-        source=J,
-        divisors=divisors,
-        lift=unit,
-        groebner=groebner_basis(unit),
-        degree1=(),
-        linear_generated=False,
-        variable_generated=False,
-        variables=None,
-        whole_ring=True,
-        nonlinear_witness=None,
-    )
-
-
 def _colon_report(L, J, divisors, lifted, field):
     gb = groebner_basis(lifted)
-    if any(g.total_degree() == 0 for g in gb.basis):
-        return _whole_ring_report(L, J, divisors, field)
+    # the reduced basis holds the linear part in reduced echelon form, so
+    # when that part is all variables, (I_L, degree1) is (I_L, variables)
     degree1 = tuple(g for g in gb.basis if g.total_degree() == 1)
     base = join_meet_ideal(L, field)
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
-    all_vars = all(_element_of(L, g) is not None for g in degree1)
-    variables = None
-    variable_generated = False
-    if all_vars:
-        variables = frozenset(_element_of(L, g) for g in degree1)
-        var_lift = ideal(
-            base.ring,
-            base.generators + tuple(variable(L, e, field) for e in sorted(variables)),
-        )
-        variable_generated = ideal_equal(lifted, var_lift)
-        if not variable_generated:
-            variables = None
+    elements = [_element_of(L, g) for g in degree1]
+    variables = frozenset(elements) if linear_generated and None not in elements else None
     witness = None
     if not linear_generated:
-        for g in gb.basis:
-            if g.total_degree() >= 2 and not ideal_member(g, linear_lift):
-                witness = g
-                break
+        nonlinear = (g for g in gb.basis if g.total_degree() >= 2)
+        witness = next((g for g in nonlinear if not ideal_member(g, linear_lift)), None)
     return ResidueColonReport(
         lattice=L,
         field=field,
@@ -323,9 +297,9 @@ def _colon_report(L, J, divisors, lifted, field):
         groebner=gb,
         degree1=degree1,
         linear_generated=linear_generated,
-        variable_generated=variable_generated,
+        variable_generated=variables is not None,
         variables=variables,
-        whole_ring=False,
+        whole_ring=any(g.total_degree() == 0 for g in gb.basis),
         nonlinear_witness=witness,
     )
 
@@ -346,53 +320,44 @@ def colon_in_H(J, f):
 
 
 def colon_in_H_by_ideal(J, I):
-    """(J̄) : (Ī) in H[L]: intersection of element colons over I's generators.
+    """(J̄) : (Ī) in H[L]: colon_ideal of the lift of J by the generators of I.
 
     Generators of I already lying in the lift of J colon to the whole ring
-    and drop out of the intersection.
+    and drop out first; if none is left, the colon is the whole ring.
     """
     L = J.lattice
     field = J.field
     if L != I.lattice or field != I.field:
         raise ValueError("colon of ideals over different lattices")
-    gens = [g for g in I.linear_generators if not ideal_member(g, J.lift)]
-    if not gens:
-        return _whole_ring_report(L, J, tuple(I.linear_generators), field)
-    acc = None
-    for g in gens:
-        c = colon_element(J.lift, g)
-        acc = c if acc is None else intersect(acc, c)
-    return _colon_report(L, J, tuple(gens), acc, field)
+    gens = tuple(g for g in I.linear_generators if not ideal_member(g, J.lift))
+    lifted = colon_ideal(J.lift, ideal(J.ring, gens))
+    return _colon_report(L, J, gens or I.linear_generators, lifted, field)
 
 
 # ---------------------------------------------------------------------------
 # the degree-1 span identity of lifted colons
 
 
-def linear_coefficient_rows(L, polys, field):
-    ring = lattice_ring(L, field)
-    zero = field.zero
-    rows = []
-    for p in polys:
-        row = [zero] * ring.nvars
-        for m, c in p.terms:
-            row[m.index(1)] = c
-        rows.append(row)
-    return rows
-
-
-def degree1_span_claim_check(L, I, e, field=QQ):
-    """Whether the linear part of (I_L, J) : e equals span{a : a ≱ e},
-    where J = I \\ {e} and e is a maximal element of the poset ideal I."""
+def _claim_colon(L, I, e, field):
+    """The poset ideal I and the report of (J̄) : ē, J = I ∖ {e}, for a
+    maximal element e of I."""
     members = I.members if hasattr(I, "members") else frozenset(I)
     I = L.poset_ideal(members)
     if e not in L.maximal_elements(I.members):
         raise ValueError(f"{L.labels[e]!r} is not a maximal element of the ideal")
     J = residue_ideal(L, [L.labels[a] for a in sorted(I.members - {e})], field)
-    report = colon_in_H(J, variable(L, e, field))
-    blockers = [a for a in range(L.n) if not L.le(e, a)]
-    expected = [variable(L, a, field) for a in blockers]
-    return linalg.row_space_equal(
-        linear_coefficient_rows(L, report.degree1, field),
-        linear_coefficient_rows(L, expected, field),
-    )
+    return I, colon_in_H(J, variable(L, e, field))
+
+
+def _span_matches(L, e, report):
+    """Whether the linear part of the colon is span{a : a ≱ e}.  The reduced
+    echelon form of a span of variables is those variables."""
+    expected = {variable(L, a, report.field) for a in range(L.n) if not L.le(e, a)}
+    return set(report.degree1) == expected
+
+
+def degree1_span_claim_check(L, I, e, field=QQ):
+    """Whether the linear part of (I_L, J) : e equals span{a : a ≱ e},
+    where J = I \\ {e} and e is a maximal element of the poset ideal I."""
+    _, report = _claim_colon(L, I, e, field)
+    return _span_matches(L, e, report)

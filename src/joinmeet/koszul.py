@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from . import linalg
 from .hibi import (
     ResidueIdeal,
+    _claim_colon,
+    _span_matches,
     colon_in_H,
     colon_in_H_by_ideal,
-    degree1_span_claim_check,
-    linear_coefficient_rows,
     residue_ideal,
     variable,
 )
@@ -132,8 +132,15 @@ class VerificationReport:
         return True
 
 
-def _span_rows(member):
-    return linear_coefficient_rows(member.lattice, member.degree1(), member.field)
+def _coefficient_rows(polys, ring):
+    """Coefficient rows of linear forms, one column per variable of ring."""
+    rows = []
+    for p in polys:
+        row = [ring.field.zero] * ring.nvars
+        for m, c in p.terms:
+            row[m.index(1)] = c
+        rows.append(row)
+    return rows
 
 
 def verify_filtration(L, family):
@@ -162,7 +169,9 @@ def verify_filtration(L, family):
 
     witnesses = []
     failures = []
-    spans = {i: linalg.rref(_span_rows(m)) for i, m in enumerate(members)}
+    spans = {
+        i: linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for i, m in enumerate(members)
+    }
     for i, member in enumerate(members):
         if member.is_zero():
             continue
@@ -183,7 +192,7 @@ def verify_filtration(L, family):
                     g
                     for g in member.linear_generators
                     if not linalg.in_row_space(
-                        spans[j], linear_coefficient_rows(L, [g], member.field)[0]
+                        spans[j], _coefficient_rows([g], member.ring)[0]
                     )
                 )
                 found = Witness(i, member, j, other, gen, target, report)
@@ -343,13 +352,7 @@ class ClaimReport:
 
 
 def claim_check(L, I, e, field=QQ):
-    members = I.members if hasattr(I, "members") else frozenset(I)
-    I = L.poset_ideal(members)
-    if e not in L.maximal_elements(I.members):
-        raise ValueError(f"{L.labels[e]!r} is not a maximal element of the ideal")
-    J = residue_ideal(L, [L.labels[a] for a in sorted(I.members - {e})], field)
-    report = colon_in_H(J, variable(L, e, field))
-    span_ok = degree1_span_claim_check(L, I, e, field)
+    I, report = _claim_colon(L, I, e, field)
     # both iterators yield 5-tuples whose first entry is the sublattice minimum
     pent = any(sub[0] == e for sub in L.iter_pentagons())
     diam = any(sub[0] == e for sub in L.iter_diamonds())
@@ -358,7 +361,7 @@ def claim_check(L, I, e, field=QQ):
         ideal=I,
         element=e,
         linear_generated=report.linear_generated,
-        span_matches=span_ok,
+        span_matches=_span_matches(L, e, report),
         colon=report,
         pentagon_with_min_e=pent,
         diamond_with_min_e=diam,

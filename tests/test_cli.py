@@ -165,6 +165,31 @@ def test_verify_failing_family(tmp_path, capsys):
     assert "verdict: fail" in out
 
 
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("lattice", ["e", "f"]),
+        ("lattice", {"elements": ["e", "f"], "covers": [5]}),
+        ("lattice", {"elements": [["e"], "f"], "covers": [["e", "f"]]}),
+        ("filtration", ["m"]),
+        ("filtration", {"ideals": [5]}),
+        ("filtration", {"ideals": [["x"], [3]]}),
+        ("filtration", {"ideals": "m"}),
+    ],
+)
+def test_malformed_input_file_is_an_input_error(tmp_path, capsys, kind, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if kind == "lattice":
+        argv = ["check", "--input", str(path)]
+    else:
+        argv = ["filtration", "verify", "--builtin", "pentagon", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_search_diamond_none(capsys):
     code, out, _ = run(capsys, "filtration", "search", "--builtin", "diamond")
     assert code == 1

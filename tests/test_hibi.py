@@ -1,9 +1,11 @@
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import corpus, distributive_corpus, small_corpus
+from conftest import corpus, distributive_corpus, m3_on_m3, small_corpus
 from oracles import macaulay_member
+from joinmeet import hibi, koszul, linalg
 from joinmeet.groebner import groebner_basis, ideal, ideal_equal, ideal_member
 from joinmeet.hibi import (
     NotLinear,
@@ -17,8 +19,8 @@ from joinmeet.hibi import (
     variable,
     zero_ideal,
 )
-from joinmeet.lattice import boolean, chain, diamond, pentagon
-from joinmeet.poly import GF
+from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
+from joinmeet.poly import GF, QQ
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,97 @@ def test_span_claim_across_small_corpus():
                 continue
             for e in L.maximal_elements(s.members):
                 assert degree1_span_claim_check(L, s, e), (L.labels, sorted(s.members), e)
+
+
+# ---------------------------------------------------------------------------
+# the generation and span checks the colon report no longer makes, kept as
+# references for the checks it does make
+
+
+REFERENCE_LATTICES = {
+    "pentagon": pentagon,
+    "diamond": diamond,
+    "boolean(3)": lambda: boolean(3),
+    "divisor(12)": lambda: divisor_lattice(12),
+    "m3_on_m3": m3_on_m3,
+}
+
+
+@lru_cache(maxsize=None)
+def search_colons(name):
+    """The lattice, and every colon report its combinatorial search makes,
+    plus the whole-ring colons (a) : a."""
+    L = REFERENCE_LATTICES[name]()
+    reports = []
+
+    def recording(J, f):
+        rep = colon_in_H(J, f)
+        reports.append(rep)
+        return rep
+
+    saved = koszul.colon_in_H
+    koszul.colon_in_H = recording
+    try:
+        koszul.search_combinatorial(L)
+    finally:
+        koszul.colon_in_H = saved
+    for a in range(L.n):
+        reports.append(colon_in_H(residue_ideal(L, [L.labels[a]]), variable(L, a)))
+    return L, tuple(reports)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+def test_variable_generated_matches_the_second_generation_check(name):
+    # the former definition: the degree-1 part is all variables and the
+    # colon equals (I_L, those variables), tested by a second ideal_equal
+    L, reports = search_colons(name)
+    R = lattice_ring(L)
+    base = join_meet_ideal(L)
+    kinds = set()
+    for rep in reports:
+        variables = [v for v in R.gens() if v in rep.degree1]
+        old = len(variables) == len(rep.degree1) and ideal_equal(
+            rep.lift, ideal(R, base.generators + tuple(variables))
+        )
+        assert rep.variable_generated == old, rep.groebner.basis
+        expected = frozenset(L.index(str(v)) for v in variables) if old else None
+        assert rep.variables == expected
+        kinds.add((rep.whole_ring, rep.linear_generated))
+    assert (True, False) in kinds and (False, True) in kinds
+    if not L.is_distributive():
+        assert (False, False) in kinds
+
+
+def coefficient_rows(L, polys):
+    rows = []
+    for p in polys:
+        row = [QQ.zero] * L.n
+        for m, c in p.terms:
+            row[m.index(1)] = c
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+def test_span_check_matches_row_reduction(name):
+    # the span check compares sets of variables; the former one compared
+    # the row spaces of the coefficient rows.  The poset-ideal pairs all
+    # satisfy the identity; some of the search colons do not
+    L, reports = search_colons(name)
+    pairs = []
+    for s in L.poset_ideals():
+        for e in L.maximal_elements(s.members):
+            pairs.append((e, hibi._claim_colon(L, s, e, QQ)[1]))
+    pairs += [(L.index(str(rep.divisors[0])), rep) for rep in reports]
+    verdicts = set()
+    for e, rep in pairs:
+        expected = [variable(L, a) for a in range(L.n) if not L.le(e, a)]
+        old = linalg.row_space_equal(
+            coefficient_rows(L, rep.degree1), coefficient_rows(L, expected)
+        )
+        assert hibi._span_matches(L, e, rep) == old
+        verdicts.add(old)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
