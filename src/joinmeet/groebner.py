@@ -6,6 +6,15 @@ package.  Ideals here are tiny (tens of generators, ~10 variables), so the
 classic algorithm with the coprime and chain criteria is enough; pair
 selection follows the normal strategy (smallest lcm degree first).
 
+Division reads the divisors from a lead table: one row per nonzero divisor,
+in order, with the support bitmask of its leading monomial, the leading
+monomial and coefficient, and the tail terms.  A GroebnerBasis builds its
+table once, on first use, and an Ideal hashes its generators into its cache
+key once, so repeated queries against one basis or one Ideal object pay
+neither again.  A lead whose support is not inside a term's support cannot
+divide it and is skipped before the exponents are compared; the first
+dividing lead in order still does the division.
+
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
 a smaller system in the remaining variables.
@@ -24,6 +33,8 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from .poly import MonomialOrder, Ring
 
@@ -48,6 +59,12 @@ class Ideal:
             if g.ring != self.ring:
                 raise ValueError("generator from a different ring")
 
+    @cached_property
+    def _gb_key(self):
+        """The key of this ideal's reduced basis in the GB cache: the ring and
+        the set of generators, hashed once per instance."""
+        return (self.ring, frozenset(g.terms for g in self.generators))
+
 
 def ideal(ring, gens):
     return Ideal(ring, tuple(g for g in gens if g))
@@ -65,6 +82,11 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.basis)
+
+    @cached_property
+    def _table(self):
+        """normal_form's lead table of the basis, built on first use."""
+        return _lead_table(self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +113,19 @@ def _add(a, b):
 # division
 
 
-def _leads(G):
-    return [(g.leading_monomial(), g.leading_coeff(), g) for g in G if g]
+def _bits(nvars):
+    return [1 << i for i in range(nvars)]
+
+
+def _lead_table(G):
+    """One row per nonzero element of G, in G's order: the support bitmask of
+    its leading monomial, the leading monomial, the leading coefficient and
+    the tail terms."""
+    G = [g for g in G if g]
+    if not G:
+        return ()
+    bits = _bits(G[0].ring.nvars)
+    return tuple((sum(compress(bits, g.terms[0][0])), *g.terms[0], g.terms[1:]) for g in G)
 
 
 def normal_form(f, G):
@@ -100,24 +133,32 @@ def normal_form(f, G):
 
     No term of the result is divisible by any leading monomial of G, and
     f - result lies in (G).  For a Groebner basis the remainder is canonical.
+
+    The largest remaining term is divided by the first element of G, in G's
+    order, whose leading monomial divides it, so the remainder is a function
+    of the sequence G even when G is not a Groebner basis (as inside
+    Buchberger).  G's leading terms are read from a lead table: built once
+    and kept on a GroebnerBasis, built per call for a plain sequence.  A lead
+    whose support bitmask is not inside the term's support is passed over
+    before its exponents are compared.
     """
-    if isinstance(G, GroebnerBasis):
-        G = G.basis
-    leads = _leads(G)
-    if not leads or not f:
+    table = G._table if isinstance(G, GroebnerBasis) else _lead_table(G)
+    if not table or not f:
         return f
     ring = f.ring
     key = ring.key
+    bits = _bits(ring.nvars)
     work = dict(f.terms)
     remainder = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for lm, lc, g in leads:
-            if _divides(lm, m):
+        outside = ~sum(compress(bits, m))
+        for support, lm, lc, tail in table:
+            if not support & outside and _divides(lm, m):
                 q = _sub(m, lm)
                 qc = c / lc
-                for mg, cg in g.terms[1:]:
+                for mg, cg in tail:
                     mm = _add(q, mg)
                     v = work.get(mm)
                     v = -qc * cg if v is None else v - qc * cg
@@ -268,7 +309,7 @@ _GB_LOCK = threading.Lock()
 
 
 def _cache_key(I):
-    return (I.ring, frozenset(g.terms for g in I.generators))
+    return I._gb_key
 
 
 def _split_linear(gens):
@@ -291,9 +332,9 @@ def _split_linear(gens):
             echelon.append(r.monic())
     if not echelon:
         return [], rest
-    echelon = list(reduce_basis(echelon).basis)
+    echelon = reduce_basis(echelon)
     rest = [r for r in (normal_form(g, echelon) for g in rest) if r]
-    return echelon, rest
+    return list(echelon.basis), rest
 
 
 def _reduced_basis(gens, ring):

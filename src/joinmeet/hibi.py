@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groebner import (
     GroebnerBasis,
@@ -83,8 +84,9 @@ class JoinMeetIdeal:
     ring: Ring
     generators: tuple
 
-    @property
+    @cached_property
     def ideal(self):
+        """I_L as one Ideal, so its GB-cache key is built once."""
         return Ideal(self.ring, self.generators)
 
     def groebner(self):

@@ -13,6 +13,7 @@ import heapq
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 
 class NotALattice(ValueError):
@@ -413,16 +414,32 @@ class Lattice:
 
 # ---------------------------------------------------------------------------
 # builders
+#
+# Each builder counts its elements before building and refuses more than
+# MAX_ELEMENTS, so an oversized request fails at once instead of running for
+# minutes.  divisor_lattice also refuses n above MAX_DIVISOR_N, which bounds
+# the trial division that counts the divisors.
+
+MAX_ELEMENTS = 128
+MAX_DIVISOR_N = 10**12
+
+
+def _check_size(name, count):
+    if count > MAX_ELEMENTS:
+        raise ValueError(f"{name} has more than {MAX_ELEMENTS} elements")
 
 
 def chain(n):
     """Totally ordered lattice c0 < c1 < ... < c(n-1)."""
+    _check_size(f"chain({n})", n)
     labels = [f"c{i}" for i in range(n)]
     return Lattice.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
 
 def boolean(n):
     """Lattice of subsets of an n-set; bottom labelled 'o', atoms 'a', 'b', ..."""
+    # 2^n elements; the shift is capped so that a huge n costs nothing
+    _check_size(f"boolean({n})", 1 << min(n, MAX_ELEMENTS.bit_length()))
     atoms = "abcdefghijklmnopqrstuvwxyz"[:n]
     subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
     label = lambda s: "".join(atoms[i] for i in range(n) if s >> i & 1) or "o"
@@ -439,7 +456,11 @@ def divisor_lattice(n):
     """Divisors of n ordered by divisibility; join = lcm, meet = gcd."""
     if n < 1:
         raise ValueError("n must be positive")
-    divs = [d for d in range(1, n + 1) if n % d == 0]
+    if n > MAX_DIVISOR_N:
+        raise ValueError(f"divisor lattice of {n}: n is above {MAX_DIVISOR_N}")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divs = sorted(set(small + [n // d for d in small]))
+    _check_size(f"divisor lattice of {n}", len(divs))
     covers = [
         (a, b)
         for a in divs

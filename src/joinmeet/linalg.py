@@ -12,7 +12,9 @@ def rref(rows):
 
     Returns the nonzero rows, pivots scaled to 1, zeros above and below each
     pivot, sorted by pivot column.  The result is a canonical basis of the row
-    space, so two row spaces are equal iff their rrefs are equal.
+    space, so two row spaces are equal iff their rrefs are equal.  Only the
+    nonzero entries of a pivot row are eliminated with, and a pivot that is
+    already 1 is not rescaled.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -28,16 +30,20 @@ def rref(rows):
         if sel is None:
             continue
         mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = mat[pivot_row][col]
-        mat[pivot_row] = [v / inv for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
+        pivot = mat[pivot_row]
+        inv = pivot[col]
+        if inv != 1:
+            pivot = mat[pivot_row] = [v / inv for v in pivot]
+        support = [(k, v) for k, v in enumerate(pivot) if v]
+        for r, row in enumerate(mat):
+            factor = row[col]
+            if r != pivot_row and factor:
+                for k, v in support:
+                    row[k] -= factor * v
         pivot_row += 1
         if pivot_row == len(mat):
             break
-    return [row for row in mat[:pivot_row]]
+    return mat[:pivot_row]
 
 
 def rank(rows):
@@ -46,13 +52,14 @@ def rank(rows):
 
 def in_row_space(rows, vec):
     """Whether vec lies in the row space of rows."""
-    return rank(list(rows) + [list(vec)]) == rank(rows)
+    return row_space_contains(rows, [vec])
 
 
 def row_space_contains(big, small):
-    """Whether every row of small lies in the row space of big."""
-    r = rref(big)
-    return all(in_row_space(r, v) for v in small)
+    """Whether every row of small lies in the row space of big: adding them
+    leaves the rank unchanged."""
+    big = list(big)
+    return rank(big + [list(v) for v in small]) == rank(big)
 
 
 def row_space_equal(a, b):

@@ -461,6 +461,9 @@ def _is_negative(c):
 #          factor := coefficient | NAME [^ INT] ; coefficient := INT [/ INT]
 # Variable names are matched longest-first, so labels take precedence over
 # integer literals (relevant in divisor lattices whose labels are numerals).
+# An exponent literal above MAX_EXPONENT is rejected before any power is taken.
+
+MAX_EXPONENT = 1000
 
 
 def _tokenize(ring, text):
@@ -534,6 +537,14 @@ class _Parser:
             else:
                 self.fail(f"expected + or - before {val!r}")
 
+    def exponent(self):
+        kind, val = self.take()
+        if kind != "int":
+            self.fail("bad exponent")
+        if val > MAX_EXPONENT:
+            self.fail(f"exponent {val} is above {MAX_EXPONENT}")
+        return val
+
     def term(self):
         field = self.ring.field
         coeff = field.one
@@ -551,20 +562,14 @@ class _Parser:
                     c = c / dv
                 elif nk == "op" and nv == "^":
                     self.take()
-                    ek, ev = self.take()
-                    if ek != "int":
-                        self.fail("bad exponent")
-                    c = field.coerce(val**ev)
+                    c = field.coerce(val ** self.exponent())
                 coeff = coeff * c
             elif kind == "name":
                 e = 1
                 nk, nv = self.peek()
                 if nk == "op" and nv == "^":
                     self.take()
-                    ek, ev = self.take()
-                    if ek != "int":
-                        self.fail("bad exponent")
-                    e = ev
+                    e = self.exponent()
                 exps[self.ring.index(val)] += e
             else:
                 self.fail("expected a coefficient or variable")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,24 @@ def test_malformed_input_file_is_an_input_error(tmp_path, capsys, kind, doc):
     assert code == 2
     assert out == ""
     assert str(path) in err and "Traceback" not in err
+
+
+def test_runaway_exponent_is_an_input_error(capsys):
+    code, out, err = run(capsys, "colon", "--builtin", "pentagon", "--j", "x", "--by", "y^99999999")
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err and "Traceback" not in err
+
+
+def test_oversized_builtin_is_refused_at_once(capsys):
+    for size in (["divisor", "--n", "963761198400"], ["boolean", "--n", "27"],
+                 ["chain", "--n", "100000"], ["divisor", "--n", str(10**30)]):
+        start = time.monotonic()
+        code, out, err = run(capsys, "check", "--builtin", *size)
+        assert time.monotonic() - start < 1.0, size
+        assert code == 2, size
+        assert out == "", size
+        assert ("elements" in err or "above" in err) and "Traceback" not in err, size
 
 
 def test_search_diamond_none(capsys):

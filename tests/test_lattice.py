@@ -4,7 +4,10 @@ from itertools import combinations, product
 import pytest
 
 from conftest import corpus, modular_corpus, stacked_diamond
+from joinmeet import lattice
 from joinmeet.lattice import (
+    MAX_DIVISOR_N,
+    MAX_ELEMENTS,
     CyclicCovers,
     Lattice,
     NotALattice,
@@ -345,6 +348,25 @@ def test_maximal_elements(P):
 def test_boolean_sizes():
     for n in range(1, 4):
         assert boolean(n).n == 2**n
+
+
+def test_builders_count_elements_before_building(monkeypatch):
+    assert divisor_lattice(999999999989).labels == ("1", "999999999989")  # a prime
+    too_big = [
+        (chain, MAX_ELEMENTS + 1),
+        (boolean, MAX_ELEMENTS.bit_length()),
+        (boolean, 10**9),
+        (divisor_lattice, 963761198400),  # 6720 divisors
+        (divisor_lattice, MAX_DIVISOR_N + 1),
+    ]
+    for build, n in too_big:
+        with pytest.raises(ValueError, match=f"more than {MAX_ELEMENTS} elements|above"):
+            build(n)
+    monkeypatch.setattr(lattice, "MAX_ELEMENTS", 8)
+    assert (chain(8).n, boolean(3).n, divisor_lattice(30).n) == (8, 8, 8)
+    for build, n in ((chain, 9), (boolean, 4), (divisor_lattice, 48)):
+        with pytest.raises(ValueError, match="more than 8 elements"):
+            build(n)
 
 
 def test_divisor_lattice_12():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from joinmeet.poly import (
     GF,
+    MAX_EXPONENT,
     MonomialOrder,
     PolyParseError,
     Ring,
@@ -115,6 +116,14 @@ def test_numeric_labels():
 def test_parse_errors(R):
     for bad in ["", "   ", "x +", "* x", "x ^ q", "x + $"]:
         with pytest.raises(PolyParseError):
+            R.parse(bad)
+
+
+def test_exponent_literals_are_bounded(R):
+    assert R.parse(f"x^{MAX_EXPONENT}") == R.var("x") ** MAX_EXPONENT
+    assert R.parse(f"2^{MAX_EXPONENT}*x") == R.var("x") * 2**MAX_EXPONENT
+    for bad in [f"x^{MAX_EXPONENT + 1}", "x^99999999", f"y + 3^{MAX_EXPONENT + 1}*x"]:
+        with pytest.raises(PolyParseError, match="exponent"):
             R.parse(bad)
 
 

@@ -1,0 +1,186 @@
+"""normal_form against the reducer it replaced, and linalg against the oracle.
+
+reference_normal_form is the division loop without a lead table or support
+masks: it rebuilds the leading terms of G on every call and tests each lead
+with the exponent comparison alone.  The prepared reducer must give the same
+remainder for every sequence G, Groebner basis or not, because Buchberger's
+pair sequence depends on the remainders of non-bases.
+"""
+
+import random
+from fractions import Fraction
+from functools import cached_property
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import corpus, m3_on_m3
+from joinmeet import groebner, linalg
+from joinmeet.groebner import (
+    GroebnerBasis,
+    Ideal,
+    buchberger,
+    clear_cache,
+    groebner_basis,
+    ideal,
+    ideal_member,
+    normal_form,
+)
+from joinmeet.hibi import join_meet_ideal, lattice_ring
+from joinmeet.lattice import boolean, diamond, divisor_lattice, pentagon
+
+
+def reference_normal_form(f, G):
+    if isinstance(G, GroebnerBasis):
+        G = G.basis
+    leads = [(g.leading_monomial(), g.leading_coeff(), g) for g in G if g]
+    if not leads or not f:
+        return f
+    ring = f.ring
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=ring.key)
+        c = work.pop(m)
+        for lm, lc, g in leads:
+            if all(x <= y for x, y in zip(lm, m)):
+                q = tuple(x - y for x, y in zip(m, lm))
+                qc = c / lc
+                for mg, cg in g.terms[1:]:
+                    mm = tuple(x + y for x, y in zip(q, mg))
+                    v = work.get(mm)
+                    v = -qc * cg if v is None else v - qc * cg
+                    if v:
+                        work[mm] = v
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return ring.from_dict(remainder)
+
+
+def random_poly(ring, rng, terms=5, top=2):
+    acc = {}
+    for _ in range(rng.randint(1, terms)):
+        m = tuple(rng.randint(0, top) if rng.random() < 0.4 else 0 for _ in range(ring.nvars))
+        acc[m] = acc.get(m, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return ring.from_dict(acc)
+
+
+def test_remainders_match_the_reference_on_corpus_bases():
+    rng = random.Random(4)
+    for L in corpus() + [m3_on_m3(), divisor_lattice(36)]:
+        jm = join_meet_ideal(L)
+        gb = groebner_basis(jm.ideal)
+        ring = jm.ring
+        for _ in range(40):
+            f = random_poly(ring, rng)
+            for g in rng.sample(jm.generators, min(2, len(jm.generators))):
+                f = f + g * random_poly(ring, rng, terms=2, top=1)
+            assert normal_form(f, gb) == reference_normal_form(f, gb)
+
+
+def test_remainders_match_the_reference_on_unordered_lists():
+    # generators of I_L are no basis, and several leads divide the same
+    # terms, so the remainder depends on which dividing lead comes first
+    rng = random.Random(5)
+    for L in [pentagon(), diamond(), boolean(3), m3_on_m3()]:
+        jm = join_meet_ideal(L)
+        ring = jm.ring
+        for _ in range(30):
+            G = list(jm.generators) + [random_poly(ring, rng, terms=3) for _ in range(3)]
+            rng.shuffle(G)
+            f = random_poly(ring, rng, terms=6)
+            want = reference_normal_form(f, G)
+            assert normal_form(f, G) == want
+            assert normal_form(f, GroebnerBasis(ring, tuple(G))) == want
+
+
+def _polys(ring, max_terms):
+    monoms = st.tuples(*(st.integers(0, 2) for _ in range(ring.nvars)))
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    return st.lists(st.tuples(monoms, coeffs), min_size=1, max_size=max_terms).map(
+        lambda pairs: ring.from_dict(dict(pairs))
+    )
+
+
+PENTAGON_RING = lattice_ring(pentagon())
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_polys(PENTAGON_RING, 6), G=st.lists(_polys(PENTAGON_RING, 3), max_size=5))
+def test_remainders_match_the_reference_on_random_polynomials(f, G):
+    want = reference_normal_form(f, G)
+    assert normal_form(f, G) == want
+    assert normal_form(f, GroebnerBasis(PENTAGON_RING, tuple(G))) == want
+
+
+def test_buchberger_matches_the_reference_reducer(monkeypatch):
+    lattices = [pentagon(), diamond(), boolean(3), divisor_lattice(36), m3_on_m3()]
+    gens = [join_meet_ideal(L).generators for L in lattices]
+    got = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
+    monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
+    want = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
+    assert got == want
+
+
+def test_repeated_membership_builds_key_and_lead_table_once(monkeypatch):
+    calls = {"key": 0, "table": 0}
+    key = Ideal._gb_key.func
+    table = groebner._lead_table
+
+    def counted_key(self):
+        calls["key"] += 1
+        return key(self)
+
+    def counted_table(G):
+        calls["table"] += 1
+        return table(G)
+
+    prop = cached_property(counted_key)
+    prop.__set_name__(Ideal, "_gb_key")
+    monkeypatch.setattr(Ideal, "_gb_key", prop)
+    monkeypatch.setattr(groebner, "_lead_table", counted_table)
+    jm = join_meet_ideal(boolean(3))
+    assert jm.ideal is jm.ideal
+    I = ideal(jm.ring, jm.generators)
+    clear_cache()
+    gb = groebner_basis(I)
+    before = dict(calls)
+    rng = random.Random(6)
+    for _ in range(25):
+        g = rng.choice(jm.generators) * random_poly(jm.ring, rng, terms=2, top=1)
+        assert ideal_member(g, I)
+        assert not ideal_member(g + jm.ring.var("o") ** 2, I)
+    assert calls["key"] == before["key"] == 1
+    assert calls["table"] == before["table"] + 1
+    assert groebner_basis(I) is gb
+
+
+# ---------------------------------------------------------------------------
+# linalg against the oracle's row reduction
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+def _matrix(ncols):
+    return st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 6))
+def test_linalg_matches_the_oracle_on_sparse_matrices(data, ncols):
+    big = data.draw(_matrix(ncols))
+    small = data.draw(_matrix(ncols))
+    assert linalg.rref(big) == oracles.rref(big)
+    assert linalg.rank(big + small) == len(oracles.rref(big + small))
+    expected = [oracles.in_span(big, v) for v in small]
+    assert [linalg.in_row_space(big, v) for v in small] == expected
+    assert linalg.row_space_contains(big, small) == all(expected)
+    assert linalg.row_space_contains(linalg.rref(big), small) == all(expected)
