@@ -415,7 +415,7 @@ class Lattice:
 # ---------------------------------------------------------------------------
 # builders
 #
-# Each builder counts its elements before building and refuses more than
+# Each function below counts its elements before building and refuses more than
 # MAX_ELEMENTS, so an oversized request fails at once instead of running for
 # minutes.  divisor_lattice also refuses n above MAX_DIVISOR_N, which bounds
 # the trial division that counts the divisors.

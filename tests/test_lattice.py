@@ -350,7 +350,7 @@ def test_boolean_sizes():
         assert boolean(n).n == 2**n
 
 
-def test_builders_count_elements_before_building(monkeypatch):
+def test_named_lattices_count_elements_before_building(monkeypatch):
     assert divisor_lattice(999999999989).labels == ("1", "999999999989")  # a prime
     too_big = [
         (chain, MAX_ELEMENTS + 1),
