@@ -283,3 +283,132 @@ def test_prime_must_be_an_odd_prime(capsys):
                            "--field", "prime", "--prime", str(big))
         assert code == 0
         assert f"prime({big})" in out
+
+
+# ---------------------------------------------------------------------------
+# the whole text report, line for line, and the keys of each JSON result
+
+
+PINNED_TEXT = [
+    (["check", "--builtin", "pentagon"], 0, """\
+lattice: 5 elements: e x y z f
+is_modular: False
+is_distributive: False
+is_pure: False
+pentagon sublattice: {e, x, y, z, f}
+diamond sublattice: none
+rank-2 diamond: n/a (lattice is not modular)
+"""),
+    (["colon", "--builtin", "pentagon", "--j", "", "--by", "e"], 0, """\
+colon () : (e) in H[L]
+lifted colon reduced GB: (y*z - e*f, x*z - e*f, x*f - y*f)
+degree-1 part: ()
+NOT generated by linear forms (witness: x*f - y*f)
+generated by variables: no
+"""),
+    (["filtration", "verify", "--builtin", "pentagon", str(DATA / "pentagon.filt")], 0, """\
+family of 8 ideals (combinatorial)
+axiom 1 (linear generators): pass
+axiom 2 (0 and m present): pass (zero: True, maximal: True)
+axiom 3 (cyclic colon steps): pass
+witnesses:
+  (x): J = (), cyclic via x, J:I = member 0 ()
+  (x, y): J = (x), cyclic via y, J:I = member 3 (x, z)
+  (x, z): J = (x), cyclic via z, J:I = member 2 (x, y)
+  (x, y, z): J = (x, y), cyclic via z, J:I = member 2 (x, y)
+  (x, y, z, e): J = (x, y, z), cyclic via e, J:I = member 6 (x, y, z, f)
+  (x, y, z, f): J = (x, y, z), cyclic via f, J:I = member 5 (x, y, z, e)
+  (e, x, y, z, f): J = (x, y, z, e), cyclic via f, J:I = member 5 (x, y, z, e)
+verdict: pass
+"""),
+    (["filtration", "verify", "--builtin", "diamond", str(DATA / "diamond.filt")], 0, """\
+family of 9 ideals (general linear forms)
+axiom 1 (linear generators): pass
+axiom 2 (0 and m present): pass (zero: True, maximal: True)
+axiom 3 (cyclic colon steps): pass
+witnesses:
+  (x): J = (), cyclic via x, J:I = member 2 (-z + y)
+  (-z + y): J = (), cyclic via -z + y, J:I = member 1 (x)
+  (x, y): J = (x), cyclic via y, J:I = member 4 (x, z)
+  (x, z): J = (x), cyclic via z, J:I = member 3 (x, y)
+  (x, y, z): J = (x, y), cyclic via z, J:I = member 3 (x, y)
+  (x, y, z, e): J = (x, y, z), cyclic via e, J:I = member 7 (x, y, z, f)
+  (x, y, z, f): J = (x, y, z), cyclic via f, J:I = member 6 (x, y, z, e)
+  (e, x, y, z, f): J = (x, y, z, e), cyclic via f, J:I = member 6 (x, y, z, e)
+verdict: pass
+"""),
+    (["filtration", "search", "--builtin", "pentagon"], 0, """\
+combinatorial Koszul filtration found (8 members, 32 subsets examined):
+  ()
+  (y)
+  (e, y)
+  (y, f)
+  (x, y, f)
+  (y, z, f)
+  (x, y, z, f)
+  (e, x, y, z, f)
+replay verification: pass
+"""),
+    (["posetideals", "--builtin", "boolean", "--n", "2", "--verify"], 0, """\
+6 poset ideals:
+  {}
+  {o}
+  {a, o}
+  {b, o}
+  {a, b, o}
+  {a, ab, b, o}
+Koszul filtration: pass
+"""),
+]
+
+
+PINNED_IDS = ["check", "colon", "verify-pentagon", "verify-diamond", "search", "posetideals"]
+
+
+@pytest.mark.parametrize("argv, want_code, want_out", PINNED_TEXT, ids=PINNED_IDS)
+def test_text_report_is_pinned(capsys, argv, want_code, want_out):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (want_code, want_out, "")
+    # coefficients differ mod 7, the layout does not
+    code, out, _ = run(capsys, *argv, "--field", "prime", "--prime", "7")
+    stamp, *lines = out.splitlines()
+    assert code == want_code
+    assert stamp == "[prime(7), unverified arithmetic]"
+    assert len(lines) == len(want_out.splitlines())
+
+
+RESULT_KEYS = {
+    "check": {"elements", "is_modular", "is_distributive", "is_pure",
+              "pentagon", "diamond", "rank2_diamond"},
+    "colon": {"j", "by", "lift_groebner_basis", "degree1", "linear_generated",
+              "variable_generated", "variables", "nonlinear_witness"},
+    "filtration verify": {"members", "passed", "axiom1", "axiom2", "axiom3",
+                          "witnesses", "failures"},
+    "filtration search": {"found", "subsets_examined", "members", "replay_passed", "filtration"},
+    "posetideals": {"count", "ideals", "koszul_filtration"},
+}
+
+
+@pytest.mark.parametrize("argv, want_code, want_out", PINNED_TEXT, ids=PINNED_IDS)
+def test_json_result_keeps_its_keys(capsys, argv, want_code, want_out):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == want_code
+    assert set(doc) >= {"config", "arithmetic", "result", "timing_seconds"}
+    assert set(doc["config"]) == {"command", "builtin", "n", "input", "format",
+                                  "field", "prime", "cap"}
+    assert set(doc["result"]) >= RESULT_KEYS[doc["config"]["command"]]
+    for w in doc["result"].get("witnesses", []):
+        assert set(w) >= {"member", "j", "cyclic_generator", "colon_member"}
+
+
+def test_json_result_keys_of_ideal_and_failures(tmp_path, capsys):
+    _, out, _ = run(capsys, "ideal", "--builtin", "diamond", "--format", "json")
+    assert set(json.loads(out)["result"]) >= {"generators", "reduced_groebner_basis"}
+    path = tmp_path / "bad.filt"
+    path.write_text(json.dumps({"ideals": [[], "m"]}))
+    code, out, _ = run(capsys, "filtration", "verify", "--builtin", "pentagon", str(path),
+                       "--format", "json")
+    assert code == 1
+    (failure,) = json.loads(out)["result"]["failures"]
+    assert set(failure) >= {"member", "no_candidates", "tried"}
