@@ -5,9 +5,14 @@ Lattice file:    {"elements": [...], "covers": [["a", "b"], ...]}
 Filtration file: {"ideals": [[poly-string, ...], ...]} where [] is the zero
 ideal and the string "m" abbreviates the maximal graded ideal.
 
+Each command computes one result dict: the "result" of the JSON document,
+and the only thing its text rendering reads.  Prime-field mode (--field
+prime) is a performance cross-check only; its reports are stamped as
+unverified arithmetic.
+
 Exit codes: 0 success / pass, 1 fail or certified-none verdicts, 2 input
-errors.  Prime-field mode (--field prime) is a performance cross-check only;
-its reports are stamped as unverified arithmetic.
+errors, 3 internal errors (message and traceback on stderr).  With --format
+json an error is the document {"config", "error", "kind": "input" | "internal"}.
 """
 
 from __future__ import annotations
@@ -17,85 +22,27 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+import traceback
 
 from .groebner import groebner_basis
-from .hibi import (
-    NotLinear,
-    colon_in_H,
-    join_meet_ideal,
-    lattice_ring,
-    residue_ideal,
-)
+from .hibi import colon_in_H, join_meet_ideal, lattice_ring, residue_ideal
 from .koszul import (
-    CapExceeded,
     DEFAULT_SEARCH_CAP,
-    MalformedFamily,
     filtration,
     poset_ideal_filtration,
     search_combinatorial,
     verify_filtration,
 )
-from .lattice import (
-    CyclicCovers,
-    Lattice,
-    NotALattice,
-    boolean,
-    chain,
-    diamond,
-    divisor_lattice,
-    pentagon,
-)
-from .poly import GF, PolyParseError, QQ
+from .lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
+from .poly import GF, QQ
 
 SEARCH_CAP_ENV = "JOINMEET_SEARCH_CAP"
 
-_INPUT_ERRORS = (
-    NotALattice,
-    CyclicCovers,
-    NotLinear,
-    PolyParseError,
-    MalformedFamily,
-    CapExceeded,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    builtin: str = None
-    n: int = None
-    input: str = None
-    format: str = "text"
-    field_mode: str = "rational"
-    prime: int = 32003
-    cap: int = None
-
-    @property
-    def field(self):
-        return QQ if self.field_mode == "rational" else GF(self.prime)
-
-    @property
-    def arithmetic(self):
-        if self.field_mode == "rational":
-            return "rational (exact)"
-        return f"prime({self.prime}), unverified arithmetic"
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "builtin": self.builtin,
-            "n": self.n,
-            "input": self.input,
-            "format": self.format,
-            "field": self.field_mode,
-            "prime": self.prime if self.field_mode == "prime" else None,
-            "cap": self.cap,
-        }
+# Every input error the library raises is a ValueError (NotALattice,
+# CyclicCovers, NotLinear, PolyParseError, MalformedFamily, CapExceeded,
+# JSONDecodeError).  Bare ValueError also covers engine errors such as
+# "mixed rings"; anything else is an internal error.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 BUILTINS = {
@@ -109,16 +56,16 @@ BUILTINS = {
 _NEEDS_N = {"chain", "boolean", "divisor"}
 
 
-def load_lattice(config):
-    if config.builtin:
-        name = config.builtin
+def load_lattice(args):
+    if args.builtin:
+        name = args.builtin
         if name not in BUILTINS:
             raise ValueError(f"unknown builtin {name!r} (choose from {sorted(BUILTINS)})")
-        if name in _NEEDS_N and config.n is None:
+        if name in _NEEDS_N and args.n is None:
             raise ValueError(f"builtin {name!r} needs --n")
-        return BUILTINS[name](config.n)
-    if config.input:
-        path = config.input
+        return BUILTINS[name](args.n)
+    if args.input:
+        path = args.input
         doc = _load_json(path, "elements", "covers")
         for name in doc["elements"]:
             if not isinstance(name, _NAMES):
@@ -156,158 +103,113 @@ def load_filtration(L, path, field):
     return filtration(L, members, field)
 
 
-def filtration_document(family):
-    return {
-        "ideals": [[str(g) for g in m.linear_generators] for m in family.members]
-    }
+def _field(config):
+    return QQ if config["field"] == "rational" else GF(config["prime"])
+
+
+def _strs(polys):
+    return [str(g) for g in polys]
+
+
+def _braces(names):
+    return "{" + ", ".join(names) + "}"
+
+
+def _parens(gens):
+    return "(" + ", ".join(gens) + ")"
 
 
 # ---------------------------------------------------------------------------
-# reporting helpers
+# commands: each maps (lattice, args, config) to (exit code, result dict), and
+# its text_* renders that result dict
 
 
-class Report:
-    """One document per run: config echo, verdicts, witnesses, timing."""
+def cmd_check(L, args, config):
+    def labels(sub):  # in element order
+        return [L.labels[i] for i in sub] if sub else None
 
-    def __init__(self, config):
-        self.config = config
-        self.lines = []
-        self.data = {"config": config.to_dict(), "arithmetic": config.arithmetic}
-        self.started = time.perf_counter()
-
-    def text(self, line=""):
-        self.lines.append(line)
-
-    def emit(self, stream=None):
-        if stream is None:
-            stream = sys.stdout
-        self.data["timing_seconds"] = round(time.perf_counter() - self.started, 6)
-        if self.config.format == "json":
-            json.dump(self.data, stream, indent=2, default=str)
-            stream.write("\n")
-        else:
-            if self.config.field_mode == "prime":
-                self.lines.insert(0, f"[{self.config.arithmetic}]")
-            for line in self.lines:
-                stream.write(line + "\n")
-
-
-def _sub_labels(L, sub):
-    return "{" + ", ".join(L.labels[i] for i in sorted(sub.members)) + "}"
-
-
-def _ideal_str(gens):
-    return "(" + ", ".join(str(g) for g in gens) + ")"
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_check(config):
-    report = Report(config)
-    L = load_lattice(config)
-    pent = L.find_pentagon()
-    diam = L.find_diamond()
-    rank2 = L.find_rank2_diamond()
-    result = {
+    return 0, {
         "elements": list(L.labels),
         "is_modular": L.is_modular(),
         "is_distributive": L.is_distributive(),
         "is_pure": L.is_pure(),
-        "pentagon": sorted(L.label_set(pent.members)) if pent else None,
-        "diamond": sorted(L.label_set(diam.members)) if diam else None,
-        "rank2_diamond": sorted(L.label_set(rank2.members)) if rank2 else None,
+        "pentagon": labels(L.find_pentagon()),
+        "diamond": labels(L.find_diamond()),
+        "rank2_diamond": labels(L.find_rank2_diamond()),
     }
-    report.data["result"] = result
-    report.text(f"lattice: {len(L.labels)} elements: {' '.join(L.labels)}")
-    report.text(f"is_modular: {result['is_modular']}")
-    report.text(f"is_distributive: {result['is_distributive']}")
-    report.text(f"is_pure: {result['is_pure']}")
-    report.text(f"pentagon sublattice: {_sub_labels(L, pent) if pent else 'none'}")
-    report.text(f"diamond sublattice: {_sub_labels(L, diam) if diam else 'none'}")
-    if rank2:
-        report.text(f"rank-2 diamond: {_sub_labels(L, rank2)}")
-    elif L.is_modular() and not L.is_distributive():
-        report.text("rank-2 diamond: none")
+
+
+def text_check(r):
+    if r["rank2_diamond"]:
+        rank2 = _braces(r["rank2_diamond"])
+    elif r["is_modular"] and not r["is_distributive"]:
+        rank2 = "none"
     else:
-        why = "not modular" if not L.is_modular() else "distributive"
-        report.text(f"rank-2 diamond: n/a (lattice is {why})")
-    report.emit()
-    return 0
+        rank2 = f"n/a (lattice is {'distributive' if r['is_modular'] else 'not modular'})"
+    return [
+        f"lattice: {len(r['elements'])} elements: {' '.join(r['elements'])}",
+        f"is_modular: {r['is_modular']}",
+        f"is_distributive: {r['is_distributive']}",
+        f"is_pure: {r['is_pure']}",
+        f"pentagon sublattice: {_braces(r['pentagon']) if r['pentagon'] else 'none'}",
+        f"diamond sublattice: {_braces(r['diamond']) if r['diamond'] else 'none'}",
+        f"rank-2 diamond: {rank2}",
+    ]
 
 
-def cmd_ideal(config):
-    report = Report(config)
-    L = load_lattice(config)
-    jm = join_meet_ideal(L, config.field)
-    gb = groebner_basis(jm.ideal)
-    report.data["result"] = {
-        "generators": [str(g) for g in jm.generators],
-        "reduced_groebner_basis": [str(g) for g in gb.basis],
+def cmd_ideal(L, args, config):
+    jm = join_meet_ideal(L, _field(config))
+    return 0, {
+        "elements": list(L.labels),
+        "generators": _strs(jm.generators),
+        "reduced_groebner_basis": _strs(groebner_basis(jm.ideal).basis),
     }
-    report.text(f"join-meet ideal of {len(L.labels)}-element lattice")
-    report.text(f"generators ({len(jm.generators)}):")
-    for g in jm.generators:
-        report.text(f"  {g}")
-    report.text(f"reduced Groebner basis ({len(gb.basis)}):")
-    for g in gb.basis:
-        report.text(f"  {g}")
-    report.emit()
-    return 0
 
 
-def _parse_gens(raw):
-    if raw is None:
-        return []
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def text_ideal(r):
+    return [
+        f"join-meet ideal of {len(r['elements'])}-element lattice",
+        f"generators ({len(r['generators'])}):",
+        *(f"  {g}" for g in r["generators"]),
+        f"reduced Groebner basis ({len(r['reduced_groebner_basis'])}):",
+        *(f"  {g}" for g in r["reduced_groebner_basis"]),
+    ]
 
 
-def cmd_colon(config, j_gens, by):
-    report = Report(config)
-    L = load_lattice(config)
-    field = config.field
-    J = residue_ideal(L, _parse_gens(j_gens), field)
-    rep = colon_in_H(J, lattice_ring(L, field).parse(by))
-    report.data["result"] = {
-        "j": [str(g) for g in J.linear_generators],
-        "by": by,
-        "lift_groebner_basis": [str(g) for g in rep.groebner.basis],
-        "degree1": [str(g) for g in rep.degree1],
+def cmd_colon(L, args, config):
+    field = _field(config)
+    J = residue_ideal(L, [g.strip() for g in args.j.split(",") if g.strip()], field)
+    rep = colon_in_H(J, lattice_ring(L, field).parse(args.by))
+    return 0, {
+        "j": _strs(J.linear_generators),
+        "by": args.by,
+        "lift_groebner_basis": _strs(rep.groebner.basis),
+        "degree1": _strs(rep.degree1),
         "linear_generated": rep.linear_generated,
         "variable_generated": rep.variable_generated,
         "variables": rep.variable_labels(),
         "nonlinear_witness": str(rep.nonlinear_witness) if rep.nonlinear_witness else None,
     }
-    report.text(f"colon {J!r} : ({by}) in H[L]")
-    report.text(f"lifted colon reduced GB: {_ideal_str(rep.groebner.basis)}")
-    report.text(f"degree-1 part: {_ideal_str(rep.degree1)}")
-    if rep.linear_generated:
-        report.text("generated by linear forms: yes")
-    else:
-        report.text(f"NOT generated by linear forms (witness: {rep.nonlinear_witness})")
-    if rep.variable_generated:
-        report.text("generated by variables: yes {" + ", ".join(rep.variable_labels()) + "}")
-    else:
-        report.text("generated by variables: no")
-    report.emit()
-    return 0
 
 
-def _witness_lines(L, family, rep):
-    lines = []
-    for w in rep.witnesses:
-        lines.append(
-            f"  {family.members[w.member_index]!r}: J = {w.j!r}, "
-            f"cyclic via {w.cyclic_generator}, J:I = member {w.colon_member_index} "
-            f"{family.members[w.colon_member_index]!r}"
-        )
-    return lines
+def text_colon(r):
+    return [
+        f"colon {_parens(r['j'])} : ({r['by']}) in H[L]",
+        f"lifted colon reduced GB: {_parens(r['lift_groebner_basis'])}",
+        f"degree-1 part: {_parens(r['degree1'])}",
+        "generated by linear forms: yes" if r["linear_generated"]
+        else f"NOT generated by linear forms (witness: {r['nonlinear_witness']})",
+        f"generated by variables: yes {_braces(r['variables'])}" if r["variable_generated"]
+        else "generated by variables: no",
+    ]
 
 
-def _verify_into_report(report, L, family, rep):
-    report.data["result"] = {
+def cmd_filtration_verify(L, args, config):
+    family = load_filtration(L, args.file, _field(config))
+    rep = verify_filtration(L, family)
+    return 0 if rep.passed else 1, {
         "members": len(family.members),
+        "combinatorial": family.combinatorial,
         "passed": rep.passed,
         "axiom1": rep.axiom1_ok,
         "axiom2": {"ok": rep.axiom2_ok, "has_zero": rep.has_zero, "has_maximal": rep.has_maximal},
@@ -318,6 +220,7 @@ def _verify_into_report(report, L, family, rep):
                 "j": repr(w.j),
                 "cyclic_generator": str(w.cyclic_generator),
                 "colon_member": w.colon_member_index,
+                "colon": repr(family.members[w.colon_member_index]),
             }
             for w in rep.witnesses
         ],
@@ -333,88 +236,130 @@ def _verify_into_report(report, L, family, rep):
             for f in rep.axiom3_failures
         ],
     }
-    report.text(f"family of {len(family.members)} ideals "
-                f"({'combinatorial' if family.combinatorial else 'general linear forms'})")
-    report.text(f"axiom 1 (linear generators): {'pass' if rep.axiom1_ok else 'FAIL'}")
-    report.text(
-        f"axiom 2 (0 and m present): {'pass' if rep.axiom2_ok else 'FAIL'}"
-        f" (zero: {rep.has_zero}, maximal: {rep.has_maximal})"
-    )
-    report.text(f"axiom 3 (cyclic colon steps): {'pass' if rep.axiom3_ok else 'FAIL'}")
-    if rep.witnesses:
-        report.text("witnesses:")
-        report.lines.extend(_witness_lines(L, family, rep))
-    for f in rep.axiom3_failures:
-        report.text(f"  no witness for {f.member!r}:")
-        if f.no_candidates:
-            report.text("    no member sits inside it with codimension one")
-        for j, reason, detail in f.tried:
-            report.text(f"    J = member {j}: {reason} ({detail})")
-    report.text(f"verdict: {'pass' if rep.passed else 'fail'}")
 
 
-def cmd_filtration_verify(config, path):
-    report = Report(config)
-    L = load_lattice(config)
-    family = load_filtration(L, path, config.field)
-    rep = verify_filtration(L, family)
-    _verify_into_report(report, L, family, rep)
-    report.emit()
-    return 0 if rep.passed else 1
+def text_filtration_verify(r):
+    axiom2 = r["axiom2"]
+    lines = [
+        f"family of {r['members']} ideals "
+        f"({'combinatorial' if r['combinatorial'] else 'general linear forms'})",
+        f"axiom 1 (linear generators): {'pass' if r['axiom1'] else 'FAIL'}",
+        f"axiom 2 (0 and m present): {'pass' if axiom2['ok'] else 'FAIL'}"
+        f" (zero: {axiom2['has_zero']}, maximal: {axiom2['has_maximal']})",
+        f"axiom 3 (cyclic colon steps): {'pass' if r['axiom3'] else 'FAIL'}",
+    ]
+    if r["witnesses"]:
+        lines.append("witnesses:")
+    for w in r["witnesses"]:
+        lines.append(f"  {w['member']}: J = {w['j']}, cyclic via {w['cyclic_generator']}, "
+                     f"J:I = member {w['colon_member']} {w['colon']}")
+    for f in r["failures"]:
+        lines.append(f"  no witness for {f['member']}:")
+        if f["no_candidates"]:
+            lines.append("    no member sits inside it with codimension one")
+        for t in f["tried"]:
+            lines.append(f"    J = member {t['j']}: {t['reason']} ({t['detail']})")
+    lines.append(f"verdict: {'pass' if r['passed'] else 'fail'}")
+    return lines
 
 
-def cmd_filtration_search(config, out=None):
-    report = Report(config)
-    L = load_lattice(config)
-    cap = config.cap if config.cap is not None else DEFAULT_SEARCH_CAP
-    family = search_combinatorial(L, cap=cap, field=config.field)
+def cmd_filtration_search(L, args, config):
+    cap = config["cap"] if config["cap"] is not None else DEFAULT_SEARCH_CAP
+    family = search_combinatorial(L, cap=cap, field=_field(config))
     subsets = 1 << L.n
     if family is None:
-        report.data["result"] = {"found": False, "subsets_examined": subsets}
-        report.text(f"no combinatorial Koszul filtration: none (certified, {subsets} subsets examined)")
-        report.emit()
-        return 1
+        return 1, {"found": False, "subsets_examined": subsets}
     rep = verify_filtration(L, family)
-    report.data["result"] = {
+    result = {
         "found": True,
         "subsets_examined": subsets,
         "members": len(family.members),
         "replay_passed": rep.passed,
-        "filtration": filtration_document(family),
+        "filtration": {"ideals": [_strs(m.linear_generators) for m in family.members]},
     }
-    report.text(f"combinatorial Koszul filtration found ({len(family.members)} members, "
-                f"{subsets} subsets examined):")
-    for m in family.members:
-        report.text(f"  {m!r}")
-    report.text(f"replay verification: {'pass' if rep.passed else 'FAIL'}")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(filtration_document(family), fh, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(result["filtration"], fh, indent=2)
             fh.write("\n")
-        report.text(f"filtration written to {out}")
-    report.emit()
-    return 0 if rep.passed else 1
+        result["written_to"] = args.out
+    return 0 if rep.passed else 1, result
 
 
-def cmd_posetideals(config, verify):
-    report = Report(config)
-    L = load_lattice(config)
+def text_filtration_search(r):
+    subsets = r["subsets_examined"]
+    if not r["found"]:
+        return [f"no combinatorial Koszul filtration: none (certified, {subsets} subsets examined)"]
+    lines = [
+        f"combinatorial Koszul filtration found ({r['members']} members, "
+        f"{subsets} subsets examined):",
+        *(f"  {_parens(m)}" for m in r["filtration"]["ideals"]),
+        f"replay verification: {'pass' if r['replay_passed'] else 'FAIL'}",
+    ]
+    if "written_to" in r:
+        lines.append(f"filtration written to {r['written_to']}")
+    return lines
+
+
+def cmd_posetideals(L, args, config):
     ideals = L.poset_ideals()
-    report.data["result"] = {
+    result = {
         "count": len(ideals),
         "ideals": [sorted(L.label_set(s.members)) for s in ideals],
     }
-    report.text(f"{len(ideals)} poset ideals:")
-    for s in ideals:
-        report.text("  {" + ", ".join(sorted(L.label_set(s.members))) + "}")
-    code = 0
-    if verify:
-        rep = verify_filtration(L, poset_ideal_filtration(L, config.field))
-        report.data["result"]["koszul_filtration"] = rep.passed
-        report.text(f"Koszul filtration: {'pass' if rep.passed else 'fail'}")
-        code = 0 if rep.passed else 1
-    report.emit()
-    return code
+    if not args.verify:
+        return 0, result
+    rep = verify_filtration(L, poset_ideal_filtration(L, _field(config)))
+    result["koszul_filtration"] = rep.passed
+    return 0 if rep.passed else 1, result
+
+
+def text_posetideals(r):
+    lines = [f"{r['count']} poset ideals:", *(f"  {_braces(s)}" for s in r["ideals"])]
+    if "koszul_filtration" in r:
+        lines.append(f"Koszul filtration: {'pass' if r['koszul_filtration'] else 'fail'}")
+    return lines
+
+
+COMMANDS = {
+    "check": (cmd_check, text_check),
+    "ideal": (cmd_ideal, text_ideal),
+    "colon": (cmd_colon, text_colon),
+    "posetideals": (cmd_posetideals, text_posetideals),
+    "filtration verify": (cmd_filtration_verify, text_filtration_verify),
+    "filtration search": (cmd_filtration_search, text_filtration_search),
+}
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def _arithmetic(config):
+    if config["field"] == "rational":
+        return "rational (exact)"
+    return f"prime({config['prime']}), unverified arithmetic"
+
+
+def _write_json(doc):
+    json.dump(doc, sys.stdout, indent=2, default=str)
+    sys.stdout.write("\n")
+
+
+def emit(config, result, render, started):
+    """Write the run's one document: JSON, or the text rendered from result."""
+    if config["format"] == "json":
+        _write_json({
+            "config": config,
+            "arithmetic": _arithmetic(config),
+            "result": result,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+        })
+        return
+    lines = render(result)
+    if config["field"] == "prime":
+        lines.insert(0, f"[{_arithmetic(config)}]")
+    for line in lines:
+        sys.stdout.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +405,10 @@ def _odd_prime(text):
     return p
 
 
-def _add_common(parser, needs_lattice=True):
-    if needs_lattice:
-        parser.add_argument("--builtin", help="pentagon, diamond, chain, boolean, divisor")
-        parser.add_argument("--n", type=int, help="parameter for chain/boolean/divisor")
-        parser.add_argument("--input", help="lattice JSON file")
+def _add_common(parser):
+    parser.add_argument("--builtin", help="pentagon, diamond, chain, boolean, divisor")
+    parser.add_argument("--n", type=int, help="parameter for chain/boolean/divisor")
+    parser.add_argument("--input", help="lattice JSON file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--field", choices=("rational", "prime"), default="rational")
     parser.add_argument("--prime", type=_odd_prime, default=32003,
@@ -510,45 +454,45 @@ def build_parser():
     return parser
 
 
-def _config_from(args):
+def _config(args):
+    """The config echo of a run: the shared options, as parsed."""
     command = args.command
     if command == "filtration":
         command = f"filtration {args.subcommand}"
     cap = getattr(args, "cap", None)
     if cap is None and os.environ.get(SEARCH_CAP_ENV):
         cap = int(os.environ[SEARCH_CAP_ENV])
-    return RunConfig(
-        command=command,
-        builtin=getattr(args, "builtin", None),
-        n=getattr(args, "n", None),
-        input=getattr(args, "input", None),
-        format=args.format,
-        field_mode=args.field,
-        prime=args.prime,
-        cap=cap,
-    )
+    return {
+        "command": command,
+        "builtin": args.builtin,
+        "n": args.n,
+        "input": args.input,
+        "format": args.format,
+        "field": args.field,
+        "prime": args.prime if args.field == "prime" else None,
+        "cap": cap,
+    }
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
+    config = _config(args)
+    run, render = COMMANDS[config["command"]]
+    started = time.perf_counter()
     try:
-        if args.command == "check":
-            return cmd_check(config)
-        if args.command == "ideal":
-            return cmd_ideal(config)
-        if args.command == "colon":
-            return cmd_colon(config, args.j, args.by)
-        if args.command == "posetideals":
-            return cmd_posetideals(config, args.verify)
-        if args.command == "filtration" and args.subcommand == "verify":
-            return cmd_filtration_verify(config, args.file)
-        if args.command == "filtration" and args.subcommand == "search":
-            return cmd_filtration_search(config, args.out)
-        raise ValueError(f"unknown command {args.command!r}")
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, result = run(load_lattice(args), args, config)
+    except Exception as exc:
+        kind = "input" if isinstance(exc, _INPUT_ERRORS) else "internal"
+        if config["format"] == "json":
+            _write_json({"config": config, "error": str(exc), "kind": kind})
+        else:
+            print(f"{'error' if kind == 'input' else 'internal error'}: {exc}", file=sys.stderr)
+        if kind == "input":
+            return 2
+        traceback.print_exc()
+        return 3
+    emit(config, result, render, started)
+    return code
 
 
 if __name__ == "__main__":

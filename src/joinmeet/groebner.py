@@ -88,6 +88,13 @@ class GroebnerBasis:
         """normal_form's lead table of the basis, built on first use."""
         return _lead_table(self.basis)
 
+    @cached_property
+    def degree1(self):
+        """The basis elements of degree 1.  For a reduced basis of a
+        homogeneous ideal they span its whole linear part and are in reduced
+        row echelon form with respect to the variable order."""
+        return tuple(g for g in self.basis if g.total_degree() == 1)
+
 
 # ---------------------------------------------------------------------------
 # monomial helpers
@@ -535,19 +542,15 @@ def colon_ideal(I, J):
 
 
 def degree1_part(I):
-    """A basis of the degree-1 component of a homogeneous ideal.
-
-    Read off the reduced basis: its degree-1 elements span the whole linear
-    part and are already in reduced row echelon form with respect to the
-    variable order.
-    """
+    """A basis of the degree-1 component of a homogeneous ideal: the
+    degree-1 elements of its reduced basis (``GroebnerBasis.degree1``)."""
     for g in I.generators:
         if not g.is_homogeneous():
             raise NotHomogeneous(f"generator {g} is not homogeneous")
     gb = groebner_basis(I)
     if any(g.total_degree() == 0 for g in gb.basis):
         return list(I.ring.gens())  # unit ideal: linear part is everything
-    return [g for g in gb.basis if g.total_degree() == 1]
+    return list(gb.degree1)
 
 
 def is_generated_by_linear_forms(I):

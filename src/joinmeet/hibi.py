@@ -181,7 +181,7 @@ class ResidueIdeal:
         """Canonical basis of the linear part of the lift (row-reduced by the
         monomial order; equals the span of the generators since I_L starts in
         degree 2)."""
-        return tuple(g for g in self.groebner().basis if g.total_degree() == 1)
+        return self.groebner().degree1
 
     @property
     def dim(self):
@@ -280,7 +280,7 @@ def _colon_report(L, J, divisors, lifted, field):
     gb = groebner_basis(lifted)
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
-    degree1 = tuple(g for g in gb.basis if g.total_degree() == 1)
+    degree1 = gb.degree1
     base = join_meet_ideal(L, field)
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)

@@ -137,7 +137,7 @@ class Lattice:
         for b in range(n):
             for a in down[b]:
                 up[a].add(b)
-        self._up = tuple(frozenset(s) for s in up)
+        self._up = up = tuple(frozenset(s) for s in up)
 
         # canonical cover relation from the closure (input may hold redundant pairs)
         canon = []
@@ -149,27 +149,30 @@ class Lattice:
                     canon.append((a, b))
         self.covers = tuple(sorted(canon))
 
-        # join/meet tables; reject pairs lacking a unique bound
+        # join/meet tables; reject pairs lacking a unique bound.  A least
+        # upper bound lies below every other upper bound, so it is the one
+        # with the smallest down-set, and it exists exactly when that
+        # candidate lies below all the others; dually for meets.
         join = [[0] * n for _ in range(n)]
         meet = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                uppers = self._up[a] & self._up[b]
-                least = [u for u in uppers if all(u in down[v] for v in uppers)]
-                if len(least) != 1:
+                uppers = up[a] & up[b]
+                least = min(uppers, key=lambda u: len(down[u]), default=None)
+                if least is None or not uppers <= up[least]:
                     raise NotALattice(
                         f"elements {labels[a]!r}, {labels[b]!r} have no unique join",
                         pair=(labels[a], labels[b]),
                     )
                 lowers = down[a] & down[b]
-                greatest = [u for u in lowers if all(v in down[u] for v in lowers)]
-                if len(greatest) != 1:
+                greatest = max(lowers, key=lambda v: len(down[v]), default=None)
+                if greatest is None or not lowers <= down[greatest]:
                     raise NotALattice(
                         f"elements {labels[a]!r}, {labels[b]!r} have no unique meet",
                         pair=(labels[a], labels[b]),
                     )
-                join[a][b] = join[b][a] = least[0]
-                meet[a][b] = meet[b][a] = greatest[0]
+                join[a][b] = join[b][a] = least
+                meet[a][b] = meet[b][a] = greatest
         self._join = tuple(tuple(row) for row in join)
         self._meet = tuple(tuple(row) for row in meet)
 

@@ -412,3 +412,39 @@ def test_json_result_keys_of_ideal_and_failures(tmp_path, capsys):
     assert code == 1
     (failure,) = json.loads(out)["result"]["failures"]
     assert set(failure) >= {"member", "no_candidates", "tried"}
+
+
+# ---------------------------------------------------------------------------
+# internal errors and JSON error documents
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(*_):
+        raise ArithmeticError("inexact polynomial division")
+
+    monkeypatch.setattr("joinmeet.cli.verify_filtration", broken)
+    argv = ["filtration", "verify", "--builtin", "pentagon", str(DATA / "pentagon.filt")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: inexact polynomial division\n")
+    assert "Traceback" in err and "ArithmeticError" in err
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["kind"], doc["error"]) == ("internal", "inexact polynomial division")
+    assert doc["config"]["command"] == "filtration verify"
+    assert "Traceback" in err
+
+
+def test_input_errors_are_json_documents(tmp_path, capsys):
+    path = tmp_path / "bad.filt"
+    path.write_text(json.dumps({"ideals": [5]}))
+    for argv in (["filtration", "verify", "--builtin", "pentagon", str(path)],
+                 ["colon", "--builtin", "pentagon", "--j", "x", "--by", "y^99999999"]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 2, argv
+        assert err == "", argv
+        doc = json.loads(out)
+        assert set(doc) == {"config", "error", "kind"}, argv
+        assert doc["kind"] == "input" and doc["error"], argv
+        assert doc["config"]["format"] == "json", argv

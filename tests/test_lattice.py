@@ -18,7 +18,7 @@ from joinmeet.lattice import (
     divisor_lattice,
     pentagon,
 )
-from oracles import brute_force_poset_ideals
+from oracles import brute_force_poset_ideals, naturally_labeled_posets, poset_covers
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,42 @@ def test_join_is_least_upper_bound():
             for u in range(L.n):
                 if L.le(a, u) and L.le(b, u):
                     assert L.le(j, u)
+
+
+def _brute_force_bounds(down):
+    """Each pair's least upper and greatest lower bound, or None."""
+    n = len(down)
+    up = [{b for b in range(n) if a in down[b]} for a in range(n)]
+    bounds = {}
+    for a, b in product(range(n), repeat=2):
+        uppers, lowers = up[a] & up[b], down[a] & down[b]
+        least = [u for u in uppers if all(u in down[v] for v in uppers)]
+        greatest = [g for g in lowers if all(v in down[g] for v in lowers)]
+        bounds[a, b] = (least[0] if len(least) == 1 else None,
+                        greatest[0] if len(greatest) == 1 else None)
+    return bounds
+
+
+def test_join_meet_tables_match_brute_force_bounds():
+    for L in corpus():
+        down = [frozenset(v for v in range(L.n) if L.le(v, i)) for i in range(L.n)]
+        for (a, b), bounds in _brute_force_bounds(down).items():
+            assert (L.join(a, b), L.meet(a, b)) == bounds
+    lattices = rejected = 0
+    for down in naturally_labeled_posets(6):
+        labels = [f"v{i}" for i in range(len(down))]
+        covers = [(labels[a], labels[b]) for a, b in poset_covers(down)]
+        bounds = _brute_force_bounds(down)
+        if any(None in pair for pair in bounds.values()):
+            with pytest.raises(NotALattice):
+                Lattice.from_covers(labels, covers)
+            rejected += 1
+            continue
+        L = Lattice.from_covers(labels, covers)
+        lattices += 1
+        for (a, b), pair in bounds.items():
+            assert (L.join(a, b), L.meet(a, b)) == pair
+    assert lattices and rejected
 
 
 # ---------------------------------------------------------------------------
