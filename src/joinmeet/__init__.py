@@ -40,6 +40,7 @@ from .hibi import (
     maximal_ideal,
     residue_ideal,
     variable,
+    variable_ideal,
     zero_ideal,
 )
 from .koszul import (

@@ -25,7 +25,7 @@ import time
 import traceback
 
 from .groebner import groebner_basis
-from .hibi import colon_in_H, join_meet_ideal, lattice_ring, residue_ideal
+from .hibi import colon_in_H, join_meet_ideal, lattice_ring, maximal_ideal, residue_ideal
 from .koszul import (
     DEFAULT_SEARCH_CAP,
     filtration,
@@ -96,10 +96,11 @@ def load_filtration(L, path, field):
     members = []
     for entry in doc["ideals"]:
         if entry == "m":
-            entry = list(L.labels)
-        elif not (isinstance(entry, list) and all(isinstance(g, str) for g in entry)):
+            members.append(maximal_ideal(L, field))
+        elif isinstance(entry, list) and all(isinstance(g, str) for g in entry):
+            members.append(residue_ideal(L, entry, field))
+        else:
             raise ValueError(f'{path}: ideal {entry!r} is neither "m" nor a list of linear forms')
-        members.append(residue_ideal(L, entry, field))
     return filtration(L, members, field)
 
 
@@ -263,9 +264,19 @@ def text_filtration_verify(r):
     return lines
 
 
+def _search_cap(config):
+    """--cap, else $JOINMEET_SEARCH_CAP (echoed in config), else the default."""
+    text = os.environ.get(SEARCH_CAP_ENV)
+    if config["cap"] is None and text:
+        try:
+            config["cap"] = int(text)
+        except ValueError:
+            raise ValueError(f"{SEARCH_CAP_ENV}={text!r} is not an integer") from None
+    return DEFAULT_SEARCH_CAP if config["cap"] is None else config["cap"]
+
+
 def cmd_filtration_search(L, args, config):
-    cap = config["cap"] if config["cap"] is not None else DEFAULT_SEARCH_CAP
-    family = search_combinatorial(L, cap=cap, field=_field(config))
+    family = search_combinatorial(L, cap=_search_cap(config), field=_field(config))
     subsets = 1 << L.n
     if family is None:
         return 1, {"found": False, "subsets_examined": subsets}
@@ -459,9 +470,6 @@ def _config(args):
     command = args.command
     if command == "filtration":
         command = f"filtration {args.subcommand}"
-    cap = getattr(args, "cap", None)
-    if cap is None and os.environ.get(SEARCH_CAP_ENV):
-        cap = int(os.environ[SEARCH_CAP_ENV])
     return {
         "command": command,
         "builtin": args.builtin,
@@ -470,7 +478,7 @@ def _config(args):
         "format": args.format,
         "field": args.field,
         "prime": args.prime if args.field == "prime" else None,
-        "cap": cap,
+        "cap": getattr(args, "cap", None),
     }
 
 

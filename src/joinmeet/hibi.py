@@ -1,5 +1,10 @@
 """Join-meet ideals and the quotient calculus in H[L] = K[L]/I_L.
 
+The cached JoinMeetIdeal of a (lattice, field) owns K[L]: it builds the
+ring, the variables indexed by element and I_L.  Ring variable k belongs to
+element L.linear_extension[k], so lattice_ring, variable, variable_ideal and
+_elements_of all read one map between elements and variables.
+
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L]; identity is always the reduced Groebner basis of the lift, never the
 generator list, so two presentations of the same ideal compare equal.
@@ -34,54 +39,19 @@ class NotLinear(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the ring K[L]
-
-_RING_CACHE = {}
-_RING_LOCK = threading.Lock()
-
-
-def lattice_ring(L, field=QQ):
-    """K[L]: one variable per element, ordered by the fixed linear extension.
-
-    Default order is degrevlex with the bottom smallest, so the leading term
-    of every basic binomial ab - (a∨b)(a∧b) is the incomparable product ab.
-    """
-    key = (L, field)
-    with _RING_LOCK:
-        got = _RING_CACHE.get(key)
-        if got is None:
-            names = tuple(L.labels[i] for i in L.linear_extension)
-            order = MonomialOrder("degrevlex", tuple(range(L.n - 1, -1, -1)))
-            got = _RING_CACHE[key] = Ring(names, order, field)
-    return got
-
-
-def variable(L, element, field=QQ):
-    """The variable of K[L] attached to a lattice element index."""
-    return lattice_ring(L, field).var(L.labels[element])
-
-
-def _element_of(L, poly):
-    """Element index of a single-variable monomial, else None."""
-    if len(poly.terms) != 1:
-        return None
-    m, c = poly.terms[0]
-    if sum(m) != 1 or c != poly.ring.field.one:
-        return None
-    name = poly.ring.names[m.index(1)]
-    return L.index(name)
-
-
-# ---------------------------------------------------------------------------
-# the join-meet ideal
+# K[L] and the join-meet ideal
 
 
 @dataclass(frozen=True)
 class JoinMeetIdeal:
-    """I_L, generated by one basic binomial per incomparable pair."""
+    """K[L] and I_L, generated by one basic binomial per incomparable pair.
+
+    ``variables[e]`` is the variable of element e.
+    """
 
     lattice: Lattice
     ring: Ring
+    variables: tuple
     generators: tuple
 
     @cached_property
@@ -94,39 +64,64 @@ class JoinMeetIdeal:
 
 
 _JOIN_MEET_CACHE = {}
+_JOIN_MEET_LOCK = threading.Lock()
 
 
 def join_meet_ideal(L, field=QQ):
     """Basic binomials ab - (a∨b)(a∧b), one per incomparable pair, in
-    deterministic (linear extension) order.
+    deterministic (linear extension) order, with their ring K[L].
 
-    Built once per (lattice, field) and kept beside the ring in the same way.
+    Built once per (lattice, field).
     """
     key = (L, field)
-    with _RING_LOCK:
+    with _JOIN_MEET_LOCK:
         got = _JOIN_MEET_CACHE.get(key)
     if got is None:
         got = _build_join_meet_ideal(L, field)
-        with _RING_LOCK:
+        with _JOIN_MEET_LOCK:
             got = _JOIN_MEET_CACHE.setdefault(key, got)
     return got
 
 
 def _build_join_meet_ideal(L, field):
-    ring = lattice_ring(L, field)
-    position = {e: i for i, e in enumerate(L.linear_extension)}
+    # degrevlex with the bottom smallest, so the leading term of every basic
+    # binomial is the incomparable product ab
+    order = MonomialOrder("degrevlex", tuple(range(L.n - 1, -1, -1)))
+    ring = Ring(tuple(L.labels[e] for e in L.linear_extension), order, field)
+    variables = [None] * L.n
+    for e, x in zip(L.linear_extension, ring.gens()):
+        variables[e] = x
+    position = {e: k for k, e in enumerate(L.linear_extension)}
     pairs = sorted(
         (tuple(sorted((a, b), key=position.get)) for a, b in L.incomparable_pairs()),
         key=lambda p: (position[p[0]], position[p[1]]),
     )
-    gens = []
-    for a, b in pairs:
-        va = variable(L, a, field)
-        vb = variable(L, b, field)
-        vj = variable(L, L.join(a, b), field)
-        vm = variable(L, L.meet(a, b), field)
-        gens.append(va * vb - vj * vm)
-    return JoinMeetIdeal(L, ring, tuple(gens))
+    gens = tuple(
+        variables[a] * variables[b] - variables[L.join(a, b)] * variables[L.meet(a, b)]
+        for a, b in pairs
+    )
+    return JoinMeetIdeal(L, ring, tuple(variables), gens)
+
+
+def lattice_ring(L, field=QQ):
+    """K[L]: one variable per element, ordered by the fixed linear extension."""
+    return join_meet_ideal(L, field).ring
+
+
+def variable(L, element, field=QQ):
+    """The variable of K[L] attached to a lattice element index."""
+    return join_meet_ideal(L, field).variables[element]
+
+
+def _elements_of(L, linear):
+    """The element indices of monic linear forms that are all variables, else
+    None."""
+    elements = []
+    for g in linear:
+        if len(g.terms) != 1 or g.terms[0][1] != g.ring.field.one:
+            return None
+        elements.append(L.linear_extension[g.terms[0][0].index(1)])
+    return frozenset(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +131,12 @@ def _build_join_meet_ideal(L, field):
 class ResidueIdeal:
     """An ideal of H[L] given by lifts of linear-form generators."""
 
-    __slots__ = ("lattice", "field", "linear_generators", "_lift", "_gb")
+    __slots__ = ("lattice", "field", "ring", "linear_generators", "_lift", "_gb")
 
     def __init__(self, lattice, generators, field=QQ):
         self.lattice = lattice
         self.field = field
-        ring = lattice_ring(lattice, field)
+        self.ring = ring = lattice_ring(lattice, field)
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -156,10 +151,6 @@ class ResidueIdeal:
         self.linear_generators = tuple(gens)
         self._lift = None
         self._gb = None
-
-    @property
-    def ring(self):
-        return lattice_ring(self.lattice, self.field)
 
     @property
     def lift(self):
@@ -195,13 +186,7 @@ class ResidueIdeal:
 
     def variable_set(self):
         """Element indices when the linear part is spanned by variables alone."""
-        elems = []
-        for g in self.degree1():
-            e = _element_of(self.lattice, g)
-            if e is None:
-                return None
-            elems.append(e)
-        return frozenset(elems)
+        return _elements_of(self.lattice, self.degree1())
 
     def __eq__(self, other):
         if not isinstance(other, ResidueIdeal):
@@ -224,13 +209,20 @@ def residue_ideal(L, generators, field=QQ):
     return ResidueIdeal(L, generators, field)
 
 
+def variable_ideal(L, elements, field=QQ):
+    """The ideal of H[L] generated by the variables of the given elements,
+    in element order."""
+    variables = join_meet_ideal(L, field).variables
+    return ResidueIdeal(L, [variables[e] for e in sorted(elements)], field)
+
+
 def zero_ideal(L, field=QQ):
     return ResidueIdeal(L, (), field)
 
 
 def maximal_ideal(L, field=QQ):
     """m, the maximal graded ideal: all the variables."""
-    return ResidueIdeal(L, list(L.labels), field)
+    return variable_ideal(L, range(L.n), field)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,6 @@ class ResidueColonReport:
 
     lattice: Lattice
     field: object
-    source: ResidueIdeal
     divisors: tuple
     lift: Ideal
     groebner: GroebnerBasis
@@ -276,7 +267,7 @@ class ResidueColonReport:
         return sorted(self.lattice.labels[e] for e in self.variables)
 
 
-def _colon_report(L, J, divisors, lifted, field):
+def _colon_report(L, divisors, lifted, field):
     gb = groebner_basis(lifted)
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
@@ -284,8 +275,7 @@ def _colon_report(L, J, divisors, lifted, field):
     base = join_meet_ideal(L, field)
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
-    elements = [_element_of(L, g) for g in degree1]
-    variables = frozenset(elements) if linear_generated and None not in elements else None
+    variables = _elements_of(L, degree1) if linear_generated else None
     witness = None
     if not linear_generated:
         nonlinear = (g for g in gb.basis if g.total_degree() >= 2)
@@ -293,7 +283,6 @@ def _colon_report(L, J, divisors, lifted, field):
     return ResidueColonReport(
         lattice=L,
         field=field,
-        source=J,
         divisors=divisors,
         lift=lifted,
         groebner=gb,
@@ -308,17 +297,14 @@ def _colon_report(L, J, divisors, lifted, field):
 
 def colon_in_H(J, f):
     """(J̄) : f̄ in H[L] for a linear form f, via the lifted colon in K[L]."""
-    L = J.lattice
-    field = J.field
-    ring = lattice_ring(L, field)
     if isinstance(f, str):
-        f = ring.parse(f)
+        f = J.ring.parse(f)
     if not f:
         raise NotLinear("colon by the zero form")
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
     lifted = colon_element(J.lift, f)
-    return _colon_report(L, J, (f,), lifted, field)
+    return _colon_report(J.lattice, (f,), lifted, J.field)
 
 
 def colon_in_H_by_ideal(J, I):
@@ -327,13 +313,11 @@ def colon_in_H_by_ideal(J, I):
     Generators of I already lying in the lift of J colon to the whole ring
     and drop out first; if none is left, the colon is the whole ring.
     """
-    L = J.lattice
-    field = J.field
-    if L != I.lattice or field != I.field:
+    if J.lattice != I.lattice or J.field != I.field:
         raise ValueError("colon of ideals over different lattices")
     gens = tuple(g for g in I.linear_generators if not ideal_member(g, J.lift))
     lifted = colon_ideal(J.lift, ideal(J.ring, gens))
-    return _colon_report(L, J, gens or I.linear_generators, lifted, field)
+    return _colon_report(J.lattice, gens or I.linear_generators, lifted, J.field)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +331,14 @@ def _claim_colon(L, I, e, field):
     I = L.poset_ideal(members)
     if e not in L.maximal_elements(I.members):
         raise ValueError(f"{L.labels[e]!r} is not a maximal element of the ideal")
-    J = residue_ideal(L, [L.labels[a] for a in sorted(I.members - {e})], field)
+    J = variable_ideal(L, I.members - {e}, field)
     return I, colon_in_H(J, variable(L, e, field))
 
 
 def _span_matches(L, e, report):
     """Whether the linear part of the colon is span{a : a ≱ e}.  The reduced
     echelon form of a span of variables is those variables."""
-    expected = {variable(L, a, report.field) for a in range(L.n) if not L.le(e, a)}
-    return set(report.degree1) == expected
+    return _elements_of(L, report.degree1) == {a for a in range(L.n) if not L.le(e, a)}
 
 
 def degree1_span_claim_check(L, I, e, field=QQ):

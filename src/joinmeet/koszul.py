@@ -6,6 +6,11 @@ degree-1 part of a lift (I_L, gens) is exactly the span of the generators,
 I/J is cyclic with J ⊊ I iff span(J) sits inside span(I) with codimension
 one.  J = I is excluded: axiom (3) would pair it with J : I = H[L], which is
 never a member.
+
+The poset-ideal family and the search build their members with
+variable_ideal.  The search deletes subsets with no viable move until a round
+deletes none; the moves chosen in that round are the witness closure's, so
+the closure walks them without a second scan.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .hibi import (
     colon_in_H_by_ideal,
     residue_ideal,
     variable,
+    variable_ideal,
 )
 from .lattice import Lattice, PosetIdeal
 from .poly import QQ
@@ -227,10 +233,7 @@ def verify_filtration(L, family):
 
 def poset_ideal_filtration(L, field=QQ):
     """One member per poset ideal of L, generated by its variables."""
-    members = [
-        residue_ideal(L, [L.labels[a] for a in sorted(s.members)], field)
-        for s in L.poset_ideals()
-    ]
+    members = [variable_ideal(L, s.members, field) for s in L.poset_ideals()]
     return FiltrationSpec(L, tuple(members), combinatorial=True)
 
 
@@ -250,7 +253,8 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
     witness closure of {L} plus the empty set is returned (it passes
     verify_filtration); otherwise no combinatorial Koszul filtration exists,
     because deletion only ever removes subsets that cannot belong to any
-    valid family.
+    valid family.  Each survivor records its first viable move; the last
+    round deletes nothing, so those moves build the witness closure.
     """
     n = L.n
     if n > cap:
@@ -262,8 +266,9 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
     def subset_ideal(mask):
         got = ideal_of.get(mask)
         if got is None:
-            labels = [L.labels[a] for a in range(n) if mask >> a & 1]
-            got = ideal_of[mask] = residue_ideal(L, labels, field)
+            got = ideal_of[mask] = variable_ideal(
+                L, (a for a in range(n) if mask >> a & 1), field
+            )
         return got
 
     moves = {}
@@ -283,28 +288,27 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
         return got
 
     survivors = set(range(1 << n))
-    changed = True
-    while changed:
-        changed = False
+    choice = {}  # mask -> (rest, target) of its first viable move
+    while True:
         doomed = []
         for mask in survivors:
             if mask == 0:
                 continue
-            viable = False
             for x in range(n):
                 if not mask >> x & 1:
                     continue
-                if mask & ~(1 << x) not in survivors:
+                rest = mask & ~(1 << x)
+                if rest not in survivors:
                     continue
                 ok, target = move(mask, x)
                 if ok and target in survivors:
-                    viable = True
+                    choice[mask] = (rest, target)
                     break
-            if not viable:
+            else:
                 doomed.append(mask)
-        if doomed:
-            survivors.difference_update(doomed)
-            changed = True
+        if not doomed:
+            break
+        survivors.difference_update(doomed)
 
     if full not in survivors:
         return None
@@ -313,22 +317,10 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
     closure = {0, full}
     stack = [full]
     while stack:
-        mask = stack.pop()
-        if mask == 0:
-            continue
-        for x in range(n):
-            if not mask >> x & 1:
-                continue
-            rest = mask & ~(1 << x)
-            if rest not in survivors:
-                continue
-            ok, target = move(mask, x)
-            if ok and target in survivors:
-                for piece in (rest, target):
-                    if piece not in closure:
-                        closure.add(piece)
-                        stack.append(piece)
-                break
+        for piece in choice[stack.pop()]:
+            if piece not in closure:
+                closure.add(piece)
+                stack.append(piece)
     members = [subset_ideal(m) for m in sorted(closure, key=lambda m: (bin(m).count("1"), m))]
     return FiltrationSpec(L, tuple(members), combinatorial=True)
 

@@ -248,6 +248,25 @@ def test_search_cap_env_override(tmp_path, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_search_cap_env_is_read_only_by_search(capsys, monkeypatch):
+    monkeypatch.setenv("JOINMEET_SEARCH_CAP", "abc")
+    code, out, err = run(capsys, "check", "--builtin", "pentagon", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["cap"] is None
+    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon")
+    assert (code, out) == (2, "")
+    assert err == "error: JOINMEET_SEARCH_CAP='abc' is not an integer\n"
+    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon",
+                         "--format", "json")
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["kind"] == "input" and "JOINMEET_SEARCH_CAP" in doc["error"]
+    monkeypatch.setenv("JOINMEET_SEARCH_CAP", "5")
+    code, out, _ = run(capsys, "filtration", "search", "--builtin", "pentagon",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["cap"] == 5
+
+
 # ---------------------------------------------------------------------------
 # prime mode stamping
 

@@ -17,6 +17,7 @@ from joinmeet.hibi import (
     maximal_ideal,
     residue_ideal,
     variable,
+    variable_ideal,
     zero_ideal,
 )
 from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
@@ -137,6 +138,37 @@ def test_degree1_part_of_variable_lift_is_span():
             for subset in combinations(range(L.n), size):
                 ri = residue_ideal(L, [L.labels[i] for i in subset])
                 assert ri.variable_set() == frozenset(subset)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
+    # variable_ideal builds from the shared variables what residue_ideal
+    # builds by parsing the element labels
+    for L in [pentagon(), diamond(), boolean(3)]:
+        jm = join_meet_ideal(L, field)
+        assert lattice_ring(L, field) is jm.ring
+        for e in range(L.n):
+            assert jm.variables[e] == jm.ring.var(L.labels[e])
+            assert variable(L, e, field) is jm.variables[e]
+            assert hibi._elements_of(L, [variable(L, e, field)]) == {e}
+        for size in range(L.n + 1):
+            for subset in combinations(range(L.n), size):
+                got = variable_ideal(L, subset[::-1], field)  # any order
+                want = residue_ideal(L, [L.labels[a] for a in subset], field)
+                assert got.ring is want.ring is jm.ring
+                assert got.linear_generators == want.linear_generators
+                assert str(got) == str(want)
+                assert got.semantic_key() == want.semantic_key()
+                assert hibi._elements_of(L, got.linear_generators) == frozenset(subset)
+                assert got.variable_set() == frozenset(subset)
+
+
+def test_elements_of_refuses_forms_that_are_not_variables():
+    D = diamond()
+    R = lattice_ring(D)
+    assert hibi._elements_of(D, []) == frozenset()
+    for text in ("y - z", "2*x", "x + y"):
+        assert hibi._elements_of(D, [R.var("x"), R.parse(text)]) is None
 
 
 # ---------------------------------------------------------------------------

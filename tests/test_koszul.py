@@ -1,9 +1,10 @@
 import pytest
 
-from conftest import modular_corpus, stacked_diamond
-from joinmeet.hibi import residue_ideal
+from conftest import corpus, m3_on_m3, modular_corpus, stacked_diamond
+from joinmeet.hibi import colon_in_H, residue_ideal, variable
 from joinmeet.koszul import (
     CapExceeded,
+    FiltrationSpec,
     MalformedFamily,
     claim_check,
     filtration,
@@ -12,6 +13,7 @@ from joinmeet.koszul import (
     verify_filtration,
 )
 from joinmeet.lattice import boolean, chain, diamond, pentagon
+from joinmeet.poly import QQ
 
 PENTAGON_FAMILY = [
     [],
@@ -254,6 +256,82 @@ def test_search_consistent_on_all_lattices_up_to_5():
             if L.is_modular():
                 assert L.is_distributive()
     assert found == 11 and absent == 1  # the diamond is the only refusal
+
+
+def reference_search_combinatorial(L, field=QQ):
+    """The fixpoint search with its witness closure found by a second scan of
+    the moves, and its subset ideals parsed from element labels."""
+    n = L.n
+    full = (1 << n) - 1
+    ideal_of = {}
+
+    def subset_ideal(mask):
+        if mask not in ideal_of:
+            labels = [L.labels[a] for a in range(n) if mask >> a & 1]
+            ideal_of[mask] = residue_ideal(L, labels, field)
+        return ideal_of[mask]
+
+    moves = {}
+
+    def move(mask, x):
+        if (mask, x) not in moves:
+            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variable(L, x, field))
+            target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
+            moves[(mask, x)] = (rep.variable_generated, target)
+        return moves[(mask, x)]
+
+    def first_move(mask, survivors):
+        for x in range(n):
+            rest = mask & ~(1 << x)
+            if mask >> x & 1 and rest in survivors:
+                ok, target = move(mask, x)
+                if ok and target in survivors:
+                    return rest, target
+        return None
+
+    survivors = set(range(1 << n))
+    while True:
+        doomed = [m for m in survivors if m and first_move(m, survivors) is None]
+        if not doomed:
+            break
+        survivors.difference_update(doomed)
+    if full not in survivors:
+        return None
+    closure = {0, full}
+    stack = [full]
+    while stack:
+        mask = stack.pop()
+        if mask == 0:
+            continue
+        for piece in first_move(mask, survivors):
+            if piece not in closure:
+                closure.add(piece)
+                stack.append(piece)
+    members = [subset_ideal(m) for m in sorted(closure, key=lambda m: (bin(m).count("1"), m))]
+    return FiltrationSpec(L, tuple(members), combinatorial=True)
+
+
+def _family(spec):
+    return None if spec is None else [m.linear_generators for m in spec.members]
+
+
+def test_search_matches_the_two_scan_reference():
+    from joinmeet.lattice import Lattice
+    from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
+
+    lattices = corpus() + [m3_on_m3()]
+    for down in naturally_labeled_posets(6):
+        if poset_is_lattice(down):
+            labels = [f"v{i}" for i in range(len(down))]
+            covers = [(labels[a], labels[b]) for a, b in poset_covers(down)]
+            lattices.append(Lattice.from_covers(labels, covers))
+    found = absent = 0
+    for L in lattices:
+        want = _family(reference_search_combinatorial(L))
+        assert _family(search_combinatorial(L)) == want, L
+        found += want is not None
+        absent += want is None
+    assert found and absent
 
 
 # ---------------------------------------------------------------------------
