@@ -70,7 +70,6 @@ from .lattice import (
     pentagon,
 )
 from .poly import (
-    GF,
     MonomialOrder,
     PolyParseError,
     Polynomial,

@@ -6,9 +6,8 @@ Filtration file: {"ideals": [[poly-string, ...], ...]} where [] is the zero
 ideal and the string "m" abbreviates the maximal graded ideal.
 
 Each command computes one result dict: the "result" of the JSON document,
-and the only thing its text rendering reads.  Prime-field mode (--field
-prime) is a performance cross-check only; its reports are stamped as
-unverified arithmetic.
+and the only thing its text rendering reads.  All arithmetic is exact,
+over the rationals.
 
 Exit codes: 0 success / pass, 1 fail or certified-none verdicts, 2 input
 errors, 3 internal errors (message and traceback on stderr).  With --format
@@ -34,7 +33,6 @@ from .koszul import (
     verify_filtration,
 )
 from .lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
-from .poly import GF, QQ
 
 SEARCH_CAP_ENV = "JOINMEET_SEARCH_CAP"
 
@@ -91,21 +89,17 @@ def _load_json(path, *lists):
     return doc
 
 
-def load_filtration(L, path, field):
+def load_filtration(L, path):
     doc = _load_json(path, "ideals")
     members = []
     for entry in doc["ideals"]:
         if entry == "m":
-            members.append(maximal_ideal(L, field))
+            members.append(maximal_ideal(L))
         elif isinstance(entry, list) and all(isinstance(g, str) for g in entry):
-            members.append(residue_ideal(L, entry, field))
+            members.append(residue_ideal(L, entry))
         else:
             raise ValueError(f'{path}: ideal {entry!r} is neither "m" nor a list of linear forms')
-    return filtration(L, members, field)
-
-
-def _field(config):
-    return QQ if config["field"] == "rational" else GF(config["prime"])
+    return filtration(L, members)
 
 
 def _strs(polys):
@@ -159,7 +153,7 @@ def text_check(r):
 
 
 def cmd_ideal(L, args, config):
-    jm = join_meet_ideal(L, _field(config))
+    jm = join_meet_ideal(L)
     return 0, {
         "elements": list(L.labels),
         "generators": _strs(jm.generators),
@@ -178,9 +172,8 @@ def text_ideal(r):
 
 
 def cmd_colon(L, args, config):
-    field = _field(config)
-    J = residue_ideal(L, [g.strip() for g in args.j.split(",") if g.strip()], field)
-    rep = colon_in_H(J, lattice_ring(L, field).parse(args.by))
+    J = residue_ideal(L, [g.strip() for g in args.j.split(",") if g.strip()])
+    rep = colon_in_H(J, lattice_ring(L).parse(args.by))
     return 0, {
         "j": _strs(J.linear_generators),
         "by": args.by,
@@ -206,7 +199,7 @@ def text_colon(r):
 
 
 def cmd_filtration_verify(L, args, config):
-    family = load_filtration(L, args.file, _field(config))
+    family = load_filtration(L, args.file)
     rep = verify_filtration(L, family)
     return 0 if rep.passed else 1, {
         "members": len(family.members),
@@ -276,7 +269,7 @@ def _search_cap(config):
 
 
 def cmd_filtration_search(L, args, config):
-    family = search_combinatorial(L, cap=_search_cap(config), field=_field(config))
+    family = search_combinatorial(L, cap=_search_cap(config))
     subsets = 1 << L.n
     if family is None:
         return 1, {"found": False, "subsets_examined": subsets}
@@ -319,7 +312,7 @@ def cmd_posetideals(L, args, config):
     }
     if not args.verify:
         return 0, result
-    rep = verify_filtration(L, poset_ideal_filtration(L, _field(config)))
+    rep = verify_filtration(L, poset_ideal_filtration(L))
     result["koszul_filtration"] = rep.passed
     return 0 if rep.passed else 1, result
 
@@ -345,12 +338,6 @@ COMMANDS = {
 # output
 
 
-def _arithmetic(config):
-    if config["field"] == "rational":
-        return "rational (exact)"
-    return f"prime({config['prime']}), unverified arithmetic"
-
-
 def _write_json(doc):
     json.dump(doc, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
@@ -361,15 +348,12 @@ def emit(config, result, render, started):
     if config["format"] == "json":
         _write_json({
             "config": config,
-            "arithmetic": _arithmetic(config),
+            "arithmetic": "rational (exact)",
             "result": result,
             "timing_seconds": round(time.perf_counter() - started, 6),
         })
         return
-    lines = render(result)
-    if config["field"] == "prime":
-        lines.insert(0, f"[{_arithmetic(config)}]")
-    for line in lines:
+    for line in render(result):
         sys.stdout.write(line + "\n")
 
 
@@ -377,53 +361,11 @@ def emit(config, result, render, started):
 # argument parsing
 
 
-_PRIME_LIMIT = 2**64
-# Miller-Rabin with these bases decides primality of every n < 3.1e23
-# (Sorenson-Webster 2015), which covers every --prime below _PRIME_LIMIT.
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_odd_prime(n):
-    """Deterministic Miller-Rabin for 2 < n < _PRIME_LIMIT."""
-    if n % 2 == 0:
-        return False
-    if n in _MILLER_RABIN_BASES:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _odd_prime(text):
-    """argparse type for --prime: an odd prime below 2^64."""
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 2 < p < _PRIME_LIMIT or not _is_odd_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not an odd prime below 2^64")
-    return p
-
-
 def _add_common(parser):
     parser.add_argument("--builtin", help="pentagon, diamond, chain, boolean, divisor")
     parser.add_argument("--n", type=int, help="parameter for chain/boolean/divisor")
     parser.add_argument("--input", help="lattice JSON file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--field", choices=("rational", "prime"), default="rational")
-    parser.add_argument("--prime", type=_odd_prime, default=32003,
-                        help="odd prime below 2^64 for --field prime (default 32003)")
 
 
 def build_parser():
@@ -476,8 +418,6 @@ def _config(args):
         "n": args.n,
         "input": args.input,
         "format": args.format,
-        "field": args.field,
-        "prime": args.prime if args.field == "prime" else None,
         "cap": getattr(args, "cap", None),
     }
 

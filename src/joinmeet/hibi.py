@@ -1,8 +1,8 @@
 """Join-meet ideals and the quotient calculus in H[L] = K[L]/I_L.
 
-The cached JoinMeetIdeal of a (lattice, field) owns K[L]: it builds the
-ring, the variables indexed by element and I_L.  Ring variable k belongs to
-element L.linear_extension[k], so lattice_ring, variable, variable_ideal and
+The cached JoinMeetIdeal of a lattice owns K[L]: it builds the ring, the
+variables indexed by element and I_L.  Ring variable k belongs to element
+L.linear_extension[k], so lattice_ring, variable, variable_ideal and
 _elements_of all read one map between elements and variables.
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
@@ -31,7 +31,7 @@ from .groebner import (
     ideal_member,
 )
 from .lattice import Lattice
-from .poly import MonomialOrder, QQ, Ring
+from .poly import MonomialOrder, Ring
 
 
 class NotLinear(ValueError):
@@ -67,27 +67,26 @@ _JOIN_MEET_CACHE = {}
 _JOIN_MEET_LOCK = threading.Lock()
 
 
-def join_meet_ideal(L, field=QQ):
+def join_meet_ideal(L):
     """Basic binomials ab - (a∨b)(a∧b), one per incomparable pair, in
     deterministic (linear extension) order, with their ring K[L].
 
-    Built once per (lattice, field).
+    Built once per lattice.
     """
-    key = (L, field)
     with _JOIN_MEET_LOCK:
-        got = _JOIN_MEET_CACHE.get(key)
+        got = _JOIN_MEET_CACHE.get(L)
     if got is None:
-        got = _build_join_meet_ideal(L, field)
+        got = _build_join_meet_ideal(L)
         with _JOIN_MEET_LOCK:
-            got = _JOIN_MEET_CACHE.setdefault(key, got)
+            got = _JOIN_MEET_CACHE.setdefault(L, got)
     return got
 
 
-def _build_join_meet_ideal(L, field):
+def _build_join_meet_ideal(L):
     # degrevlex with the bottom smallest, so the leading term of every basic
     # binomial is the incomparable product ab
     order = MonomialOrder("degrevlex", tuple(range(L.n - 1, -1, -1)))
-    ring = Ring(tuple(L.labels[e] for e in L.linear_extension), order, field)
+    ring = Ring(tuple(L.labels[e] for e in L.linear_extension), order)
     variables = [None] * L.n
     for e, x in zip(L.linear_extension, ring.gens()):
         variables[e] = x
@@ -103,14 +102,14 @@ def _build_join_meet_ideal(L, field):
     return JoinMeetIdeal(L, ring, tuple(variables), gens)
 
 
-def lattice_ring(L, field=QQ):
+def lattice_ring(L):
     """K[L]: one variable per element, ordered by the fixed linear extension."""
-    return join_meet_ideal(L, field).ring
+    return join_meet_ideal(L).ring
 
 
-def variable(L, element, field=QQ):
+def variable(L, element):
     """The variable of K[L] attached to a lattice element index."""
-    return join_meet_ideal(L, field).variables[element]
+    return join_meet_ideal(L).variables[element]
 
 
 def _elements_of(L, linear):
@@ -131,12 +130,11 @@ def _elements_of(L, linear):
 class ResidueIdeal:
     """An ideal of H[L] given by lifts of linear-form generators."""
 
-    __slots__ = ("lattice", "field", "ring", "linear_generators", "_lift", "_gb")
+    __slots__ = ("lattice", "ring", "linear_generators", "_lift", "_gb")
 
-    def __init__(self, lattice, generators, field=QQ):
+    def __init__(self, lattice, generators):
         self.lattice = lattice
-        self.field = field
-        self.ring = ring = lattice_ring(lattice, field)
+        self.ring = ring = lattice_ring(lattice)
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -156,7 +154,7 @@ class ResidueIdeal:
     def lift(self):
         """(I_L, generators) in K[L]."""
         if self._lift is None:
-            base = join_meet_ideal(self.lattice, self.field)
+            base = join_meet_ideal(self.lattice)
             self._lift = ideal(self.ring, base.generators + self.linear_generators)
         return self._lift
 
@@ -191,11 +189,7 @@ class ResidueIdeal:
     def __eq__(self, other):
         if not isinstance(other, ResidueIdeal):
             return NotImplemented
-        return (
-            self.lattice == other.lattice
-            and self.field == other.field
-            and self.semantic_key() == other.semantic_key()
-        )
+        return self.lattice == other.lattice and self.semantic_key() == other.semantic_key()
 
     def __hash__(self):
         return hash((self.lattice, self.semantic_key()))
@@ -205,24 +199,24 @@ class ResidueIdeal:
         return f"({inner})"
 
 
-def residue_ideal(L, generators, field=QQ):
-    return ResidueIdeal(L, generators, field)
+def residue_ideal(L, generators):
+    return ResidueIdeal(L, generators)
 
 
-def variable_ideal(L, elements, field=QQ):
+def variable_ideal(L, elements):
     """The ideal of H[L] generated by the variables of the given elements,
     in element order."""
-    variables = join_meet_ideal(L, field).variables
-    return ResidueIdeal(L, [variables[e] for e in sorted(elements)], field)
+    variables = join_meet_ideal(L).variables
+    return ResidueIdeal(L, [variables[e] for e in sorted(elements)])
 
 
-def zero_ideal(L, field=QQ):
-    return ResidueIdeal(L, (), field)
+def zero_ideal(L):
+    return ResidueIdeal(L, ())
 
 
-def maximal_ideal(L, field=QQ):
+def maximal_ideal(L):
     """m, the maximal graded ideal: all the variables."""
-    return variable_ideal(L, range(L.n), field)
+    return variable_ideal(L, range(L.n))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,6 @@ class ResidueColonReport:
     """
 
     lattice: Lattice
-    field: object
     divisors: tuple
     lift: Ideal
     groebner: GroebnerBasis
@@ -259,7 +252,7 @@ class ResidueColonReport:
     def as_residue_ideal(self):
         if not self.linear_generated:
             raise NotLinear("colon ideal is not generated by linear forms")
-        return ResidueIdeal(self.lattice, self.degree1, self.field)
+        return ResidueIdeal(self.lattice, self.degree1)
 
     def variable_labels(self):
         if self.variables is None:
@@ -267,12 +260,12 @@ class ResidueColonReport:
         return sorted(self.lattice.labels[e] for e in self.variables)
 
 
-def _colon_report(L, divisors, lifted, field):
+def _colon_report(L, divisors, lifted):
     gb = groebner_basis(lifted)
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
     degree1 = gb.degree1
-    base = join_meet_ideal(L, field)
+    base = join_meet_ideal(L)
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
     variables = _elements_of(L, degree1) if linear_generated else None
@@ -282,7 +275,6 @@ def _colon_report(L, divisors, lifted, field):
         witness = next((g for g in nonlinear if not ideal_member(g, linear_lift)), None)
     return ResidueColonReport(
         lattice=L,
-        field=field,
         divisors=divisors,
         lift=lifted,
         groebner=gb,
@@ -304,7 +296,7 @@ def colon_in_H(J, f):
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
     lifted = colon_element(J.lift, f)
-    return _colon_report(J.lattice, (f,), lifted, J.field)
+    return _colon_report(J.lattice, (f,), lifted)
 
 
 def colon_in_H_by_ideal(J, I):
@@ -313,26 +305,26 @@ def colon_in_H_by_ideal(J, I):
     Generators of I already lying in the lift of J colon to the whole ring
     and drop out first; if none is left, the colon is the whole ring.
     """
-    if J.lattice != I.lattice or J.field != I.field:
+    if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
     gens = tuple(g for g in I.linear_generators if not ideal_member(g, J.lift))
     lifted = colon_ideal(J.lift, ideal(J.ring, gens))
-    return _colon_report(J.lattice, gens or I.linear_generators, lifted, J.field)
+    return _colon_report(J.lattice, gens or I.linear_generators, lifted)
 
 
 # ---------------------------------------------------------------------------
 # the degree-1 span identity of lifted colons
 
 
-def _claim_colon(L, I, e, field):
+def _claim_colon(L, I, e):
     """The poset ideal I and the report of (J̄) : ē, J = I ∖ {e}, for a
     maximal element e of I."""
     members = I.members if hasattr(I, "members") else frozenset(I)
     I = L.poset_ideal(members)
     if e not in L.maximal_elements(I.members):
         raise ValueError(f"{L.labels[e]!r} is not a maximal element of the ideal")
-    J = variable_ideal(L, I.members - {e}, field)
-    return I, colon_in_H(J, variable(L, e, field))
+    J = variable_ideal(L, I.members - {e})
+    return I, colon_in_H(J, variable(L, e))
 
 
 def _span_matches(L, e, report):
@@ -341,8 +333,8 @@ def _span_matches(L, e, report):
     return _elements_of(L, report.degree1) == {a for a in range(L.n) if not L.le(e, a)}
 
 
-def degree1_span_claim_check(L, I, e, field=QQ):
+def degree1_span_claim_check(L, I, e):
     """Whether the linear part of (I_L, J) : e equals span{a : a ≱ e},
     where J = I \\ {e} and e is a maximal element of the poset ideal I."""
-    _, report = _claim_colon(L, I, e, field)
+    _, report = _claim_colon(L, I, e)
     return _span_matches(L, e, report)

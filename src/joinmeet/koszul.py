@@ -24,12 +24,11 @@ from .hibi import (
     _span_matches,
     colon_in_H,
     colon_in_H_by_ideal,
+    join_meet_ideal,
     residue_ideal,
-    variable,
     variable_ideal,
 )
 from .lattice import Lattice, PosetIdeal
-from .poly import QQ
 
 
 class MalformedFamily(ValueError):
@@ -62,12 +61,12 @@ class FiltrationSpec:
         return {m.semantic_key(): i for i, m in enumerate(self.members)}
 
 
-def filtration(L, members, field=QQ):
+def filtration(L, members):
     """Build a FiltrationSpec; semantically duplicate members are rejected."""
     ideals = []
     for m in members:
         if not isinstance(m, ResidueIdeal):
-            m = residue_ideal(L, m, field)
+            m = residue_ideal(L, m)
         ideals.append(m)
     seen = {}
     for i, m in enumerate(ideals):
@@ -231,9 +230,9 @@ def verify_filtration(L, family):
 # the poset-ideal family
 
 
-def poset_ideal_filtration(L, field=QQ):
+def poset_ideal_filtration(L):
     """One member per poset ideal of L, generated by its variables."""
-    members = [variable_ideal(L, s.members, field) for s in L.poset_ideals()]
+    members = [variable_ideal(L, s.members) for s in L.poset_ideals()]
     return FiltrationSpec(L, tuple(members), combinatorial=True)
 
 
@@ -244,7 +243,7 @@ def poset_ideal_filtration(L, field=QQ):
 DEFAULT_SEARCH_CAP = 12
 
 
-def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
+def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     """Greatest-fixpoint search over all variable subsets of L.
 
     A subset S admits the move x ∈ S when (S∖{x}) : x is again generated by
@@ -260,15 +259,14 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
     if n > cap:
         raise CapExceeded(f"|L| = {n} exceeds the search cap {cap}")
     full = (1 << n) - 1
+    variables = join_meet_ideal(L).variables
 
     ideal_of = {}
 
     def subset_ideal(mask):
         got = ideal_of.get(mask)
         if got is None:
-            got = ideal_of[mask] = variable_ideal(
-                L, (a for a in range(n) if mask >> a & 1), field
-            )
+            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
         return got
 
     moves = {}
@@ -276,7 +274,7 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP, field=QQ):
     def move(mask, x):
         got = moves.get((mask, x))
         if got is None:
-            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variable(L, x, field))
+            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
             if rep.variable_generated:
                 target = 0
                 for a in rep.variables:
@@ -343,8 +341,8 @@ class ClaimReport:
     diamond_with_min_e: bool
 
 
-def claim_check(L, I, e, field=QQ):
-    I, report = _claim_colon(L, I, e, field)
+def claim_check(L, I, e):
+    I, report = _claim_colon(L, I, e)
     # both iterators yield 5-tuples whose first entry is the sublattice minimum
     pent = any(sub[0] == e for sub in L.iter_pentagons())
     diam = any(sub[0] == e for sub in L.iter_diamonds())

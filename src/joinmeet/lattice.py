@@ -81,6 +81,7 @@ class Lattice:
         "_ranks",
         "_pure",
         "_cache",
+        "_hash",
     )
 
     def __init__(self, labels, cover_pairs):
@@ -148,6 +149,7 @@ class Lattice:
                 if not any(c != a and c != b and a in down[c] and c in down[b] for c in down[b]):
                     canon.append((a, b))
         self.covers = tuple(sorted(canon))
+        self._hash = hash((labels, self.covers))
 
         # join/meet tables; reject pairs lacking a unique bound.  A least
         # upper bound lies below every other upper bound, so it is the one
@@ -251,7 +253,7 @@ class Lattice:
         return self.labels == other.labels and self.covers == other.covers
 
     def __hash__(self):
-        return hash((self.labels, self.covers))
+        return self._hash
 
     def __repr__(self):
         return f"Lattice({list(self.labels)}, covers={len(self.covers)})"

@@ -1,9 +1,8 @@
 """Exact multivariate polynomials with pluggable monomial orders.
 
-One variable per lattice element, arbitrary-precision rational coefficients by
-default.  A prime-field mode exists as a fast cross-check; it is never used
-for verdicts.  Exponent vectors are dense tuples: the rings here have at most
-~20 variables and simplicity wins at that scale.
+One variable per lattice element, arbitrary-precision rational coefficients.
+Exponent vectors are dense tuples: the rings here have at most ~20 variables
+and simplicity wins at that scale.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ class PolyParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# the coefficient field
 
 
 class RationalField:
-    """Arbitrary-precision rationals; the verdict-grade default field."""
-
-    characteristic = 0
+    """Arbitrary-precision rationals, the coefficient field of every ring."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -48,112 +45,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class GFElement:
-    """An element of a prime field Z/p, with operator arithmetic."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def __add__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else GFElement(self.value + o, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else GFElement(self.value - o, self.p)
-
-    def __rsub__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else GFElement(o - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else GFElement(self.value * o, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._val(other)
-        if o is None:
-            return NotImplemented
-        o %= self.p
-        if o == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.value * pow(o, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
-
-    def _val(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """GF(p) for an odd prime p (default cross-check prime is 32003)."""
-
-    p: int = 32003
-
-    @property
-    def characteristic(self):
-        return self.p
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
-
-    def coerce(self, value):
-        if isinstance(value, GFElement):
-            if value.p != self.p:
-                raise ValueError("mixed prime fields")
-            return value
-        if isinstance(value, int):
-            return GFElement(value, self.p)
-        if isinstance(value, Fraction):
-            return GFElement(value.numerator, self.p) / value.denominator
-        if isinstance(value, str):
-            return self.coerce(Fraction(value))
-        raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-def GF(p):
-    return PrimeField(p)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +316,7 @@ class Polynomial:
         names = self.ring.names
         parts = []
         for i, (m, c) in enumerate(self.terms):
-            neg = _is_negative(c)
+            neg = c < 0
             mag = -c if neg else c
             factors = []
             for j, e in enumerate(m):
@@ -446,12 +337,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self}>"
-
-
-def _is_negative(c):
-    if isinstance(c, Fraction):
-        return c < 0
-    return False  # prime-field coefficients print as canonical residues
 
 
 # ---------------------------------------------------------------------------

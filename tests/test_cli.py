@@ -268,40 +268,29 @@ def test_search_cap_env_is_read_only_by_search(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# prime mode stamping
+# one arithmetic: exact rationals
 
 
-def test_prime_mode_is_stamped(capsys):
-    code, out, _ = run(
-        capsys, "check", "--builtin", "diamond", "--field", "prime", "--format", "json"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert "unverified" in doc["arithmetic"]
-    code, out, _ = run(capsys, "colon", "--builtin", "diamond", "--j", "", "--by", "x",
-                       "--field", "prime")
-    assert "unverified arithmetic" in out
+@pytest.mark.parametrize("removed", [["--field", "prime"], ["--field", "rational"],
+                                     ["--prime", "7"]], ids=" ".join)
+def test_field_options_are_unrecognized(capsys, removed):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["colon", "--builtin", "pentagon", "--j", "x", "--by", "y", *removed])
+    assert time.perf_counter() - started < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(removed)}" in err
+    assert "Traceback" not in err
 
 
-def test_prime_must_be_an_odd_prime(capsys):
-    # 3215031751 = 151·751·28351 passes Miller-Rabin to bases 2, 3, 5 and 7
-    for bad in ("4", "0", "-5", "1", "2", "2147483648", "3215031751",
-                str(2**64 + 13), "seven"):
-        with pytest.raises(SystemExit) as exc:
-            main(["colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
-                  "--field", "prime", "--prime", bad])
-        assert exc.value.code == 2, bad
-        err = capsys.readouterr().err
-        assert "--prime" in err and "Traceback" not in err, bad
+def test_json_arithmetic_is_rational(capsys):
     code, out, _ = run(capsys, "colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
-                       "--field", "prime", "--prime", "7")
+                       "--format", "json")
+    doc = json.loads(out)
     assert code == 0
-    assert "prime(7)" in out
-    for big in (2147483659, 2**61 - 1):  # primes above 2^31
-        code, out, _ = run(capsys, "colon", "--builtin", "pentagon", "--j", "x", "--by", "y",
-                           "--field", "prime", "--prime", str(big))
-        assert code == 0
-        assert f"prime({big})" in out
+    assert doc["arithmetic"] == "rational (exact)"
+    assert "field" not in doc["config"] and "prime" not in doc["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +377,6 @@ PINNED_IDS = ["check", "colon", "verify-pentagon", "verify-diamond", "search", "
 def test_text_report_is_pinned(capsys, argv, want_code, want_out):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (want_code, want_out, "")
-    # coefficients differ mod 7, the layout does not
-    code, out, _ = run(capsys, *argv, "--field", "prime", "--prime", "7")
-    stamp, *lines = out.splitlines()
-    assert code == want_code
-    assert stamp == "[prime(7), unverified arithmetic]"
-    assert len(lines) == len(want_out.splitlines())
 
 
 RESULT_KEYS = {
@@ -414,8 +397,7 @@ def test_json_result_keeps_its_keys(capsys, argv, want_code, want_out):
     doc = json.loads(out)
     assert code == want_code
     assert set(doc) >= {"config", "arithmetic", "result", "timing_seconds"}
-    assert set(doc["config"]) == {"command", "builtin", "n", "input", "format",
-                                  "field", "prime", "cap"}
+    assert set(doc["config"]) == {"command", "builtin", "n", "input", "format", "cap"}
     assert set(doc["result"]) >= RESULT_KEYS[doc["config"]["command"]]
     for w in doc["result"].get("witnesses", []):
         assert set(w) >= {"member", "j", "cyclic_generator", "colon_member"}

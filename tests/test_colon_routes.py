@@ -29,10 +29,10 @@ from joinmeet.groebner import (
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
-from joinmeet.poly import GF, QQ
+from joinmeet.poly import QQ
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
 
-FIELDS = [QQ, GF(32003)]
+FIELDS = [QQ]
 CORPUS = {
     "pentagon": pentagon(),
     "diamond": diamond(),
@@ -55,11 +55,11 @@ def plain_basis(I):
     return reduce_basis(buchberger(I.generators, ring=I.ring)).basis
 
 
-def cases(L, field, rng):
+def cases(L, rng):
     """Lifts (I_L, x_S) with random S, one with a non-variable linear
     generator, each paired with a variable or a general linear form."""
-    R = lattice_ring(L, field)
-    base = join_meet_ideal(L, field).generators
+    R = lattice_ring(L)
+    base = join_meet_ideal(L).generators
     xs = R.gens()
     out = []
     for k in range(6):
@@ -82,7 +82,7 @@ def test_fast_colon_matches_elimination(name, field):
     L = CORPUS[name]
     clear_cache()
     rng = random.Random(f"{L.labels}/{field}")
-    for I, f in cases(L, field, rng):
+    for I, f in cases(L, rng):
         assert groebner_basis(I).basis == plain_basis(I), (I.generators, f)
         expected = elimination_colon(I, f)
         colon = colon_element(I, f)
@@ -137,12 +137,11 @@ SMALL_LATTICES = _small_lattices()
 @settings(max_examples=60, deadline=None)
 @given(
     L=st.sampled_from(SMALL_LATTICES),
-    field=st.sampled_from(FIELDS),
     seed=st.integers(0, 2**16),
 )
-def test_fast_colon_matches_elimination_on_random_lattices(L, field, seed):
+def test_fast_colon_matches_elimination_on_random_lattices(L, seed):
     rng = random.Random(seed)
-    for I, f in cases(L, field, rng)[::2]:
+    for I, f in cases(L, rng)[::2]:
         assert groebner_basis(colon_element(I, f)).basis == elimination_colon(I, f)
         assert groebner_basis(I).basis == plain_basis(I)
 
@@ -170,7 +169,7 @@ def test_fast_colon_matches_sympy(name):
     ordered = [symbols[i] for i in R.order.priority]  # biggest variable first
     t = sympy.Symbol("t")
     rng = random.Random(L.n)
-    for I, f in cases(L, QQ, rng):
+    for I, f in cases(L, rng):
         ours = groebner_basis(colon_element(I, f)).basis
         F = _sympy_poly(f, symbols)
         # I ∩ (f) by sympy's own elimination: lex with t biggest

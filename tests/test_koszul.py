@@ -13,7 +13,6 @@ from joinmeet.koszul import (
     verify_filtration,
 )
 from joinmeet.lattice import boolean, chain, diamond, pentagon
-from joinmeet.poly import QQ
 
 PENTAGON_FAMILY = [
     [],
@@ -217,15 +216,6 @@ def test_verification_is_deterministic():
     ]
 
 
-def test_prime_field_mode_full_verify():
-    from joinmeet.poly import GF
-
-    P = pentagon()
-    fam = filtration(P, PENTAGON_FAMILY, field=GF(32003))
-    rep = verify_filtration(P, fam)
-    assert rep.passed and len(rep.witnesses) == 7
-
-
 def test_stacked_diamond_has_no_combinatorial_filtration():
     L = stacked_diamond()
     assert L.is_modular() and not L.is_distributive()
@@ -258,7 +248,7 @@ def test_search_consistent_on_all_lattices_up_to_5():
     assert found == 11 and absent == 1  # the diamond is the only refusal
 
 
-def reference_search_combinatorial(L, field=QQ):
+def reference_search_combinatorial(L):
     """The fixpoint search with its witness closure found by a second scan of
     the moves, and its subset ideals parsed from element labels."""
     n = L.n
@@ -268,14 +258,14 @@ def reference_search_combinatorial(L, field=QQ):
     def subset_ideal(mask):
         if mask not in ideal_of:
             labels = [L.labels[a] for a in range(n) if mask >> a & 1]
-            ideal_of[mask] = residue_ideal(L, labels, field)
+            ideal_of[mask] = residue_ideal(L, labels)
         return ideal_of[mask]
 
     moves = {}
 
     def move(mask, x):
         if (mask, x) not in moves:
-            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variable(L, x, field))
+            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variable(L, x))
             target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
             moves[(mask, x)] = (rep.variable_generated, target)
         return moves[(mask, x)]

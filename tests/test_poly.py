@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joinmeet.poly import (
-    GF,
     MAX_EXPONENT,
     MonomialOrder,
     PolyParseError,
@@ -203,28 +202,6 @@ def test_block_order_eliminates_first_block():
     order = MonomialOrder("block", (0, 1, 2), block=1)
     # any monomial containing the block variable beats any without it
     assert order.key((1, 0, 0)) > order.key((0, 4, 4))
-
-
-# ---------------------------------------------------------------------------
-# prime-field mode
-
-
-def test_prime_field_arithmetic():
-    F = GF(7)
-    R = Ring(("x", "y"), degrevlex(2), F)
-    f = R.parse("3*x + 13*x")
-    assert f == R.parse("2*x") == 2 * R.var("x")
-    assert R.parse("3*x + 11*x") == 0
-    assert F.coerce(Fraction(1, 2)) == F.coerce(4)  # 1/2 = 4 mod 7
-    assert (R.var("x") * 7) == 0
-
-
-def test_prime_field_division():
-    F = GF(32003)
-    a = F.coerce(12345)
-    assert a / a == F.one
-    with pytest.raises(ZeroDivisionError):
-        a / F.zero
 
 
 def test_mixed_rings_rejected(R):
