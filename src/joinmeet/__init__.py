@@ -7,6 +7,7 @@ filtrations, turning the lattice-theoretic characterizations of
 distributivity into machine-checked computations.
 """
 
+from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -73,10 +74,8 @@ from .poly import (
     MonomialOrder,
     PolyParseError,
     Polynomial,
-    QQ,
     Ring,
     degrevlex,
-    lex,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ import sys
 import time
 import traceback
 
+from .errors import InputError
 from .groebner import groebner_basis
 from .hibi import colon_in_H, join_meet_ideal, lattice_ring, maximal_ideal, residue_ideal
 from .koszul import (
@@ -36,11 +37,11 @@ from .lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
 
 SEARCH_CAP_ENV = "JOINMEET_SEARCH_CAP"
 
-# Every input error the library raises is a ValueError (NotALattice,
-# CyclicCovers, NotLinear, PolyParseError, MalformedFamily, CapExceeded,
-# JSONDecodeError).  Bare ValueError also covers engine errors such as
-# "mixed rings"; anything else is an internal error.
-_INPUT_ERRORS = (ValueError, OSError)
+# Every input error the library raises is an InputError (NotALattice,
+# CyclicCovers, NotLinear, PolyParseError, MalformedFamily, CapExceeded and
+# the checks here), and an input file may also fail to open.  Any other
+# exception, such as an engine ValueError, is an internal error.
+_INPUT_ERRORS = (InputError, OSError)
 
 
 BUILTINS = {
@@ -58,22 +59,22 @@ def load_lattice(args):
     if args.builtin:
         name = args.builtin
         if name not in BUILTINS:
-            raise ValueError(f"unknown builtin {name!r} (choose from {sorted(BUILTINS)})")
+            raise InputError(f"unknown builtin {name!r} (choose from {sorted(BUILTINS)})")
         if name in _NEEDS_N and args.n is None:
-            raise ValueError(f"builtin {name!r} needs --n")
+            raise InputError(f"builtin {name!r} needs --n")
         return BUILTINS[name](args.n)
     if args.input:
         path = args.input
         doc = _load_json(path, "elements", "covers")
         for name in doc["elements"]:
             if not isinstance(name, _NAMES):
-                raise ValueError(f"{path}: element {name!r} is not a name")
+                raise InputError(f"{path}: element {name!r} is not a name")
         for pair in doc["covers"]:
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(isinstance(a, _NAMES) for a in pair)):
-                raise ValueError(f"{path}: cover {pair!r} is not a [lower, upper] pair of names")
+                raise InputError(f"{path}: cover {pair!r} is not a [lower, upper] pair of names")
         return Lattice.from_covers(doc["elements"], doc["covers"])
-    raise ValueError("provide --builtin or --input")
+    raise InputError("provide --builtin or --input")
 
 
 # element names may be JSON strings or numbers; from_covers turns them into strings
@@ -83,9 +84,12 @@ _NAMES = (str, int, float)
 def _load_json(path, *lists):
     """The JSON object in path, which must hold a list under each key."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or a number int() refuses
+            raise InputError(str(exc)) from None
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in lists)):
-        raise ValueError(f"{path}: expected an object with lists {', '.join(lists)}")
+        raise InputError(f"{path}: expected an object with lists {', '.join(lists)}")
     return doc
 
 
@@ -98,7 +102,7 @@ def load_filtration(L, path):
         elif isinstance(entry, list) and all(isinstance(g, str) for g in entry):
             members.append(residue_ideal(L, entry))
         else:
-            raise ValueError(f'{path}: ideal {entry!r} is neither "m" nor a list of linear forms')
+            raise InputError(f'{path}: ideal {entry!r} is neither "m" nor a list of linear forms')
     return filtration(L, members)
 
 
@@ -264,7 +268,7 @@ def _search_cap(config):
         try:
             config["cap"] = int(text)
         except ValueError:
-            raise ValueError(f"{SEARCH_CAP_ENV}={text!r} is not an integer") from None
+            raise InputError(f"{SEARCH_CAP_ENV}={text!r} is not an integer") from None
     return DEFAULT_SEARCH_CAP if config["cap"] is None else config["cap"]
 
 

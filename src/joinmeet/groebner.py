@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .poly import MonomialOrder, Ring
+from .poly import ONE, MonomialOrder, Ring
 
 
 class ZeroDivisorArgument(ValueError):
@@ -213,8 +213,7 @@ def s_polynomial(f, g):
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     lcm = _lcm(lmf, lmg)
-    one = f.ring.field.one
-    return f.shift(_sub(lcm, lmf), one / lcf) - g.shift(_sub(lcm, lmg), one / lcg)
+    return f.shift(_sub(lcm, lmf), ONE / lcf) - g.shift(_sub(lcm, lmg), ONE / lcg)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ def _intersect_by_elimination(I, J):
     order = MonomialOrder(
         "block", (0,) + tuple(p + 1 for p in ring.order.priority), block=1
     )
-    ring_t = Ring((aux,) + ring.names, order, ring.field)
+    ring_t = Ring((aux,) + ring.names, order)
     embed = lambda m: (0,) + m
     t = ring_t.var(aux)
     one_minus_t = ring_t.one() - t
@@ -477,7 +476,7 @@ def _ring_with_last(ring, v):
     order = MonomialOrder("degrevlex", priority)
     if order == ring.order:
         return ring
-    return Ring(ring.names, order, ring.field)
+    return Ring(ring.names, order)
 
 
 def _colon_by_linear_form(I, l):

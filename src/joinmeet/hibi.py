@@ -3,7 +3,9 @@
 The cached JoinMeetIdeal of a lattice owns K[L]: it builds the ring, the
 variables indexed by element and I_L.  Ring variable k belongs to element
 L.linear_extension[k], so lattice_ring, variable, variable_ideal and
-_elements_of all read one map between elements and variables.
+_elements_of all read one map between elements and variables.  A
+ResidueIdeal keeps the JoinMeetIdeal it was built from, and its lift and
+colons read I_L from there, so the cache is looked up once per ideal.
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L]; identity is always the reduced Groebner basis of the lift, never the
@@ -20,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -34,7 +37,7 @@ from .lattice import Lattice
 from .poly import MonomialOrder, Ring
 
 
-class NotLinear(ValueError):
+class NotLinear(InputError):
     """A generator that must be a linear form is not one."""
 
 
@@ -117,7 +120,7 @@ def _elements_of(L, linear):
     None."""
     elements = []
     for g in linear:
-        if len(g.terms) != 1 or g.terms[0][1] != g.ring.field.one:
+        if len(g.terms) != 1 or g.terms[0][1] != 1:
             return None
         elements.append(L.linear_extension[g.terms[0][0].index(1)])
     return frozenset(elements)
@@ -128,13 +131,15 @@ def _elements_of(L, linear):
 
 
 class ResidueIdeal:
-    """An ideal of H[L] given by lifts of linear-form generators."""
+    """An ideal of H[L] given by lifts of linear-form generators; ``base``
+    is the JoinMeetIdeal of its lattice."""
 
-    __slots__ = ("lattice", "ring", "linear_generators", "_lift", "_gb")
+    __slots__ = ("base", "lattice", "ring", "linear_generators", "_lift", "_gb")
 
-    def __init__(self, lattice, generators):
-        self.lattice = lattice
-        self.ring = ring = lattice_ring(lattice)
+    def __init__(self, base, generators):
+        self.base = base
+        self.lattice = base.lattice
+        self.ring = ring = base.ring
         gens = []
         for g in generators:
             if isinstance(g, str):
@@ -154,8 +159,7 @@ class ResidueIdeal:
     def lift(self):
         """(I_L, generators) in K[L]."""
         if self._lift is None:
-            base = join_meet_ideal(self.lattice)
-            self._lift = ideal(self.ring, base.generators + self.linear_generators)
+            self._lift = ideal(self.ring, self.base.generators + self.linear_generators)
         return self._lift
 
     def groebner(self):
@@ -200,18 +204,18 @@ class ResidueIdeal:
 
 
 def residue_ideal(L, generators):
-    return ResidueIdeal(L, generators)
+    return ResidueIdeal(join_meet_ideal(L), generators)
 
 
 def variable_ideal(L, elements):
     """The ideal of H[L] generated by the variables of the given elements,
     in element order."""
-    variables = join_meet_ideal(L).variables
-    return ResidueIdeal(L, [variables[e] for e in sorted(elements)])
+    base = join_meet_ideal(L)
+    return ResidueIdeal(base, [base.variables[e] for e in sorted(elements)])
 
 
 def zero_ideal(L):
-    return ResidueIdeal(L, ())
+    return residue_ideal(L, ())
 
 
 def maximal_ideal(L):
@@ -252,7 +256,7 @@ class ResidueColonReport:
     def as_residue_ideal(self):
         if not self.linear_generated:
             raise NotLinear("colon ideal is not generated by linear forms")
-        return ResidueIdeal(self.lattice, self.degree1)
+        return residue_ideal(self.lattice, self.degree1)
 
     def variable_labels(self):
         if self.variables is None:
@@ -260,12 +264,13 @@ class ResidueColonReport:
         return sorted(self.lattice.labels[e] for e in self.variables)
 
 
-def _colon_report(L, divisors, lifted):
+def _colon_report(J, divisors, lifted):
+    """The report of a colon ``lifted`` of J's lift, read against J's I_L."""
+    L, base = J.lattice, J.base
     gb = groebner_basis(lifted)
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
     degree1 = gb.degree1
-    base = join_meet_ideal(L)
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
     variables = _elements_of(L, degree1) if linear_generated else None
@@ -296,7 +301,7 @@ def colon_in_H(J, f):
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
     lifted = colon_element(J.lift, f)
-    return _colon_report(J.lattice, (f,), lifted)
+    return _colon_report(J, (f,), lifted)
 
 
 def colon_in_H_by_ideal(J, I):
@@ -309,7 +314,7 @@ def colon_in_H_by_ideal(J, I):
         raise ValueError("colon of ideals over different lattices")
     gens = tuple(g for g in I.linear_generators if not ideal_member(g, J.lift))
     lifted = colon_ideal(J.lift, ideal(J.ring, gens))
-    return _colon_report(J.lattice, gens or I.linear_generators, lifted)
+    return _colon_report(J, gens or I.linear_generators, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +327,9 @@ def _claim_colon(L, I, e):
     members = I.members if hasattr(I, "members") else frozenset(I)
     I = L.poset_ideal(members)
     if e not in L.maximal_elements(I.members):
-        raise ValueError(f"{L.labels[e]!r} is not a maximal element of the ideal")
+        raise InputError(f"{L.labels[e]!r} is not a maximal element of the ideal")
     J = variable_ideal(L, I.members - {e})
-    return I, colon_in_H(J, variable(L, e))
+    return I, colon_in_H(J, J.base.variables[e])
 
 
 def _span_matches(L, e, report):

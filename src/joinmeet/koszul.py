@@ -16,8 +16,10 @@ the closure walks them without a second scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
+from .errors import InputError
 from .hibi import (
     ResidueIdeal,
     _claim_colon,
@@ -31,11 +33,11 @@ from .hibi import (
 from .lattice import Lattice, PosetIdeal
 
 
-class MalformedFamily(ValueError):
+class MalformedFamily(InputError):
     """Two members of the family are semantically the same ideal."""
 
 
-class CapExceeded(ValueError):
+class CapExceeded(InputError):
     """The lattice is larger than the configured search cap."""
 
 
@@ -141,7 +143,7 @@ def _coefficient_rows(polys, ring):
     """Coefficient rows of linear forms, one column per variable of ring."""
     rows = []
     for p in polys:
-        row = [ring.field.zero] * ring.nvars
+        row = [Fraction(0)] * ring.nvars
         for m, c in p.terms:
             row[m.index(1)] = c
         rows.append(row)

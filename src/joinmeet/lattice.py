@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
+from .errors import InputError
 
-class NotALattice(ValueError):
+
+class NotALattice(InputError):
     """The input poset is missing a unique join or meet for some pair."""
 
     def __init__(self, message, pair=None):
@@ -24,7 +26,7 @@ class NotALattice(ValueError):
         self.pair = pair
 
 
-class CyclicCovers(ValueError):
+class CyclicCovers(InputError):
     """The cover relation contains a cycle."""
 
 
@@ -89,14 +91,14 @@ class Lattice:
         if not labels:
             raise NotALattice("a lattice needs at least one element")
         if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
+            raise InputError("labels must be distinct")
         n = len(labels)
         self.labels = labels
 
         edges = set()
         for a, b in cover_pairs:
             if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"cover pair ({a}, {b}) out of range")
+                raise InputError(f"cover pair ({a}, {b}) out of range")
             if a == b:
                 raise CyclicCovers(f"self-loop on {labels[a]!r}")
             edges.add((a, b))
@@ -208,7 +210,7 @@ class Lattice:
         for a, b in cover_pairs:
             a, b = str(a), str(b)
             if a not in index or b not in index:
-                raise ValueError(f"cover pair ({a!r}, {b!r}) references unknown label")
+                raise InputError(f"cover pair ({a!r}, {b!r}) references unknown label")
             pairs.append((index[a], index[b]))
         return cls(labels, pairs)
 
@@ -401,7 +403,7 @@ class Lattice:
     def poset_ideal(self, members):
         members = frozenset(members)
         if not self.is_poset_ideal(members):
-            raise ValueError(f"{self.label_set(members)} is not downward closed")
+            raise InputError(f"{self.label_set(members)} is not downward closed")
         return PosetIdeal(members)
 
     def maximal_elements(self, members):
@@ -431,7 +433,7 @@ MAX_DIVISOR_N = 10**12
 
 def _check_size(name, count):
     if count > MAX_ELEMENTS:
-        raise ValueError(f"{name} has more than {MAX_ELEMENTS} elements")
+        raise InputError(f"{name} has more than {MAX_ELEMENTS} elements")
 
 
 def chain(n):
@@ -443,6 +445,8 @@ def chain(n):
 
 def boolean(n):
     """Lattice of subsets of an n-set; bottom labelled 'o', atoms 'a', 'b', ..."""
+    if n < 0:
+        raise InputError("n must not be negative")
     # 2^n elements; the shift is capped so that a huge n costs nothing
     _check_size(f"boolean({n})", 1 << min(n, MAX_ELEMENTS.bit_length()))
     atoms = "abcdefghijklmnopqrstuvwxyz"[:n]
@@ -460,9 +464,9 @@ def boolean(n):
 def divisor_lattice(n):
     """Divisors of n ordered by divisibility; join = lcm, meet = gcd."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     if n > MAX_DIVISOR_N:
-        raise ValueError(f"divisor lattice of {n}: n is above {MAX_DIVISOR_N}")
+        raise InputError(f"divisor lattice of {n}: n is above {MAX_DIVISOR_N}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divs = sorted(set(small + [n // d for d in small]))
     _check_size(f"divisor lattice of {n}", len(divs))

@@ -1,4 +1,4 @@
-"""Small exact linear algebra: row reduction over the coefficient field.
+"""Small exact linear algebra: row reduction of rows of Fractions.
 
 Used for degree-1 span comparisons (linear parts of ideals are tiny, at most
 n x n with n = number of lattice elements), never for anything large.

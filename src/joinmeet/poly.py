@@ -1,50 +1,35 @@
-"""Exact multivariate polynomials with pluggable monomial orders.
+"""Exact multivariate polynomials under degrevlex or a 2-block elimination order.
 
-One variable per lattice element, arbitrary-precision rational coefficients.
+One variable per lattice element; every coefficient is a Fraction.
 Exponent vectors are dense tuples: the rings here have at most ~20 variables
 and simplicity wins at that scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InputError
 
-class PolyParseError(ValueError):
+
+class PolyParseError(InputError):
     """A polynomial string does not match the grammar."""
 
 
 # ---------------------------------------------------------------------------
-# the coefficient field
+# coefficients: exact rationals
+
+ONE = Fraction(1)
 
 
-class RationalField:
-    """Arbitrary-precision rationals, the coefficient field of every ring."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into QQ")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
+def coefficient(value):
+    """value as a Fraction; only ints, Fractions and strings like "-2/3"."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"cannot coerce {value!r} into a rational coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +44,7 @@ def _drl_key(exps):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A term order: degrevlex, lex, or a 2-block elimination order.
+    """A term order: degrevlex, or a 2-block elimination order.
 
     ``priority`` lists variable indices from biggest to smallest.  For
     ``kind="block"`` the first ``block`` positions (after applying the
@@ -72,7 +57,7 @@ class MonomialOrder:
     block: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex", "block"):
+        if self.kind not in ("degrevlex", "block"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ValueError("priority must be a permutation of the variables")
@@ -83,21 +68,11 @@ class MonomialOrder:
         perm = tuple(exps[i] for i in self.priority)
         if self.kind == "degrevlex":
             return _drl_key(perm)
-        if self.kind == "lex":
-            return perm
         return (_drl_key(perm[: self.block]), _drl_key(perm[self.block :]))
 
 
 def degrevlex(nvars, priority=None):
-    if priority is None:
-        priority = tuple(range(nvars))
-    return MonomialOrder("degrevlex", tuple(priority))
-
-
-def lex(nvars, priority=None):
-    if priority is None:
-        priority = tuple(range(nvars))
-    return MonomialOrder("lex", tuple(priority))
+    return MonomialOrder("degrevlex", tuple(range(nvars) if priority is None else priority))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +81,12 @@ def lex(nvars, priority=None):
 
 @dataclass(frozen=True)
 class Ring:
-    """A polynomial ring: variable names, a monomial order, a coefficient field."""
+    """A polynomial ring over the rationals: variable names and a monomial order."""
 
     names: tuple
     order: MonomialOrder
-    field: object = QQ
-    _key_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    _index: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    _key_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _index: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -145,21 +119,18 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return Polynomial(self, ())
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, name):
         exps = [0] * self.nvars
         exps[self.index(name)] = 1
-        return Polynomial(self, ((tuple(exps), self.field.one),))
+        return Polynomial(self, ((tuple(exps), ONE),))
 
     def gens(self):
         return tuple(self.var(name) for name in self.names)
 
     def monomial(self, exps, coeff=1):
-        coeff = self.field.coerce(coeff)
+        coeff = coefficient(coeff)
         if not coeff:
             return self.zero()
         return Polynomial(self, ((tuple(exps), coeff),))
@@ -213,9 +184,7 @@ class Polynomial:
 
     def total_degree(self):
         """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def is_homogeneous(self):
         degs = {sum(m) for m, _ in self.terms}
@@ -228,11 +197,9 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, c) for m, c in self.terms if sum(m) == d))
 
     def monic(self):
-        if not self.terms:
+        if not self.terms or self.terms[0][1] == ONE:
             return self
         lc = self.terms[0][1]
-        if lc == self.ring.field.one:
-            return self
         return Polynomial(self.ring, tuple((m, c / lc) for m, c in self.terms))
 
     # -- arithmetic
@@ -262,7 +229,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = self.ring.field.coerce(other)
+            c = coefficient(other)
             if not c:
                 return self.ring.zero()
             return Polynomial(self.ring, tuple((m, cc * c) for m, cc in self.terms))
@@ -327,7 +294,7 @@ class Polynomial:
             body = "*".join(factors)
             if not body:
                 body = str(mag)
-            elif mag != self.ring.field.one:
+            elif mag != ONE:
                 body = f"{mag}*{body}"
             if i == 0:
                 parts.append(f"-{body}" if neg else body)
@@ -377,7 +344,10 @@ def _tokenize(ring, text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError as exc:  # digits int() refuses: too many, or not ASCII
+                raise PolyParseError(str(exc)) from None
             i = j
             continue
         raise PolyParseError(f"unexpected character {ch!r} at position {i} in {text!r}")
@@ -431,13 +401,12 @@ class _Parser:
         return val
 
     def term(self):
-        field = self.ring.field
-        coeff = field.one
+        coeff = ONE
         exps = [0] * self.ring.nvars
         while True:
             kind, val = self.take()
             if kind == "int":
-                c = field.coerce(val)
+                c = coefficient(val)
                 nk, nv = self.peek()
                 if nk == "op" and nv == "/":
                     self.take()
@@ -447,7 +416,7 @@ class _Parser:
                     c = c / dv
                 elif nk == "op" and nv == "^":
                     self.take()
-                    c = field.coerce(val ** self.exponent())
+                    c = coefficient(val ** self.exponent())
                 coeff = coeff * c
             elif kind == "name":
                 e = 1

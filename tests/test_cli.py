@@ -437,6 +437,44 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "Traceback" in err
 
 
+def test_engine_value_error_is_internal(monkeypatch, capsys):
+    # a ValueError that is not an InputError is an engine fault, not bad input
+    def broken(*_):
+        raise ValueError("mixed rings")
+
+    monkeypatch.setattr("joinmeet.cli.colon_in_H", broken)
+    argv = ["colon", "--builtin", "pentagon", "--j", "x", "--by", "y"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: mixed rings\n") and "Traceback" in err
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["kind"], doc["error"]) == ("internal", "mixed rings")
+
+
+def test_bad_files_and_negative_n_are_input_errors(tmp_path, capsys):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{elements: [")
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"elements": ["é"], "covers": []}'.encode("latin-1"))
+    huge_number = tmp_path / "huge.json"
+    huge_number.write_text('{"elements": [' + "7" * 5000 + '], "covers": []}')
+    for argv in (["check", "--builtin", "boolean", "--n", "-1"],
+                 ["check", "--input", str(not_json)],
+                 ["check", "--input", str(not_utf8)],
+                 ["check", "--input", str(huge_number)],
+                 ["filtration", "verify", "--builtin", "pentagon", str(not_json)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (2, ""), argv
+        assert json.loads(out)["kind"] == "input", argv
+    code, _, err = run(capsys, "check", "--builtin", "boolean", "--n", "-1")
+    assert err == "error: n must not be negative\n"
+
+
 def test_input_errors_are_json_documents(tmp_path, capsys):
     path = tmp_path / "bad.filt"
     path.write_text(json.dumps({"ideals": [5]}))

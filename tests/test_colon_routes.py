@@ -29,10 +29,8 @@ from joinmeet.groebner import (
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
-from joinmeet.poly import QQ
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
 
-FIELDS = [QQ]
 CORPUS = {
     "pentagon": pentagon(),
     "diamond": diamond(),
@@ -76,12 +74,13 @@ def cases(L, rng):
     return out
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("name", CORPUS)
-def test_fast_colon_matches_elimination(name, field):
+# the "-QQ" ids and the "/QQ" seed suffix name the rational coefficients and
+# keep each case's name and its generated ideals stable
+@pytest.mark.parametrize("name", CORPUS, ids=lambda name: f"{name}-QQ")
+def test_fast_colon_matches_elimination(name):
     L = CORPUS[name]
     clear_cache()
-    rng = random.Random(f"{L.labels}/{field}")
+    rng = random.Random(f"{L.labels}/QQ")
     for I, f in cases(L, rng):
         assert groebner_basis(I).basis == plain_basis(I), (I.generators, f)
         expected = elimination_colon(I, f)

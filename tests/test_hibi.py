@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -21,7 +22,6 @@ from joinmeet.hibi import (
     zero_ideal,
 )
 from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
-from joinmeet.poly import QQ
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +140,31 @@ def test_degree1_part_of_variable_lift_is_span():
                 assert ri.variable_set() == frozenset(subset)
 
 
-@pytest.mark.parametrize("field", [QQ], ids=["QQ"])
+def test_one_join_meet_lookup_per_ideal_and_none_per_colon(monkeypatch):
+    # a ResidueIdeal keeps its JoinMeetIdeal, so its lift and its colons
+    # read I_L without looking the lattice up again
+    L = pentagon()
+    calls = []
+    lookup = hibi.join_meet_ideal
+    monkeypatch.setattr(hibi, "join_meet_ideal", lambda L: calls.append(L) or lookup(L))
+    x, y = L.index("x"), L.index("y")
+    J = variable_ideal(L, {x})
+    I = residue_ideal(L, ["x", "y"])
+    assert len(calls) == 2 and J.base is I.base is lookup(L)
+    colon_in_H(J, J.base.variables[y])
+    colon_in_H_by_ideal(J, I)
+    assert J.lift is not None and I.lift is not None
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [Fraction], ids=["QQ"])
 def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
     # variable_ideal builds from the shared variables what residue_ideal
     # builds by parsing the element labels
     for L in [pentagon(), diamond(), boolean(3)]:
         jm = join_meet_ideal(L)
         assert lattice_ring(L) is jm.ring
-        assert jm.ring.field == field
+        assert all(type(c) is field for g in jm.generators for _, c in g.terms)
         for e in range(L.n):
             assert jm.variables[e] == jm.ring.var(L.labels[e])
             assert variable(L, e) is jm.variables[e]
@@ -382,7 +399,7 @@ def test_variable_generated_matches_the_second_generation_check(name):
 def coefficient_rows(L, polys):
     rows = []
     for p in polys:
-        row = [QQ.zero] * L.n
+        row = [Fraction(0)] * L.n
         for m, c in p.terms:
             row[m.index(1)] = c
         rows.append(row)
