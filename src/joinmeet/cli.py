@@ -429,6 +429,19 @@ def _config(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     config = _config(args)
+    try:
+        code = _run(args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does): end as SIGPIPE
+        # would, with no traceback and no second failure when Python flushes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(args, config):
+    """Run one command and write its document; the exit code."""
     run, render = COMMANDS[config["command"]]
     started = time.perf_counter()
     try:

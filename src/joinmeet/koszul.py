@@ -8,9 +8,13 @@ one.  J = I is excluded: axiom (3) would pair it with J : I = H[L], which is
 never a member.
 
 The poset-ideal family and the search build their members with
-variable_ideal.  The search deletes subsets with no viable move until a round
-deletes none; the moves chosen in that round are the witness closure's, so
-the closure walks them without a second scan.
+variable_ideal.  The search decides from the full set first: it walks each
+reached subset's first valid move.  When every subset reached has one, the
+reached set is a post-fixed point of the deletion, so it is the greatest
+fixpoint's witness closure, found with about one colon per member.  Only at
+a subset with no valid move does it run the greatest fixpoint over all 2^n
+subsets, unseeded and sharing the walk's memoised moves; one helper picks a
+subset's first move for the walk, the fixpoint rounds and the closure.
 """
 
 from __future__ import annotations
@@ -246,21 +250,32 @@ DEFAULT_SEARCH_CAP = 12
 
 
 def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
-    """Greatest-fixpoint search over all variable subsets of L.
+    """Search the variable subsets of L for a combinatorial filtration.
 
     A subset S admits the move x ∈ S when (S∖{x}) : x is again generated by
-    variables, with target set T(S, x).  Subsets with no move whose pieces
-    both survive are deleted until stable.  If the full set survives, the
-    witness closure of {L} plus the empty set is returned (it passes
-    verify_filtration); otherwise no combinatorial Koszul filtration exists,
-    because deletion only ever removes subsets that cannot belong to any
-    valid family.  Each survivor records its first viable move; the last
-    round deletes nothing, so those moves build the witness closure.
+    variables, with target set T(S, x).  The answer is the greatest fixpoint
+    of deleting subsets with no move whose pieces S∖{x} and T(S, x) both
+    survive: if the full set survives, the witness closure of {L} plus the
+    empty set (each subset taking its first surviving move) is returned, and
+    it passes verify_filtration; otherwise no combinatorial Koszul filtration
+    exists, because deletion only removes subsets that belong to no valid
+    family.
+
+    The search first walks from the full set, each subset taking its first
+    valid move and pushing both pieces.  If every subset reached has one, the
+    reached set is a post-fixed point, so it lies inside the greatest
+    fixpoint; each first valid move then has both pieces surviving, so it is
+    the move the witness closure takes, and the reached set is that closure.
+    At the first subset with no valid move the walk stops and the fixpoint
+    runs over all 2^n subsets, sharing the move memo.  The walk's moves are
+    all moves of the fixpoint's first round, so the fallback makes no move
+    the fixpoint alone would not.
     """
     n = L.n
     if n > cap:
         raise CapExceeded(f"|L| = {n} exceeds the search cap {cap}")
     full = (1 << n) - 1
+    everything = range(1 << n)
     variables = join_meet_ideal(L).variables
 
     ideal_of = {}
@@ -274,54 +289,54 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     moves = {}
 
     def move(mask, x):
-        got = moves.get((mask, x))
-        if got is None:
+        """The target set of mask's move x, or None if the move is not valid."""
+        if (mask, x) not in moves:
             rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
+            target = None
             if rep.variable_generated:
                 target = 0
                 for a in rep.variables:
                     target |= 1 << a
-                got = (True, target)
-            else:
-                got = (False, None)
-            moves[(mask, x)] = got
-        return got
+            moves[(mask, x)] = target
+        return moves[(mask, x)]
 
-    survivors = set(range(1 << n))
-    choice = {}  # mask -> (rest, target) of its first viable move
-    while True:
-        doomed = []
-        for mask in survivors:
-            if mask == 0:
-                continue
-            for x in range(n):
-                if not mask >> x & 1:
-                    continue
-                rest = mask & ~(1 << x)
-                if rest not in survivors:
-                    continue
-                ok, target = move(mask, x)
-                if ok and target in survivors:
-                    choice[mask] = (rest, target)
-                    break
-            else:
-                doomed.append(mask)
-        if not doomed:
-            break
-        survivors.difference_update(doomed)
-
-    if full not in survivors:
+    def first_move(mask, alive):
+        """The pieces (rest, target) of mask's first move inside alive."""
+        for x in range(n):
+            rest = mask & ~(1 << x)
+            if mask >> x & 1 and rest in alive:
+                target = move(mask, x)
+                if target is not None and target in alive:
+                    return rest, target
         return None
 
-    # witness closure: smallest certifying family reachable from the full set
-    closure = {0, full}
-    stack = [full]
-    while stack:
-        for piece in choice[stack.pop()]:
-            if piece not in closure:
-                closure.add(piece)
-                stack.append(piece)
-    members = [subset_ideal(m) for m in sorted(closure, key=lambda m: (bin(m).count("1"), m))]
+    def closure(alive):
+        """The subsets reached from the full set by first moves inside alive,
+        or None if one of them has no such move."""
+        reached = {0, full}
+        stack = [full]
+        while stack:
+            pieces = first_move(stack.pop(), alive)
+            if pieces is None:
+                return None
+            for piece in pieces:
+                if piece not in reached:
+                    reached.add(piece)
+                    stack.append(piece)
+        return reached
+
+    reached = closure(everything)
+    if reached is None:
+        survivors = set(everything)
+        while True:
+            doomed = [m for m in survivors if m and first_move(m, survivors) is None]
+            if not doomed:
+                break
+            survivors.difference_update(doomed)
+        if full not in survivors:
+            return None
+        reached = closure(survivors)
+    members = [subset_ideal(m) for m in sorted(reached, key=lambda m: (bin(m).count("1"), m))]
     return FiltrationSpec(L, tuple(members), combinatorial=True)
 
 

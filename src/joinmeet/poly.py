@@ -313,9 +313,13 @@ class Polynomial:
 #          factor := coefficient | NAME [^ INT] ; coefficient := INT [/ INT]
 # Variable names are matched longest-first, so labels take precedence over
 # integer literals (relevant in divisor lattices whose labels are numerals).
-# An exponent literal above MAX_EXPONENT is rejected before any power is taken.
+# An exponent literal above MAX_EXPONENT is rejected before any power is taken,
+# and so is a coefficient whose numerator or denominator has more than
+# MAX_COEFFICIENT_BITS bits: such a rational soon prints to more digits than
+# Python's int-to-string limit allows.
 
 MAX_EXPONENT = 1000
+MAX_COEFFICIENT_BITS = 1024
 
 
 def _tokenize(ring, text):
@@ -372,6 +376,11 @@ class _Parser:
     def fail(self, why):
         raise PolyParseError(f"{why} in {self.text!r}")
 
+    def bounded(self, c):
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
+            self.fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
+        return c
+
     def parse(self):
         result = self.ring.zero()
         sign = 1
@@ -385,6 +394,8 @@ class _Parser:
             result = result + self.term() * sign
             kind, val = self.peek()
             if kind is None:
+                for _, c in result.terms:
+                    self.bounded(c)
                 return result
             if kind == "op" and val in "+-":
                 self.take()
@@ -416,8 +427,12 @@ class _Parser:
                     c = c / dv
                 elif nk == "op" and nv == "^":
                     self.take()
-                    c = coefficient(val ** self.exponent())
-                coeff = coeff * c
+                    e = self.exponent()
+                    # val ** e has at least (bits(val) - 1) * e + 1 bits
+                    if (val.bit_length() - 1) * e >= MAX_COEFFICIENT_BITS:
+                        self.fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
+                    c = coefficient(val ** e)
+                coeff = self.bounded(coeff * c)
             elif kind == "name":
                 e = 1
                 nk, nv = self.peek()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -196,6 +199,32 @@ def test_runaway_exponent_is_an_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "exponent" in err and "Traceback" not in err
+
+
+def test_oversized_coefficient_is_an_input_error(capsys):
+    # 99999^1000 prints to more digits than Python's int-to-string limit
+    code, out, err = run(capsys, "colon", "--builtin", "pentagon",
+                         "--j", "99999^1000*x + y", "--by", "z")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bits" in err and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "joinmeet.cli", "posetideals", "--builtin", "chain", "--n", "100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"101 poset ideals:\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code not in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
 
 
 def test_oversized_builtin_is_refused_at_once(capsys):

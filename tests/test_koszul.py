@@ -12,7 +12,7 @@ from joinmeet.koszul import (
     search_combinatorial,
     verify_filtration,
 )
-from joinmeet.lattice import boolean, chain, diamond, pentagon
+from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
 
 PENTAGON_FAMILY = [
     [],
@@ -199,6 +199,42 @@ def test_search_found_iff_distributive_on_modular_corpus():
             assert verify_filtration(L, fam).passed
         else:
             assert fam is None, L.labels
+
+
+def _count_moves(monkeypatch):
+    import joinmeet.koszul as koszul
+
+    calls = []
+    real = koszul.colon_in_H
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(koszul, "colon_in_H", counted)
+    return calls
+
+
+def test_found_search_makes_one_move_per_member(monkeypatch):
+    calls = _count_moves(monkeypatch)
+    fam = search_combinatorial(divisor_lattice(36))
+    assert len(fam) == 19
+    assert len(calls) == 18  # one per non-zero member, of 511 non-empty subsets
+
+
+def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
+    calls = _count_moves(monkeypatch)
+    assert search_combinatorial(m3_on_m3()) is None
+    assert len(calls) == 630  # the moves of the fixpoint over all 512 subsets
+
+
+@pytest.mark.parametrize("d", [60, 72])
+def test_twelve_element_search_verifies_and_replays(d):
+    L = divisor_lattice(d)
+    assert L.n == 12
+    fam = search_combinatorial(L)
+    rep = verify_filtration(L, fam)
+    assert rep.passed and rep.replay(fam)
 
 
 def test_search_respects_cap():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from joinmeet.groebner import groebner_basis, ideal, normal_form
 from joinmeet.poly import (
+    MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
     MonomialOrder,
     PolyParseError,
@@ -118,6 +119,17 @@ def test_exponent_literals_are_bounded(R):
     assert R.parse(f"2^{MAX_EXPONENT}*x") == R.var("x") * 2**MAX_EXPONENT
     for bad in [f"x^{MAX_EXPONENT + 1}", "x^99999999", f"y + 3^{MAX_EXPONENT + 1}*x"]:
         with pytest.raises(PolyParseError, match="exponent"):
+            R.parse(bad)
+
+
+def test_coefficients_are_bounded(R):
+    top = 2**MAX_COEFFICIENT_BITS - 1
+    assert R.parse(f"{top}*x + 1/{top}*y") == R.var("x") * top + R.var("y") * Fraction(1, top)
+    half = MAX_COEFFICIENT_BITS // 2
+    assert R.parse(f"4^{half - 1}*x") == R.var("x") * 4 ** (half - 1)
+    for bad in [f"{top + 1}*x", f"1/{top + 1}*x", f"4^{half}*x", "99999^1000*x + y",
+                f"{top}*{top}*x", f"1/{top}*x + 1/{top - 2}*x"]:
+        with pytest.raises(PolyParseError, match="bits"):
             R.parse(bad)
 
 
