@@ -11,31 +11,29 @@ from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    NotHomogeneous,
     ZeroDivisorArgument,
     buchberger,
     colon_element,
     colon_ideal,
-    degree1_part,
     groebner_basis,
     ideal,
     ideal_equal,
     ideal_member,
     ideal_sum,
     intersect,
-    is_generated_by_linear_forms,
     normal_form,
     reduce_basis,
     s_polynomial,
 )
 from .hibi import (
+    ClaimReport,
     JoinMeetIdeal,
     NotLinear,
     ResidueColonReport,
     ResidueIdeal,
+    claim_check,
     colon_in_H,
     colon_in_H_by_ideal,
-    degree1_span_claim_check,
     join_meet_ideal,
     lattice_ring,
     maximal_ideal,
@@ -46,12 +44,10 @@ from .hibi import (
 )
 from .koszul import (
     CapExceeded,
-    ClaimReport,
     FiltrationSpec,
     MalformedFamily,
     VerificationReport,
     Witness,
-    claim_check,
     filtration,
     poset_ideal_filtration,
     search_combinatorial,

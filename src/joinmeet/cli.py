@@ -35,8 +35,6 @@ from .koszul import (
 )
 from .lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
 
-SEARCH_CAP_ENV = "JOINMEET_SEARCH_CAP"
-
 # Every input error the library raises is an InputError (NotALattice,
 # CyclicCovers, NotLinear, PolyParseError, MalformedFamily, CapExceeded and
 # the checks here), and an input file may also fail to open.  Any other
@@ -44,15 +42,14 @@ SEARCH_CAP_ENV = "JOINMEET_SEARCH_CAP"
 _INPUT_ERRORS = (InputError, OSError)
 
 
+# each builtin lattice and whether it takes --n
 BUILTINS = {
-    "pentagon": lambda n: pentagon(),
-    "diamond": lambda n: diamond(),
-    "chain": chain,
-    "boolean": boolean,
-    "divisor": divisor_lattice,
+    "pentagon": (pentagon, False),
+    "diamond": (diamond, False),
+    "chain": (chain, True),
+    "boolean": (boolean, True),
+    "divisor": (divisor_lattice, True),
 }
-
-_NEEDS_N = {"chain", "boolean", "divisor"}
 
 
 def load_lattice(args):
@@ -60,9 +57,10 @@ def load_lattice(args):
         name = args.builtin
         if name not in BUILTINS:
             raise InputError(f"unknown builtin {name!r} (choose from {sorted(BUILTINS)})")
-        if name in _NEEDS_N and args.n is None:
-            raise InputError(f"builtin {name!r} needs --n")
-        return BUILTINS[name](args.n)
+        build, takes_n = BUILTINS[name]
+        if takes_n != (args.n is not None):
+            raise InputError(f"builtin {name!r} {'needs' if takes_n else 'takes no'} --n")
+        return build(args.n) if takes_n else build()
     if args.input:
         path = args.input
         doc = _load_json(path, "elements", "covers")
@@ -261,19 +259,8 @@ def text_filtration_verify(r):
     return lines
 
 
-def _search_cap(config):
-    """--cap, else $JOINMEET_SEARCH_CAP (echoed in config), else the default."""
-    text = os.environ.get(SEARCH_CAP_ENV)
-    if config["cap"] is None and text:
-        try:
-            config["cap"] = int(text)
-        except ValueError:
-            raise InputError(f"{SEARCH_CAP_ENV}={text!r} is not an integer") from None
-    return DEFAULT_SEARCH_CAP if config["cap"] is None else config["cap"]
-
-
 def cmd_filtration_search(L, args, config):
-    family = search_combinatorial(L, cap=_search_cap(config))
+    family = search_combinatorial(L, cap=DEFAULT_SEARCH_CAP if args.cap is None else args.cap)
     subsets = 1 << L.n
     if family is None:
         return 1, {"found": False, "subsets_examined": subsets}
@@ -405,8 +392,7 @@ def build_parser():
     s = fsub.add_parser("search", help="exhaustive combinatorial filtration search")
     _add_common(s)
     s.add_argument("--cap", type=int, default=None,
-                   help=f"max lattice size (default {DEFAULT_SEARCH_CAP}, "
-                        f"env {SEARCH_CAP_ENV})")
+                   help=f"max lattice size (default {DEFAULT_SEARCH_CAP})")
     s.add_argument("--out", help="write the found filtration to this file")
     return parser
 

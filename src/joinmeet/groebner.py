@@ -43,13 +43,14 @@ class ZeroDivisorArgument(ValueError):
     """Colon by zero is undefined."""
 
 
-class NotHomogeneous(ValueError):
-    """The operation requires a homogeneous ideal."""
-
-
 @dataclass(frozen=True)
 class Ideal:
-    """A finitely generated ideal; equality of ideals is always semantic."""
+    """A finitely generated ideal.
+
+    ``==`` is structural: it compares the generator tuples, so
+    ``Ideal(R, (x, y)) != Ideal(R, (y, x))``.  ``ideal_equal`` is the semantic
+    test, by reduced Groebner bases.
+    """
 
     ring: Ring
     generators: tuple
@@ -299,16 +300,12 @@ def reduce_basis(gb):
     for g in polys:
         if not any(_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
             kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            r = normal_form(kept[i], others)
-            if r != kept[i]:
-                kept[i] = r.monic()
-                changed = True
-    kept.sort(key=lambda g: key(g.leading_monomial()))
+    # leads of a minimal basis divide no other lead, so tail reduction fixes
+    # every lead and one pass is the fixpoint.  A lead that divides a term
+    # of g is at most that term, below g's lead, so only the elements before
+    # g in lead order can reduce it
+    for i in range(len(kept)):
+        kept[i] = normal_form(kept[i], kept[:i])
     return GroebnerBasis(ring, tuple(kept), reduced=True)
 
 
@@ -528,29 +525,17 @@ def colon_element(I, f):
 
 
 def colon_ideal(I, J):
-    """I : J as the intersection of the element colons over J's generators."""
+    """I : J as the intersection of the element colons over J's generators.
+
+    A generator already in I colons to the unit ideal and adds nothing to the
+    intersection, so it is dropped; if none is left, I : J is the unit ideal.
+    """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
-    if not J.generators:
-        return ideal(I.ring, (I.ring.one(),))
     result = None
     for g in J.generators:
+        if ideal_member(g, I):
+            continue
         c = colon_element(I, g)
         result = c if result is None else intersect(result, c)
-    return result
-
-
-def degree1_part(I):
-    """A basis of the degree-1 component of a homogeneous ideal: the
-    degree-1 elements of its reduced basis (``GroebnerBasis.degree1``)."""
-    for g in I.generators:
-        if not g.is_homogeneous():
-            raise NotHomogeneous(f"generator {g} is not homogeneous")
-    gb = groebner_basis(I)
-    if any(g.total_degree() == 0 for g in gb.basis):
-        return list(I.ring.gens())  # unit ideal: linear part is everything
-    return list(gb.degree1)
-
-
-def is_generated_by_linear_forms(I):
-    return ideal_equal(I, ideal(I.ring, tuple(degree1_part(I))))
+    return ideal(I.ring, (I.ring.one(),)) if result is None else result

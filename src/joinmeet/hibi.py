@@ -12,8 +12,10 @@ K[L]; identity is always the reduced Groebner basis of the lift, never the
 generator list, so two presentations of the same ideal compare equal.
 
 colon_in_H is colon_element on the lift of J, colon_in_H_by_ideal is
-colon_ideal on it.  Both end in one report, whose verdicts are read from the
-degree-1 part of the colon's reduced basis, a reduced echelon form.
+colon_ideal on it: each checks its input, makes one engine call and builds
+one report, whose verdicts are read from the degree-1 part of the colon's
+reduced basis, a reduced echelon form.  claim_check reads that report for
+the colon of a poset ideal at one of its maximal elements.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .groebner import (
     ideal_equal,
     ideal_member,
 )
-from .lattice import Lattice
+from .lattice import Lattice, PosetIdeal
 from .poly import MonomialOrder, Ring
 
 
@@ -305,31 +307,30 @@ def colon_in_H(J, f):
 
 
 def colon_in_H_by_ideal(J, I):
-    """(J̄) : (Ī) in H[L]: colon_ideal of the lift of J by the generators of I.
-
-    Generators of I already lying in the lift of J colon to the whole ring
-    and drop out first; if none is left, the colon is the whole ring.
-    """
+    """(J̄) : (Ī) in H[L]: colon_ideal of the lift of J by the generators of I."""
     if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
-    gens = tuple(g for g in I.linear_generators if not ideal_member(g, J.lift))
-    lifted = colon_ideal(J.lift, ideal(J.ring, gens))
-    return _colon_report(J, gens or I.linear_generators, lifted)
+    lifted = colon_ideal(J.lift, ideal(J.ring, I.linear_generators))
+    return _colon_report(J, I.linear_generators, lifted)
 
 
 # ---------------------------------------------------------------------------
-# the degree-1 span identity of lifted colons
+# the colon (J̄) : ē at a maximal element e of a poset ideal, as a checkable
+# operation
 
 
-def _claim_colon(L, I, e):
-    """The poset ideal I and the report of (J̄) : ē, J = I ∖ {e}, for a
-    maximal element e of I."""
-    members = I.members if hasattr(I, "members") else frozenset(I)
-    I = L.poset_ideal(members)
-    if e not in L.maximal_elements(I.members):
-        raise InputError(f"{L.labels[e]!r} is not a maximal element of the ideal")
-    J = variable_ideal(L, I.members - {e})
-    return I, colon_in_H(J, J.base.variables[e])
+@dataclass
+class ClaimReport:
+    """Verdicts for the colon (J̄) : ē with J = I ∖ {e}, e maximal in I."""
+
+    lattice: Lattice
+    ideal: PosetIdeal
+    element: int
+    linear_generated: bool
+    span_matches: bool
+    colon: ResidueColonReport
+    pentagon_with_min_e: bool
+    diamond_with_min_e: bool
 
 
 def _span_matches(L, e, report):
@@ -338,8 +339,25 @@ def _span_matches(L, e, report):
     return _elements_of(L, report.degree1) == {a for a in range(L.n) if not L.le(e, a)}
 
 
-def degree1_span_claim_check(L, I, e):
-    """Whether the linear part of (I_L, J) : e equals span{a : a ≱ e},
-    where J = I \\ {e} and e is a maximal element of the poset ideal I."""
-    _, report = _claim_colon(L, I, e)
-    return _span_matches(L, e, report)
+def claim_check(L, I, e):
+    """The report of (J̄) : ē for the poset ideal I (or its members), J = I ∖ {e},
+    and a maximal element e of I: whether the colon is linear-generated, whether
+    its linear part is span{a : a ≱ e}, and whether a pentagon or a diamond
+    sublattice has e as its minimum."""
+    members = I.members if hasattr(I, "members") else frozenset(I)
+    I = L.poset_ideal(members)
+    if e not in L.maximal_elements(I.members):
+        raise InputError(f"{L.labels[e]!r} is not a maximal element of the ideal")
+    J = variable_ideal(L, I.members - {e})
+    report = colon_in_H(J, J.base.variables[e])
+    return ClaimReport(
+        lattice=L,
+        ideal=I,
+        element=e,
+        linear_generated=report.linear_generated,
+        span_matches=_span_matches(L, e, report),
+        colon=report,
+        # both iterators yield 5-tuples whose first entry is the sublattice minimum
+        pentagon_with_min_e=any(sub[0] == e for sub in L.iter_pentagons()),
+        diamond_with_min_e=any(sub[0] == e for sub in L.iter_diamonds()),
+    )

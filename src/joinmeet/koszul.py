@@ -26,15 +26,13 @@ from . import linalg
 from .errors import InputError
 from .hibi import (
     ResidueIdeal,
-    _claim_colon,
-    _span_matches,
     colon_in_H,
     colon_in_H_by_ideal,
     join_meet_ideal,
     residue_ideal,
     variable_ideal,
 )
-from .lattice import Lattice, PosetIdeal
+from .lattice import Lattice
 
 
 class MalformedFamily(InputError):
@@ -180,9 +178,8 @@ def verify_filtration(L, family):
 
     witnesses = []
     failures = []
-    spans = {
-        i: linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for i, m in enumerate(members)
-    }
+    # each member's degree-1 part is already a basis of its linear span
+    spans = {i: _coefficient_rows(m.degree1(), m.ring) for i, m in enumerate(members)}
     for i, member in enumerate(members):
         if member.is_zero():
             continue
@@ -338,38 +335,3 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
         reached = closure(survivors)
     members = [subset_ideal(m) for m in sorted(reached, key=lambda m: (bin(m).count("1"), m))]
     return FiltrationSpec(L, tuple(members), combinatorial=True)
-
-
-# ---------------------------------------------------------------------------
-# the non-linearity of (J : e) at a forbidden sublattice, as a checkable operation
-
-
-@dataclass
-class ClaimReport:
-    """Verdicts for the colon (J̄) : ē with J = I ∖ {e}, e maximal in I."""
-
-    lattice: Lattice
-    ideal: PosetIdeal
-    element: int
-    linear_generated: bool
-    span_matches: bool
-    colon: object  # ResidueColonReport
-    pentagon_with_min_e: bool
-    diamond_with_min_e: bool
-
-
-def claim_check(L, I, e):
-    I, report = _claim_colon(L, I, e)
-    # both iterators yield 5-tuples whose first entry is the sublattice minimum
-    pent = any(sub[0] == e for sub in L.iter_pentagons())
-    diam = any(sub[0] == e for sub in L.iter_diamonds())
-    return ClaimReport(
-        lattice=L,
-        ideal=I,
-        element=e,
-        linear_generated=report.linear_generated,
-        span_matches=_span_matches(L, e, report),
-        colon=report,
-        pentagon_with_min_e=pent,
-        diamond_with_min_e=diam,
-    )

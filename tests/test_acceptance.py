@@ -18,13 +18,13 @@ from joinmeet.groebner import (
     reduce_basis,
 )
 from joinmeet.hibi import (
+    claim_check,
     colon_in_H_by_ideal,
     join_meet_ideal,
     lattice_ring,
     residue_ideal,
 )
 from joinmeet.koszul import (
-    claim_check,
     filtration,
     poset_ideal_filtration,
     search_combinatorial,

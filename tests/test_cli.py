@@ -80,6 +80,13 @@ def test_builtin_requires_n(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize("name", ["pentagon", "diamond"])
+def test_builtin_without_parameter_refuses_n(capsys, name):
+    code, out, err = run(capsys, "check", "--builtin", name, "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: builtin {name!r} takes no --n\n"
+
+
 # ---------------------------------------------------------------------------
 # ideal / colon
 
@@ -270,30 +277,15 @@ def test_search_json_carries_filtration_document(capsys):
     assert isinstance(doc["result"]["filtration"]["ideals"], list)
 
 
-def test_search_cap_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("JOINMEET_SEARCH_CAP", "3")
-    code, _, err = run(capsys, "filtration", "search", "--builtin", "pentagon")
-    assert code == 2
-    assert "cap" in err
-
-
-def test_search_cap_env_is_read_only_by_search(capsys, monkeypatch):
-    monkeypatch.setenv("JOINMEET_SEARCH_CAP", "abc")
-    code, out, err = run(capsys, "check", "--builtin", "pentagon", "--format", "json")
-    assert code == 0 and err == ""
-    assert json.loads(out)["config"]["cap"] is None
-    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon")
+def test_search_cap_option(capsys):
+    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon", "--cap", "3")
     assert (code, out) == (2, "")
-    assert err == "error: JOINMEET_SEARCH_CAP='abc' is not an integer\n"
-    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon",
-                         "--format", "json")
-    assert code == 2 and err == ""
-    doc = json.loads(out)
-    assert doc["kind"] == "input" and "JOINMEET_SEARCH_CAP" in doc["error"]
-    monkeypatch.setenv("JOINMEET_SEARCH_CAP", "5")
+    assert err == "error: |L| = 5 exceeds the search cap 3\n"
     code, out, _ = run(capsys, "filtration", "search", "--builtin", "pentagon",
-                       "--format", "json")
+                       "--cap", "5", "--format", "json")
     assert code == 0 and json.loads(out)["config"]["cap"] == 5
+    code, out, _ = run(capsys, "check", "--builtin", "pentagon", "--format", "json")
+    assert json.loads(out)["config"]["cap"] is None
 
 
 # ---------------------------------------------------------------------------

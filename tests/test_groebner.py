@@ -3,12 +3,10 @@ import random
 import pytest
 
 from joinmeet.groebner import (
-    NotHomogeneous,
     ZeroDivisorArgument,
     buchberger,
     colon_element,
     colon_ideal,
-    degree1_part,
     divide_exact,
     groebner_basis,
     ideal,
@@ -16,7 +14,6 @@ from joinmeet.groebner import (
     ideal_member,
     ideal_sum,
     intersect,
-    is_generated_by_linear_forms,
     normal_form,
     reduce_basis,
     s_polynomial,
@@ -271,31 +268,14 @@ def test_colon_bidirectional_contract_sampled(R, IL):
 # degree-1 part
 
 
-def test_degree1_part_inspection(R):
+def test_degree1_of_reduced_basis_spans_linear_part(R):
     I = ideal(R, (R.var("x"), R.parse("y - z"), R.parse("x*y")))
-    got = degree1_part(I)
+    got = groebner_basis(I).degree1
     assert len(got) == 2
     # spans exactly {x, y - z}
     assert ideal_equal(
         ideal(R, tuple(got)), ideal(R, (R.var("x"), R.parse("y - z")))
     )
-
-
-def test_degree1_rejects_inhomogeneous(R):
-    with pytest.raises(NotHomogeneous):
-        degree1_part(ideal(R, (R.parse("x + x*z"),)))
-
-
-def test_is_generated_by_linear_forms(R, IL):
-    assert is_generated_by_linear_forms(ideal(R, (R.var("x"), R.var("y"))))
-    assert not is_generated_by_linear_forms(colon_element(IL, R.var("e")))
-    assert is_generated_by_linear_forms(ideal(R, ()))
-
-
-def test_degree1_of_unit_ideal_is_everything(R):
-    got = degree1_part(ideal(R, (R.one(),)))
-    assert len(got) == R.nvars
-    assert not is_generated_by_linear_forms(ideal(R, (R.one(),)))
 
 
 # ---------------------------------------------------------------------------

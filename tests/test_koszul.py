@@ -1,12 +1,11 @@
 import pytest
 
 from conftest import corpus, m3_on_m3, modular_corpus, stacked_diamond
-from joinmeet.hibi import colon_in_H, residue_ideal, variable
+from joinmeet.hibi import claim_check, colon_in_H, residue_ideal, variable
 from joinmeet.koszul import (
     CapExceeded,
     FiltrationSpec,
     MalformedFamily,
-    claim_check,
     filtration,
     poset_ideal_filtration,
     search_combinatorial,

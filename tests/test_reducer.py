@@ -1,10 +1,14 @@
-"""normal_form against the reducer it replaced, and linalg against the oracle.
+"""normal_form and reduce_basis against the code they replaced, and linalg
+against the oracle.
 
 reference_normal_form is the division loop without a lead table or support
 masks: it rebuilds the leading terms of G on every call and tests each lead
 with the exponent comparison alone.  The prepared reducer must give the same
 remainder for every sequence G, Groebner basis or not, because Buchberger's
 pair sequence depends on the remainders of non-bases.
+
+reference_reduce_basis repeats the tail reductions until none changes an
+element; reduce_basis makes one pass and must give the same basis.
 """
 
 import random
@@ -26,6 +30,7 @@ from joinmeet.groebner import (
     ideal,
     ideal_member,
     normal_form,
+    reduce_basis,
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
 from joinmeet.lattice import boolean, diamond, divisor_lattice, pentagon
@@ -59,6 +64,28 @@ def reference_normal_form(f, G):
         else:
             remainder[m] = c
     return ring.from_dict(remainder)
+
+
+def reference_reduce_basis(gb):
+    basis = gb.basis if isinstance(gb, GroebnerBasis) else tuple(gb)
+    ring = gb.ring if isinstance(gb, GroebnerBasis) else basis[0].ring
+    key = ring.key
+    polys = sorted((g.monic() for g in basis if g), key=lambda g: key(g.leading_monomial()))
+    kept = []
+    for g in polys:
+        lm = g.leading_monomial()
+        if not any(all(x <= y for x, y in zip(h.leading_monomial(), lm)) for h in kept):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            r = normal_form(kept[i], kept[:i] + kept[i + 1 :])
+            if r != kept[i]:
+                kept[i] = r.monic()
+                changed = True
+    kept.sort(key=lambda g: key(g.leading_monomial()))
+    return GroebnerBasis(ring, tuple(kept), reduced=True)
 
 
 def random_poly(ring, rng, terms=5, top=2):
@@ -115,6 +142,31 @@ def test_remainders_match_the_reference_on_random_polynomials(f, G):
     want = reference_normal_form(f, G)
     assert normal_form(f, G) == want
     assert normal_form(f, GroebnerBasis(PENTAGON_RING, tuple(G))) == want
+
+
+def test_reduced_bases_match_the_fixpoint_reference_on_corpus_bases():
+    # Buchberger's output, for I_L and for I_L plus a few variables and a
+    # linear form, leaves tails to reduce
+    rng = random.Random(7)
+    for L in corpus() + [m3_on_m3()]:
+        jm = join_meet_ideal(L)
+        gens = list(jm.generators)
+        extra = rng.sample(jm.variables, min(2, L.n))
+        extra.append(sum(jm.variables[1:], jm.variables[0]))
+        for G in (gens, gens + extra):
+            for strategy in ("normal", "first"):
+                gb = buchberger(G, strategy=strategy, ring=jm.ring)
+                want = reference_reduce_basis(gb)
+                assert reduce_basis(gb) == want
+                shuffled = GroebnerBasis(jm.ring, tuple(reversed(gb.basis)))
+                assert reduce_basis(shuffled) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=st.lists(_polys(PENTAGON_RING, 4), min_size=1, max_size=6))
+def test_reduced_bases_match_the_fixpoint_reference_on_random_polynomials(G):
+    # any sequence, a Groebner basis or not: minimal leads, one tail pass
+    assert reduce_basis(G) == reference_reduce_basis(G)
 
 
 def test_buchberger_matches_the_reference_reducer(monkeypatch):
