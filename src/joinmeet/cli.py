@@ -53,6 +53,8 @@ BUILTINS = {
 
 
 def load_lattice(args):
+    if args.builtin and args.input:
+        raise InputError("give --builtin or --input, not both")
     if args.builtin:
         name = args.builtin
         if name not in BUILTINS:
@@ -62,6 +64,8 @@ def load_lattice(args):
             raise InputError(f"builtin {name!r} {'needs' if takes_n else 'takes no'} --n")
         return build(args.n) if takes_n else build()
     if args.input:
+        if args.n is not None:
+            raise InputError("--input takes no --n")
         path = args.input
         doc = _load_json(path, "elements", "covers")
         for name in doc["elements"]:

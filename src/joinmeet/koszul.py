@@ -15,6 +15,13 @@ fixpoint's witness closure, found with about one colon per member.  Only at
 a subset with no valid move does it run the greatest fixpoint over all 2^n
 subsets, unseeded and sharing the walk's memoised moves; one helper picks a
 subset's first move for the walk, the fixpoint rounds and the closure.
+
+An automorphism σ of L preserves ∨ and ∧, so it fixes I_L and maps variable
+ideals to variable ideals: move(σR, σx) = σ·move(R, x).  Each colon the
+search makes is therefore filed under the whole orbit of its (subset,
+variable) pair, walked with the generators of Aut(L); the moves, and so the
+family, are those of the search without it.  A certified none on M3-on-M3
+(|Aut| = 36) makes 158 colons instead of 630.
 """
 
 from __future__ import annotations
@@ -246,6 +253,61 @@ def poset_ideal_filtration(L):
 DEFAULT_SEARCH_CAP = 12
 
 
+def _image(sigma, mask):
+    """The bitmask of the images under sigma of the elements in mask."""
+    out = 0
+    for a, b in enumerate(sigma):
+        if mask >> a & 1:
+            out |= 1 << b
+    return out
+
+
+def _search_moves(L):
+    """The search's memoised (subset_ideal, move) for L, on bitmasks of
+    element indices.
+
+    move(mask, x) is the target set of mask's move x, or None if the move is
+    not valid.  One colon decides the whole Aut(L) orbit of (mask, x): each
+    generator carries a filed pair and its target to another pair and
+    target.  The memo is a union of orbits, so the orbit of a pair outside
+    it is new.
+    """
+    n = L.n
+    variables = join_meet_ideal(L).variables
+    generators = L.automorphism_generators()
+    ideal_of = {}
+
+    def subset_ideal(mask):
+        got = ideal_of.get(mask)
+        if got is None:
+            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
+        return got
+
+    moves = {}
+
+    def move(mask, x):
+        if (mask, x) not in moves:
+            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
+            target = None
+            if rep.variable_generated:
+                target = 0
+                for a in rep.variables:
+                    target |= 1 << a
+            moves[(mask, x)] = target
+            stack = [(mask, x)]
+            while stack:
+                pair = stack.pop()
+                got = moves[pair]
+                for sigma in generators:
+                    seen = (_image(sigma, pair[0]), sigma[pair[1]])
+                    if seen not in moves:
+                        moves[seen] = None if got is None else _image(sigma, got)
+                        stack.append(seen)
+        return moves[(mask, x)]
+
+    return subset_ideal, move
+
+
 def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     """Search the variable subsets of L for a combinatorial filtration.
 
@@ -266,36 +328,15 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     At the first subset with no valid move the walk stops and the fixpoint
     runs over all 2^n subsets, sharing the move memo.  The walk's moves are
     all moves of the fixpoint's first round, so the fallback makes no move
-    the fixpoint alone would not.
+    the fixpoint alone would not.  The memo files each colon's verdict under
+    the whole Aut(L) orbit of its move, so it makes one colon per orbit.
     """
     n = L.n
     if n > cap:
         raise CapExceeded(f"|L| = {n} exceeds the search cap {cap}")
     full = (1 << n) - 1
     everything = range(1 << n)
-    variables = join_meet_ideal(L).variables
-
-    ideal_of = {}
-
-    def subset_ideal(mask):
-        got = ideal_of.get(mask)
-        if got is None:
-            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
-        return got
-
-    moves = {}
-
-    def move(mask, x):
-        """The target set of mask's move x, or None if the move is not valid."""
-        if (mask, x) not in moves:
-            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
-            target = None
-            if rep.variable_generated:
-                target = 0
-                for a in rep.variables:
-                    target |= 1 << a
-            moves[(mask, x)] = target
-        return moves[(mask, x)]
+    subset_ideal, move = _search_moves(L)
 
     def first_move(mask, alive):
         """The pieces (rest, target) of mask's first move inside alive."""

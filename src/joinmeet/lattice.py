@@ -294,6 +294,64 @@ class Lattice:
             self._cache["distributive"] = got
         return got
 
+    # -- symmetry
+
+    def automorphism_generators(self):
+        """Generators of Aut(L), each a tuple sending element e to its image.
+
+        A bijection is an automorphism iff it maps each element's lower covers
+        onto the lower covers of its image, so images are chosen by
+        backtracking along the linear extension.  For each k, and each image
+        w ≠ b of b = linear_extension[k] under the automorphisms that fix the
+        elements before b, one such automorphism is kept.  These are the
+        transversals of the stabilizer chain: they generate Aut(L), whose
+        order is the product over k of (1 + the number kept at k), and there
+        are at most n(n-1)/2 of them, so the group itself is never listed.
+        """
+        got = self._cache.get("automorphisms")
+        if got is None:
+            got = self._cache["automorphisms"] = tuple(self._transversals())
+        return got
+
+    def _transversals(self):
+        n, topo = self.n, self.linear_extension
+        lower = [set() for _ in range(n)]
+        for a, b in self.covers:
+            lower[b].add(a)
+        lower = [frozenset(s) for s in lower]
+        with_lower = {}
+        for w in range(n):
+            with_lower.setdefault(lower[w], []).append(w)
+        image = list(range(n))
+        used = [False] * n
+
+        def extend(i):
+            """Complete image from position i of topo on; False at a dead end."""
+            if i == n:
+                return True
+            v = topo[i]
+            for w in with_lower.get(frozenset(image[u] for u in lower[v]), ()):
+                if not used[w]:
+                    image[v], used[w] = w, True
+                    if extend(i + 1):
+                        return True
+                    used[w] = False
+            return False
+
+        for k, b in enumerate(topo):
+            # image fixes topo[:k], which holds b's lower covers, so an image
+            # of b has the same lower covers as b
+            free = topo[k:]
+            for w in with_lower[lower[b]]:
+                if w == b or w not in free:
+                    continue
+                for v in free:
+                    used[v] = False
+                image[b], used[w] = w, True
+                if extend(k + 1):
+                    yield tuple(image)
+            image[b], used[b] = b, True
+
     # -- forbidden sublattices
 
     def iter_pentagons(self):

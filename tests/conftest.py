@@ -50,6 +50,29 @@ def m3_on_m3():
     )
 
 
+def m_lattice(k):
+    """M_k: a bottom o, k pairwise incomparable atoms a0, a1, ... and a top t.
+    Modular, and not distributive for k >= 3 (M_3 is the diamond)."""
+    atoms = [f"a{i}" for i in range(k)]
+    return Lattice.from_covers(
+        ["o"] + atoms + ["t"], [("o", a) for a in atoms] + [(a, "t") for a in atoms]
+    )
+
+
+def enumerated_lattices(max_n):
+    """Every lattice on at most max_n elements whose identity labeling is a
+    linear extension, from the oracle's poset enumerator, labelled v0, v1, ..."""
+    from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
+
+    lattices = []
+    for down in naturally_labeled_posets(max_n):
+        if poset_is_lattice(down):
+            labels = [f"v{i}" for i in range(len(down))]
+            covers = [(labels[a], labels[b]) for a, b in poset_covers(down)]
+            lattices.append(Lattice.from_covers(labels, covers))
+    return lattices
+
+
 def corpus():
     """The named small lattices used throughout the property suites."""
     return [

@@ -87,6 +87,23 @@ def test_builtin_without_parameter_refuses_n(capsys, name):
     assert err == f"error: builtin {name!r} takes no --n\n"
 
 
+def test_builtin_and_input_together_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(PENTAGON_DOC))
+    for given in (str(path), "/nonexistent/lat.json"):
+        code, out, err = run(capsys, "check", "--builtin", "pentagon", "--input", given)
+        assert (code, out) == (2, "")
+        assert err == "error: give --builtin or --input, not both\n"
+
+
+def test_input_refuses_n(tmp_path, capsys):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(PENTAGON_DOC))
+    code, out, err = run(capsys, "check", "--input", str(path), "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --input takes no --n\n"
+
+
 # ---------------------------------------------------------------------------
 # ideal / colon
 

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import corpus, m3_on_m3, modular_corpus, stacked_diamond
+from conftest import (
+    corpus,
+    enumerated_lattices,
+    m3_on_m3,
+    m_lattice,
+    modular_corpus,
+    stacked_diamond,
+)
 from joinmeet.hibi import claim_check, colon_in_H, residue_ideal, variable
 from joinmeet.koszul import (
     CapExceeded,
@@ -8,6 +15,7 @@ from joinmeet.koszul import (
     MalformedFamily,
     filtration,
     poset_ideal_filtration,
+    _search_moves,
     search_combinatorial,
     verify_filtration,
 )
@@ -218,13 +226,22 @@ def test_found_search_makes_one_move_per_member(monkeypatch):
     calls = _count_moves(monkeypatch)
     fam = search_combinatorial(divisor_lattice(36))
     assert len(fam) == 19
-    assert len(calls) == 18  # one per non-zero member, of 511 non-empty subsets
+    # at most one per non-zero member, of 511 non-empty subsets; the orbit of
+    # a move under the swap of divisor(36)'s two chains 1 < 2 < 4, 1 < 3 < 9
+    # decides the mirrored move too
+    assert len(calls) == 14
 
 
 def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
+    # one colon decides each move's whole orbit under Aut(L): the fixpoint
+    # over all 512 subsets of M3-on-M3 (|Aut| = 36) decides 630 moves, and
+    # over all 1,024 subsets of M_8 (|Aut| = 8!) 1,023
     calls = _count_moves(monkeypatch)
     assert search_combinatorial(m3_on_m3()) is None
-    assert len(calls) == 630  # the moves of the fixpoint over all 512 subsets
+    assert len(calls) == 158
+    calls.clear()
+    assert search_combinatorial(m_lattice(8)) is None
+    assert len(calls) == 35
 
 
 @pytest.mark.parametrize("d", [60, 72])
@@ -260,17 +277,8 @@ def test_stacked_diamond_has_no_combinatorial_filtration():
 def test_search_consistent_on_all_lattices_up_to_5():
     # exhaustive consistency sweep: every found family replays to pass;
     # on modular lattices found == distributive; distributive always found
-    from joinmeet.lattice import Lattice
-    from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
-
     found = absent = 0
-    for down in naturally_labeled_posets(5):
-        if not poset_is_lattice(down):
-            continue
-        labels = [f"v{i}" for i in range(len(down))]
-        L = Lattice.from_covers(
-            labels, [(labels[a], labels[b]) for a, b in poset_covers(down)]
-        )
+    for L in enumerated_lattices(5):
         fam = search_combinatorial(L)
         if fam is None:
             absent += 1
@@ -341,15 +349,9 @@ def _family(spec):
 
 
 def test_search_matches_the_two_scan_reference():
-    from joinmeet.lattice import Lattice
-    from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
-
-    lattices = corpus() + [m3_on_m3()]
-    for down in naturally_labeled_posets(6):
-        if poset_is_lattice(down):
-            labels = [f"v{i}" for i in range(len(down))]
-            covers = [(labels[a], labels[b]) for a, b in poset_covers(down)]
-            lattices.append(Lattice.from_covers(labels, covers))
+    # the reference shares no move between the pairs of an Aut(L) orbit;
+    # M_4 and M_5 have 4! and 5! automorphisms
+    lattices = corpus() + [m3_on_m3(), m_lattice(4), m_lattice(5)] + enumerated_lattices(6)
     found = absent = 0
     for L in lattices:
         want = _family(reference_search_combinatorial(L))
@@ -357,6 +359,39 @@ def test_search_matches_the_two_scan_reference():
         found += want is not None
         absent += want is None
     assert found and absent
+
+
+def _image(sigma, mask):
+    return sum(1 << sigma[a] for a in range(len(sigma)) if mask >> a & 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [diamond, lambda: m_lattice(4), lambda: boolean(3)],
+    ids=["diamond", "M_4", "boolean(3)"],
+)
+def test_moves_are_equivariant_and_the_orbit_memo_matches_them(build):
+    # move(σR, σx) = σ·move(R, x): an automorphism fixes I_L and permutes the
+    # variables, so it carries each colon to the colon of the image pair;
+    # the search's memo, which fills whole orbits, agrees with every colon
+    L = build()
+    generators = L.automorphism_generators()
+    assert generators
+    moves = {}
+    for mask in range(1, 1 << L.n):
+        members = [a for a in range(L.n) if mask >> a & 1]
+        for x in members:
+            J = residue_ideal(L, [L.labels[a] for a in members if a != x])
+            rep = colon_in_H(J, variable(L, x))
+            moves[mask, x] = (
+                sum(1 << a for a in rep.variables) if rep.variable_generated else None
+            )
+    for (mask, x), target in moves.items():
+        for sigma in generators:
+            want = None if target is None else _image(sigma, target)
+            assert moves[_image(sigma, mask), sigma[x]] == want, (mask, x, sigma)
+    _, move = _search_moves(L)
+    assert {pair: move(*pair) for pair in moves} == moves
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import warnings
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 
-from conftest import corpus, modular_corpus, stacked_diamond
+from conftest import corpus, m3_on_m3, m_lattice, modular_corpus, stacked_diamond
 from joinmeet import lattice
 from joinmeet.lattice import (
     MAX_DIVISOR_N,
@@ -18,7 +20,12 @@ from joinmeet.lattice import (
     divisor_lattice,
     pentagon,
 )
-from oracles import brute_force_poset_ideals, naturally_labeled_posets, poset_covers
+from oracles import (
+    brute_force_poset_ideals,
+    naturally_labeled_posets,
+    poset_covers,
+    poset_is_lattice,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +427,75 @@ def test_linear_extension_is_topological_and_deterministic():
             assert pos[a] < pos[b]
     assert pentagon().linear_extension == pentagon().linear_extension
     assert pentagon().linear_extension[0] == pentagon().bottom
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+
+
+def _closure(generators, n):
+    """The group the permutations generate, listed by composing them."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        g = stack.pop()
+        for s in generators:
+            h = tuple(s[g[e]] for e in range(n))
+            if h not in group:
+                group.add(h)
+                stack.append(h)
+    return group
+
+
+def _level(L, sigma):
+    """The first position of the linear extension that sigma moves."""
+    return next(k for k, e in enumerate(L.linear_extension) if sigma[e] != e)
+
+
+def _order_by_levels(L):
+    counts = Counter(_level(L, sigma) for sigma in L.automorphism_generators())
+    return prod(1 + c for c in counts.values())
+
+
+def test_automorphism_generators_match_brute_force():
+    lattices = 0
+    for down in naturally_labeled_posets(6):
+        if not poset_is_lattice(down):
+            continue
+        n = len(down)
+        labels = [f"v{i}" for i in range(n)]
+        L = Lattice.from_covers(labels, [(labels[a], labels[b]) for a, b in poset_covers(down)])
+        brute = {
+            p
+            for p in permutations(range(n))
+            if all((a in down[b]) == (p[a] in down[p[b]]) for a in range(n) for b in range(n))
+        }
+        generators = L.automorphism_generators()
+        assert _closure(generators, n) == brute
+        assert _order_by_levels(L) == len(brute)
+        assert len(generators) <= n * (n - 1) // 2
+        for sigma in generators:
+            k = _level(L, sigma)
+            assert all(sigma[e] == e for e in L.linear_extension[:k])
+        lattices += 1
+    assert lattices == 51  # 25 lattices up to isomorphism, each once per natural labeling
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (m3_on_m3, 36),
+        (lambda: boolean(4), 24),
+        (lambda: divisor_lattice(36), 2),
+        (lambda: divisor_lattice(72), 1),
+        (lambda: m_lattice(10), factorial(10)),
+    ],
+    ids=["m3-on-m3", "boolean(4)", "divisor(36)", "divisor(72)", "M_10"],
+)
+def test_automorphism_group_order(build, order):
+    L = build()
+    covers = set(L.covers)
+    for sigma in L.automorphism_generators():
+        assert {(sigma[a], sigma[b]) for a, b in L.covers} == covers
+    assert _order_by_levels(L) == order
+    assert L.automorphism_generators() is L.automorphism_generators()
