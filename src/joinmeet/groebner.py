@@ -11,9 +11,19 @@ in order, with the support bitmask of its leading monomial, the leading
 monomial and coefficient, and the tail terms.  A GroebnerBasis builds its
 table once, on first use, and an Ideal hashes its generators into its cache
 key once, so repeated queries against one basis or one Ideal object pay
-neither again.  A lead whose support is not inside a term's support cannot
-divide it and is skipped before the exponents are compared; the first
-dividing lead in order still does the division.
+neither again.  A list that grows between divisions (Buchberger's basis,
+the elements reduce_basis has kept, the echelon form of linear generators)
+is a _Divisors list, which adds a row as each element is appended.  A lead
+whose support is not inside a term's support cannot divide it and is
+skipped before the exponents are compared; the first dividing lead in order
+still does the division.  Division by a monic lead skips the coefficient
+quotient, and the S-polynomial of two monic elements is formed from their
+tails in one pass.
+
+Buchberger's pair tests read the same support bitmasks: two leads are
+coprime iff their supports are disjoint, and the chain criterion compares
+exponents only for a lead whose support lies inside that of the pair's lcm,
+which each queued pair carries.
 
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
@@ -24,17 +34,21 @@ first ideal I is homogeneous and the second is generated by one linear form l
 that is a multiple of a variable x modulo the linear generators of I (as
 every variable is), I ∩ (l) = l·(I : x), and I : x comes from a degrevlex
 basis with x as the smallest variable (Bayer–Stillman 1987; Eisenbud,
-Commutative Algebra, Prop. 15.12), with no extra variable.  Every other
-intersection eliminates an auxiliary variable under a block order.
+Commutative Algebra, Prop. 15.12), with no extra variable.  When that colon
+is generated by I's nonlinear generators and its linear part, it is
+C = I + (I : x)_1, whose cached reduced basis is returned with no second
+Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon report
+reads next.  Every other intersection eliminates an auxiliary variable under
+a block order.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import add, le, sub
 
 from .poly import ONE, MonomialOrder, Ring
 
@@ -102,19 +116,19 @@ class GroebnerBasis:
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +139,37 @@ def _bits(nvars):
     return [1 << i for i in range(nvars)]
 
 
+def _lead_row(g, bits):
+    """The lead-table row of a nonzero g: the support bitmask of its leading
+    monomial, the leading monomial, the leading coefficient and the tail
+    terms."""
+    return (sum(compress(bits, g.terms[0][0])), *g.terms[0], g.terms[1:])
+
+
 def _lead_table(G):
-    """One row per nonzero element of G, in G's order: the support bitmask of
-    its leading monomial, the leading monomial, the leading coefficient and
-    the tail terms."""
+    """One row per nonzero element of G, in G's order."""
     G = [g for g in G if g]
     if not G:
         return []
     bits = _bits(G[0].ring.nvars)
     # a list comprehension: a tuple built from a generator here raised the
     # peak RSS of a divisor(36) search by about 0.6 MB (3%)
-    return [(sum(compress(bits, g.terms[0][0])), *g.terms[0], g.terms[1:]) for g in G]
+    return [_lead_row(g, bits) for g in G]
+
+
+class _Divisors(list):
+    """A list of divisors over ring whose lead table grows with it: each
+    nonzero element appended adds its row."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self._bits = _bits(ring.nvars)
+        self._table = []
+
+    def append(self, g):
+        super().append(g)
+        if g:
+            self._table.append(_lead_row(g, self._bits))
 
 
 def normal_form(f, G):
@@ -148,11 +182,12 @@ def normal_form(f, G):
     order, whose leading monomial divides it, so the remainder is a function
     of the sequence G even when G is not a Groebner basis (as inside
     Buchberger).  G's leading terms are read from a lead table: built once
-    and kept on a GroebnerBasis, built per call for a plain sequence.  A lead
-    whose support bitmask is not inside the term's support is passed over
-    before its exponents are compared.
+    and kept on a GroebnerBasis, grown row by row on a _Divisors list, built
+    per call for a plain sequence.  A lead whose support bitmask is not
+    inside the term's support is passed over before its exponents are
+    compared.
     """
-    table = G._table if isinstance(G, GroebnerBasis) else _lead_table(G)
+    table = G._table if isinstance(G, (GroebnerBasis, _Divisors)) else _lead_table(G)
     if not table or not f:
         return f
     ring = f.ring
@@ -167,7 +202,7 @@ def normal_form(f, G):
         for support, lm, lc, tail in table:
             if not support & outside and _divides(lm, m):
                 q = _sub(m, lm)
-                qc = c / lc
+                qc = c if lc == 1 else c / lc
                 for mg, cg in tail:
                     mm = _add(q, mg)
                     v = work.get(mm)
@@ -214,7 +249,21 @@ def s_polynomial(f, g):
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     lcm = _lcm(lmf, lmg)
-    return f.shift(_sub(lcm, lmf), ONE / lcf) - g.shift(_sub(lcm, lmg), ONE / lcg)
+    a = _sub(lcm, lmf)
+    b = _sub(lcm, lmg)
+    if lcf != 1 or lcg != 1:
+        return f.shift(a, ONE / lcf) - g.shift(b, ONE / lcg)
+    # both monic: the leading terms cancel, so x^a·tail(f) − x^b·tail(g)
+    work = {_add(a, m): c for m, c in f.terms[1:]}
+    for m, c in g.terms[1:]:
+        mm = _add(b, m)
+        v = work.get(mm)
+        v = -c if v is None else v - c
+        if v:
+            work[mm] = v
+        else:
+            del work[mm]
+    return f.ring.from_dict(work)
 
 
 # ---------------------------------------------------------------------------
@@ -228,54 +277,68 @@ def buchberger(gens, strategy="normal", ring=None):
     (degree first), "first" processes pairs in creation order.  Both reach the
     same reduced basis after reduce_basis; the acceptance suite relies on
     that agreement.
+
+    The basis is a _Divisors list, so each remainder is divided by a lead
+    table that grows with the basis.  Each element's lead monomial and its
+    support bitmask are kept beside it and each queued pair carries its lcm:
+    two leads are coprime iff their supports are disjoint, and the chain
+    criterion compares exponents only for leads whose support lies inside
+    the lcm's.
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown strategy {strategy!r}")
     gens = list(gens)
-    basis = [g.monic() for g in gens if g]
-    if not basis:
+    monic = [g.monic() for g in gens if g]
+    if not monic:
         if ring is None and gens:
             ring = gens[0].ring
         if ring is None:
             raise ValueError("an empty generator list needs an explicit ring")
         return GroebnerBasis(ring, ())
-    ring = basis[0].ring
+    ring = monic[0].ring
     key = ring.key
+    basis = _Divisors(ring)
+    leads = []
+    supports = []
+
+    def add(g):
+        basis.append(g)
+        support, lm = basis._table[-1][:2]
+        supports.append(support)
+        leads.append(lm)
 
     pairs = []
     counter = 0
 
     def push(i, j):
         nonlocal counter
-        lcm = _lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+        lcm = _lcm(leads[i], leads[j])
         if strategy == "normal":
-            entry = (sum(lcm), key(lcm), counter, i, j)
+            entry = (sum(lcm), key(lcm), counter, i, j, lcm)
         else:
-            entry = (counter, 0, 0, i, j)
+            entry = (counter, 0, 0, i, j, lcm)
         heapq.heappush(pairs, entry)
         counter += 1
 
+    for g in monic:
+        add(g)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push(i, j)
 
     done = set()
     while pairs:
-        *_, i, j = heapq.heappop(pairs)
-        lmi = basis[i].leading_monomial()
-        lmj = basis[j].leading_monomial()
-        lcm = _lcm(lmi, lmj)
+        *_, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        if lcm == _add(lmi, lmj):
+        if not supports[i] & supports[j]:
             continue  # coprime leading monomials: S-polynomial reduces to zero
+        outside = ~(supports[i] | supports[j])
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, support in enumerate(supports):
+            if support & outside or k == i or k == j or not _divides(leads[k], lcm):
                 continue
-            if not _divides(basis[k].leading_monomial(), lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
             if a in done and b in done:
                 skip = True  # chain criterion, only against treated pairs
                 break
@@ -283,7 +346,7 @@ def buchberger(gens, strategy="normal", ring=None):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r:
-            basis.append(r.monic())
+            add(r.monic())
             new = len(basis) - 1
             for k in range(new):
                 push(k, new)
@@ -296,21 +359,21 @@ def reduce_basis(gb):
     ring = gb.ring if isinstance(gb, GroebnerBasis) else basis[0].ring
     key = ring.key
     polys = sorted((g.monic() for g in basis if g), key=lambda g: key(g.leading_monomial()))
-    kept = []
-    for g in polys:
-        if not any(_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
-            kept.append(g)
     # leads of a minimal basis divide no other lead, so tail reduction fixes
     # every lead and one pass is the fixpoint.  A lead that divides a term
-    # of g is at most that term, below g's lead, so only the elements before
-    # g in lead order can reduce it
-    for i in range(len(kept)):
-        kept[i] = normal_form(kept[i], kept[:i])
+    # of g is at most that term, below g's lead, so only the elements kept
+    # before g in lead order can reduce it, and g is reduced as it is kept
+    kept = _Divisors(ring)
+    table = kept._table
+    for g in polys:
+        lm = g.terms[0][0]
+        outside = ~sum(compress(kept._bits, lm))
+        if not any(not s & outside and _divides(h, lm) for s, h, _, _ in table):
+            kept.append(normal_form(g, kept))
     return GroebnerBasis(ring, tuple(kept), reduced=True)
 
 
 _GB_CACHE = {}
-_GB_LOCK = threading.Lock()
 
 
 def _cache_key(I):
@@ -330,13 +393,13 @@ def _split_linear(gens):
     for g in gens:
         if g:
             (linear if g.is_linear_form() else rest).append(g)
-    echelon = []
+    if not linear:
+        return [], rest
+    echelon = _Divisors(linear[0].ring)
     for g in linear:
         r = normal_form(g, echelon)
         if r:
             echelon.append(r.monic())
-    if not echelon:
-        return [], rest
     echelon = reduce_basis(echelon)
     rest = [r for r in (normal_form(g, echelon) for g in rest) if r]
     return list(echelon.basis), rest
@@ -358,26 +421,25 @@ def _reduced_basis(gens, ring):
 
 
 def groebner_basis(I):
-    """Reduced Groebner basis of I, shared through a synchronized cache."""
+    """Reduced Groebner basis of I, shared through a cache.
+
+    Each cache access is one dict get or setdefault, atomic under the GIL, so
+    threads may share the cache; two threads that miss on one key both
+    compute the basis, and the first stored is kept.
+    """
     key = _cache_key(I)
-    with _GB_LOCK:
-        got = _GB_CACHE.get(key)
+    got = _GB_CACHE.get(key)
     if got is not None:
         return got
-    gb = _reduced_basis(I.generators, I.ring)
-    with _GB_LOCK:
-        _GB_CACHE.setdefault(key, gb)
-    return gb
+    return _GB_CACHE.setdefault(key, _reduced_basis(I.generators, I.ring))
 
 
 def _register_gb(I, gb):
-    with _GB_LOCK:
-        _GB_CACHE.setdefault(_cache_key(I), gb)
+    _GB_CACHE.setdefault(_cache_key(I), gb)
 
 
 def clear_cache():
-    with _GB_LOCK:
-        _GB_CACHE.clear()
+    _GB_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +550,13 @@ def _colon_by_linear_form(I, l):
     2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
-    3. Map back, add the linear generators, and reduce in ring's own order.
+    3. Map back.  C = I + (I : x)_1, the nonlinear generators of I with the
+       reduced echelon form of I's linear part and the linear quotients,
+       lies inside I : x.  If no quotient is a constant and every quotient
+       reduces to 0 modulo C's reduced basis, then I : x = C, and that
+       cached basis is the answer; for I = (I_L, x_R) C is the ideal whose
+       basis hibi's colon report looks up next.  Otherwise add the linear
+       generators to the quotients and reduce in ring's own order.
     """
     ring = I.ring
     linear, rest = _split_linear(I.generators)
@@ -506,6 +574,13 @@ def _colon_by_linear_form(I, l):
     quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
     if ring_x is not ring:
         quotients = [q.map_exponents(ring, _same) for q in quotients]
+    if all(q.total_degree() > 0 for q in quotients):
+        degree1, higher = _split_linear(linear + quotients)
+        nonlinear = tuple(g for g in I.generators if g and not g.is_linear_form())
+        gb = groebner_basis(ideal(ring, nonlinear + tuple(degree1)))
+        # a quotient and its substituted form differ by a member of C
+        if not any(normal_form(q, gb) for q in higher):
+            return gb
     # the quotients may include linear forms, which split off in turn
     return _reduced_basis(linear + quotients, ring)
 

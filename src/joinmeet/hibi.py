@@ -20,7 +20,6 @@ the colon of a poset ideal at one of its maximal elements.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,21 +68,18 @@ class JoinMeetIdeal:
 
 
 _JOIN_MEET_CACHE = {}
-_JOIN_MEET_LOCK = threading.Lock()
 
 
 def join_meet_ideal(L):
     """Basic binomials ab - (a∨b)(a∧b), one per incomparable pair, in
     deterministic (linear extension) order, with their ring K[L].
 
-    Built once per lattice.
+    Built once per lattice; the first one stored is the one every caller
+    gets (a dict setdefault, atomic under the GIL).
     """
-    with _JOIN_MEET_LOCK:
-        got = _JOIN_MEET_CACHE.get(L)
+    got = _JOIN_MEET_CACHE.get(L)
     if got is None:
-        got = _build_join_meet_ideal(L)
-        with _JOIN_MEET_LOCK:
-            got = _JOIN_MEET_CACHE.setdefault(L, got)
+        got = _JOIN_MEET_CACHE.setdefault(L, _build_join_meet_ideal(L))
     return got
 
 

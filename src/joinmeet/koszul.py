@@ -253,12 +253,26 @@ def poset_ideal_filtration(L):
 DEFAULT_SEARCH_CAP = 12
 
 
-def _image(sigma, mask):
-    """The bitmask of the images under sigma of the elements in mask."""
+def _image_table(sigma):
+    """Per byte of a bitmask, the images under sigma of its values: row k maps
+    the value of bits 8k..8k+7 to the mask of their images."""
+    rows = []
+    for low in range(0, len(sigma), 8):
+        row = [0]
+        for a in range(low, min(low + 8, len(sigma))):
+            bit = 1 << sigma[a]
+            row += [r | bit for r in row]
+        rows.append(row)
+    return rows
+
+
+def _image(table, mask):
+    """The bitmask of the images of the elements in mask, read byte by byte
+    from an _image_table."""
     out = 0
-    for a, b in enumerate(sigma):
-        if mask >> a & 1:
-            out |= 1 << b
+    for row in table:
+        out |= row[mask & 255]
+        mask >>= 8
     return out
 
 
@@ -269,12 +283,12 @@ def _search_moves(L):
     move(mask, x) is the target set of mask's move x, or None if the move is
     not valid.  One colon decides the whole Aut(L) orbit of (mask, x): each
     generator carries a filed pair and its target to another pair and
-    target.  The memo is a union of orbits, so the orbit of a pair outside
-    it is new.
+    target, through the generator's image table.  The memo is a union of
+    orbits, so the orbit of a pair outside it is new.
     """
     n = L.n
     variables = join_meet_ideal(L).variables
-    generators = L.automorphism_generators()
+    generators = [(sigma, _image_table(sigma)) for sigma in L.automorphism_generators()]
     ideal_of = {}
 
     def subset_ideal(mask):
@@ -298,10 +312,10 @@ def _search_moves(L):
             while stack:
                 pair = stack.pop()
                 got = moves[pair]
-                for sigma in generators:
-                    seen = (_image(sigma, pair[0]), sigma[pair[1]])
+                for sigma, table in generators:
+                    seen = (_image(table, pair[0]), sigma[pair[1]])
                     if seen not in moves:
-                        moves[seen] = None if got is None else _image(sigma, got)
+                        moves[seen] = None if got is None else _image(table, got)
                         stack.append(seen)
         return moves[(mask, x)]
 

@@ -7,6 +7,11 @@ reference it must match, reduced basis for reduced basis.  Other linear
 forms take the elimination route.  The split of linear generators in
 groebner_basis must match plain Buchberger, and sympy is an independent
 oracle for both the colon and its reduced basis.
+
+reference_colon_by_linear_form is the variable route before it reused
+C = I + (I : x)_1: it always reduces the linear generators with the
+quotients.  The route must return the same basis, taking C's cached basis
+exactly when the colon equals C.
 """
 
 import random
@@ -16,18 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import m3_on_m3
+from joinmeet import groebner
 from joinmeet.groebner import (
+    GroebnerBasis,
     _colon_by_linear_form,
     _intersect_by_elimination,
+    _reduced_basis,
+    _ring_with_last,
+    _split_linear,
     buchberger,
     clear_cache,
     colon_element,
     divide_exact,
     groebner_basis,
     ideal,
+    normal_form,
     reduce_basis,
 )
-from joinmeet.hibi import join_meet_ideal, lattice_ring
+from joinmeet.hibi import colon_in_H, join_meet_ideal, lattice_ring, variable_ideal
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
 
@@ -118,6 +129,79 @@ def test_split_linear_basis_edge_cases():
         I = ideal(R, [R.parse(t) for t in text])
         clear_cache()
         assert groebner_basis(I).basis == plain_basis(I), text
+
+
+def reference_colon_by_linear_form(I, l):
+    ring = I.ring
+    linear, rest = _split_linear(I.generators)
+    l = normal_form(l, linear)
+    if not l:
+        return GroebnerBasis(ring, (ring.one(),), reduced=True)
+    if len(l.terms) > 1:
+        return None
+    v = l.terms[0][0].index(1)
+    ring_x = _ring_with_last(ring, v)
+    var = ring_x.var(ring.names[v])
+    rest = [g.map_exponents(ring_x, lambda m: m) for g in rest]
+    gb = buchberger(rest, ring=ring_x)
+    quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
+    quotients = [q.map_exponents(ring, lambda m: m) for q in quotients]
+    return _reduced_basis(linear + quotients, ring)
+
+
+def test_colon_by_a_variable_matches_the_reference_on_every_move():
+    # every (R, x) with x outside R: the colon (I_L, x_R) : x.  The route
+    # returns C's cached basis, C = (I_L, degree-1 part of the colon),
+    # exactly when the colon is C, that is, when it is linear-generated;
+    # the others take the reduction of the linear generators and quotients.
+    # Every such colon of the distributive boolean(3) is linear-generated
+    reused = {}
+    for name in ("pentagon", "diamond", "boolean3", "m3_on_m3"):
+        L = CORPUS[name]
+        jm = join_meet_ideal(L)
+        clear_cache()
+        reused[name] = {True: 0, False: 0}
+        for mask in range(1 << L.n):
+            xs = tuple(v for k, v in enumerate(jm.variables) if mask >> k & 1)
+            I = ideal(jm.ring, jm.generators + xs)
+            for x in range(L.n):
+                if mask >> x & 1:
+                    continue
+                want = reference_colon_by_linear_form(I, jm.variables[x])
+                got = _colon_by_linear_form(I, jm.variables[x])
+                assert got == want, (name, mask, x)
+                C = groebner_basis(ideal(jm.ring, jm.generators + want.degree1))
+                assert (got is C) == (C.basis == want.basis), (name, mask, x)
+                reused[name][got is C] += 1
+    assert reused == {
+        "pentagon": {True: 78, False: 2},
+        "diamond": {True: 78, False: 2},
+        "boolean3": {True: 1024, False: 0},
+        "m3_on_m3": {True: 2193, False: 111},
+    }
+
+
+def test_linear_generated_colon_runs_buchberger_once_on_a_cached_target(monkeypatch):
+    # (J : ab) in H[boolean(3)] for J = (o, a, b) is (o, a, b, c, ac, bc); with
+    # the basis of that lift cached, the colon needs only the x-last run
+    L = boolean(3)
+    e = L.index("ab")
+    J = variable_ideal(L, [L.index(a) for a in ("o", "a", "b")])
+    target = variable_ideal(L, [L.index(a) for a in ("o", "a", "b", "c", "ac", "bc")])
+    clear_cache()
+    target.groebner()
+    runs = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    report = colon_in_H(J, J.base.variables[e])
+    assert report.variable_generated
+    assert report.groebner.basis == target.groebner().basis
+    assert len(runs) == 1
 
 
 def _small_lattices():

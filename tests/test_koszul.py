@@ -8,6 +8,7 @@ from conftest import (
     modular_corpus,
     stacked_diamond,
 )
+from joinmeet import koszul
 from joinmeet.hibi import claim_check, colon_in_H, residue_ideal, variable
 from joinmeet.koszul import (
     CapExceeded,
@@ -363,6 +364,16 @@ def test_search_matches_the_two_scan_reference():
 
 def _image(sigma, mask):
     return sum(1 << sigma[a] for a in range(len(sigma)) if mask >> a & 1)
+
+
+def test_image_tables_map_every_mask_as_the_bit_loop_does():
+    # M_10 has 12 elements, so its masks span two bytes, the second partial
+    for L in (diamond(), m_lattice(10), m3_on_m3()):
+        for sigma in L.automorphism_generators():
+            table = koszul._image_table(sigma)
+            assert all(
+                koszul._image(table, mask) == _image(sigma, mask) for mask in range(1 << L.n)
+            ), sigma
 
 
 @pytest.mark.parametrize(
