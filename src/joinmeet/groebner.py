@@ -17,8 +17,7 @@ is a _Divisors list, which adds a row as each element is appended.  A lead
 whose support is not inside a term's support cannot divide it and is
 skipped before the exponents are compared; the first dividing lead in order
 still does the division.  Division by a monic lead skips the coefficient
-quotient, and the S-polynomial of two monic elements is formed from their
-tails in one pass.
+quotient, and an S-polynomial is formed from the two tails in one pass.
 
 Buchberger's pair tests read the same support bitmasks: two leads are
 coprime iff their supports are disjoint, and the chain criterion compares
@@ -50,7 +49,7 @@ from functools import cached_property
 from itertools import compress
 from operator import add, le, sub
 
-from .poly import ONE, MonomialOrder, Ring
+from .poly import MonomialOrder, Ring
 
 
 class ZeroDivisorArgument(ValueError):
@@ -171,6 +170,11 @@ class _Divisors(list):
         if g:
             self._table.append(_lead_row(g, self._bits))
 
+    def divides(self, m):
+        """Whether the lead of some element divides the monomial m."""
+        outside = ~sum(compress(self._bits, m))
+        return any(not s & outside and _divides(lm, m) for s, lm, _, _ in self._table)
+
 
 def normal_form(f, G):
     """Remainder of f under division by G (full tail reduction).
@@ -246,16 +250,19 @@ def divide_exact(f, g):
 
 
 def s_polynomial(f, g):
+    """x^a·f/lc(f) − x^b·g/lc(g), with x^a·lm(f) = x^b·lm(g) = lcm of the
+    leads.  The leading terms cancel, so it is formed from the two tails in
+    one dict, x^a·tail(f)/lc(f) − x^b·tail(g)/lc(g), dividing only by a
+    leading coefficient other than 1."""
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     lcm = _lcm(lmf, lmg)
     a = _sub(lcm, lmf)
     b = _sub(lcm, lmg)
-    if lcf != 1 or lcg != 1:
-        return f.shift(a, ONE / lcf) - g.shift(b, ONE / lcg)
-    # both monic: the leading terms cancel, so x^a·tail(f) − x^b·tail(g)
-    work = {_add(a, m): c for m, c in f.terms[1:]}
+    work = {_add(a, m): c if lcf == 1 else c / lcf for m, c in f.terms[1:]}
     for m, c in g.terms[1:]:
+        if lcg != 1:
+            c = c / lcg
         mm = _add(b, m)
         v = work.get(mm)
         v = -c if v is None else v - c
@@ -279,11 +286,11 @@ def buchberger(gens, strategy="normal", ring=None):
     that agreement.
 
     The basis is a _Divisors list, so each remainder is divided by a lead
-    table that grows with the basis.  Each element's lead monomial and its
-    support bitmask are kept beside it and each queued pair carries its lcm:
-    two leads are coprime iff their supports are disjoint, and the chain
-    criterion compares exponents only for leads whose support lies inside
-    the lcm's.
+    table that grows with the basis; every element is nonzero, so row k of
+    the table is basis[k]'s.  The pair tests read the support bitmasks and
+    leads of those rows, and each queued pair carries its lcm: two leads are
+    coprime iff their supports are disjoint, and the chain criterion
+    compares exponents only for leads whose support lies inside the lcm's.
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -298,21 +305,13 @@ def buchberger(gens, strategy="normal", ring=None):
     ring = monic[0].ring
     key = ring.key
     basis = _Divisors(ring)
-    leads = []
-    supports = []
-
-    def add(g):
-        basis.append(g)
-        support, lm = basis._table[-1][:2]
-        supports.append(support)
-        leads.append(lm)
-
+    table = basis._table
     pairs = []
     counter = 0
 
     def push(i, j):
         nonlocal counter
-        lcm = _lcm(leads[i], leads[j])
+        lcm = _lcm(table[i][1], table[j][1])
         if strategy == "normal":
             entry = (sum(lcm), key(lcm), counter, i, j, lcm)
         else:
@@ -321,7 +320,7 @@ def buchberger(gens, strategy="normal", ring=None):
         counter += 1
 
     for g in monic:
-        add(g)
+        basis.append(g)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push(i, j)
@@ -330,12 +329,14 @@ def buchberger(gens, strategy="normal", ring=None):
     while pairs:
         *_, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        if not supports[i] & supports[j]:
+        support_i = table[i][0]
+        support_j = table[j][0]
+        if not support_i & support_j:
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        outside = ~(supports[i] | supports[j])
+        outside = ~(support_i | support_j)
         skip = False
-        for k, support in enumerate(supports):
-            if support & outside or k == i or k == j or not _divides(leads[k], lcm):
+        for k, (support, lm, _, _) in enumerate(table):
+            if support & outside or k == i or k == j or not _divides(lm, lcm):
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -346,7 +347,7 @@ def buchberger(gens, strategy="normal", ring=None):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r:
-            add(r.monic())
+            basis.append(r.monic())
             new = len(basis) - 1
             for k in range(new):
                 push(k, new)
@@ -364,11 +365,8 @@ def reduce_basis(gb):
     # of g is at most that term, below g's lead, so only the elements kept
     # before g in lead order can reduce it, and g is reduced as it is kept
     kept = _Divisors(ring)
-    table = kept._table
     for g in polys:
-        lm = g.terms[0][0]
-        outside = ~sum(compress(kept._bits, lm))
-        if not any(not s & outside and _divides(h, lm) for s, h, _, _ in table):
+        if not kept.divides(g.terms[0][0]):
             kept.append(normal_form(g, kept))
     return GroebnerBasis(ring, tuple(kept), reduced=True)
 
@@ -554,9 +552,17 @@ def _colon_by_linear_form(I, l):
        reduced echelon form of I's linear part and the linear quotients,
        lies inside I : x.  If no quotient is a constant and every quotient
        reduces to 0 modulo C's reduced basis, then I : x = C, and that
-       cached basis is the answer; for I = (I_L, x_R) C is the ideal whose
-       basis hibi's colon report looks up next.  Otherwise add the linear
-       generators to the quotients and reduce in ring's own order.
+       cached basis is the answer.  Otherwise add the linear generators to
+       the quotients and reduce in ring's own order.
+
+    C's generators are built to match the ``linear_lift`` of
+    hibi._colon_report (I_L's generators and the colon's degree1), so that
+    for I = (I_L, x_R) C's basis is the cache entry the report reads next,
+    whichever branch returns.  If the two constructions drift apart, results
+    stay the same but that saving is lost; a test in test_colon_routes
+    counts the report's Buchberger runs to catch it.  Only a fallback colon
+    reached through colon_ideal with two or more divisors leaves C's basis
+    unread.
     """
     ring = I.ring
     linear, rest = _split_linear(I.generators)

@@ -269,6 +269,9 @@ def _colon_report(J, divisors, lifted):
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
     degree1 = gb.degree1
+    # groebner._colon_by_linear_form builds its C from the same generator
+    # set (I_L's generators and the colon's degree1), so this basis is
+    # already cached; keep the two constructions in step
     linear_lift = ideal(base.ring, base.generators + degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
     variables = _elements_of(L, degree1) if linear_generated else None

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import m3_on_m3
-from joinmeet import groebner
+from joinmeet import groebner, hibi
 from joinmeet.groebner import (
     GroebnerBasis,
     _colon_by_linear_form,
@@ -202,6 +202,35 @@ def test_linear_generated_colon_runs_buchberger_once_on_a_cached_target(monkeypa
     assert report.variable_generated
     assert report.groebner.basis == target.groebner().basis
     assert len(runs) == 1
+
+
+def test_colon_report_reads_the_basis_the_colon_cached(monkeypatch):
+    # the colon's C and the report's linear_lift are one generator set, so
+    # once the colon of (I_L, x_R) by x is computed, its report runs no
+    # Buchberger, on either branch of the colon
+    runs = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    seen = {True: 0, False: 0}
+    for L in (pentagon(), diamond()):
+        clear_cache()
+        for mask in range(1 << L.n):
+            J = variable_ideal(L, [a for a in range(L.n) if mask >> a & 1])
+            for x in range(L.n):
+                if mask >> x & 1:
+                    continue
+                f = J.base.variables[x]
+                lifted = colon_element(J.lift, f)
+                runs.clear()
+                report = hibi._colon_report(J, (f,), lifted)
+                assert not runs, (L, mask, x)
+                seen[report.linear_generated] += 1
+    assert seen[False] > 0
 
 
 def _small_lattices():
