@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import compress
 from operator import add, le, sub
 
-from .poly import MonomialOrder, Ring
+from .poly import ONE, MonomialOrder, Polynomial, Ring
 
 
 class ZeroDivisorArgument(ValueError):
@@ -222,12 +222,21 @@ def normal_form(f, G):
 
 
 def divide_exact(f, g):
-    """Quotient f/g when g divides f exactly (members of (g) always do)."""
+    """Quotient f/g when g divides f exactly (members of (g) always do).
+
+    A monomial g divides term by term, which keeps f's term order.
+    """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    key = ring.key
     lm, lc = g.leading_term()
+    if len(g.terms) == 1:
+        if not all(_divides(lm, m) for m, _ in f.terms):
+            raise ArithmeticError("inexact polynomial division")
+        return Polynomial(
+            ring, tuple((_sub(m, lm), c if lc == 1 else c / lc) for m, c in f.terms)
+        )
+    key = ring.key
     work = dict(f.terms)
     quotient = {}
     while work:
@@ -385,6 +394,10 @@ def _split_linear(gens):
     The reduced basis of linear forms is their reduced row echelon form.  The
     substituted generators avoid its leading variables, so no S-pair between
     the two parts needs reducing: their leading monomials are coprime.
+
+    When every linear form is one term c·x_v, as in a lift (I_L, x_R), the
+    echelon form is those variables, monic and in lead order, and
+    substituting it out drops the terms whose support meets theirs.
     """
     linear = []
     rest = []
@@ -393,7 +406,18 @@ def _split_linear(gens):
             (linear if g.is_linear_form() else rest).append(g)
     if not linear:
         return [], rest
-    echelon = _Divisors(linear[0].ring)
+    ring = linear[0].ring
+    if all(len(g.terms) == 1 for g in linear):
+        leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
+        bits = _bits(ring.nvars)
+        killed = sum(1 << m.index(1) for m in leads)
+        kept = []
+        for g in rest:
+            terms = tuple(t for t in g.terms if not sum(compress(bits, t[0])) & killed)
+            if terms:
+                kept.append(Polynomial(ring, terms))
+        return [Polynomial(ring, ((m, ONE),)) for m in leads], kept
+    echelon = _Divisors(ring)
     for g in linear:
         r = normal_form(g, echelon)
         if r:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import InputError
 
@@ -233,6 +234,11 @@ class Polynomial:
             if not c:
                 return self.ring.zero()
             return Polynomial(self.ring, tuple((m, cc * c) for m, cc in self.terms))
+        # a product by one term keeps the other factor's term order
+        if len(other.terms) == 1:
+            return self.shift(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.shift(*self.terms[0])
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -266,10 +272,8 @@ class Polynomial:
         """Multiply by coeff * x^exps; order-preserving, no re-sort needed."""
         if not coeff:
             return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            tuple((tuple(a + b for a, b in zip(m, exps)), c * coeff) for m, c in self.terms),
-        )
+        terms = self.terms if coeff == 1 else tuple((m, c * coeff) for m, c in self.terms)
+        return Polynomial(self.ring, tuple((tuple(map(add, m, exps)), c) for m, c in terms))
 
     def map_exponents(self, ring, fn):
         """Carry this polynomial into another ring, rewriting exponent vectors."""

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from joinmeet.lattice import (
@@ -57,6 +60,15 @@ def m_lattice(k):
     return Lattice.from_covers(
         ["o"] + atoms + ["t"], [("o", a) for a in atoms] + [(a, "t") for a in atoms]
     )
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def data_lattice(name):
+    """The lattice shipped as data/<name>.json."""
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    return Lattice.from_covers(doc["elements"], doc["covers"])
 
 
 def enumerated_lattices(max_n):

@@ -305,6 +305,17 @@ def test_search_cap_option(capsys):
     assert json.loads(out)["config"]["cap"] is None
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_search_cap_below_one_is_an_input_error(capsys, cap):
+    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: the search cap must be at least 1, not {cap}\n"
+    code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon",
+                         "--cap", cap, "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["kind"] == "input"
+
+
 # ---------------------------------------------------------------------------
 # one arithmetic: exact rationals
 

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (
     corpus,
+    data_lattice,
     enumerated_lattices,
     m3_on_m3,
     m_lattice,
@@ -234,15 +235,25 @@ def test_found_search_makes_one_move_per_member(monkeypatch):
 
 
 def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
-    # one colon decides each move's whole orbit under Aut(L): the fixpoint
-    # over all 512 subsets of M3-on-M3 (|Aut| = 36) decides 630 moves, and
-    # over all 1,024 subsets of M_8 (|Aut| = 8!) 1,023
+    # one colon decides each move's whole orbit under Aut(L), and the
+    # fixpoint deletes a subset as soon as it has no surviving move, so a
+    # move whose piece S \ {x} is already dead takes no colon: M3-on-M3
+    # (|Aut| = 36) decides its 512 subsets in 17 colons, M_8 (|Aut| = 8!)
+    # its 1,024 in 12, and the 12-element M3-on-M3 with a chain on top its
+    # 4,096 in 62.  The walk on pentagon meets a dead end, so its found
+    # search runs the fixpoint too
     calls = _count_moves(monkeypatch)
-    assert search_combinatorial(m3_on_m3()) is None
-    assert len(calls) == 158
-    calls.clear()
-    assert search_combinatorial(m_lattice(8)) is None
-    assert len(calls) == 35
+    for L, found, colons in [
+        (m3_on_m3(), False, 17),
+        (m_lattice(8), False, 12),
+        (data_lattice("m3_on_m3_chain"), False, 62),
+        (stacked_diamond(), False, 21),
+        (diamond(), False, 7),
+        (pentagon(), True, 30),
+    ]:
+        calls.clear()
+        assert (search_combinatorial(L) is not None) == found, L
+        assert len(calls) == colons, L
 
 
 @pytest.mark.parametrize("d", [60, 72])

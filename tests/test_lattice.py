@@ -5,7 +5,7 @@ from math import factorial, prod
 
 import pytest
 
-from conftest import corpus, m3_on_m3, m_lattice, modular_corpus, stacked_diamond
+from conftest import corpus, data_lattice, m3_on_m3, m_lattice, modular_corpus, stacked_diamond
 from joinmeet import lattice
 from joinmeet.lattice import (
     MAX_DIVISOR_N,
@@ -220,6 +220,15 @@ def test_distributive_brute_force_triples():
             for c in range(L.n)
         )
         assert L.is_distributive() == expected
+
+
+@pytest.mark.parametrize("name, n", [("m3_c3", 15), ("m3_on_m3_chain", 12), ("m10", 12)])
+def test_shipped_search_lattices_are_modular_and_not_distributive(name, n):
+    # a modular lattice is distributive iff H[L] has a combinatorial Koszul
+    # filtration, so the search must certify none on each of these
+    L = data_lattice(name)
+    assert L.n == n
+    assert L.is_modular() and not L.is_distributive()
 
 
 def test_distributive_implies_modular():

@@ -16,6 +16,11 @@ monic fast path: every pair's lcm recomputed from the basis, the coprime test
 by exponent sums, the chain criterion by exponent comparison alone, each
 remainder by reference_normal_form, and S-polynomials by scaling, negating
 and adding.  buchberger must return the same basis, element for element.
+
+reference_split_linear substitutes the echelon form of the linear generators
+out of the others by normal_form, which _split_linear skips when every linear
+generator is one term.  reference_product and reference_divide_exact are the
+general product and division loops, which a one-term factor or divisor skips.
 """
 
 import heapq
@@ -34,8 +39,10 @@ from joinmeet.groebner import (
     GroebnerBasis,
     Ideal,
     _ring_with_last,
+    _split_linear,
     buchberger,
     clear_cache,
+    divide_exact,
     groebner_basis,
     ideal,
     ideal_member,
@@ -328,6 +335,101 @@ def test_repeated_membership_builds_key_and_lead_table_once(monkeypatch):
     assert calls["key"] == before["key"] == 1
     assert calls["table"] == before["table"] + 1
     assert groebner_basis(I) is gb
+
+
+# ---------------------------------------------------------------------------
+# the linear split and one-term products against the general routes
+
+
+def reference_split_linear(gens):
+    linear = [g for g in gens if g and g.is_linear_form()]
+    rest = [g for g in gens if g and not g.is_linear_form()]
+    if not linear:
+        return [], rest
+    echelon = []
+    for g in linear:
+        r = normal_form(g, echelon)
+        if r:
+            echelon.append(r.monic())
+    echelon = reduce_basis(echelon)
+    return list(echelon.basis), [r for r in (normal_form(g, echelon) for g in rest) if r]
+
+
+def test_one_term_linear_split_matches_the_substitution(monkeypatch):
+    # lifts (I_L, x_R) of random variable subsets R, some variables scaled
+    # and repeated, shuffled in among I_L's generators
+    rng = random.Random(9)
+    cases = []
+    for L in corpus() + [m3_on_m3()]:
+        jm = join_meet_ideal(L)
+        for _ in range(6):
+            R = rng.sample(jm.variables, rng.randint(1, L.n))
+            R += [x * rng.choice([2, -1, Fraction(1, 3)]) for x in rng.sample(R, len(R) // 2)]
+            gens = list(jm.generators) + R
+            rng.shuffle(gens)
+            cases.append((gens, reference_split_linear(gens)))
+    calls = []
+    monkeypatch.setattr(groebner, "normal_form", lambda *args: calls.append(args))
+    for gens, want in cases:
+        assert _split_linear(gens) == want
+    assert not calls
+
+
+def reference_product(f, g):
+    acc = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return f.ring.from_dict(acc)
+
+
+def reference_divide_exact(f, g):
+    ring = f.ring
+    lm, lc = g.leading_term()
+    work = dict(f.terms)
+    quotient = {}
+    while work:
+        m = max(work, key=ring.key)
+        c = work.pop(m)
+        if not all(x <= y for x, y in zip(lm, m)):
+            raise ArithmeticError("inexact polynomial division")
+        q = tuple(x - y for x, y in zip(m, lm))
+        quotient[q] = c / lc
+        for mg, cg in g.terms[1:]:
+            mm = tuple(x + y for x, y in zip(q, mg))
+            v = work.get(mm, 0) - c / lc * cg
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return ring.from_dict(quotient)
+
+
+def _quotient(divide, f, g):
+    try:
+        return divide(f, g)
+    except ArithmeticError:
+        return "inexact"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=_polys(PENTAGON_RING, 5),
+    g=_polys(PENTAGON_RING, 1).filter(bool),
+    h=_polys(PENTAGON_RING, 3),
+    monic=st.booleans(),
+)
+def test_one_term_products_and_quotients_match_the_general_routes(f, g, h, monic):
+    # g is one term, h any polynomial; a product by g and a quotient by g
+    # keep the term order, and a quotient by g is inexact exactly when the
+    # general loop finds it so
+    if monic:
+        g = g.monic()
+    for a, b in ((f, g), (g, f), (h, g), (f, h)):
+        assert a * b == reference_product(a, b)
+    assert divide_exact(f * g, g) == f
+    assert _quotient(divide_exact, f, g) == _quotient(reference_divide_exact, f, g)
 
 
 # ---------------------------------------------------------------------------
