@@ -176,29 +176,14 @@ class _Divisors(list):
         return any(not s & outside and _divides(lm, m) for s, lm, _, _ in self._table)
 
 
-def normal_form(f, G):
-    """Remainder of f under division by G (full tail reduction).
-
-    No term of the result is divisible by any leading monomial of G, and
-    f - result lies in (G).  For a Groebner basis the remainder is canonical.
-
-    The largest remaining term is divided by the first element of G, in G's
-    order, whose leading monomial divides it, so the remainder is a function
-    of the sequence G even when G is not a Groebner basis (as inside
-    Buchberger).  G's leading terms are read from a lead table: built once
-    and kept on a GroebnerBasis, grown row by row on a _Divisors list, built
-    per call for a plain sequence.  A lead whose support bitmask is not
-    inside the term's support is passed over before its exponents are
-    compared.
-    """
+def _remainder_terms(f, G):
+    """The terms of f's remainder under division by G, largest first.  A
+    step on the term m = q·lm adds q·t for tail terms t < lm, all below m,
+    so a term no lead divides is final once it is the largest left."""
     table = G._table if isinstance(G, (GroebnerBasis, _Divisors)) else _lead_table(G)
-    if not table or not f:
-        return f
-    ring = f.ring
-    key = ring.key
-    bits = _bits(ring.nvars)
+    key = f.ring.key
+    bits = _bits(f.ring.nvars)
     work = dict(f.terms)
-    remainder = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
@@ -217,8 +202,25 @@ def normal_form(f, G):
                         work.pop(mm, None)
                 break
         else:
-            remainder[m] = c
-    return ring.from_dict(remainder)
+            yield m, c
+
+
+def normal_form(f, G):
+    """Remainder of f under division by G (full tail reduction).
+
+    No term of the result is divisible by any leading monomial of G, and
+    f - result lies in (G).  For a Groebner basis the remainder is canonical.
+
+    The largest remaining term is divided by the first element of G, in G's
+    order, whose leading monomial divides it, so the remainder is a function
+    of the sequence G even when G is not a Groebner basis (as inside
+    Buchberger).  G's leads are read from a lead table (see the module
+    docstring).  Each remainder term is final when reached, since every later
+    step works below it, so the terms come out in order and need no sort.
+    """
+    if not f or not any(G):
+        return f
+    return Polynomial(f.ring, tuple(_remainder_terms(f, G)))
 
 
 def divide_exact(f, g):
@@ -383,10 +385,6 @@ def reduce_basis(gb):
 _GB_CACHE = {}
 
 
-def _cache_key(I):
-    return I._gb_key
-
-
 def _split_linear(gens):
     """The reduced basis of the linear forms among gens, and the other
     generators with that basis substituted out (zeros dropped).
@@ -449,7 +447,7 @@ def groebner_basis(I):
     threads may share the cache; two threads that miss on one key both
     compute the basis, and the first stored is kept.
     """
-    key = _cache_key(I)
+    key = I._gb_key
     got = _GB_CACHE.get(key)
     if got is not None:
         return got
@@ -457,7 +455,7 @@ def groebner_basis(I):
 
 
 def _register_gb(I, gb):
-    _GB_CACHE.setdefault(_cache_key(I), gb)
+    _GB_CACHE.setdefault(I._gb_key, gb)
 
 
 def clear_cache():
@@ -469,7 +467,9 @@ def clear_cache():
 
 
 def ideal_member(f, I):
-    return not normal_form(f, groebner_basis(I))
+    """Whether f lies in I: a zero test that stops at the first term of f's
+    remainder, which is final because every later step works below it."""
+    return not any(_remainder_terms(f, groebner_basis(I)))
 
 
 def ideal_equal(I, J):
@@ -607,10 +607,10 @@ def _colon_by_linear_form(I, l):
     if all(q.total_degree() > 0 for q in quotients):
         degree1, higher = _split_linear(linear + quotients)
         nonlinear = tuple(g for g in I.generators if g and not g.is_linear_form())
-        gb = groebner_basis(ideal(ring, nonlinear + tuple(degree1)))
+        C = ideal(ring, nonlinear + tuple(degree1))
         # a quotient and its substituted form differ by a member of C
-        if not any(normal_form(q, gb) for q in higher):
-            return gb
+        if all(ideal_member(q, C) for q in higher):
+            return groebner_basis(C)
     # the quotients may include linear forms, which split off in turn
     return _reduced_basis(linear + quotients, ring)
 

@@ -306,11 +306,7 @@ def _search_moves(L):
     def move(mask, x):
         if (mask, x) not in moves:
             rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
-            target = None
-            if rep.variable_generated:
-                target = 0
-                for a in rep.variables:
-                    target |= 1 << a
+            target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
             moves[(mask, x)] = target
             stack = [(mask, x)]
             while stack:
@@ -353,10 +349,12 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     moves), so this reaches the same greatest fixpoint P as deleting in
     rounds (Knaster–Tarski; Cousot & Cousot 1977): a member of P keeps its
     move into P, which lies inside the survivors, so it is never deleted;
-    and the final set is a post-fixed point, so it lies inside P.  A move
-    whose piece S∖{x} is already dead is skipped without a colon, so deaths
-    cascade up the masks.  The memo files each colon's verdict under the
-    whole Aut(L) orbit of its move, so it makes one colon per orbit.
+    and the final set is a post-fixed point, so it lies inside P.  So the
+    answer is None once a pass deletes the full set, and the scan stops
+    there.  A move whose piece S∖{x} is already dead is skipped without a
+    colon, so deaths cascade up the masks.  The memo files each colon's
+    verdict under the whole Aut(L) orbit of its move, so it makes one colon
+    per orbit.
     """
     n = L.n
     if cap < 1:
@@ -402,8 +400,8 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
                 if m and m in survivors and first_move(m, survivors) is None:
                     survivors.discard(m)
                     deleted = True
-        if full not in survivors:
-            return None
+            if full not in survivors:
+                return None
         reached = closure(survivors)
     members = [subset_ideal(m) for m in sorted(reached, key=lambda m: (bin(m).count("1"), m))]
     return FiltrationSpec(L, tuple(members), combinatorial=True)

@@ -239,10 +239,10 @@ def test_closed_stdout_pipe_ends_quietly():
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "joinmeet.cli", "posetideals", "--builtin", "chain", "--n", "100"],
+        [sys.executable, "-m", "joinmeet.cli", "posetideals", "--builtin", "boolean", "--n", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline() == b"101 poset ideals:\n"
+    assert proc.stdout.readline() == b"7581 poset ideals:\n"
     proc.stdout.close()
     code = proc.wait(timeout=60)
     err = proc.stderr.read().decode()

@@ -5,7 +5,9 @@ reference_normal_form is the division loop without a lead table or support
 masks: it rebuilds the leading terms of G on every call and tests each lead
 with the exponent comparison alone.  The prepared reducer must give the same
 remainder for every sequence G, Groebner basis or not, because Buchberger's
-pair sequence depends on the remainders of non-bases.
+pair sequence depends on the remainders of non-bases.  The zero test, which
+stops at the first remainder term, must agree with that remainder being
+zero.
 
 reference_reduce_basis repeats the tail reductions until none changes an
 element; reduce_basis makes one pass and must give the same basis.
@@ -38,6 +40,8 @@ from joinmeet import groebner, linalg
 from joinmeet.groebner import (
     GroebnerBasis,
     Ideal,
+    _Divisors,
+    _remainder_terms,
     _ring_with_last,
     _split_linear,
     buchberger,
@@ -165,6 +169,21 @@ def reference_buchberger(gens, strategy="normal", ring=None):
     return GroebnerBasis(ring, tuple(basis))
 
 
+def is_zero_remainder(f, G):
+    """The zero test ideal_member runs: stop at the first remainder term."""
+    return not any(_remainder_terms(f, G))
+
+
+def assert_zero_tests_match(f, G, ring, want):
+    # want is reference_normal_form(f, G); G as a plain list, a growing
+    # _Divisors list and a GroebnerBasis
+    divisors = _Divisors(ring)
+    for g in G:
+        divisors.append(g)
+    for H in (list(G), divisors, GroebnerBasis(ring, tuple(G))):
+        assert is_zero_remainder(f, H) == (not want)
+
+
 def random_poly(ring, rng, terms=5, top=2):
     acc = {}
     for _ in range(rng.randint(1, terms)):
@@ -183,7 +202,11 @@ def test_remainders_match_the_reference_on_corpus_bases():
             f = random_poly(ring, rng)
             for g in rng.sample(jm.generators, min(2, len(jm.generators))):
                 f = f + g * random_poly(ring, rng, terms=2, top=1)
-            assert normal_form(f, gb) == reference_normal_form(f, gb)
+            want = reference_normal_form(f, gb)
+            assert normal_form(f, gb) == want
+            assert_zero_tests_match(f, gb.basis, ring, want)
+            # f minus its remainder is a member
+            assert_zero_tests_match(f - want, gb.basis, ring, ring.zero())
 
 
 def test_remainders_match_the_reference_on_unordered_lists():
@@ -200,6 +223,7 @@ def test_remainders_match_the_reference_on_unordered_lists():
             want = reference_normal_form(f, G)
             assert normal_form(f, G) == want
             assert normal_form(f, GroebnerBasis(ring, tuple(G))) == want
+            assert_zero_tests_match(f, G, ring, want)
 
 
 def _polys(ring, max_terms, top=2):
@@ -219,6 +243,7 @@ def test_remainders_match_the_reference_on_random_polynomials(f, G):
     want = reference_normal_form(f, G)
     assert normal_form(f, G) == want
     assert normal_form(f, GroebnerBasis(PENTAGON_RING, tuple(G))) == want
+    assert_zero_tests_match(f, G, PENTAGON_RING, want)
 
 
 def test_reduced_bases_match_the_fixpoint_reference_on_corpus_bases():
@@ -335,6 +360,36 @@ def test_repeated_membership_builds_key_and_lead_table_once(monkeypatch):
     assert calls["key"] == before["key"] == 1
     assert calls["table"] == before["table"] + 1
     assert groebner_basis(I) is gb
+
+
+def test_membership_stops_at_the_first_remainder_term(monkeypatch):
+    # f = s + h with s a chain-supported monomial of degree 3, standard for
+    # a distributive lattice by Hibi's theorem, and h a combination of the
+    # quadratic generators, all below s; h's terms need dividing, yet the
+    # test must compare exponents only for s
+    calls = []
+    divides = groebner._divides
+
+    def counted(a, b):
+        calls.append(b)
+        return divides(a, b)
+
+    monkeypatch.setattr(groebner, "_divides", counted)
+    rng = random.Random(10)
+    for L in [boolean(3), divisor_lattice(36), divisor_lattice(60)]:
+        jm = join_meet_ideal(L)
+        x = jm.variables
+        gb = groebner_basis(jm.ideal)
+        for a in range(L.n):
+            s = x[L.bottom] * x[a] * x[L.top]
+            assert normal_form(s, gb) == s
+            h = sum((g * rng.randint(1, 3) for g in rng.sample(jm.generators, 2)), jm.ring.zero())
+            del calls[:]
+            assert ideal_member(h, jm.ideal)
+            assert any(m != s.terms[0][0] for m in calls)
+            del calls[:]
+            assert not ideal_member(s + h, jm.ideal)
+            assert all(m == s.terms[0][0] for m in calls)
 
 
 # ---------------------------------------------------------------------------
