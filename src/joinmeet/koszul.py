@@ -163,6 +163,11 @@ def _coefficient_rows(polys, ring):
     return rows
 
 
+def _support(rows):
+    """The bitmask of the columns where some row is nonzero."""
+    return sum(1 << k for k, column in enumerate(zip(*rows)) if any(column))
+
+
 def verify_filtration(L, family):
     """Check the three Koszul-filtration axioms for the given family.
 
@@ -191,6 +196,8 @@ def verify_filtration(L, family):
     failures = []
     # each member's degree-1 part is already a basis of its linear span
     spans = {i: _coefficient_rows(m.degree1(), m.ring) for i, m in enumerate(members)}
+    # a span holds a row only if its support holds the row's support
+    supports = {i: _support(rows) for i, rows in spans.items()}
     for i, member in enumerate(members):
         if member.is_zero():
             continue
@@ -199,6 +206,7 @@ def verify_filtration(L, family):
             (j, other)
             for j, other in enumerate(members)
             if other.dim == dim - 1
+            and not supports[j] & ~supports[i]
             and linalg.row_space_contains(spans[i], spans[j])
         ]
         found = None
@@ -207,12 +215,12 @@ def verify_filtration(L, family):
             report = colon_in_H_by_ideal(other, member)
             target = keys.get(report.semantic_key())
             if target is not None:
+                rows = _coefficient_rows(member.linear_generators, member.ring)
                 gen = next(
                     g
-                    for g in member.linear_generators
-                    if not linalg.in_row_space(
-                        spans[j], _coefficient_rows([g], member.ring)[0]
-                    )
+                    for g, row in zip(member.linear_generators, rows)
+                    if _support([row]) & ~supports[j]
+                    or not linalg.in_row_space(spans[j], row)
                 )
                 found = Witness(i, member, j, other, gen, target, report)
                 break

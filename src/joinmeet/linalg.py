@@ -46,20 +46,27 @@ def rref(rows):
     return mat[:pivot_row]
 
 
-def rank(rows):
-    return len(rref(rows))
-
-
 def in_row_space(rows, vec):
     """Whether vec lies in the row space of rows."""
     return row_space_contains(rows, [vec])
 
 
 def row_space_contains(big, small):
-    """Whether every row of small lies in the row space of big: adding them
-    leaves the rank unchanged."""
-    big = list(big)
-    return rank(big + [list(v) for v in small]) == rank(big)
+    """Whether every row of small lies in the row space of big: each reduces
+    to zero against the pivot rows of one rref of big.  A pivot is its row's
+    first nonzero entry and is 1."""
+    pivots = [(row.index(1), row) for row in rref(big)]
+    for vec in small:
+        vec = list(vec)
+        for col, row in pivots:
+            factor = vec[col]
+            if factor:
+                for k, v in enumerate(row):
+                    if v:
+                        vec[k] -= factor * v
+        if any(vec):
+            return False
+    return True
 
 
 def row_space_equal(a, b):

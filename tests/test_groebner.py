@@ -20,7 +20,7 @@ from joinmeet.groebner import (
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
 from joinmeet.lattice import boolean, chain, diamond, pentagon
-from joinmeet.poly import degrevlex
+from joinmeet.poly import Ring, degrevlex
 from oracles import macaulay_member
 
 
@@ -311,3 +311,16 @@ def test_membership_agrees_with_macaulay_oracle():
                 probes.append(g)
             for f in probes:
                 assert ideal_member(f, I) == macaulay_member(I.generators, f), str(f)
+
+
+def test_membership_rejects_a_polynomial_from_another_ring():
+    # boolean(2)'s ring is o, a, b, ab; both polynomials used to be "members"
+    I = join_meet_ideal(boolean(2)).ideal
+    four = Ring(("p", "q", "r", "s"), degrevlex(4))
+    three = Ring(("p", "q", "r"), degrevlex(3))
+    for f in (four.parse("q*r - p*s"), three.parse("q*r - p")):
+        with pytest.raises(ValueError, match="mixed rings"):
+            ideal_member(f, I)
+    # an equal ring that is another object is the same ring
+    same = Ring(I.ring.names, I.ring.order)
+    assert ideal_member(same.parse("a*b - o*ab"), I)

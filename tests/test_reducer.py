@@ -7,7 +7,8 @@ with the exponent comparison alone.  The prepared reducer must give the same
 remainder for every sequence G, Groebner basis or not, because Buchberger's
 pair sequence depends on the remainders of non-bases.  The zero test, which
 stops at the first remainder term, must agree with that remainder being
-zero.
+zero.  ideal_member sums cached normal forms of single monomials, and must
+agree with f's own remainder being zero and with the Macaulay-matrix oracle.
 
 reference_reduce_basis repeats the tail reductions until none changes an
 element; reduce_basis makes one pass and must give the same basis.
@@ -170,7 +171,7 @@ def reference_buchberger(gens, strategy="normal", ring=None):
 
 
 def is_zero_remainder(f, G):
-    """The zero test ideal_member runs: stop at the first remainder term."""
+    """Whether f's remainder under G is zero, read up to its first term."""
     return not any(_remainder_terms(f, G))
 
 
@@ -184,10 +185,17 @@ def assert_zero_tests_match(f, G, ring, want):
         assert is_zero_remainder(f, H) == (not want)
 
 
-def random_poly(ring, rng, terms=5, top=2):
+def random_poly(ring, rng, terms=5, top=2, degree=None):
+    # exponents up to top, or monomials of total degree up to degree
     acc = {}
     for _ in range(rng.randint(1, terms)):
-        m = tuple(rng.randint(0, top) if rng.random() < 0.4 else 0 for _ in range(ring.nvars))
+        if degree is None:
+            m = tuple(rng.randint(0, top) if rng.random() < 0.4 else 0 for _ in range(ring.nvars))
+        else:
+            exps = [0] * ring.nvars
+            for _ in range(rng.randint(0, degree)):
+                exps[rng.randrange(ring.nvars)] += 1
+            m = tuple(exps)
         acc[m] = acc.get(m, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return ring.from_dict(acc)
 
@@ -226,8 +234,13 @@ def test_remainders_match_the_reference_on_unordered_lists():
             assert_zero_tests_match(f, G, ring, want)
 
 
-def _polys(ring, max_terms, top=2):
+def _polys(ring, max_terms, top=2, degree=None):
+    # exponents up to top, or monomials of total degree up to degree
     monoms = st.tuples(*(st.integers(0, top) for _ in range(ring.nvars)))
+    if degree is not None:
+        monoms = st.lists(st.integers(0, ring.nvars - 1), max_size=degree).map(
+            lambda vs: tuple(vs.count(i) for i in range(ring.nvars))
+        )
     coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
     return st.lists(st.tuples(monoms, coeffs), min_size=1, max_size=max_terms).map(
         lambda pairs: ring.from_dict(dict(pairs))
@@ -362,34 +375,126 @@ def test_repeated_membership_builds_key_and_lead_table_once(monkeypatch):
     assert groebner_basis(I) is gb
 
 
-def test_membership_stops_at_the_first_remainder_term(monkeypatch):
-    # f = s + h with s a chain-supported monomial of degree 3, standard for
-    # a distributive lattice by Hibi's theorem, and h a combination of the
-    # quadratic generators, all below s; h's terms need dividing, yet the
-    # test must compare exponents only for s
-    calls = []
-    divides = groebner._divides
+def _query_stream(jm, rng, count):
+    # members (combinations of generators) and, every other query, a
+    # chain-supported monomial of degree 3, standard by Hibi's theorem
+    L, x = jm.lattice, jm.variables
+    stream = []
+    for k in range(count):
+        f = sum((g * rng.randint(1, 3) for g in rng.sample(jm.generators, 2)), jm.ring.zero())
+        if k % 2:
+            f = f + x[L.bottom] * x[rng.randrange(L.n)] * x[L.top]
+        stream.append(f)
+    return stream
 
-    def counted(a, b):
-        calls.append(b)
-        return divides(a, b)
 
-    monkeypatch.setattr(groebner, "_divides", counted)
+def test_membership_divides_each_monomial_once_per_basis(monkeypatch):
+    # on a fresh basis, the only divisions are one normal form per distinct
+    # monomial of the stream, in first-seen order; a second pass divides
+    # nothing and gives the same answers
     rng = random.Random(10)
     for L in [boolean(3), divisor_lattice(36), divisor_lattice(60)]:
         jm = join_meet_ideal(L)
-        x = jm.variables
+        stream = _query_stream(jm, rng, 30)
+        clear_cache()
         gb = groebner_basis(jm.ideal)
-        for a in range(L.n):
-            s = x[L.bottom] * x[a] * x[L.top]
-            assert normal_form(s, gb) == s
-            h = sum((g * rng.randint(1, 3) for g in rng.sample(jm.generators, 2)), jm.ring.zero())
-            del calls[:]
-            assert ideal_member(h, jm.ideal)
-            assert any(m != s.terms[0][0] for m in calls)
-            del calls[:]
-            assert not ideal_member(s + h, jm.ideal)
-            assert all(m == s.terms[0][0] for m in calls)
+        divided = []
+        calls = []
+        inside = []
+        divides = groebner._divides
+        reduce = groebner.normal_form
+
+        def counted(a, b):
+            calls.append(bool(inside))
+            return divides(a, b)
+
+        def counted_normal_form(f, G):
+            divided.append(f.terms)
+            inside.append(f)
+            try:
+                return reduce(f, G)
+            finally:
+                inside.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_divides", counted)
+            patch.setattr(groebner, "normal_form", counted_normal_form)
+            first = [ideal_member(f, jm.ideal) for f in stream]
+            assert calls and all(calls)
+            seen = list(dict.fromkeys(m for f in stream for m, _ in f.terms))
+            assert divided == [((m, ONE),) for m in seen]
+            assert set(gb._forms) == set(seen)
+            del calls[:], divided[:]
+            second = [ideal_member(f, jm.ideal) for f in stream]
+            assert not calls and not divided
+        assert first == second == [not k % 2 for k in range(len(stream))]
+
+
+def _assert_membership_matches(f, I, oracle=True):
+    got = ideal_member(f, I)
+    assert got == (not normal_form(f, groebner_basis(I))), str(f)
+    if oracle:
+        assert got == oracles.macaulay_member(I.generators, f), str(f)
+    return got
+
+
+def _pentagon_ideals():
+    ring = PENTAGON_RING
+    jm = join_meet_ideal(pentagon())
+    x = ring.gens()
+    return [
+        jm.ideal,
+        ideal(ring, jm.generators + (x[-1],)),
+        ideal(ring, ()),
+        ideal(ring, (ring.one(),)),
+        # non-integral forms: the leading one of x0, x1 reduces to 2/3 or
+        # 3/2 times the other
+        ideal(ring, (2 * x[0] - 3 * x[1], x[2] * x[3] - Fraction(1, 2) * x[4] ** 2)),
+    ]
+
+
+PENTAGON_IDEALS = _pentagon_ideals()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.integers(0, len(PENTAGON_IDEALS) - 1),
+    r=_polys(PENTAGON_RING, 4, degree=4),
+    hs=st.lists(_polys(PENTAGON_RING, 2, degree=2), max_size=3),
+    rest=st.booleans(),
+)
+def test_membership_matches_the_remainder_and_the_oracle(which, r, hs, rest):
+    # f = Σ g·h over the ideal's generators, plus r half the time; the
+    # coefficients have denominators up to 3
+    I = PENTAGON_IDEALS[which]
+    f = sum((g * h for g, h in zip(I.generators, hs)), PENTAGON_RING.zero())
+    if rest:
+        f = f + r
+    _assert_membership_matches(f, I)
+
+
+def test_membership_matches_the_remainder_on_corpus_bases():
+    # f of degree at most 3; the oracle only on rings of at most six
+    # variables, where its matrices stay small; a warm table answers as a
+    # cold one does
+    rng = random.Random(12)
+    stream = []
+    for L in corpus() + [divisor_lattice(36)]:
+        jm = join_meet_ideal(L)
+        ring = jm.ring
+        lift = ideal(ring, jm.generators + tuple(rng.sample(jm.variables, 1)))
+        for I in (jm.ideal, lift):
+            for k in range(12):
+                gens = rng.sample(I.generators, min(2, len(I.generators)))
+                f = sum((g * random_poly(ring, rng, 2, degree=1) for g in gens), ring.zero())
+                if k % 2:
+                    f = f + random_poly(ring, rng, 3, degree=3)
+                stream.append((I, f, ring.nvars <= 6))
+    clear_cache()
+    cold = [_assert_membership_matches(f, I, oracle) for I, f, oracle in stream]
+    warm = [ideal_member(f, I) for I, f, _ in stream]
+    assert warm == cold
+    assert any(cold) and not all(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +612,7 @@ def test_linalg_matches_the_oracle_on_sparse_matrices(data, ncols):
     big = data.draw(_matrix(ncols))
     small = data.draw(_matrix(ncols))
     assert linalg.rref(big) == oracles.rref(big)
-    assert linalg.rank(big + small) == len(oracles.rref(big + small))
+    assert len(linalg.rref(big + small)) == len(oracles.rref(big + small))
     expected = [oracles.in_span(big, v) for v in small]
     assert [linalg.in_row_space(big, v) for v in small] == expected
     assert linalg.row_space_contains(big, small) == all(expected)
