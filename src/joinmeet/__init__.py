@@ -14,7 +14,6 @@ from .groebner import (
     ZeroDivisorArgument,
     buchberger,
     colon_element,
-    colon_ideal,
     groebner_basis,
     ideal,
     ideal_equal,

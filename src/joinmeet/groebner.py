@@ -1,10 +1,11 @@
 """Buchberger-based Groebner engine.
 
-Normal forms, reduced bases, and the ideal calculus (equality, sums,
-intersections, colon ideals) that backs every "one can check" equality in the
-package.  Ideals here are tiny (tens of generators, ~10 variables), so the
-classic algorithm with the coprime and chain criteria is enough; pair
-selection follows the normal strategy (smallest lcm degree first).
+Normal forms, reduced bases, and the ideal calculus (equality, sums, and
+colons and intersections by a linear form) that backs every "one can check"
+equality in the package.  Ideals here are tiny (tens of generators, ~10
+variables), so the classic algorithm with the coprime and chain criteria is
+enough; pair selection follows the normal strategy (smallest lcm degree
+first).
 
 Division reads the divisors from a lead table: one row per nonzero divisor,
 in order, with the support bitmask of its leading monomial, the leading
@@ -33,17 +34,15 @@ Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
 a smaller system in the remaining variables.
 
-Intersections take one of two routes, chosen from the input alone.  When the
-first ideal I is homogeneous and the second is generated by one linear form l
-that is a multiple of a variable x modulo the linear generators of I (as
-every variable is), I ∩ (l) = l·(I : x), and I : x comes from a degrevlex
-basis with x as the smallest variable (Bayer–Stillman 1987; Eisenbud,
-Commutative Algebra, Prop. 15.12), with no extra variable.  When that colon
-is generated by I's nonlinear generators and its linear part, it is
-C = I + (I : x)_1, whose cached reduced basis is returned with no second
-Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon report
-reads next.  Every other intersection eliminates an auxiliary variable under
-a block order.
+Every colon is a colon by one linear form l, and every intersection is
+I ∩ (l) = l·(I : l) for a homogeneous I.  Modulo the linear generators of I,
+l = c·x + r for a variable x; the linear automorphism φ: x ↦ l gives
+I : l = φ(φ⁻¹(I) : x), and φ⁻¹(I) : x comes from a degrevlex basis with x as
+the smallest variable (Bayer–Stillman 1987; Eisenbud, Commutative Algebra,
+Prop. 15.12), with no extra variable.  When that colon is generated by I's
+nonlinear generators and its linear part, it is C = I + (I : l)_1, whose
+cached reduced basis is returned with no second Buchberger run; for
+I = (I_L, x_R) that is the basis hibi's colon report reads next.
 """
 
 from __future__ import annotations
@@ -512,68 +511,23 @@ def ideal_sum(I, J):
     return ideal(I.ring, I.generators + J.generators)
 
 
-def _fresh_aux_name(ring):
-    name = "t"
-    while name in ring.names:
-        name += "_"
-    return name
-
-
 def intersect(I, J):
-    """I ∩ J, by one of two routes chosen from the input.
-
-    If every generator of I is homogeneous and J is generated by one linear
-    form l that reduces to a multiple of one variable modulo the linear
-    generators of I (every variable does), then I ∩ (l) = l·(I : l): the
-    result is l times the reduced basis of I : l, computed without
-    elimination (_colon_by_linear_form), and that basis is registered in the
-    cache as the basis of the colon.  Every other pair of ideals goes through
-    _intersect_by_elimination.
+    """I ∩ (l) for a homogeneous I and J = (l), l one linear form: l times
+    the reduced basis of I : l (_colon_by_linear_form), which is registered
+    in the cache as the basis of the colon.  Any other pair raises
+    ValueError.
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
+    if len(J.generators) != 1 or not J.generators[0].is_linear_form():
+        raise ValueError("intersect needs J generated by one linear form")
+    if not all(g.is_homogeneous() for g in I.generators):
+        raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
-    if (
-        len(J.generators) == 1
-        and J.generators[0].is_linear_form()
-        and all(g.is_homogeneous() for g in I.generators)
-    ):
-        l = J.generators[0]
-        colon = _colon_by_linear_form(I, l)
-        if colon is not None:
-            _register_gb(ideal(ring, colon.basis), colon)
-            return ideal(ring, tuple(l * g for g in colon.basis))
-    return _intersect_by_elimination(I, J)
-
-
-def _intersect_by_elimination(I, J):
-    """I ∩ J via elimination: compute t·I + (1-t)·J and drop the auxiliary t.
-
-    The auxiliary variable is prepended in a 2-block order (t-block dominant,
-    degrevlex within blocks); the t-free part of the reduced basis generates
-    the intersection, and for degrevlex base rings it already IS its reduced
-    basis, which is registered in the cache.
-    """
-    ring = I.ring
-    if not I.generators or not J.generators:
-        return ideal(ring, ())
-    aux = _fresh_aux_name(ring)
-    order = MonomialOrder(
-        "block", (0,) + tuple(p + 1 for p in ring.order.priority), block=1
-    )
-    ring_t = Ring((aux,) + ring.names, order)
-    embed = lambda m: (0,) + m
-    t = ring_t.var(aux)
-    one_minus_t = ring_t.one() - t
-    gens = [t * g.map_exponents(ring_t, embed) for g in I.generators]
-    gens += [one_minus_t * h.map_exponents(ring_t, embed) for h in J.generators]
-    gb = reduce_basis(buchberger(gens))
-    kept = [p for p in gb.basis if all(m[0] == 0 for m, _ in p.terms)]
-    projected = tuple(p.map_exponents(ring, lambda m: m[1:]) for p in kept)
-    result = ideal(ring, projected)
-    if ring.order.kind == "degrevlex":
-        _register_gb(result, GroebnerBasis(ring, projected, reduced=True))
-    return result
+    l = J.generators[0]
+    colon = _colon_by_linear_form(I, l)
+    _register_gb(ideal(ring, colon.basis), colon)
+    return ideal(ring, tuple(l * g for g in colon.basis))
 
 
 def _same(m):
@@ -584,28 +538,41 @@ def _ring_with_last(ring, v):
     """The variables of ring under degrevlex, in ring's priority but with
     variable v moved to the end (the smallest)."""
     priority = tuple(p for p in ring.order.priority if p != v) + (v,)
-    order = MonomialOrder("degrevlex", priority)
+    order = MonomialOrder(priority)
     if order == ring.order:
         return ring
     return Ring(ring.names, order)
 
 
+def _substitute(f, v, image):
+    """f with variable v replaced by the polynomial image."""
+    powers = [f.ring.one()]
+    acc = {}
+    for m, c in f.terms:
+        while len(powers) <= m[v]:
+            powers.append(powers[-1] * image)
+        for mm, cc in powers[m[v]].shift(m[:v] + (0,) + m[v + 1 :], c).terms:
+            acc[mm] = acc.get(mm, 0) + cc
+    return f.ring.from_dict(acc)
+
+
 def _colon_by_linear_form(I, l):
-    """Reduced basis of I : l, for homogeneous I and a linear form l, or None
-    unless l is a multiple of one variable modulo the linear generators of I.
+    """Reduced basis of I : l, for homogeneous I and a linear form l.
 
     1. Split off the linear generators of I as their reduced basis (row
        echelon form) and substitute it out of the rest and out of l.  If l
-       reduces to 0 it lies in I and the colon is the unit ideal.  If it
-       reduces to c·x for a variable x, then I : l = I : x; any longer form
-       is left to elimination.
+       reduces to 0 it lies in I and the colon is the unit ideal.  Else it
+       reduces to l = c·x + r for its leading variable x.  When r ≠ 0, the
+       linear automorphism φ: x ↦ l of the remaining variables gives
+       I : l = φ(φ⁻¹(I) : x), so x ↦ (x − r)/c is substituted into the rest
+       and x ↦ l back into the quotients of step 2.
     2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
-    3. Map back.  C = I + (I : x)_1, the nonlinear generators of I with the
+    3. Map back.  C = I + (I : l)_1, the nonlinear generators of I with the
        reduced echelon form of I's linear part and the linear quotients,
-       lies inside I : x.  If no quotient is a constant and every quotient
-       reduces to 0 modulo C's reduced basis, then I : x = C, and that
+       lies inside I : l.  If no quotient is a constant and every quotient
+       reduces to 0 modulo C's reduced basis, then I : l = C, and that
        cached basis is the answer.  Otherwise add the linear generators to
        the quotients and reduce in ring's own order.
 
@@ -614,18 +581,18 @@ def _colon_by_linear_form(I, l):
     for I = (I_L, x_R) C's basis is the cache entry the report reads next,
     whichever branch returns.  If the two constructions drift apart, results
     stay the same but that saving is lost; a test in test_colon_routes
-    counts the report's Buchberger runs to catch it.  Only a fallback colon
-    reached through colon_ideal with two or more divisors leaves C's basis
-    unread.
+    counts the report's Buchberger runs to catch it.
     """
     ring = I.ring
     linear, rest = _split_linear(I.generators)
     l = normal_form(l, linear)
     if not l:
         return GroebnerBasis(ring, (ring.one(),), reduced=True)
-    if len(l.terms) > 1:
-        return None
-    v = l.terms[0][0].index(1)
+    (lead, c), r = l.terms[0], Polynomial(ring, l.terms[1:])
+    v = lead.index(1)
+    if r:
+        x = Polynomial(ring, ((lead, ONE),))
+        rest = [_substitute(g, v, (x - r) * (1 / c)) for g in rest]
     ring_x = _ring_with_last(ring, v)
     var = ring_x.var(ring.names[v])
     if ring_x is not ring:
@@ -634,6 +601,8 @@ def _colon_by_linear_form(I, l):
     quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
     if ring_x is not ring:
         quotients = [q.map_exponents(ring, _same) for q in quotients]
+    if r:
+        quotients = [_substitute(q, v, l) for q in quotients]
     if all(q.total_degree() > 0 for q in quotients):
         degree1, higher = _split_linear(linear + quotients)
         nonlinear = tuple(g for g in I.generators if g and not g.is_linear_form())
@@ -646,31 +615,14 @@ def _colon_by_linear_form(I, l):
 
 
 def colon_element(I, f):
-    """I : f = { g : g·f ∈ I }, computed as (1/f) · (I ∩ (f)).
+    """I : f = { g : g·f ∈ I } for a homogeneous I and a linear form f,
+    computed as (1/f) · (I ∩ (f)).
 
-    For a homogeneous I and a variable f (or a linear form that is a multiple
-    of one variable modulo I's linear generators), intersect takes the route
-    without elimination: its generators are f times the reduced basis of the
-    colon, so the quotients here are that basis and the cache already holds it.
+    intersect's generators are f times the reduced basis of the colon, so the
+    quotients here are that basis and the cache already holds it.  Any other
+    I or f raises ValueError, as in intersect.
     """
     if not f:
         raise ZeroDivisorArgument("colon by the zero polynomial")
     inter = intersect(I, ideal(I.ring, (f,)))
     return ideal(I.ring, tuple(divide_exact(g, f) for g in inter.generators))
-
-
-def colon_ideal(I, J):
-    """I : J as the intersection of the element colons over J's generators.
-
-    A generator already in I colons to the unit ideal and adds nothing to the
-    intersection, so it is dropped; if none is left, I : J is the unit ideal.
-    """
-    if I.ring != J.ring:
-        raise ValueError("mixed rings")
-    result = None
-    for g in J.generators:
-        if ideal_member(g, I):
-            continue
-        c = colon_element(I, g)
-        result = c if result is None else intersect(result, c)
-    return ideal(I.ring, (I.ring.one(),)) if result is None else result

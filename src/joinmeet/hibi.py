@@ -11,11 +11,13 @@ Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L]; identity is always the reduced Groebner basis of the lift, never the
 generator list, so two presentations of the same ideal compare equal.
 
-colon_in_H is colon_element on the lift of J, colon_in_H_by_ideal is
-colon_ideal on it: each checks its input, makes one engine call and builds
-one report, whose verdicts are read from the degree-1 part of the colon's
-reduced basis, a reduced echelon form.  claim_check reads that report for
-the colon of a poset ideal at one of its maximal elements.
+colon_in_H is colon_element on the lift of J.  colon_in_H_by_ideal is the
+colon by the one generator of I outside J's lift, since J : I = J : g when
+I ⊆ J + (g); a Koszul filtration's axiom (3) only asks for such a cyclic
+I/J.  Each checks its input, makes one engine call and builds one report,
+whose verdicts are read from the degree-1 part of the colon's reduced basis,
+a reduced echelon form.  claim_check reads that report for the colon of a
+poset ideal at one of its maximal elements.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     colon_element,
-    colon_ideal,
     groebner_basis,
     ideal,
     ideal_equal,
@@ -86,7 +87,7 @@ def join_meet_ideal(L):
 def _build_join_meet_ideal(L):
     # degrevlex with the bottom smallest, so the leading term of every basic
     # binomial is the incomparable product ab
-    order = MonomialOrder("degrevlex", tuple(range(L.n - 1, -1, -1)))
+    order = MonomialOrder(tuple(range(L.n - 1, -1, -1)))
     ring = Ring(tuple(L.labels[e] for e in L.linear_extension), order)
     variables = [None] * L.n
     for e, x in zip(L.linear_extension, ring.gens()):
@@ -306,11 +307,20 @@ def colon_in_H(J, f):
 
 
 def colon_in_H_by_ideal(J, I):
-    """(J̄) : (Ī) in H[L]: colon_ideal of the lift of J by the generators of I."""
+    """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: the colon by the one
+    generator g of I outside J's lift.  With no generator outside, the colon
+    is the whole ring; when some generator lies outside J + (g), ValueError."""
     if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
-    lifted = colon_ideal(J.lift, ideal(J.ring, I.linear_generators))
-    return _colon_report(J, I.linear_generators, lifted)
+    outside = [g for g in I.linear_generators if not ideal_member(g, J.lift)]
+    if not outside:
+        return _colon_report(J, I.linear_generators, ideal(J.ring, (J.ring.one(),)))
+    g = outside[0]
+    if len(outside) > 1:
+        step = ideal(J.ring, J.lift.generators + (g,))
+        if not all(ideal_member(h, step) for h in outside[1:]):
+            raise ValueError("the colon needs a cyclic I/J")
+    return _colon_report(J, I.linear_generators, colon_element(J.lift, g))
 
 
 # ---------------------------------------------------------------------------

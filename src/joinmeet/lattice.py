@@ -468,14 +468,6 @@ class Lattice:
         members = set(members)
         return sorted(a for a in members if not any(b != a and self.le(a, b) for b in members))
 
-    def is_sublattice(self, members):
-        members = set(members)
-        return all(
-            self.join(a, b) in members and self.meet(a, b) in members
-            for a in members
-            for b in members
-        )
-
 
 # ---------------------------------------------------------------------------
 # builders

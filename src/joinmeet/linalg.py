@@ -67,7 +67,3 @@ def row_space_contains(big, small):
         if any(vec):
             return False
     return True
-
-
-def row_space_equal(a, b):
-    return rref(a) == rref(b)

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials under degrevlex or a 2-block elimination order.
+"""Exact multivariate polynomials under degrevlex.
 
 One variable per lattice element; every coefficient is a Fraction.
 Exponent vectors are dense tuples: the rings here have at most ~20 variables
@@ -37,43 +37,25 @@ def coefficient(value):
 # monomial orders
 
 
-def _drl_key(exps):
-    # degrevlex on a priority-permuted vector: degree first, then the
-    # negated reversed vector (ties broken against the smallest variable).
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A term order: degrevlex, or a 2-block elimination order.
+    """Degrevlex; ``priority`` lists variable indices from biggest to
+    smallest."""
 
-    ``priority`` lists variable indices from biggest to smallest.  For
-    ``kind="block"`` the first ``block`` positions (after applying the
-    priority) form the eliminated block; comparison is degrevlex within each
-    block, first block dominating.
-    """
-
-    kind: str
     priority: tuple
-    block: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ValueError("priority must be a permutation of the variables")
-        if self.kind == "block" and not 0 < self.block < len(self.priority):
-            raise ValueError("block size must split the variables")
 
     def key(self, exps):
-        perm = tuple(exps[i] for i in self.priority)
-        if self.kind == "degrevlex":
-            return _drl_key(perm)
-        return (_drl_key(perm[: self.block]), _drl_key(perm[self.block :]))
+        # degree first, then the negated exponents from the smallest variable
+        # up (ties broken against the smallest variable)
+        return (sum(exps), tuple(-exps[i] for i in reversed(self.priority)))
 
 
 def degrevlex(nvars, priority=None):
-    return MonomialOrder("degrevlex", tuple(range(nvars) if priority is None else priority))
+    return MonomialOrder(tuple(range(nvars) if priority is None else priority))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +175,6 @@ class Polynomial:
 
     def is_linear_form(self):
         return all(sum(m) == 1 for m, _ in self.terms)
-
-    def degree_part(self, d):
-        return Polynomial(self.ring, tuple((m, c) for m, c in self.terms if sum(m) == d))
 
     def monic(self):
         if not self.terms or self.terms[0][1] == ONE:

@@ -1,10 +1,12 @@
-"""The two routes of intersect agree.
+"""The colon route agrees with elimination.
 
-For a homogeneous ideal and a variable (or a linear form that reduces to a
-multiple of one variable modulo the ideal's linear generators), intersect
-computes the colon without elimination; _intersect_by_elimination is the
-reference it must match, reduced basis for reduced basis.  Other linear
-forms take the elimination route.  The split of linear generators in
+For a homogeneous ideal I and any nonzero linear form l, intersect computes
+I : l without elimination: modulo I's linear generators l = c·x + r, and the
+automorphism x ↦ l turns the colon into a colon by the variable x.
+elimination_colon is the reference it must match, reduced basis for reduced
+basis: I ∩ (l) by eliminating an auxiliary t from t·I + (1 − t)·(l) under a
+block order, kept here (with the order's key) as the tests' own code, as
+test_reducer keeps the old reduce_basis.  The split of linear generators in
 groebner_basis must match plain Buchberger, and sympy is an independent
 oracle for both the colon and its reduced basis.
 
@@ -15,6 +17,8 @@ exactly when the colon equals C.
 """
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,6 @@ from joinmeet import groebner, hibi
 from joinmeet.groebner import (
     GroebnerBasis,
     _colon_by_linear_form,
-    _intersect_by_elimination,
     _reduced_basis,
     _ring_with_last,
     _split_linear,
@@ -40,6 +43,7 @@ from joinmeet.groebner import (
 )
 from joinmeet.hibi import colon_in_H, join_meet_ideal, lattice_ring, variable_ideal
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
+from joinmeet.poly import MonomialOrder, Ring
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
 
 CORPUS = {
@@ -53,9 +57,41 @@ CORPUS = {
 }
 
 
+@dataclass(frozen=True)
+class EliminationOrder:
+    """The 2-block order on (t, x_1, ..., x_n): the exponent of t first, then
+    the base ring's degrevlex, so every monomial with t is above every one
+    without."""
+
+    base: MonomialOrder
+
+    @property
+    def priority(self):
+        return (0,) + tuple(p + 1 for p in self.base.priority)
+
+    def key(self, exps):
+        return (exps[0], self.base.key(exps[1:]))
+
+
+def intersect_by_elimination(I, J):
+    """I ∩ J as the t-free part of a reduced basis of t·I + (1 − t)·J."""
+    ring = I.ring
+    aux = "t"
+    while aux in ring.names:
+        aux += "_"
+    ring_t = Ring((aux,) + ring.names, EliminationOrder(ring.order))
+    embed = lambda m: (0,) + m
+    t = ring_t.var(aux)
+    gens = [t * g.map_exponents(ring_t, embed) for g in I.generators]
+    gens += [(1 - t) * h.map_exponents(ring_t, embed) for h in J.generators]
+    gb = reduce_basis(buchberger(gens, ring=ring_t))
+    kept = [p for p in gb.basis if all(m[0] == 0 for m, _ in p.terms)]
+    return ideal(ring, [p.map_exponents(ring, lambda m: m[1:]) for p in kept])
+
+
 def elimination_colon(I, f):
     """Reduced basis of I : f as (1/f)·(I ∩ (f)), the intersection by elimination."""
-    inter = _intersect_by_elimination(I, ideal(I.ring, (f,)))
+    inter = intersect_by_elimination(I, ideal(I.ring, (f,)))
     quotients = [divide_exact(g, f) for g in inter.generators]
     return reduce_basis(buchberger(quotients, ring=I.ring)).basis
 
@@ -96,22 +132,23 @@ def test_fast_colon_matches_elimination(name):
         assert groebner_basis(I).basis == plain_basis(I), (I.generators, f)
         expected = elimination_colon(I, f)
         colon = colon_element(I, f)
+        # the route returns the colon's reduced basis, and the cache holds
+        # that basis for it
+        assert colon.generators == expected, (I.generators, f)
         assert groebner_basis(colon).basis == expected, (I.generators, f)
-        if _colon_by_linear_form(I, f) is not None:
-            # the fast route returns the colon's reduced basis, and the cache
-            # holds that basis for it
-            assert colon.generators == expected, (I.generators, f)
 
 
 def test_route_is_chosen_by_the_reduced_divisor():
     R = lattice_ring(pentagon())
     I_L = join_meet_ideal(pentagon())
     x, y, z = R.var("x"), R.var("y"), R.var("z")
-    # a variable, and a form that is a multiple of one variable modulo (y)
-    assert _colon_by_linear_form(I_L, x) is not None
-    assert _colon_by_linear_form(ideal(R, I_L.generators + (y,)), x + 2 * y) is not None
-    # a form that stays a sum of two variables goes to elimination
-    assert _colon_by_linear_form(I_L, y - z) is None
+    # a form that is a multiple of one variable modulo (y) colons as that
+    # variable does
+    I = ideal(R, I_L.generators + (y,))
+    assert _colon_by_linear_form(I, x + 2 * y).basis == _colon_by_linear_form(I, x).basis
+    # a form that stays a sum of two variables takes the substitution, and
+    # matches elimination
+    assert _colon_by_linear_form(I_L, y - z).basis == elimination_colon(I_L, y - z)
     assert groebner_basis(colon_element(I_L, y - z)).basis == elimination_colon(I_L, y - z)
     # a form inside the ideal gives the unit ideal
     assert _colon_by_linear_form(ideal(R, (y, z)), y - z).basis == (R.one(),)
@@ -256,6 +293,52 @@ def test_fast_colon_matches_elimination_on_random_lattices(L, seed):
     for I, f in cases(L, rng)[::2]:
         assert groebner_basis(colon_element(I, f)).basis == elimination_colon(I, f)
         assert groebner_basis(I).basis == plain_basis(I)
+
+
+# forms of three or four terms, the first coefficient never an integer
+COEFFICIENTS = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-1), Fraction(3)]
+
+
+def long_form_cases(L, rng):
+    """Lifts (I_L, x_S) with random S, one with a non-variable linear
+    generator, each paired with a form of 3 or 4 terms with rational
+    coefficients."""
+    R = lattice_ring(L)
+    base = join_meet_ideal(L).generators
+    xs = R.gens()
+    out = []
+    for k in range(3):
+        S = [x for x in xs if rng.random() < 1 / 4]
+        if k == 1:
+            a, b = rng.sample(xs, 2)
+            S.append(a - Fraction(1, 2) * b)
+        support = rng.sample(xs, min(len(xs), rng.choice((3, 4))))
+        coefficients = [rng.choice(COEFFICIENTS[:3])]
+        coefficients += [rng.choice(COEFFICIENTS) for _ in support[1:]]
+        f = sum((c * v for c, v in zip(coefficients, support)), R.zero())
+        out.append((ideal(R, base + tuple(S)), f))
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_colon_by_a_long_form_matches_elimination(name):
+    L = CORPUS[name]
+    clear_cache()
+    rng = random.Random(f"{L.labels}/long")
+    for I, f in long_form_cases(L, rng):
+        assert len(f.terms) >= 3 and any(c.denominator > 1 for _, c in f.terms)
+        colon = colon_element(I, f)
+        assert colon.generators == elimination_colon(I, f), (I.generators, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.sampled_from([L for L in SMALL_LATTICES if L.n >= 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_colon_by_a_long_form_matches_elimination_on_random_lattices(L, seed):
+    for I, f in long_form_cases(L, random.Random(seed)):
+        assert groebner_basis(colon_element(I, f)).basis == elimination_colon(I, f)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from joinmeet.groebner import (
     ZeroDivisorArgument,
     buchberger,
     colon_element,
-    colon_ideal,
     divide_exact,
     groebner_basis,
     ideal,
@@ -187,23 +186,46 @@ def test_intersect_coprime_monomials(R):
 
 
 def test_intersect_unit(R, IL):
-    assert ideal_equal(intersect(IL, ideal(R, (R.one(),))), IL)
+    # the unit ideal is not generated by a linear form
+    with pytest.raises(ValueError):
+        intersect(IL, ideal(R, (R.one(),)))
 
 
 def test_intersect_containment(R):
-    got = intersect(ideal(R, (R.var("x"),)), ideal(R, (R.var("x"), R.var("y"))))
-    assert ideal_equal(got, ideal(R, (R.var("x"),)))
+    # I ⊆ (x), so I ∩ (x) = I
+    I = ideal(R, (R.parse("x*y"), R.parse("x*z - x*e")))
+    assert ideal_equal(intersect(I, ideal(R, (R.var("x"),))), I)
 
 
 def test_intersect_double_inclusion(R, IL):
-    J = ideal(R, (R.var("x"), R.parse("y - z")))
+    J = ideal(R, (R.parse("y - z"),))
     inter = intersect(IL, J)
     for g in inter.generators:
         assert ideal_member(g, IL) and ideal_member(g, J)
     # sampled common members reduce to zero against the intersection
-    common = R.parse("x*z - e*f") * R.var("x")
+    common = R.parse("x*z - e*f") * R.parse("y - z")
     assert ideal_member(common, IL) and ideal_member(common, J)
     assert ideal_member(common, inter)
+    assert not ideal_member(R.parse("x*z - e*f"), inter)
+
+
+@pytest.mark.parametrize(
+    "i_texts, j_texts",
+    [
+        (["x*z - e*f"], ["x", "y"]),  # J with two generators
+        (["x*z - e*f", "x - e*f"], ["y"]),  # an inhomogeneous I
+        (["x*z - e*f"], ["x*y"]),  # a J that is not linear
+        (["x*z - e*f"], []),  # no generator at all
+    ],
+)
+def test_intersect_refuses_what_is_not_a_colon_by_one_linear_form(R, i_texts, j_texts):
+    I = ideal(R, [R.parse(t) for t in i_texts])
+    J = ideal(R, [R.parse(t) for t in j_texts])
+    with pytest.raises(ValueError):
+        intersect(I, J)
+    if len(J.generators) == 1:
+        with pytest.raises(ValueError):
+            colon_element(I, J.generators[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +247,14 @@ def test_diamond_colon_final_example():
 
 
 def test_colon_by_unit(R, IL):
-    assert ideal_equal(colon_element(IL, R.one()), IL)
+    # a constant is not a linear form
+    with pytest.raises(ValueError):
+        colon_element(IL, R.one())
 
 
 def test_colon_by_zero_raises(R, IL):
     with pytest.raises(ZeroDivisorArgument):
         colon_element(IL, R.zero())
-
-
-def test_colon_ideal_is_intersection_of_element_colons(R, IL):
-    J = ideal(R, (R.var("x"), R.var("y")))
-    got = colon_ideal(IL, J)
-    expected = intersect(colon_element(IL, R.var("x")), colon_element(IL, R.var("y")))
-    assert ideal_equal(got, expected)
 
 
 def test_colon_contains_ideal_and_products_land_back(R, IL):

@@ -5,8 +5,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from conftest import corpus, distributive_corpus, m3_on_m3, small_corpus
+import oracles
 from oracles import macaulay_member
-from joinmeet import hibi, koszul, linalg
+from joinmeet import hibi, koszul
 from joinmeet.groebner import groebner_basis, ideal, ideal_equal, ideal_member
 from joinmeet.hibi import (
     NotLinear,
@@ -246,33 +247,50 @@ def test_colon_by_ideal_reduces_to_added_generator():
     [(pentagon, ["x"], ["x", "y", "z"], False), (diamond, [], ["x", "y"], True)],
 )
 def test_colon_by_ideal_with_several_generators_outside_j(make, j_gens, i_gens, differences):
-    # the colon contract, decided by Macaulay matrices: g lies in the lift of
-    # J : I exactly when g·h lies in the lift of J for every generator h of I.
-    # g runs over the monomials of degree <= 2; 0 : (x, y) on the diamond holds
-    # no monomial, so there g also runs over the differences of two of them
+    # I/J is not cyclic, so the colon is refused.  Each cyclic step J + (h),
+    # for a generator h of I outside J, keeps the colon contract, decided by
+    # Macaulay matrices: g lies in the lift of J : (J + (h)) exactly when g·h
+    # lies in the lift of J.  g runs over the monomials of degree <= 2; on
+    # the diamond, whose 0 : (x) is generated by y - z, it also runs over
+    # the differences of two of them
     L = make()
     J = residue_ideal(L, j_gens)
     I = residue_ideal(L, i_gens)
-    rep = colon_in_H_by_ideal(J, I)
-    assert len(rep.divisors) >= 2
+    with pytest.raises(ValueError):
+        colon_in_H_by_ideal(J, I)
     R = lattice_ring(L)
-    verdicts = set()
-    for d in range(3):
-        monomials = []
-        for combo in combinations_with_replacement(R.gens(), d):
-            g = R.one()
-            for v in combo:
-                g = g * v
-            monomials.append(g)
-        if differences:
-            monomials += [a - b for a, b in combinations(monomials, 2)]
-        for g in monomials:
-            expected = all(
-                macaulay_member(J.lift.generators, g * h) for h in I.linear_generators
-            )
-            assert macaulay_member(rep.lift.generators, g) == expected, str(g)
-            verdicts.add(expected)
-    assert verdicts == {True, False}
+    outside = [h for h in I.linear_generators if not ideal_member(h, J.lift)]
+    assert len(outside) >= 2
+    for h in outside:
+        step = residue_ideal(L, J.linear_generators + (h,))
+        rep = colon_in_H_by_ideal(J, step)
+        verdicts = set()
+        for d in range(3):
+            monomials = []
+            for combo in combinations_with_replacement(R.gens(), d):
+                g = R.one()
+                for v in combo:
+                    g = g * v
+                monomials.append(g)
+            if differences:
+                monomials += [a - b for a, b in combinations(monomials, 2)]
+            for g in monomials:
+                expected = macaulay_member(J.lift.generators, g * h)
+                assert macaulay_member(rep.lift.generators, g) == expected, (str(h), str(g))
+                verdicts.add(expected)
+        assert verdicts == {True, False}, str(h)
+
+
+def test_colon_by_ideal_finds_the_generator_outside_j():
+    # I/J cyclic with two generators of I outside J: the colon is the colon
+    # by either of them
+    D = diamond()
+    J = residue_ideal(D, ["x"])
+    I = residue_ideal(D, ["x", "y", "x + 2*y"])
+    rep = colon_in_H_by_ideal(J, I)
+    assert rep.semantic_key() == colon_in_H(J, "y").semantic_key()
+    assert rep.semantic_key() == colon_in_H(J, "x + 2*y").semantic_key()
+    assert rep.divisors == I.linear_generators
 
 
 def test_colon_by_zero_ideal_is_whole_ring():
@@ -420,8 +438,8 @@ def test_span_check_matches_row_reduction(name):
     verdicts = set()
     for e, rep in pairs:
         expected = [variable(L, a) for a in range(L.n) if not L.le(e, a)]
-        old = linalg.row_space_equal(
-            coefficient_rows(L, rep.degree1), coefficient_rows(L, expected)
+        old = oracles.rref(coefficient_rows(L, rep.degree1)) == oracles.rref(
+            coefficient_rows(L, expected)
         )
         assert hibi._span_matches(L, e, rep) == old
         verdicts.add(old)

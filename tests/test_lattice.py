@@ -268,7 +268,10 @@ def test_sublattices_are_closed():
     for L in corpus():
         for sub in (L.find_pentagon(), L.find_diamond(), L.find_rank2_diamond()):
             if sub is not None:
-                assert L.is_sublattice(sub.members)
+                members = set(sub.members)
+                for a in members:
+                    for b in members:
+                        assert L.join(a, b) in members and L.meet(a, b) in members
 
 
 # ---------------------------------------------------------------------------
