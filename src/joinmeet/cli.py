@@ -229,13 +229,19 @@ def cmd_filtration_verify(L, args, config):
                 "member": repr(f.member),
                 "no_candidates": f.no_candidates,
                 "tried": [
-                    {"j": j, "reason": reason, "detail": str(detail)}
+                    {"j": j, "reason": reason, "detail": _detail(reason, detail)}
                     for j, reason, detail in f.tried
                 ],
             }
             for f in rep.axiom3_failures
         ],
     }
+
+
+def _detail(reason, detail):
+    """A failed step's detail: the colon's linear forms, listed as a member's
+    generators are, or the generator that makes it nonlinear."""
+    return ", ".join(_strs(detail)) if reason == "colon-not-member" else str(detail)
 
 
 def text_filtration_verify(r):

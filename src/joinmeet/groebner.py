@@ -95,10 +95,6 @@ class GroebnerBasis:
     basis: tuple
     reduced: bool = False
 
-    @property
-    def order(self):
-        return self.ring.order
-
     def __iter__(self):
         return iter(self.basis)
 

@@ -11,13 +11,13 @@ Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L]; identity is always the reduced Groebner basis of the lift, never the
 generator list, so two presentations of the same ideal compare equal.
 
-colon_in_H is colon_element on the lift of J.  colon_in_H_by_ideal is the
-colon by the one generator of I outside J's lift, since J : I = J : g when
-I ⊆ J + (g); a Koszul filtration's axiom (3) only asks for such a cyclic
-I/J.  Each checks its input, makes one engine call and builds one report,
-whose verdicts are read from the degree-1 part of the colon's reduced basis,
-a reduced echelon form.  claim_check reads that report for the colon of a
-poset ideal at one of its maximal elements.
+colon_in_H is colon_element on the lift of J: it checks its input, makes one
+engine call and builds one report, whose verdicts are read from the degree-1
+part of the colon's reduced basis, a reduced echelon form.
+colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
+lift, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
+only asks for such a cyclic I/J.  claim_check reads colon_in_H's report for
+the colon of a poset ideal at one of its maximal elements.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class JoinMeetIdeal:
     def ideal(self):
         """I_L as one Ideal, so its GB-cache key is built once."""
         return Ideal(self.ring, self.generators)
-
-    def groebner(self):
-        return groebner_basis(self.ideal)
 
 
 _JOIN_MEET_CACHE = {}
@@ -230,8 +227,11 @@ def maximal_ideal(L):
 class ResidueColonReport:
     """Outcome of a colon computation in H[L], with generation verdicts.
 
-    ``lift`` is the colon of the lifted ideals in K[L]; ``degree1`` its linear
-    part; ``linear_generated`` says whether the colon equals (I_L, degree1);
+    ``divisors`` holds the form the colon is taken by: (f,) for J : f, and
+    (g,) for J : I with g the first generator of I outside J; for a unit
+    colon J : I, with I inside J, it holds I's generators.  ``lift`` is the
+    colon of the lifted ideals in K[L]; ``degree1`` its linear part;
+    ``linear_generated`` says whether the colon equals (I_L, degree1);
     ``variable_generated`` additionally requires every element of
     ``degree1``, which is in reduced echelon form, to be a variable; those
     are recorded in ``variables`` (element indices).  ``whole_ring`` marks the
@@ -307,9 +307,10 @@ def colon_in_H(J, f):
 
 
 def colon_in_H_by_ideal(J, I):
-    """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: the colon by the one
-    generator g of I outside J's lift.  With no generator outside, the colon
-    is the whole ring; when some generator lies outside J + (g), ValueError."""
+    """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: colon_in_H(J, g) for the
+    first generator g of I outside J's lift.  With no generator outside, the
+    colon is the whole ring; when some generator lies outside J + (g),
+    ValueError."""
     if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
     outside = [g for g in I.linear_generators if not ideal_member(g, J.lift)]
@@ -320,7 +321,7 @@ def colon_in_H_by_ideal(J, I):
         step = ideal(J.ring, J.lift.generators + (g,))
         if not all(ideal_member(h, step) for h in outside[1:]):
             raise ValueError("the colon needs a cyclic I/J")
-    return _colon_report(J, I.linear_generators, colon_element(J.lift, g))
+    return colon_in_H(J, g)
 
 
 # ---------------------------------------------------------------------------

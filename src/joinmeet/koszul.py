@@ -4,8 +4,11 @@ and exhaustive search for combinatorial filtrations.
 Cyclicity of I/J for linear-form ideals reduces to linear algebra: since the
 degree-1 part of a lift (I_L, gens) is exactly the span of the generators,
 I/J is cyclic with J ⊊ I iff span(J) sits inside span(I) with codimension
-one.  J = I is excluded: axiom (3) would pair it with J : I = H[L], which is
-never a member.
+one.  Each member's span is row-reduced once, and every containment test
+reduces against it.  colon_in_H_by_ideal takes J : I as the colon by the
+first generator g of I outside J, and a witness records that g as I/J's
+cyclic generator.  J = I is excluded: axiom (3) would pair it with
+J : I = H[L], which is never a member.
 
 The poset-ideal family and the search build their members with
 variable_ideal.  The search decides from the full set first: it walks each
@@ -30,7 +33,7 @@ deletion, 158 with the orbits alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -58,13 +61,23 @@ class CapExceeded(InputError):
 class FiltrationSpec:
     """An ordered family of linear-form ideals of H[L].
 
-    ``combinatorial`` records whether every member is generated by residue
-    classes of variables.
+    ``keys`` maps each member's semantic key to its index; two members that
+    present the same ideal raise MalformedFamily.  ``combinatorial`` records
+    whether every member is generated by residue classes of variables.
     """
 
     lattice: Lattice
     members: tuple
-    combinatorial: bool
+    keys: dict = field(init=False, repr=False)
+    combinatorial: bool = field(init=False)
+
+    def __post_init__(self):
+        self.keys = {}
+        for i, m in enumerate(self.members):
+            j = self.keys.setdefault(m.semantic_key(), i)
+            if j != i:
+                raise MalformedFamily(f"members {j} and {i} present the same ideal {m!r}")
+        self.combinatorial = all(m.variable_set() is not None for m in self.members)
 
     def __len__(self):
         return len(self.members)
@@ -72,27 +85,12 @@ class FiltrationSpec:
     def __iter__(self):
         return iter(self.members)
 
-    def member_keys(self):
-        return {m.semantic_key(): i for i, m in enumerate(self.members)}
-
 
 def filtration(L, members):
-    """Build a FiltrationSpec; semantically duplicate members are rejected."""
-    ideals = []
-    for m in members:
-        if not isinstance(m, ResidueIdeal):
-            m = residue_ideal(L, m)
-        ideals.append(m)
-    seen = {}
-    for i, m in enumerate(ideals):
-        key = m.semantic_key()
-        if key in seen:
-            raise MalformedFamily(
-                f"members {seen[key]} and {i} present the same ideal {m!r}"
-            )
-        seen[key] = i
-    combinatorial = all(m.variable_set() is not None for m in ideals)
-    return FiltrationSpec(L, tuple(ideals), combinatorial)
+    """Build a FiltrationSpec, coercing each member to a ResidueIdeal."""
+    return FiltrationSpec(
+        L, tuple(m if isinstance(m, ResidueIdeal) else residue_ideal(L, m) for m in members)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +138,7 @@ class VerificationReport:
         """Recompute every witness colon; a pass report must replay to pass."""
         if not self.passed:
             return False
-        keys = family.member_keys()
+        keys = family.keys
         nonzero = [i for i, m in enumerate(family.members) if not m.is_zero()]
         covered = {w.member_index for w in self.witnesses}
         if set(nonzero) != covered:
@@ -176,9 +174,7 @@ def verify_filtration(L, family):
     J of codimension one inside I whose colon J : I is again a member.
     """
     members = family.members
-    keys = family.member_keys()
-    if len(keys) != len(members):
-        raise MalformedFamily("family holds semantically duplicate ideals")
+    keys = family.keys
 
     axiom1_failures = [
         (i, g)
@@ -194,8 +190,10 @@ def verify_filtration(L, family):
 
     witnesses = []
     failures = []
-    # each member's degree-1 part is already a basis of its linear span
-    spans = {i: _coefficient_rows(m.degree1(), m.ring) for i, m in enumerate(members)}
+    # each member's span, row-reduced once for every containment test
+    spans = {
+        i: linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for i, m in enumerate(members)
+    }
     # a span holds a row only if its support holds the row's support
     supports = {i: _support(rows) for i, rows in spans.items()}
     for i, member in enumerate(members):
@@ -215,14 +213,7 @@ def verify_filtration(L, family):
             report = colon_in_H_by_ideal(other, member)
             target = keys.get(report.semantic_key())
             if target is not None:
-                rows = _coefficient_rows(member.linear_generators, member.ring)
-                gen = next(
-                    g
-                    for g, row in zip(member.linear_generators, rows)
-                    if _support([row]) & ~supports[j]
-                    or not linalg.in_row_space(spans[j], row)
-                )
-                found = Witness(i, member, j, other, gen, target, report)
+                found = Witness(i, member, j, other, report.divisors[0], target, report)
                 break
             if not report.linear_generated:
                 tried.append((j, "colon-not-linear", report.nonlinear_witness))
@@ -254,8 +245,7 @@ def verify_filtration(L, family):
 
 def poset_ideal_filtration(L):
     """One member per poset ideal of L, generated by its variables."""
-    members = [variable_ideal(L, s.members) for s in L.poset_ideals()]
-    return FiltrationSpec(L, tuple(members), combinatorial=True)
+    return FiltrationSpec(L, tuple(variable_ideal(L, s.members) for s in L.poset_ideals()))
 
 
 # ---------------------------------------------------------------------------
@@ -412,4 +402,4 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
                 return None
         reached = closure(survivors)
     members = [subset_ideal(m) for m in sorted(reached, key=lambda m: (bin(m).count("1"), m))]
-    return FiltrationSpec(L, tuple(members), combinatorial=True)
+    return FiltrationSpec(L, tuple(members))

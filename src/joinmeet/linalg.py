@@ -1,7 +1,9 @@
 """Small exact linear algebra: row reduction of rows of Fractions.
 
 Used for degree-1 span comparisons (linear parts of ideals are tiny, at most
-n x n with n = number of lattice elements), never for anything large.
+n x n with n = number of lattice elements), never for anything large.  A
+span is row-reduced once by rref; the membership tests then reduce against
+those rows and never row-reduce again.
 """
 
 from __future__ import annotations
@@ -47,23 +49,20 @@ def rref(rows):
 
 
 def in_row_space(rows, vec):
-    """Whether vec lies in the row space of rows."""
-    return row_space_contains(rows, [vec])
+    """Whether vec lies in the row space of rows, which must be in reduced
+    row echelon form, as rref returns them: vec reduces to zero against
+    their pivots.  A pivot is its row's first nonzero entry and is 1."""
+    vec = list(vec)
+    for row in rows:
+        factor = vec[row.index(1)]
+        if factor:
+            for k, v in enumerate(row):
+                if v:
+                    vec[k] -= factor * v
+    return not any(vec)
 
 
 def row_space_contains(big, small):
-    """Whether every row of small lies in the row space of big: each reduces
-    to zero against the pivot rows of one rref of big.  A pivot is its row's
-    first nonzero entry and is 1."""
-    pivots = [(row.index(1), row) for row in rref(big)]
-    for vec in small:
-        vec = list(vec)
-        for col, row in pivots:
-            factor = vec[col]
-            if factor:
-                for k, v in enumerate(row):
-                    if v:
-                        vec[k] -= factor * v
-        if any(vec):
-            return False
-    return True
+    """Whether every row of small lies in the row space of big, which must be
+    in reduced row echelon form, as rref returns it."""
+    return all(in_row_space(big, vec) for vec in small)

@@ -193,6 +193,35 @@ def test_verify_failing_family(tmp_path, capsys):
     assert "verdict: fail" in out
 
 
+def test_verify_failure_lists_the_colon_forms(tmp_path, capsys):
+    # (x, x + y, y) presents a generator more than its span needs; the colon
+    # 0 : (x) is (y - z), which is no member, and its forms are listed as a
+    # member's generators are
+    path = tmp_path / "redundant.filt"
+    path.write_text(json.dumps({"ideals": [[], ["x"], ["x", "x + y", "y"], ["x", "z"], "m"]}))
+    argv = ["filtration", "verify", "--builtin", "diamond", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == """\
+family of 5 ideals (combinatorial)
+axiom 1 (linear generators): pass
+axiom 2 (0 and m present): pass (zero: True, maximal: True)
+axiom 3 (cyclic colon steps): FAIL
+witnesses:
+  (x, y + x, y): J = (x), cyclic via y + x, J:I = member 3 (x, z)
+  (x, z): J = (x), cyclic via z, J:I = member 2 (x, y + x, y)
+  no witness for (x):
+    J = member 0: colon-not-member (z - y)
+  no witness for (e, x, y, z, f):
+    no member sits inside it with codimension one
+verdict: fail
+"""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    failure = json.loads(out)["result"]["failures"][0]
+    assert failure["tried"] == [{"j": 0, "reason": "colon-not-member", "detail": "z - y"}]
+
+
 @pytest.mark.parametrize(
     "kind, doc",
     [

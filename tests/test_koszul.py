@@ -67,15 +67,17 @@ def test_semantic_duplicates_rejected():
 
 
 def test_verify_rejects_directly_built_duplicates():
-    from joinmeet.hibi import residue_ideal
-    from joinmeet.koszul import FiltrationSpec
-
+    # the family checks itself, so a duplicate never reaches verify_filtration
     D = diamond()
-    fam = FiltrationSpec(
-        D, (residue_ideal(D, ["x"]), residue_ideal(D, ["2*x"])), combinatorial=True
-    )
-    with pytest.raises(MalformedFamily):
-        verify_filtration(D, fam)
+    with pytest.raises(MalformedFamily, match="members 0 and 1 present the same ideal"):
+        FiltrationSpec(D, (residue_ideal(D, ["x"]), residue_ideal(D, ["2*x"])))
+
+
+def test_directly_built_family_derives_combinatorial():
+    D = diamond()
+    x, variables, form = (residue_ideal(D, g) for g in (["x"], ["x + y", "y"], ["y - z"]))
+    assert FiltrationSpec(D, (x, variables)).combinatorial
+    assert not FiltrationSpec(D, (x, form)).combinatorial
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,20 @@ def test_diamond_witness_chain_matches_listed_equalities():
     }
     assert got == expected
     assert members[idx[("y - z",)]] == residue_ideal(D, ["y - z"])
+
+
+def test_redundant_generator_is_passed_over_for_the_cyclic_one():
+    # (x, x + y, y) spans (x, y) with one generator too many; its witness
+    # names x + y, the first of its generators outside J = (x), and the
+    # colon is taken by that form
+    D = diamond()
+    fam = filtration(D, [[], ["x"], ["x", "x + y", "y"], ["x", "z"], list(D.labels)])
+    rep = verify_filtration(D, fam)
+    assert not rep.passed
+    (w,) = [w for w in rep.witnesses if w.member_index == 2]
+    assert (w.j_index, w.colon_member_index) == (1, 3)
+    assert str(w.cyclic_generator) == "y + x"
+    assert w.colon.divisors == (w.cyclic_generator,)
 
 
 def test_zero_and_maximal_only_fails_axiom3():
@@ -353,7 +369,7 @@ def reference_search_combinatorial(L):
                 closure.add(piece)
                 stack.append(piece)
     members = [subset_ideal(m) for m in sorted(closure, key=lambda m: (bin(m).count("1"), m))]
-    return FiltrationSpec(L, tuple(members), combinatorial=True)
+    return FiltrationSpec(L, tuple(members))
 
 
 def _family(spec):
