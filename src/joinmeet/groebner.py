@@ -7,17 +7,30 @@ variables), so the classic algorithm with the coprime and chain criteria is
 enough; pair selection follows the normal strategy (smallest lcm degree
 first).
 
+The kernel (division, S-polynomials, Buchberger's pair queue and
+reduce_basis's lead test) works on packed-integer monomials: the codec of
+the ring (poly._Codec) packs a monomial into one int whose order as an int
+is the ring's monomial order, so a product is an addition, a quotient a
+subtraction, and the largest term is max() with no key.  Divisibility and
+lcm are the borrow trick on per-variable fields with a guard bit.  Exponent
+tuples stay the public form: a divisor is packed once, into a lead row kept
+on the polynomial, a polynomial to divide is packed per division (an
+S-polynomial arrives with its row), and remainders and S-polynomials leave
+the kernel unpacked.  A monomial too wide for the fields is caught by the
+guard bits, never wraps, and makes the public call widen the ring's codec
+and run again from its inputs; the result does not depend on the width.
+
 Division reads the divisors from a lead table: one row per nonzero divisor,
-in order, with the support bitmask of its leading monomial, the leading
-monomial and coefficient, and the tail terms.  A GroebnerBasis builds its
-table once, on first use, and an Ideal hashes its generators into its cache
-key once, so repeated queries against one basis or one Ideal object pay
-neither again.  A list that grows between divisions (Buchberger's basis,
-the elements reduce_basis has kept, the echelon form of linear generators)
-is a _Divisors list, which adds a row as each element is appended.  A lead
-whose support is not inside a term's support cannot divide it and is
-skipped before the exponents are compared; the first dividing lead in order
-still does the division.  Division by a monic lead skips the coefficient
+in order, with the support and fields of its leading monomial, the packed
+leading monomial and coefficient, and the packed tail terms.  A
+GroebnerBasis builds its table once, on first use, and an Ideal hashes its
+generators into its cache key once, so repeated queries against one basis
+or one Ideal object pay neither again.  A list that grows between divisions
+(Buchberger's basis, the elements reduce_basis has kept, the echelon form
+of linear generators) is a _Divisors list, which adds a row as each element
+is appended.  A lead whose support is not inside a term's support cannot
+divide it and is skipped with one AND; the first dividing lead in order
+does the division.  Division by a monic lead skips the coefficient
 quotient, and an S-polynomial is formed from the two tails in one pass.
 
 Membership sums normal forms of single monomials: modulo a Groebner basis
@@ -25,10 +38,10 @@ the normal form is linear, so f ∈ I iff Σ c·NF(x^m) over f's terms is zero.
 A GroebnerBasis keeps each form normal_form computes for ideal_member, so a
 stream of queries divides each distinct monomial once per basis.
 
-Buchberger's pair tests read the same support bitmasks: two leads are
-coprime iff their supports are disjoint, and the chain criterion compares
-exponents only for a lead whose support lies inside that of the pair's lcm,
-which each queued pair carries.
+Buchberger's pair queue holds each pair's packed lcm under a key that orders
+pairs by lcm degree, then by the ring's order.  Two leads are coprime iff
+their supports are disjoint, and the chain criterion tests against the lcm
+each lead whose support lies inside the lcm's.
 
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
@@ -54,7 +67,7 @@ from functools import cached_property
 from itertools import compress
 from operator import add, le, sub
 
-from .poly import ONE, MonomialOrder, Polynomial, Ring
+from .poly import ONE, MonomialOrder, Polynomial, Ring, _Overflow
 
 
 class ZeroDivisorArgument(ValueError):
@@ -117,89 +130,125 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers
-
-
-def _divides(a, b):
-    return all(map(le, a, b))
-
-
-def _sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _add(a, b):
-    return tuple(map(add, a, b))
-
-
-# ---------------------------------------------------------------------------
 # division
 
 
-def _bits(nvars):
-    return [1 << i for i in range(nvars)]
+class _Table(list):
+    """Lead-table rows for one codec, one per nonzero divisor in order (see
+    _row)."""
+
+    def __init__(self, codec, rows=()):
+        super().__init__(rows)
+        self.codec = codec
 
 
-def _lead_row(g, bits):
-    """The lead-table row of a nonzero g: the support bitmask of its leading
-    monomial, the leading monomial, the leading coefficient and the tail
-    terms."""
-    return (sum(compress(bits, g.terms[0][0])), *g.terms[0], g.terms[1:])
+def _row(codec, lm, lc, tail):
+    """A lead-table row: the support of the packed leading monomial lm (the
+    guard bits of its nonzero fields), its fields, lm, the leading
+    coefficient (None when it is 1) and the packed tail terms."""
+    e = -lm & codec.mask
+    H = codec.guard
+    return (((e | H) - codec.ones) & H, e, lm, None if lc == 1 else lc, tail)
 
 
-def _lead_table(G):
-    """One row per nonzero element of G, in G's order."""
+def _lead_row(f, codec):
+    """The lead-table row of a nonzero f for codec, kept on f, so that each
+    polynomial is packed once per codec."""
+    kept = f._packed
+    if kept is not None and kept[0] is codec:
+        return kept[1]
+    pack = codec.pack
+    (lm, lc), tail = f.terms[0], f.terms[1:]
+    row = _row(codec, pack(lm), lc, [(pack(m), c) for m, c in tail])
+    f._packed = (codec, row)
+    return row
+
+
+def _lead_table(G, codec=None):
+    """One row per nonzero element of G, in G's order, packed by codec
+    (by default the codec of G's ring)."""
     G = [g for g in G if g]
-    if not G:
-        return []
-    bits = _bits(G[0].ring.nvars)
+    if codec is None:
+        codec = G[0].ring._codec if G else None
     # a list comprehension: a tuple built from a generator here raised the
     # peak RSS of a divisor(36) search by about 0.6 MB (3%)
-    return [_lead_row(g, bits) for g in G]
+    return _Table(codec, [_lead_row(g, codec) for g in G])
 
 
 class _Divisors(list):
     """A list of divisors over ring whose lead table grows with it: each
-    nonzero element appended adds its row."""
+    nonzero element appended adds its row, packed by codec (by default the
+    ring's codec when the list is made)."""
 
-    def __init__(self, ring):
+    def __init__(self, ring, codec=None):
         super().__init__()
-        self._bits = _bits(ring.nvars)
-        self._table = []
+        self._table = _Table(codec or ring._codec)
 
     def append(self, g):
         super().append(g)
         if g:
-            self._table.append(_lead_row(g, self._bits))
+            self._table.append(_lead_row(g, self._table.codec))
 
-    def divides(self, m):
-        """Whether the lead of some element divides the monomial m."""
-        outside = ~sum(compress(self._bits, m))
-        return any(not s & outside and _divides(lm, m) for s, lm, _, _ in self._table)
+    def divides(self, e):
+        """Whether the lead of some element divides the monomial with
+        fields e."""
+        codec = self._table.codec
+        H = codec.guard
+        x = e | H
+        outside = ((x - codec.ones) & H) ^ H
+        return any(not row[0] & outside and (x - row[1]) & H == H for row in self._table)
 
 
-def _remainder_terms(f, G):
-    """The terms of f's remainder under division by G, largest first.  A
-    step on the term m = q·lm adds q·t for tail terms t < lm, all below m,
-    so a term no lead divides is final once it is the largest left."""
-    table = G._table if isinstance(G, (GroebnerBasis, _Divisors)) else _lead_table(G)
-    key = f.ring.key
-    bits = _bits(f.ring.nvars)
-    work = dict(f.terms)
+def _table_of(G, codec):
+    """G's lead table for codec: a _Divisors list's own, a GroebnerBasis's
+    cached one unless it was packed with fields of another width, else new."""
+    if isinstance(G, _Divisors):
+        return G._table
+    if isinstance(G, GroebnerBasis):
+        table = G._table
+        if table and table.codec.width != codec.width:
+            table = vars(G)["_table"] = _lead_table(G.basis, codec)
+        return table
+    return _lead_table(G, codec)
+
+
+def _remainder_terms(f, G, codec=None):
+    """The packed terms of f's remainder under division by G, largest first.
+    A step on the term m = q·lm adds q·t for tail terms t < lm, all below m,
+    so a term no lead divides is final once it is the largest left.
+
+    codec defaults to the one of G's table if G is a _Divisors list, else to
+    f's ring's.  A term whose guard bits are set raises _Overflow when it is
+    reached, before any lead is tested against it."""
+    if not f:
+        return
+    if codec is None:
+        codec = G._table.codec if isinstance(G, _Divisors) else f.ring._codec
+    table = _table_of(G, codec)
+    mask, H, ones = codec.mask, codec.guard, codec.ones
+    kept = f._packed
+    if kept is not None and kept[0] is codec:
+        _, _, lm, lc, tail = kept[1]
+        work = dict(tail)
+        work[lm] = ONE if lc is None else lc
+    else:
+        pack = codec.pack
+        work = {pack(m): c for m, c in f.terms}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        outside = ~sum(compress(bits, m))
-        for support, lm, lc, tail in table:
-            if not support & outside and _divides(lm, m):
-                q = _sub(m, lm)
-                qc = c if lc == 1 else c / lc
+        x = -m & mask
+        if x & H:
+            raise _Overflow(codec.width)
+        x |= H
+        # a lead with a variable outside m's support is skipped at once
+        outside = ((x - ones) & H) ^ H
+        for support, e, lm, lc, tail in table:
+            if not support & outside and (x - e) & H == H:
+                q = m - lm
+                qc = c if lc is None else c / lc
                 for mg, cg in tail:
-                    mm = _add(q, mg)
+                    mm = q + mg
                     v = work.get(mm)
                     v = -qc * cg if v is None else v - qc * cg
                     if v:
@@ -209,6 +258,17 @@ def _remainder_terms(f, G):
                 break
         else:
             yield m, c
+
+
+def _widening(ring, run, *args):
+    """run(codec, *args) with ring's codec, widened and run again until no
+    monomial overflows it."""
+    while True:
+        codec = ring._codec
+        try:
+            return run(codec, *args)
+        except _Overflow as exc:
+            ring._widen(exc.width)
 
 
 def normal_form(f, G):
@@ -223,10 +283,22 @@ def normal_form(f, G):
     Buchberger).  G's leads are read from a lead table (see the module
     docstring).  Each remainder term is final when reached, since every later
     step works below it, so the terms come out in order and need no sort.
+
+    When a monomial outgrows the codec's fields, f's ring gets a wider codec
+    and the division runs again; a _Divisors list keeps its codec, so its
+    owner runs again instead.
     """
+    if isinstance(G, _Divisors):
+        # its rows are its nonzero elements
+        return _normal_form(G._table.codec, f, G) if f and G._table else f
     if not f or not any(G):
         return f
-    return Polynomial(f.ring, tuple(_remainder_terms(f, G)))
+    return _widening(f.ring, _normal_form, f, G)
+
+
+def _normal_form(codec, f, G):
+    unpack = codec.unpack
+    return Polynomial(f.ring, tuple([(unpack(m), c) for m, c in _remainder_terms(f, G, codec)]))
 
 
 def divide_exact(f, g):
@@ -239,10 +311,10 @@ def divide_exact(f, g):
     ring = f.ring
     lm, lc = g.leading_term()
     if len(g.terms) == 1:
-        if not all(_divides(lm, m) for m, _ in f.terms):
+        if not all(all(map(le, lm, m)) for m, _ in f.terms):
             raise ArithmeticError("inexact polynomial division")
         return Polynomial(
-            ring, tuple((_sub(m, lm), c if lc == 1 else c / lc) for m, c in f.terms)
+            ring, tuple((tuple(map(sub, m, lm)), c if lc == 1 else c / lc) for m, c in f.terms)
         )
     key = ring.key
     work = dict(f.terms)
@@ -250,13 +322,13 @@ def divide_exact(f, g):
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        if not _divides(lm, m):
+        if not all(map(le, lm, m)):
             raise ArithmeticError("inexact polynomial division")
-        q = _sub(m, lm)
+        q = tuple(map(sub, m, lm))
         qc = c / lc
         quotient[q] = qc
         for mg, cg in g.terms[1:]:
-            mm = _add(q, mg)
+            mm = tuple(map(add, q, mg))
             v = work.get(mm)
             v = -qc * cg if v is None else v - qc * cg
             if v:
@@ -270,24 +342,38 @@ def s_polynomial(f, g):
     """x^a·f/lc(f) − x^b·g/lc(g), with x^a·lm(f) = x^b·lm(g) = lcm of the
     leads.  The leading terms cancel, so it is formed from the two tails in
     one dict, x^a·tail(f)/lc(f) − x^b·tail(g)/lc(g), dividing only by a
-    leading coefficient other than 1."""
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    lcm = _lcm(lmf, lmg)
-    a = _sub(lcm, lmf)
-    b = _sub(lcm, lmg)
-    work = {_add(a, m): c if lcf == 1 else c / lcf for m, c in f.terms[1:]}
-    for m, c in g.terms[1:]:
-        if lcg != 1:
+    leading coefficient other than 1.  Monomials are packed: x^a·m is a sum."""
+    return _widening(f.ring, _s_polynomial, f, g)
+
+
+def _s_polynomial(codec, f, g):
+    _, ef, lmf, lcf, tf = _lead_row(f, codec)
+    _, eg, lmg, lcg, tg = _lead_row(g, codec)
+    lcm = codec.lcm(ef, eg)
+    a = lcm - lmf
+    b = lcm - lmg
+    work = {a + m: c if lcf is None else c / lcf for m, c in tf}
+    for m, c in tg:
+        if lcg is not None:
             c = c / lcg
-        mm = _add(b, m)
+        mm = b + m
         v = work.get(mm)
         v = -c if v is None else v - c
         if v:
             work[mm] = v
         else:
             del work[mm]
-    return f.ring.from_dict(work)
+    if not work:
+        return f.ring.zero()
+    terms = [(m, work[m]) for m in sorted(work, reverse=True)]
+    unpack = codec.unpack
+    s = Polynomial(f.ring, tuple([(unpack(m), c) for m, c in terms]))
+    # normal_form reads the packed terms next, unless a sum of two packed
+    # monomials overflowed a field: such a term is packed again, and refused
+    mask, H = codec.mask, codec.guard
+    if not any(-m & mask & H for m, _ in terms):
+        s._packed = (codec, _row(codec, *terms[0], terms[1:]))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +390,12 @@ def buchberger(gens, strategy="normal", ring=None):
 
     The basis is a _Divisors list, so each remainder is divided by a lead
     table that grows with the basis; every element is nonzero, so row k of
-    the table is basis[k]'s.  The pair tests read the support bitmasks and
-    leads of those rows, and each queued pair carries its lcm: two leads are
-    coprime iff their supports are disjoint, and the chain criterion
-    compares exponents only for leads whose support lies inside the lcm's.
+    the table is basis[k]'s.  The pair tests read the supports and packed
+    leads of those rows, and each queued pair carries its packed lcm: two
+    leads are coprime iff their supports are disjoint, and the chain
+    criterion tests by the borrow trick each lead whose support lies inside
+    the lcm's.  A monomial that outgrows the codec's fields starts the run
+    again with wider fields.
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -320,20 +408,26 @@ def buchberger(gens, strategy="normal", ring=None):
             raise ValueError("an empty generator list needs an explicit ring")
         return GroebnerBasis(ring, ())
     ring = monic[0].ring
-    key = ring.key
-    basis = _Divisors(ring)
+    return GroebnerBasis(ring, _widening(ring, _buchberger, monic, strategy == "normal"))
+
+
+def _buchberger(codec, monic, normal):
+    basis = _Divisors(monic[0].ring, codec)
     table = basis._table
+    mask, H, ones = codec.mask, codec.guard, codec.ones
+    lcm_of = codec.lcm
+    pair_key = codec.pair_key
     pairs = []
     counter = 0
 
     def push(i, j):
         nonlocal counter
-        lcm = _lcm(table[i][1], table[j][1])
-        if strategy == "normal":
-            entry = (sum(lcm), key(lcm), counter, i, j, lcm)
+        lcm = lcm_of(table[i][1], table[j][1])
+        if not normal:
+            key = counter
         else:
-            entry = (counter, 0, 0, i, j, lcm)
-        heapq.heappush(pairs, entry)
+            key = lcm if pair_key is None else pair_key(lcm)
+        heapq.heappush(pairs, (key, counter, i, j, lcm))
         counter += 1
 
     for g in monic:
@@ -344,16 +438,15 @@ def buchberger(gens, strategy="normal", ring=None):
 
     done = set()
     while pairs:
-        *_, i, j, lcm = heapq.heappop(pairs)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        support_i = table[i][0]
-        support_j = table[j][0]
-        if not support_i & support_j:
+        if not table[i][0] & table[j][0]:
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        outside = ~(support_i | support_j)
+        x = -lcm & mask | H
+        outside = ((x - ones) & H) ^ H
         skip = False
-        for k, (support, lm, _, _) in enumerate(table):
-            if support & outside or k == i or k == j or not _divides(lm, lcm):
+        for k, row in enumerate(table):
+            if row[0] & outside or (x - row[1]) & H != H or k == i or k == j:
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -368,7 +461,7 @@ def buchberger(gens, strategy="normal", ring=None):
             new = len(basis) - 1
             for k in range(new):
                 push(k, new)
-    return GroebnerBasis(ring, tuple(basis))
+    return tuple(basis)
 
 
 def reduce_basis(gb):
@@ -377,15 +470,19 @@ def reduce_basis(gb):
     ring = gb.ring if isinstance(gb, GroebnerBasis) else basis[0].ring
     key = ring.key
     polys = sorted((g.monic() for g in basis if g), key=lambda g: key(g.leading_monomial()))
+    return GroebnerBasis(ring, _widening(ring, _reduce, ring, polys), reduced=True)
+
+
+def _reduce(codec, ring, polys):
     # leads of a minimal basis divide no other lead, so tail reduction fixes
     # every lead and one pass is the fixpoint.  A lead that divides a term
     # of g is at most that term, below g's lead, so only the elements kept
     # before g in lead order can reduce it, and g is reduced as it is kept
-    kept = _Divisors(ring)
+    kept = _Divisors(ring, codec)
     for g in polys:
-        if not kept.divides(g.terms[0][0]):
+        if not kept.divides(_lead_row(g, codec)[1]):
             kept.append(normal_form(g, kept))
-    return GroebnerBasis(ring, tuple(kept), reduced=True)
+    return tuple(kept)
 
 
 _GB_CACHE = {}
@@ -413,7 +510,7 @@ def _split_linear(gens):
     ring = linear[0].ring
     if all(len(g.terms) == 1 for g in linear):
         leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
-        bits = _bits(ring.nvars)
+        bits = [1 << i for i in range(ring.nvars)]
         killed = sum(1 << m.index(1) for m in leads)
         kept = []
         for g in rest:

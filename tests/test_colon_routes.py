@@ -8,7 +8,9 @@ basis: I ∩ (l) by eliminating an auxiliary t from t·I + (1 − t)·(l) under 
 block order, kept here (with the order's key) as the tests' own code, as
 test_reducer keeps the old reduce_basis.  The split of linear generators in
 groebner_basis must match plain Buchberger, and sympy is an independent
-oracle for both the colon and its reduced basis.
+oracle for both the colon and its reduced basis.  The block order packs
+into the kernel's ints by its own weight rows; a case whose degrevlex leads
+differ from its leads in that order checks that the kernel follows it.
 
 reference_colon_by_linear_form is the variable route before it reused
 C = I + (I : x)_1: it always reduces the linear generators with the
@@ -43,8 +45,9 @@ from joinmeet.groebner import (
 )
 from joinmeet.hibi import colon_in_H, join_meet_ideal, lattice_ring, variable_ideal
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
-from joinmeet.poly import MonomialOrder, Ring
+from joinmeet.poly import MonomialOrder, Ring, degrevlex
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
+from test_reducer import reference_buchberger, reference_normal_form
 
 CORPUS = {
     "pentagon": pentagon(),
@@ -68,6 +71,13 @@ class EliminationOrder:
     @property
     def priority(self):
         return (0,) + tuple(p + 1 for p in self.base.priority)
+
+    @property
+    def weights(self):
+        # the rows the key compares first, for the kernel's packed monomials:
+        # the exponent of t, then the degree of the rest
+        n = len(self.base.priority)
+        return ((1,) + (0,) * n, (0,) + (1,) * n)
 
     def key(self, exps):
         return (exps[0], self.base.key(exps[1:]))
@@ -98,6 +108,32 @@ def elimination_colon(I, f):
 
 def plain_basis(I):
     return reduce_basis(buchberger(I.generators, ring=I.ring)).basis
+
+
+def test_elimination_ring_follows_its_own_order():
+    # x^3 − t·y and y^3 − t·x lead with x^3 and y^3 in degrevlex, but with
+    # t·y and t·x in the ring's order, which puts t first.  An engine that
+    # packed every ring as degrevlex would take its two coprime leads for a
+    # basis and eliminate nothing; the ring's order finds x^4 − y^4.  With
+    # t^2 − x·y added, the normal strategy's pair order (lcm degree, then
+    # the ring's order) decides the unreduced basis
+    ring_t = Ring(("t", "x", "y"), EliminationOrder(degrevlex(2)))
+    t, x, y = ring_t.gens()
+    gens = [x ** 3 - t * y, y ** 3 - t * x]
+    flat = degrevlex(3)
+    assert [max((m for m, _ in g.terms), key=flat.key) for g in gens] == [(0, 3, 0), (0, 0, 3)]
+    assert [g.leading_monomial() for g in gens] == [(1, 0, 1), (1, 1, 0)]
+    for G in (gens, gens + [t ** 2 - x * y]):
+        for strategy in ("normal", "first"):
+            got = buchberger(G, strategy=strategy, ring=ring_t)
+            assert got.basis == reference_buchberger(G, strategy=strategy, ring=ring_t).basis
+            f = t ** 2 * x * y + t * x ** 5 + y
+            assert normal_form(f, got) == reference_normal_form(f, got)
+    assert reduce_basis(buchberger(gens, ring=ring_t)).basis == (
+        x ** 4 - y ** 4, t * y - x ** 3, t * x - y ** 3)
+    base = Ring(("x", "y"), degrevlex(2))
+    u, v = base.gens()
+    assert intersect_by_elimination(ideal(base, (u,)), ideal(base, (v,))).generators == (u * v,)
 
 
 def cases(L, rng):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from joinmeet.poly import (
     MonomialOrder,
     PolyParseError,
     Ring,
+    _Codec,
+    _Overflow,
     degrevlex,
 )
 
@@ -204,6 +208,87 @@ def test_monomial_order_properties(a, b, c):
             assert order.key(shifted_a) < order.key(shifted_b)
         # 1 is minimal
         assert order.key((0, 0, 0)) <= ka
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: each ring's codec against exponent tuples
+
+
+def assert_codec_matches_tuples(codec, order, a, b):
+    """Order, product, quotient, divisibility and lcm of the packed a and b
+    against the same on exponent tuples."""
+    pa, pb = codec.pack(a), codec.pack(b)
+    assert codec.unpack(pa) == a and codec.unpack(pb) == b
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    product = tuple(map(add, a, b))
+    assert codec.unpack(pa + pb) == product
+    if max(product) < 2 ** (codec.width - 1):
+        assert pa + pb == codec.pack(product)
+    ea, eb = -pa & codec.mask, -pb & codec.mask
+    H = codec.guard
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (((eb | H) - ea) & H == H) == divides
+    if divides:
+        assert pb - pa == codec.pack(tuple(map(sub, b, a)))
+    lcm = tuple(map(max, a, b))
+    assert codec.lcm(ea, eb) == codec.pack(lcm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MONOMS, MONOMS)
+def test_packed_monomials_match_exponent_tuples(a, b):
+    # 8-bit fields through bytes, wider ones through shifts
+    for order in ORDERS:
+        for width in (8, 16, 32):
+            assert_codec_matches_tuples(_Codec(order, 3, width), order, a, b)
+
+
+def test_packed_lcms_of_many_wide_exponents_keep_their_degree():
+    # 40 and 600 variables with exponents up to 127: an lcm's degree is far
+    # above one 8-bit field, so its digit sum needs one fold, then two
+    rng = random.Random(3)
+    for n in (40, 600):
+        order = degrevlex(n, priority=tuple(rng.sample(range(n), n)))
+        codec = Ring(tuple(f"x{i}" for i in range(n)), order)._codec
+        assert codec.width == 8
+        for _ in range(5):
+            a, b = (tuple(rng.randint(100, 127) for _ in range(n)) for _ in range(2))
+            assert_codec_matches_tuples(codec, order, a, b)
+
+
+def test_packing_refuses_exponents_past_the_guard_bit():
+    codec = _Codec(degrevlex(3), 3, 8)
+    assert codec.unpack(codec.pack((127, 0, 127))) == (127, 0, 127)
+    for exps in [(128, 0, 0), (0, 300, 0), (200, 200, 200)]:
+        with pytest.raises(_Overflow):
+            codec.pack(exps)
+    # a sum of two packed monomials carries out of no field: the guard bit
+    # shows the overflow and the exponent still unpacks exactly
+    p = codec.pack((127, 1, 0)) + codec.pack((127, 0, 0))
+    assert -p & codec.mask & codec.guard
+    assert codec.unpack(p) == (254, 1, 0)
+
+
+def test_rings_refuse_orders_they_cannot_pack():
+    class LexOrder:
+        priority = (0, 1)
+
+        def key(self, exps):
+            return exps
+
+    with pytest.raises(TypeError, match="no weight rows"):
+        Ring(("x", "y"), LexOrder())
+    LexOrder.weights = ((1, 1), (0, 1))  # y in two rows
+    with pytest.raises(TypeError, match="do not split the variables"):
+        Ring(("x", "y"), LexOrder())
+
+
+def test_ring_hash_is_computed_once(monkeypatch):
+    R, S = pentagon_ring(), pentagon_ring()
+    assert hash(R) == hash((R.names, R.order)) == hash(S) and R == S
+    monkeypatch.setattr(MonomialOrder, "__hash__", lambda self: pytest.fail("order rehashed"))
+    assert {R: 1}[S] == 1
 
 
 def test_mixed_rings_rejected(R):

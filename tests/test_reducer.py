@@ -56,7 +56,7 @@ from joinmeet.groebner import (
     s_polynomial,
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
-from joinmeet.poly import ONE
+from joinmeet.poly import ONE, Ring, degrevlex
 from joinmeet.lattice import boolean, diamond, divisor_lattice, pentagon
 
 
@@ -285,12 +285,27 @@ def test_reduced_bases_match_the_fixpoint_reference_on_random_polynomials(G):
 
 
 def test_buchberger_matches_the_reference_reducer(monkeypatch):
+    # Buchberger sends each S-polynomial's remainder through normal_form,
+    # so the reference reducer patched in does every reduction
     lattices = [pentagon(), diamond(), boolean(3), divisor_lattice(36), m3_on_m3()]
     gens = [join_meet_ideal(L).generators for L in lattices]
     got = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
-    monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
+    calls = {"s_polynomial": 0, "normal_form": 0}
+    s_poly = groebner.s_polynomial
+
+    def counted_s_polynomial(f, g):
+        calls["s_polynomial"] += 1
+        return s_poly(f, g)
+
+    def counted_reference(f, G):
+        calls["normal_form"] += 1
+        return reference_normal_form(f, G)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted_s_polynomial)
+    monkeypatch.setattr(groebner, "normal_form", counted_reference)
     want = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
     assert got == want
+    assert calls["normal_form"] == calls["s_polynomial"] > 0
 
 
 def _assert_buchberger_matches_the_reference(G, ring):
@@ -326,6 +341,40 @@ def test_buchberger_matches_the_reference_on_random_polynomials(G):
     # squarefree terms keep the bases of these random, mostly inhomogeneous
     # lists small
     _assert_buchberger_matches_the_reference(G, PENTAGON_RING)
+
+
+def test_exponents_past_the_field_width_widen_the_codec():
+    # 8-bit fields hold exponents below 2^7 and 16-bit ones below 2^15; past
+    # them the guard bits stop the kernel, the ring's fields double and the
+    # call runs again, and every result is the reference's
+    ring = Ring(("x", "y", "z"), degrevlex(3))
+    x, y, z = ring.gens()
+    assert ring._codec.width == 8
+    # a division whose step makes y^160 from y^60 and y^100
+    f = x ** 100 * y ** 60 + z
+    G = [x ** 100 - y ** 100]
+    assert normal_form(f, G) == reference_normal_form(f, G) == y ** 160 + z
+    assert ring._codec.width == 16
+    # inputs that fit 16 bits, whose S-polynomial does not
+    big = 2 ** 14 + 5
+    G = [x ** big - y ** big, x * y ** 2 ** 14 - z ** 3, y ** 200 - z ** 200]
+    for strategy in ("normal", "first"):
+        want = reference_buchberger(G, strategy=strategy, ring=ring)
+        assert buchberger(G, strategy=strategy, ring=ring).basis == want.basis
+        assert reduce_basis(want) == reference_reduce_basis(want)
+    assert ring._codec.width == 32
+    f = x ** (big + 3) * z + y ** big * x ** 3 * z
+    assert normal_form(f, want) == reference_normal_form(f, want)
+    assert s_polynomial(G[0], G[1]) == reference_s_polynomial(G[0], G[1])
+    # an S-polynomial with y^160 under 8-bit fields is exact, and is packed
+    # again before it divides: its unchecked fields would borrow
+    ring = Ring(("x", "y", "z"), degrevlex(3))
+    x, y, z = ring.gens()
+    s = s_polynomial(x ** 100 - y ** 100, x * y ** 60 - z)
+    assert s == reference_s_polynomial(x ** 100 - y ** 100, x * y ** 60 - z)
+    assert ring._codec.width == 8
+    h = x ** 2 * y ** 5 * z ** 2
+    assert normal_form(h, [s]) == reference_normal_form(h, [s]) == h
 
 
 @settings(max_examples=200, deadline=None)
@@ -390,8 +439,9 @@ def _query_stream(jm, rng, count):
 
 def test_membership_divides_each_monomial_once_per_basis(monkeypatch):
     # on a fresh basis, the only divisions are one normal form per distinct
-    # monomial of the stream, in first-seen order; a second pass divides
-    # nothing and gives the same answers
+    # monomial of the stream, in first-seen order, and every division kernel
+    # run is inside one of them; a second pass divides nothing and gives the
+    # same answers
     rng = random.Random(10)
     for L in [boolean(3), divisor_lattice(36), divisor_lattice(60)]:
         jm = join_meet_ideal(L)
@@ -399,14 +449,14 @@ def test_membership_divides_each_monomial_once_per_basis(monkeypatch):
         clear_cache()
         gb = groebner_basis(jm.ideal)
         divided = []
-        calls = []
+        runs = []
         inside = []
-        divides = groebner._divides
+        remainder_terms = groebner._remainder_terms
         reduce = groebner.normal_form
 
-        def counted(a, b):
-            calls.append(bool(inside))
-            return divides(a, b)
+        def counted_remainder_terms(*args):
+            runs.append(bool(inside))
+            return remainder_terms(*args)
 
         def counted_normal_form(f, G):
             divided.append(f.terms)
@@ -417,16 +467,16 @@ def test_membership_divides_each_monomial_once_per_basis(monkeypatch):
                 inside.pop()
 
         with monkeypatch.context() as patch:
-            patch.setattr(groebner, "_divides", counted)
+            patch.setattr(groebner, "_remainder_terms", counted_remainder_terms)
             patch.setattr(groebner, "normal_form", counted_normal_form)
             first = [ideal_member(f, jm.ideal) for f in stream]
-            assert calls and all(calls)
             seen = list(dict.fromkeys(m for f in stream for m, _ in f.terms))
             assert divided == [((m, ONE),) for m in seen]
+            assert len(runs) == len(seen) and all(runs)
             assert set(gb._forms) == set(seen)
-            del calls[:], divided[:]
+            del runs[:], divided[:]
             second = [ideal_member(f, jm.ideal) for f in stream]
-            assert not calls and not divided
+            assert not runs and not divided
         assert first == second == [not k % 2 for k in range(len(stream))]
 
 
