@@ -8,17 +8,19 @@ enough; pair selection follows the normal strategy (smallest lcm degree
 first).
 
 The kernel (division, S-polynomials, Buchberger's pair queue and
-reduce_basis's lead test) works on packed-integer monomials: the codec of
-the ring (poly._Codec) packs a monomial into one int whose order as an int
-is the ring's monomial order, so a product is an addition, a quotient a
-subtraction, and the largest term is max() with no key.  Divisibility and
-lcm are the borrow trick on per-variable fields with a guard bit.  Exponent
-tuples stay the public form: a divisor is packed once, into a lead row kept
-on the polynomial, a polynomial to divide is packed per division (an
-S-polynomial arrives with its row), and remainders and S-polynomials leave
-the kernel unpacked.  A monomial too wide for the fields is caught by the
-guard bits, never wraps, and makes the public call widen the ring's codec
-and run again from its inputs; the result does not depend on the width.
+reduce_basis's lead test) works on packed-integer degrevlex monomials: the
+codec of the ring (poly._Codec) packs a monomial into one int whose order
+as an int is degrevlex, so a product is an addition, a quotient a
+subtraction, and the largest term is max() with no key.  A ring under any
+other order has no codec, and every kernel entry refuses it with
+TypeError.  Divisibility and lcm are the borrow trick on per-variable
+fields with a guard bit.  Exponent tuples stay the public form: a divisor
+is packed once, into a lead row kept on the polynomial, a polynomial to
+divide is packed per division (an S-polynomial arrives with its row), and
+remainders and S-polynomials leave the kernel unpacked.  A monomial too
+wide for the fields is caught by the guard bits, never wraps, and makes the
+public call widen the ring's codec and run again from its inputs; the
+result does not depend on the width.
 
 Division reads the divisors from a lead table: one row per nonzero divisor,
 in order, with the support and fields of its leading monomial, the packed
@@ -38,10 +40,10 @@ the normal form is linear, so f ∈ I iff Σ c·NF(x^m) over f's terms is zero.
 A GroebnerBasis keeps each form normal_form computes for ideal_member, so a
 stream of queries divides each distinct monomial once per basis.
 
-Buchberger's pair queue holds each pair's packed lcm under a key that orders
-pairs by lcm degree, then by the ring's order.  Two leads are coprime iff
-their supports are disjoint, and the chain criterion tests against the lcm
-each lead whose support lies inside the lcm's.
+Buchberger's pair queue orders pairs by their packed lcms, which sort by
+degree, then in the ring's order.  Two leads are coprime iff their supports
+are disjoint, and the chain criterion tests against the lcm each lead whose
+support lies inside the lcm's.
 
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
@@ -64,7 +66,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from operator import add, le, sub
 
 from .poly import ONE, MonomialOrder, Polynomial, Ring, _Overflow
@@ -133,6 +134,13 @@ class GroebnerBasis:
 # division
 
 
+def _codec_of(ring):
+    """ring's codec; only a degrevlex ring has one, and others are refused."""
+    if ring._codec is None:
+        raise TypeError(f"the Groebner kernel computes under degrevlex only, not {ring.order!r}")
+    return ring._codec
+
+
 class _Table(list):
     """Lead-table rows for one codec, one per nonzero divisor in order (see
     _row)."""
@@ -169,7 +177,7 @@ def _lead_table(G, codec=None):
     (by default the codec of G's ring)."""
     G = [g for g in G if g]
     if codec is None:
-        codec = G[0].ring._codec if G else None
+        codec = _codec_of(G[0].ring) if G else None
     # a list comprehension: a tuple built from a generator here raised the
     # peak RSS of a divisor(36) search by about 0.6 MB (3%)
     return _Table(codec, [_lead_row(g, codec) for g in G])
@@ -182,7 +190,7 @@ class _Divisors(list):
 
     def __init__(self, ring, codec=None):
         super().__init__()
-        self._table = _Table(codec or ring._codec)
+        self._table = _Table(codec or _codec_of(ring))
 
     def append(self, g):
         super().append(g)
@@ -223,7 +231,7 @@ def _remainder_terms(f, G, codec=None):
     if not f:
         return
     if codec is None:
-        codec = G._table.codec if isinstance(G, _Divisors) else f.ring._codec
+        codec = G._table.codec if isinstance(G, _Divisors) else _codec_of(f.ring)
     table = _table_of(G, codec)
     mask, H, ones = codec.mask, codec.guard, codec.ones
     kept = f._packed
@@ -264,9 +272,8 @@ def _widening(ring, run, *args):
     """run(codec, *args) with ring's codec, widened and run again until no
     monomial overflows it."""
     while True:
-        codec = ring._codec
         try:
-            return run(codec, *args)
+            return run(_codec_of(ring), *args)
         except _Overflow as exc:
             ring._widen(exc.width)
 
@@ -416,18 +423,14 @@ def _buchberger(codec, monic, normal):
     table = basis._table
     mask, H, ones = codec.mask, codec.guard, codec.ones
     lcm_of = codec.lcm
-    pair_key = codec.pair_key
     pairs = []
     counter = 0
 
     def push(i, j):
+        # a packed lcm sorts by degree, then in the ring's order
         nonlocal counter
         lcm = lcm_of(table[i][1], table[j][1])
-        if not normal:
-            key = counter
-        else:
-            key = lcm if pair_key is None else pair_key(lcm)
-        heapq.heappush(pairs, (key, counter, i, j, lcm))
+        heapq.heappush(pairs, (lcm if normal else counter, counter, i, j, lcm))
         counter += 1
 
     for g in monic:
@@ -467,6 +470,8 @@ def _buchberger(codec, monic, normal):
 def reduce_basis(gb):
     """The unique reduced basis: monic, minimal, pairwise tail-reduced."""
     basis = gb.basis if isinstance(gb, GroebnerBasis) else tuple(gb)
+    if not (basis or isinstance(gb, GroebnerBasis)):
+        raise ValueError("an empty generator list needs an explicit ring")
     ring = gb.ring if isinstance(gb, GroebnerBasis) else basis[0].ring
     key = ring.key
     polys = sorted((g.monic() for g in basis if g), key=lambda g: key(g.leading_monomial()))
@@ -510,11 +515,10 @@ def _split_linear(gens):
     ring = linear[0].ring
     if all(len(g.terms) == 1 for g in linear):
         leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
-        bits = [1 << i for i in range(ring.nvars)]
-        killed = sum(1 << m.index(1) for m in leads)
+        killed = [m.index(1) for m in leads]
         kept = []
         for g in rest:
-            terms = tuple(t for t in g.terms if not sum(compress(bits, t[0])) & killed)
+            terms = tuple(t for t in g.terms if not any(map(t[0].__getitem__, killed)))
             if terms:
                 kept.append(Polynomial(ring, terms))
         return [Polynomial(ring, ((m, ONE),)) for m in leads], kept

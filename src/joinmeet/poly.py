@@ -3,15 +3,14 @@
 One variable per lattice element; every coefficient is a Fraction.
 Exponent vectors are dense tuples, the public form of a monomial: terms,
 printing and parsing use them.  The Groebner kernel works on packed-integer
-monomials instead, through the codec each Ring holds (see _Codec): one int
-per monomial, whose order as an int is the ring's monomial order.
+monomials instead, through the codec each degrevlex Ring holds (see
+_Codec): one int per monomial, whose order as an int is degrevlex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from operator import add, itemgetter, lshift
 
 from .errors import InputError
@@ -51,11 +50,6 @@ class MonomialOrder:
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ValueError("priority must be a permutation of the variables")
 
-    @property
-    def weights(self):
-        """The weight rows the key compares first (see _Codec): the degree."""
-        return ((1,) * len(self.priority),)
-
     def key(self, exps):
         # degree first, then the negated exponents from the smallest variable
         # up (ties broken against the smallest variable)
@@ -80,51 +74,38 @@ class _Overflow(ArithmeticError):
 
 
 class _Codec:
-    """Packed-integer monomials of one ring, in fields of ``width`` bits.
+    """Packed-integer degrevlex monomials, in fields of ``width`` bits, for
+    the variables listed from biggest to smallest in ``priority``.
 
-    The order's key compares weight rows first, then the negated exponents
-    from the smallest variable in ``priority`` up.  The weight rows are 0/1
-    rows that put each variable in exactly one row; degrevlex has the one
-    row of the degree.  A monomial packs into the int
+    The order's key compares the degree first, then the negated exponents
+    from the smallest variable up.  A monomial packs into the int
 
-        P = Σ_r W_r << S_r  −  E,   E = Σ_k e[priority[k]] << (F·k),
+        P = d << (F·n)  −  E,   E = Σ_k e[priority[k]] << (F·k),
 
-    where W_r is row r's weighted degree and each exponent has an F-bit
-    field, so the smallest variable has the highest field.  Every row sits
-    above all the fields and above the rows after it, so ints compare
-    exactly as the order's keys do; a product is an addition and a quotient
-    a subtraction, and E = −P mod 2^(F·n) gives the fields back.
+    where d is its degree and each exponent has an F-bit field, so the
+    smallest variable has the highest field.  The degree sits above all the
+    fields, so ints compare exactly as the order's keys do; a product is an
+    addition and a quotient a subtraction, and E = −P mod 2^(F·n) gives the
+    fields back.
 
     The top bit of each field is a guard: pack raises _Overflow for an
     exponent of 2^(F−1) or more.  Adding two packed monomials carries out of
     no field, so the sum still compares and unpacks exactly, and its guard
     bits say whether it fits.  On fields with clear guard bits, a | b iff
     ((E_b | H) − E_a) & H == H, with H the guard bits, since no field
-    borrows; the same borrow picks the larger field of an lcm, whose row
-    values are digit sums, after folding the fields into groups wide enough
-    for any sum.
+    borrows; the same borrow picks the larger field of an lcm, whose degree
+    is the digit sum of its fields, after folding them into groups wide
+    enough for any sum.
 
     The codec's functions, closures over its constants:
     pack(exps), the packed monomial of an exponent tuple, raising _Overflow
     for an exponent of 2^(F−1) or more; unpack(P), its exponent tuple;
     lcm(a, b), the packed lcm of the monomials with fields a and b, whose
-    guard bits are clear; pair_key(P), a packed lcm under its total degree,
-    so that pairs come out by lcm degree, then in the ring's order, or None
-    when the first row is the degree and P is that key.
+    guard bits are clear.
     """
 
-    def __init__(self, order, nvars, width):
-        try:
-            weights = tuple(tuple(row) for row in order.weights)
-        except AttributeError:
-            raise TypeError(f"cannot pack monomials of {order!r}: it has no weight rows") from None
-        if (nvars and not weights) or any(
-            len(row) != nvars or set(row) - {0, 1} for row in weights
-        ) or any(sum(column) != 1 for column in zip(*weights)):
-            raise TypeError(
-                f"cannot pack monomials of {order!r}: its weight rows do not split the variables"
-            )
-        priority = tuple(order.priority)
+    def __init__(self, priority, width):
+        nvars = len(priority)
         F = self.width = width
         K = F * nvars
         mask = self.mask = (1 << K) - 1
@@ -140,24 +121,9 @@ class _Codec:
             group *= 2
         modulus = (1 << group) - 1
 
-        def digit_sum(e):
-            for fold_mask, s in folds:
-                e = (e & fold_mask) + ((e >> s) & fold_mask)
-            return e % modulus
-
-        # rows from the last (just above the fields) up; a row value of a
-        # sum of two packed monomials is below 2^F per variable
-        field_mask = (1 << F) - 1
-        rows = []
-        shift = K
-        for row in reversed(weights):
-            row_mask = sum(field_mask << (F * k) for k in range(nvars) if row[priority[k]])
-            rows.append((row, row_mask, shift))
-            shift += (sum(row) << F).bit_length()
-        rows.reverse()
-
         # exponents in field order, then 8-bit fields as bytes
         shifts = tuple(F * k for k in range(nvars))
+        field_mask = (1 << F) - 1
         reorder = restore = None
         if priority != tuple(range(nvars)):
             reorder = _permutation(priority)
@@ -169,43 +135,20 @@ class _Codec:
                 return int.from_bytes(bytes(seq), "little")
             return sum(map(lshift, seq, shifts))
 
-        if len(weights) == 1:
-            # degrevlex: the one row is the degree
+        def pack(exps):
+            d = sum(exps)
+            if d >= limit and max(exps) >= limit:
+                raise _Overflow(F)
+            return (d << K) - fields(exps)
 
-            def pack(exps):
-                d = sum(exps)
-                if d >= limit and max(exps) >= limit:
-                    raise _Overflow(F)
-                return (d << K) - fields(exps)
-
-            def lcm(a, b):
-                ge = ((a | H) - b) & H  # guard bits of the fields where a ≥ b
-                sel = ge - (ge >> (F - 1))
-                e = (a & sel) | (b & ~sel)
-                d = e
-                for fold_mask, s in folds:
-                    d = (d & fold_mask) + ((d >> s) & fold_mask)
-                return ((d % modulus) << K) - e
-
-            pair_key = None
-        else:
-
-            def pack(exps):
-                if max(exps, default=0) >= limit:
-                    raise _Overflow(F)
-                return sum(sum(compress(exps, row)) << s for row, _, s in rows) - fields(exps)
-
-            def lcm(a, b):
-                ge = ((a | H) - b) & H
-                sel = ge - (ge >> (F - 1))
-                e = (a & sel) | (b & ~sel)
-                return sum(digit_sum(e & m) << s for _, m, s in rows) - e
-
-            # a packed lcm is below 2^top: its rows are below 2^F each
-            top = rows[0][2] + F + 1
-
-            def pair_key(P):
-                return (digit_sum(-P & mask) << top) + P
+        def lcm(a, b):
+            ge = ((a | H) - b) & H  # guard bits of the fields where a ≥ b
+            sel = ge - (ge >> (F - 1))
+            e = (a & sel) | (b & ~sel)
+            d = e
+            for fold_mask, s in folds:
+                d = (d & fold_mask) + ((d >> s) & fold_mask)
+            return ((d % modulus) << K) - e
 
         def unpack(P):
             e = -P & mask
@@ -218,7 +161,6 @@ class _Codec:
         self.pack = pack
         self.unpack = unpack
         self.lcm = lcm
-        self.pair_key = pair_key
 
 
 def _permutation(order):
@@ -236,9 +178,10 @@ def _permutation(order):
 class Ring:
     """A polynomial ring over the rationals: variable names and a monomial order.
 
-    The order must have weight rows (see _Codec); the ring packs monomials
-    with one codec, widened when a monomial outgrows its fields.  Equal
-    rings with codecs of equal width pack alike.
+    A degrevlex ring (its order a MonomialOrder) packs monomials with one
+    codec (see _Codec), widened when a monomial outgrows its fields; equal
+    rings with codecs of equal width pack alike.  A ring under any other
+    order has no codec, and the Groebner kernel refuses it.
     """
 
     names: tuple
@@ -254,7 +197,8 @@ class Ring:
         self._index.update({name: i for i, name in enumerate(self.names)})
         # the dataclass hash of the compared fields, computed once
         object.__setattr__(self, "_hash", hash((self.names, self.order)))
-        object.__setattr__(self, "_codec", _Codec(self.order, self.nvars, 8))
+        codec = _Codec(self.order.priority, 8) if isinstance(self.order, MonomialOrder) else None
+        object.__setattr__(self, "_codec", codec)
 
     def __hash__(self):
         return self._hash
@@ -263,7 +207,7 @@ class Ring:
         """After fields of width bits overflowed, use fields twice as wide,
         unless the ring's codec is already wider."""
         if self._codec.width <= width:
-            object.__setattr__(self, "_codec", _Codec(self.order, self.nvars, 2 * width))
+            object.__setattr__(self, "_codec", _Codec(self.order.priority, 2 * width))
 
     @property
     def nvars(self):

@@ -99,6 +99,15 @@ def test_principal_and_empty(R):
     assert buchberger([R.zero()]).basis == ()
 
 
+def test_an_empty_list_needs_an_explicit_ring(R):
+    # reduce_basis refuses what buchberger refuses: a list with no ring
+    for entry in (buchberger, reduce_basis):
+        with pytest.raises(ValueError, match="needs an explicit ring"):
+            entry([])
+    assert reduce_basis([R.zero()]).basis == ()
+    assert reduce_basis(buchberger([], ring=R)).basis == ()
+
+
 def test_strategies_agree(R, IL):
     cases = [
         IL.generators,

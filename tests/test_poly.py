@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joinmeet.groebner import groebner_basis, ideal, normal_form
+from joinmeet.groebner import (
+    buchberger,
+    colon_element,
+    groebner_basis,
+    ideal,
+    normal_form,
+    reduce_basis,
+    s_polynomial,
+)
 from joinmeet.poly import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPONENT,
@@ -235,13 +243,24 @@ def assert_codec_matches_tuples(codec, order, a, b):
     assert codec.lcm(ea, eb) == codec.pack(lcm)
 
 
+@st.composite
+def codec_inputs(draw):
+    """A random priority on 1 to 12 variables and two monomials, their
+    exponents small (many ties) or up to the 8-bit guard."""
+    n = draw(st.integers(1, 12))
+    priority = tuple(draw(st.permutations(range(n))))
+    monomial = st.tuples(*[st.integers(0, 4) | st.integers(0, 127)] * n)
+    return priority, draw(monomial), draw(monomial)
+
+
 @settings(max_examples=100, deadline=None)
-@given(MONOMS, MONOMS)
-def test_packed_monomials_match_exponent_tuples(a, b):
+@given(codec_inputs())
+def test_packed_monomials_match_exponent_tuples(inputs):
     # 8-bit fields through bytes, wider ones through shifts
-    for order in ORDERS:
-        for width in (8, 16, 32):
-            assert_codec_matches_tuples(_Codec(order, 3, width), order, a, b)
+    priority, a, b = inputs
+    order = degrevlex(len(priority), priority)
+    for width in (8, 16, 32):
+        assert_codec_matches_tuples(_Codec(priority, width), order, a, b)
 
 
 def test_packed_lcms_of_many_wide_exponents_keep_their_degree():
@@ -258,7 +277,7 @@ def test_packed_lcms_of_many_wide_exponents_keep_their_degree():
 
 
 def test_packing_refuses_exponents_past_the_guard_bit():
-    codec = _Codec(degrevlex(3), 3, 8)
+    codec = _Codec((0, 1, 2), 8)
     assert codec.unpack(codec.pack((127, 0, 127))) == (127, 0, 127)
     for exps in [(128, 0, 0), (0, 300, 0), (200, 200, 200)]:
         with pytest.raises(_Overflow):
@@ -271,17 +290,31 @@ def test_packing_refuses_exponents_past_the_guard_bit():
 
 
 def test_rings_refuse_orders_they_cannot_pack():
+    # a ring under an order other than degrevlex has no codec, and every
+    # kernel entry refuses it rather than pack its monomials as degrevlex;
+    # groebner_basis by a two-term linear form, and a colon, too
     class LexOrder:
         priority = (0, 1)
 
         def key(self, exps):
             return exps
 
-    with pytest.raises(TypeError, match="no weight rows"):
-        Ring(("x", "y"), LexOrder())
-    LexOrder.weights = ((1, 1), (0, 1))  # y in two rows
-    with pytest.raises(TypeError, match="do not split the variables"):
-        Ring(("x", "y"), LexOrder())
+    ring = Ring(("x", "y"), LexOrder())
+    assert ring._codec is None
+    x, y = ring.gens()
+    f, g = x ** 2 - y, x * y - 1
+    entries = [
+        lambda: normal_form(x ** 2 * y, [f, g]),
+        lambda: s_polynomial(f, g),
+        lambda: buchberger([f, g]),
+        lambda: reduce_basis([f, g]),
+        lambda: groebner_basis(ideal(ring, (f, g))),
+        lambda: groebner_basis(ideal(ring, (x - y, x * y))),
+        lambda: colon_element(ideal(ring, (x * y,)), x - y),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError, match="degrevlex only, not .*LexOrder"):
+            entry()
 
 
 def test_ring_hash_is_computed_once(monkeypatch):
