@@ -4,8 +4,8 @@ Normal forms, reduced bases, and the ideal calculus (equality, sums, and
 colons and intersections by a linear form) that backs every "one can check"
 equality in the package.  Ideals here are tiny (tens of generators, ~10
 variables), so the classic algorithm with the coprime and chain criteria is
-enough; pair selection follows the normal strategy (smallest lcm degree
-first).
+enough; the next S-pair is always the one with the smallest lcm, so the
+smallest degree first.
 
 The kernel (division, S-polynomials, Buchberger's pair queue and
 reduce_basis's lead test) works on packed-integer degrevlex monomials: the
@@ -22,18 +22,21 @@ wide for the fields is caught by the guard bits, never wraps, and makes the
 public call widen the ring's codec and run again from its inputs; the
 result does not depend on the width.
 
-Division reads the divisors from a lead table: one row per nonzero divisor,
-in order, with the support and fields of its leading monomial, the packed
-leading monomial and coefficient, and the packed tail terms.  A
-GroebnerBasis builds its table once, on first use, and an Ideal hashes its
-generators into its cache key once, so repeated queries against one basis
-or one Ideal object pay neither again.  A list that grows between divisions
-(Buchberger's basis, the elements reduce_basis has kept, the echelon form
-of linear generators) is a _Divisors list, which adds a row as each element
-is appended.  A lead whose support is not inside a term's support cannot
-divide it and is skipped with one AND; the first dividing lead in order
-does the division.  Division by a monic lead skips the coefficient
-quotient, and an S-polynomial is formed from the two tails in one pass.
+Division reads its divisors as one type, _Divisors: the polynomials, the
+codec and one lead-table row per nonzero polynomial, in order, with the
+support and fields of its leading monomial, the packed leading monomial and
+coefficient, and the packed tail terms.  A GroebnerBasis caches its
+divisors on first use and packs them again only after the ring's codec has
+widened, and an Ideal hashes its generators into its cache key once, so
+repeated queries against one basis or one Ideal object pay neither again.
+A plain sequence is packed per division.  A list that grows between
+divisions (Buchberger's basis, the elements reduce_basis has kept, the
+echelon form of linear generators) is a _Divisors list from the start, and
+adds a row as each element is appended.  A lead whose support is not inside
+a term's support cannot divide it and is skipped with one AND; the first
+dividing lead in order does the division.  Division by a monic lead skips
+the coefficient quotient, and an S-polynomial is formed from the two tails
+in one pass.
 
 Membership sums normal forms of single monomials: modulo a Groebner basis
 the normal form is linear, so f ∈ I iff Σ c·NF(x^m) over f's terms is zero.
@@ -41,9 +44,9 @@ A GroebnerBasis keeps each form normal_form computes for ideal_member, so a
 stream of queries divides each distinct monomial once per basis.
 
 Buchberger's pair queue orders pairs by their packed lcms, which sort by
-degree, then in the ring's order.  Two leads are coprime iff their supports
-are disjoint, and the chain criterion tests against the lcm each lead whose
-support lies inside the lcm's.
+degree, then in the ring's order, and ties by creation.  Two leads are
+coprime iff their supports are disjoint, and the chain criterion tests
+against the lcm each lead whose support lies inside the lcm's.
 
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
@@ -107,15 +110,15 @@ def ideal(ring, gens):
 class GroebnerBasis:
     ring: Ring
     basis: tuple
-    reduced: bool = False
 
     def __iter__(self):
         return iter(self.basis)
 
     @cached_property
-    def _table(self):
-        """normal_form's lead table of the basis, built on first use."""
-        return _lead_table(self.basis)
+    def _divisors(self):
+        """normal_form's divisors: the basis packed by the ring's codec on
+        first use, and by _divisors_of again after that codec has widened."""
+        return _Divisors(_codec_of(self.ring), self.basis)
 
     @cached_property
     def _forms(self):
@@ -141,15 +144,6 @@ def _codec_of(ring):
     return ring._codec
 
 
-class _Table(list):
-    """Lead-table rows for one codec, one per nonzero divisor in order (see
-    _row)."""
-
-    def __init__(self, codec, rows=()):
-        super().__init__(rows)
-        self.codec = codec
-
-
 def _row(codec, lm, lc, tail):
     """A lead-table row: the support of the packed leading monomial lm (the
     guard bits of its nonzero fields), its fields, lm, the leading
@@ -172,52 +166,47 @@ def _lead_row(f, codec):
     return row
 
 
-def _lead_table(G, codec=None):
-    """One row per nonzero element of G, in G's order, packed by codec
-    (by default the codec of G's ring)."""
-    G = [g for g in G if g]
-    if codec is None:
-        codec = _codec_of(G[0].ring) if G else None
-    # a list comprehension: a tuple built from a generator here raised the
-    # peak RSS of a divisor(36) search by about 0.6 MB (3%)
-    return _Table(codec, [_lead_row(g, codec) for g in G])
-
-
 class _Divisors(list):
-    """A list of divisors over ring whose lead table grows with it: each
-    nonzero element appended adds its row, packed by codec (by default the
-    ring's codec when the list is made)."""
+    """A list of divisors with their lead table for codec: rows holds the
+    row of each nonzero element, in order, and grows as elements are
+    appended."""
 
-    def __init__(self, ring, codec=None):
-        super().__init__()
-        self._table = _Table(codec or _codec_of(ring))
+    __slots__ = ("codec", "rows")
+
+    def __init__(self, codec, polys=()):
+        super().__init__(polys)
+        self.codec = codec
+        # one comprehension: a list grown by appends over-allocates, and
+        # every cached basis keeps its rows
+        self.rows = [_lead_row(g, codec) for g in self if g]
 
     def append(self, g):
         super().append(g)
         if g:
-            self._table.append(_lead_row(g, self._table.codec))
+            self.rows.append(_lead_row(g, self.codec))
 
     def divides(self, e):
         """Whether the lead of some element divides the monomial with
         fields e."""
-        codec = self._table.codec
+        codec = self.codec
         H = codec.guard
         x = e | H
         outside = ((x - codec.ones) & H) ^ H
-        return any(not row[0] & outside and (x - row[1]) & H == H for row in self._table)
+        return any(not row[0] & outside and (x - row[1]) & H == H for row in self.rows)
 
 
-def _table_of(G, codec):
-    """G's lead table for codec: a _Divisors list's own, a GroebnerBasis's
-    cached one unless it was packed with fields of another width, else new."""
+def _divisors_of(G, codec):
+    """G as divisors packed by codec: a _Divisors list itself, a
+    GroebnerBasis's cached one, packed again once the ring's codec has
+    widened, else a new one."""
     if isinstance(G, _Divisors):
-        return G._table
+        return G
     if isinstance(G, GroebnerBasis):
-        table = G._table
-        if table and table.codec.width != codec.width:
-            table = vars(G)["_table"] = _lead_table(G.basis, codec)
-        return table
-    return _lead_table(G, codec)
+        divisors = G._divisors
+        if divisors.codec.width != codec.width:
+            divisors = vars(G)["_divisors"] = _Divisors(codec, G.basis)
+        return divisors
+    return _Divisors(codec, G)
 
 
 def _remainder_terms(f, G, codec=None):
@@ -225,14 +214,14 @@ def _remainder_terms(f, G, codec=None):
     A step on the term m = q·lm adds q·t for tail terms t < lm, all below m,
     so a term no lead divides is final once it is the largest left.
 
-    codec defaults to the one of G's table if G is a _Divisors list, else to
-    f's ring's.  A term whose guard bits are set raises _Overflow when it is
-    reached, before any lead is tested against it."""
+    codec defaults to G's own if G is a _Divisors list, else to f's ring's.
+    A term whose guard bits are set raises _Overflow when it is reached,
+    before any lead is tested against it."""
     if not f:
         return
     if codec is None:
-        codec = G._table.codec if isinstance(G, _Divisors) else _codec_of(f.ring)
-    table = _table_of(G, codec)
+        codec = G.codec if isinstance(G, _Divisors) else _codec_of(f.ring)
+    rows = _divisors_of(G, codec).rows
     mask, H, ones = codec.mask, codec.guard, codec.ones
     kept = f._packed
     if kept is not None and kept[0] is codec:
@@ -251,7 +240,7 @@ def _remainder_terms(f, G, codec=None):
         x |= H
         # a lead with a variable outside m's support is skipped at once
         outside = ((x - ones) & H) ^ H
-        for support, e, lm, lc, tail in table:
+        for support, e, lm, lc, tail in rows:
             if not support & outside and (x - e) & H == H:
                 q = m - lm
                 qc = c if lc is None else c / lc
@@ -287,9 +276,10 @@ def normal_form(f, G):
     The largest remaining term is divided by the first element of G, in G's
     order, whose leading monomial divides it, so the remainder is a function
     of the sequence G even when G is not a Groebner basis (as inside
-    Buchberger).  G's leads are read from a lead table (see the module
-    docstring).  Each remainder term is final when reached, since every later
-    step works below it, so the terms come out in order and need no sort.
+    Buchberger).  G's leads are read from its lead-table rows (see the
+    module docstring).  Each remainder term is final when reached, since
+    every later step works below it, so the terms come out in order and need
+    no sort.
 
     When a monomial outgrows the codec's fields, f's ring gets a wider codec
     and the division runs again; a _Divisors list keeps its codec, so its
@@ -297,7 +287,7 @@ def normal_form(f, G):
     """
     if isinstance(G, _Divisors):
         # its rows are its nonzero elements
-        return _normal_form(G._table.codec, f, G) if f and G._table else f
+        return _normal_form(G.codec, f, G) if f and G.rows else f
     if not f or not any(G):
         return f
     return _widening(f.ring, _normal_form, f, G)
@@ -387,13 +377,11 @@ def _s_polynomial(codec, f, g):
 # Buchberger
 
 
-def buchberger(gens, strategy="normal", ring=None):
+def buchberger(gens, ring=None):
     """Complete gens to a Groebner basis.
 
-    ``strategy`` picks the next S-pair: "normal" takes the smallest lcm
-    (degree first), "first" processes pairs in creation order.  Both reach the
-    same reduced basis after reduce_basis; the acceptance suite relies on
-    that agreement.
+    The next S-pair is the one with the smallest packed lcm: smallest degree
+    first, then in the ring's order, ties broken by creation.
 
     The basis is a _Divisors list, so each remainder is divided by a lead
     table that grows with the basis; every element is nonzero, so row k of
@@ -404,8 +392,6 @@ def buchberger(gens, strategy="normal", ring=None):
     the lcm's.  A monomial that outgrows the codec's fields starts the run
     again with wider fields.
     """
-    if strategy not in ("normal", "first"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     gens = list(gens)
     monic = [g.monic() for g in gens if g]
     if not monic:
@@ -415,12 +401,12 @@ def buchberger(gens, strategy="normal", ring=None):
             raise ValueError("an empty generator list needs an explicit ring")
         return GroebnerBasis(ring, ())
     ring = monic[0].ring
-    return GroebnerBasis(ring, _widening(ring, _buchberger, monic, strategy == "normal"))
+    return GroebnerBasis(ring, _widening(ring, _buchberger, monic))
 
 
-def _buchberger(codec, monic, normal):
-    basis = _Divisors(monic[0].ring, codec)
-    table = basis._table
+def _buchberger(codec, monic):
+    basis = _Divisors(codec, monic)
+    rows = basis.rows
     mask, H, ones = codec.mask, codec.guard, codec.ones
     lcm_of = codec.lcm
     pairs = []
@@ -429,26 +415,24 @@ def _buchberger(codec, monic, normal):
     def push(i, j):
         # a packed lcm sorts by degree, then in the ring's order
         nonlocal counter
-        lcm = lcm_of(table[i][1], table[j][1])
-        heapq.heappush(pairs, (lcm if normal else counter, counter, i, j, lcm))
+        lcm = lcm_of(rows[i][1], rows[j][1])
+        heapq.heappush(pairs, (lcm, counter, i, j))
         counter += 1
 
-    for g in monic:
-        basis.append(g)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             push(i, j)
 
     done = set()
     while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
+        lcm, _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        if not table[i][0] & table[j][0]:
+        if not rows[i][0] & rows[j][0]:
             continue  # coprime leading monomials: S-polynomial reduces to zero
         x = -lcm & mask | H
         outside = ((x - ones) & H) ^ H
         skip = False
-        for k, row in enumerate(table):
+        for k, row in enumerate(rows):
             if row[0] & outside or (x - row[1]) & H != H or k == i or k == j:
                 continue
             a = (i, k) if i < k else (k, i)
@@ -475,15 +459,15 @@ def reduce_basis(gb):
     ring = gb.ring if isinstance(gb, GroebnerBasis) else basis[0].ring
     key = ring.key
     polys = sorted((g.monic() for g in basis if g), key=lambda g: key(g.leading_monomial()))
-    return GroebnerBasis(ring, _widening(ring, _reduce, ring, polys), reduced=True)
+    return GroebnerBasis(ring, _widening(ring, _reduce, polys))
 
 
-def _reduce(codec, ring, polys):
+def _reduce(codec, polys):
     # leads of a minimal basis divide no other lead, so tail reduction fixes
     # every lead and one pass is the fixpoint.  A lead that divides a term
     # of g is at most that term, below g's lead, so only the elements kept
     # before g in lead order can reduce it, and g is reduced as it is kept
-    kept = _Divisors(ring, codec)
+    kept = _Divisors(codec)
     for g in polys:
         if not kept.divides(_lead_row(g, codec)[1]):
             kept.append(normal_form(g, kept))
@@ -522,7 +506,7 @@ def _split_linear(gens):
             if terms:
                 kept.append(Polynomial(ring, terms))
         return [Polynomial(ring, ((m, ONE),)) for m in leads], kept
-    echelon = _Divisors(ring)
+    echelon = _Divisors(_codec_of(ring))
     for g in linear:
         r = normal_form(g, echelon)
         if r:
@@ -544,7 +528,7 @@ def _reduced_basis(gens, ring):
         return reduce_basis(GroebnerBasis(ring, tuple(linear) + gb.basis))
     key = ring.key
     joined = sorted(linear + list(gb.basis), key=lambda g: key(g.leading_monomial()))
-    return GroebnerBasis(ring, tuple(joined), reduced=True)
+    return GroebnerBasis(ring, tuple(joined))
 
 
 def groebner_basis(I):
@@ -681,10 +665,11 @@ def _colon_by_linear_form(I, l):
     counts the report's Buchberger runs to catch it.
     """
     ring = I.ring
+    _codec_of(ring)  # refuse a ring the kernel cannot pack before any work
     linear, rest = _split_linear(I.generators)
     l = normal_form(l, linear)
     if not l:
-        return GroebnerBasis(ring, (ring.one(),), reduced=True)
+        return GroebnerBasis(ring, (ring.one(),))
     (lead, c), r = l.terms[0], Polynomial(ring, l.terms[1:])
     v = lead.index(1)
     if r:

@@ -126,7 +126,6 @@ class VerificationReport:
     lattice: Lattice
     passed: bool
     axiom1_ok: bool
-    axiom1_failures: list
     axiom2_ok: bool
     has_zero: bool
     has_maximal: bool
@@ -169,20 +168,16 @@ def _support(rows):
 def verify_filtration(L, family):
     """Check the three Koszul-filtration axioms for the given family.
 
-    Axiom (1) by construction plus re-check; axiom (2) by semantic membership
+    Axiom (1) holds by construction; axiom (2) by semantic membership
     of 0 and m; axiom (3) by searching, for each nonzero member I, a member
     J of codimension one inside I whose colon J : I is again a member.
     """
     members = family.members
     keys = family.keys
 
-    axiom1_failures = [
-        (i, g)
-        for i, m in enumerate(members)
-        for g in m.linear_generators
-        if not g.is_linear_form()
-    ]
-    axiom1_ok = not axiom1_failures
+    # every member is a ResidueIdeal, whose constructor refuses a generator
+    # that is not a linear form, so axiom (1) holds by construction
+    axiom1_ok = True
 
     has_zero = any(m.is_zero() for m in members)
     has_maximal = any(m.is_maximal() for m in members)
@@ -229,7 +224,6 @@ def verify_filtration(L, family):
         lattice=L,
         passed=axiom1_ok and axiom2_ok and axiom3_ok,
         axiom1_ok=axiom1_ok,
-        axiom1_failures=axiom1_failures,
         axiom2_ok=axiom2_ok,
         has_zero=has_zero,
         has_maximal=has_maximal,

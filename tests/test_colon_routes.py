@@ -228,7 +228,7 @@ def reference_colon_by_linear_form(I, l):
     linear, rest = _split_linear(I.generators)
     l = normal_form(l, linear)
     if not l:
-        return GroebnerBasis(ring, (ring.one(),), reduced=True)
+        return GroebnerBasis(ring, (ring.one(),))
     if len(l.terms) > 1:
         return None
     v = l.terms[0][0].index(1)

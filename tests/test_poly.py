@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from joinmeet import groebner
 from joinmeet.groebner import (
     buchberger,
     colon_element,
@@ -289,20 +290,29 @@ def test_packing_refuses_exponents_past_the_guard_bit():
     assert codec.unpack(p) == (254, 1, 0)
 
 
-def test_rings_refuse_orders_they_cannot_pack():
+def test_rings_refuse_orders_they_cannot_pack(monkeypatch):
     # a ring under an order other than degrevlex has no codec, and every
     # kernel entry refuses it rather than pack its monomials as degrevlex;
-    # groebner_basis by a two-term linear form, and a colon, too
+    # groebner_basis by a two-term linear form, and a colon, too.  Each
+    # refuses before any Buchberger run: the colon route would otherwise run
+    # one in its degrevlex ring with the colon's variable last
     class LexOrder:
-        priority = (0, 1)
+        def __init__(self, n):
+            self.priority = tuple(range(n))
 
         def key(self, exps):
             return exps
 
-    ring = Ring(("x", "y"), LexOrder())
+    runs = []
+    run = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: runs.append(args) or run(*args))
+    ring = Ring(("x", "y"), LexOrder(2))
     assert ring._codec is None
     x, y = ring.gens()
     f, g = x ** 2 - y, x * y - 1
+    ring3 = Ring(("x", "y", "z"), LexOrder(3))
+    u, v, w = ring3.gens()
+    I = ideal(ring3, (u * v - w ** 2, u * w - v ** 2))
     entries = [
         lambda: normal_form(x ** 2 * y, [f, g]),
         lambda: s_polynomial(f, g),
@@ -311,10 +321,13 @@ def test_rings_refuse_orders_they_cannot_pack():
         lambda: groebner_basis(ideal(ring, (f, g))),
         lambda: groebner_basis(ideal(ring, (x - y, x * y))),
         lambda: colon_element(ideal(ring, (x * y,)), x - y),
+        lambda: colon_element(I, u),
+        lambda: colon_element(I, u - v),
     ]
     for entry in entries:
         with pytest.raises(TypeError, match="degrevlex only, not .*LexOrder"):
             entry()
+    assert not runs
 
 
 def test_ring_hash_is_computed_once(monkeypatch):

@@ -10,8 +10,9 @@ stops at the first remainder term, must agree with that remainder being
 zero.  ideal_member sums cached normal forms of single monomials, and must
 agree with f's own remainder being zero and with the Macaulay-matrix oracle.
 
-reference_reduce_basis repeats the tail reductions until none changes an
-element; reduce_basis makes one pass and must give the same basis.
+reference_reduce_basis repeats the tail reductions, by
+reference_normal_form, until none changes an element; reduce_basis makes one
+pass and must give the same basis.
 
 reference_buchberger and reference_s_polynomial are the pair loop and the
 S-polynomial before the growing lead table, the bitmask pair tests and the
@@ -41,7 +42,9 @@ from joinmeet import groebner, linalg
 from joinmeet.groebner import (
     GroebnerBasis,
     Ideal,
+    _codec_of,
     _Divisors,
+    _divisors_of,
     _remainder_terms,
     _ring_with_last,
     _split_linear,
@@ -104,12 +107,12 @@ def reference_reduce_basis(gb):
     while changed:
         changed = False
         for i in range(len(kept)):
-            r = normal_form(kept[i], kept[:i] + kept[i + 1 :])
+            r = reference_normal_form(kept[i], kept[:i] + kept[i + 1 :])
             if r != kept[i]:
                 kept[i] = r.monic()
                 changed = True
     kept.sort(key=lambda g: key(g.leading_monomial()))
-    return GroebnerBasis(ring, tuple(kept), reduced=True)
+    return GroebnerBasis(ring, tuple(kept))
 
 
 def reference_s_polynomial(f, g):
@@ -178,7 +181,7 @@ def is_zero_remainder(f, G):
 def assert_zero_tests_match(f, G, ring, want):
     # want is reference_normal_form(f, G); G as a plain list, a growing
     # _Divisors list and a GroebnerBasis
-    divisors = _Divisors(ring)
+    divisors = _Divisors(_codec_of(ring))
     for g in G:
         divisors.append(g)
     for H in (list(G), divisors, GroebnerBasis(ring, tuple(G))):
@@ -269,8 +272,10 @@ def test_reduced_bases_match_the_fixpoint_reference_on_corpus_bases():
         extra = rng.sample(jm.variables, min(2, L.n))
         extra.append(sum(jm.variables[1:], jm.variables[0]))
         for G in (gens, gens + extra):
-            for strategy in ("normal", "first"):
-                gb = buchberger(G, strategy=strategy, ring=jm.ring)
+            # the engine's basis, and the reference's in pair creation order,
+            # which leaves other tails
+            first = reference_buchberger(G, strategy="first", ring=jm.ring)
+            for gb in (buchberger(G, ring=jm.ring), first):
                 want = reference_reduce_basis(gb)
                 assert reduce_basis(gb) == want
                 shuffled = GroebnerBasis(jm.ring, tuple(reversed(gb.basis)))
@@ -289,7 +294,7 @@ def test_buchberger_matches_the_reference_reducer(monkeypatch):
     # so the reference reducer patched in does every reduction
     lattices = [pentagon(), diamond(), boolean(3), divisor_lattice(36), m3_on_m3()]
     gens = [join_meet_ideal(L).generators for L in lattices]
-    got = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
+    got = [buchberger(g).basis for g in gens]
     calls = {"s_polynomial": 0, "normal_form": 0}
     s_poly = groebner.s_polynomial
 
@@ -303,15 +308,13 @@ def test_buchberger_matches_the_reference_reducer(monkeypatch):
 
     monkeypatch.setattr(groebner, "s_polynomial", counted_s_polynomial)
     monkeypatch.setattr(groebner, "normal_form", counted_reference)
-    want = [buchberger(g, strategy=s).basis for g in gens for s in ("normal", "first")]
+    want = [buchberger(g).basis for g in gens]
     assert got == want
     assert calls["normal_form"] == calls["s_polynomial"] > 0
 
 
 def _assert_buchberger_matches_the_reference(G, ring):
-    for strategy in ("normal", "first"):
-        got = buchberger(G, strategy=strategy, ring=ring)
-        assert got.basis == reference_buchberger(G, strategy=strategy, ring=ring).basis
+    assert buchberger(G, ring=ring).basis == reference_buchberger(G, ring=ring).basis
 
 
 def test_buchberger_matches_the_reference_on_join_meet_ideals():
@@ -358,10 +361,9 @@ def test_exponents_past_the_field_width_widen_the_codec():
     # inputs that fit 16 bits, whose S-polynomial does not
     big = 2 ** 14 + 5
     G = [x ** big - y ** big, x * y ** 2 ** 14 - z ** 3, y ** 200 - z ** 200]
-    for strategy in ("normal", "first"):
-        want = reference_buchberger(G, strategy=strategy, ring=ring)
-        assert buchberger(G, strategy=strategy, ring=ring).basis == want.basis
-        assert reduce_basis(want) == reference_reduce_basis(want)
+    want = reference_buchberger(G, ring=ring)
+    assert buchberger(G, ring=ring).basis == want.basis
+    assert reduce_basis(want) == reference_reduce_basis(want)
     assert ring._codec.width == 32
     f = x ** (big + 3) * z + y ** big * x ** 3 * z
     assert normal_form(f, want) == reference_normal_form(f, want)
@@ -392,36 +394,65 @@ def test_s_polynomials_match_the_reference(f, g, monic):
 
 
 def test_repeated_membership_builds_key_and_lead_table_once(monkeypatch):
-    calls = {"key": 0, "table": 0}
+    # the ideal hashes its key once, and the basis packs its divisors on the
+    # first division and keeps them for the rest of the stream
+    calls = {"key": 0}
     key = Ideal._gb_key.func
-    table = groebner._lead_table
 
     def counted_key(self):
         calls["key"] += 1
         return key(self)
 
-    def counted_table(G):
-        calls["table"] += 1
-        return table(G)
-
     prop = cached_property(counted_key)
     prop.__set_name__(Ideal, "_gb_key")
     monkeypatch.setattr(Ideal, "_gb_key", prop)
-    monkeypatch.setattr(groebner, "_lead_table", counted_table)
     jm = join_meet_ideal(boolean(3))
     assert jm.ideal is jm.ideal
     I = ideal(jm.ring, jm.generators)
     clear_cache()
     gb = groebner_basis(I)
+    assert "_divisors" not in vars(gb)
     before = dict(calls)
     rng = random.Random(6)
+    packed = None
     for _ in range(25):
         g = rng.choice(jm.generators) * random_poly(jm.ring, rng, terms=2, top=1)
         assert ideal_member(g, I)
         assert not ideal_member(g + jm.ring.var("o") ** 2, I)
+        if packed is None:
+            packed = vars(gb)["_divisors"]
+        assert vars(gb)["_divisors"] is packed
+    assert packed == list(gb.basis) and len(packed.rows) == len(gb.basis)
     assert calls["key"] == before["key"] == 1
-    assert calls["table"] == before["table"] + 1
     assert groebner_basis(I) is gb
+
+
+def test_a_basis_packs_its_divisors_again_after_its_codec_widened():
+    # x^3 packs the basis's divisors in 8-bit fields; x^130 does not fit
+    # them, so the ring's codec widens to 16 bits and the cached divisors
+    # must be packed again: the old rows, read with wider fields, would
+    # never finish a division
+    ring = Ring(("x", "y", "z"), degrevlex(3))
+    x, y, z = ring.gens()
+    gb = GroebnerBasis(ring, (x ** 2 - y * z,))
+    assert normal_form(x ** 3, gb) == reference_normal_form(x ** 3, gb) == x * y * z
+    assert vars(gb)["_divisors"].codec.width == ring._codec.width == 8
+    f = x ** 130 * z
+    want = reference_normal_form(f, gb)
+    assert want == y ** 65 * z ** 66
+    # widen the ring through a plain list first, so the check on the cached
+    # divisors fails before a division could loop on stale rows
+    assert normal_form(f, list(gb)) == want
+    assert ring._codec.width == 16
+    assert _divisors_of(gb, ring._codec).codec.width == 16
+    assert normal_form(f, gb) == want
+    # the same widening from inside a division by the basis
+    ring = Ring(("x", "y", "z"), degrevlex(3))
+    x, y, z = ring.gens()
+    gb = GroebnerBasis(ring, (x ** 2 - y * z,))
+    assert normal_form(x ** 3, gb) == x * y * z
+    assert normal_form(x ** 130 * z, gb) == y ** 65 * z ** 66
+    assert vars(gb)["_divisors"].codec.width == ring._codec.width == 16
 
 
 def _query_stream(jm, rng, count):
