@@ -18,7 +18,6 @@ from .groebner import (
     ideal,
     ideal_equal,
     ideal_member,
-    ideal_sum,
     intersect,
     normal_form,
     reduce_basis,
@@ -39,7 +38,6 @@ from .hibi import (
     residue_ideal,
     variable,
     variable_ideal,
-    zero_ideal,
 )
 from .koszul import (
     CapExceeded,

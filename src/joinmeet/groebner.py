@@ -1,7 +1,7 @@
 """Buchberger-based Groebner engine.
 
-Normal forms, reduced bases, and the ideal calculus (equality, sums, and
-colons and intersections by a linear form) that backs every "one can check"
+Normal forms, reduced bases, and the ideal calculus (equality, and colons
+and intersections by a linear form) that backs every "one can check"
 equality in the package.  Ideals here are tiny (tens of generators, ~10
 variables), so the classic algorithm with the coprime and chain criteria is
 enough; the next S-pair is always the one with the smallest lcm, so the
@@ -37,6 +37,11 @@ a term's support cannot divide it and is skipped with one AND; the first
 dividing lead in order does the division.  Division by a monic lead skips
 the coefficient quotient, and an S-polynomial is formed from the two tails
 in one pass.
+
+groebner_basis caches each reduced basis on the ring object of its ideal,
+keyed by the ideal's set of generators, so the cache is freed with the ring
+(for K[L], with its lattice, see hibi).  No module-level cache holds a ring
+or a basis, and an equal ring built apart starts with no bases.
 
 Membership sums normal forms of single monomials: modulo a Groebner basis
 the normal form is linear, so f ∈ I iff Σ c·NF(x^m) over f's terms is zero.
@@ -97,9 +102,9 @@ class Ideal:
 
     @cached_property
     def _gb_key(self):
-        """The key of this ideal's reduced basis in the GB cache: the ring and
-        the set of generators, hashed once per instance."""
-        return (self.ring, frozenset(g.terms for g in self.generators))
+        """The key of this ideal's reduced basis in its ring's cache of
+        bases: the set of generators, hashed once per instance."""
+        return frozenset(g.terms for g in self.generators)
 
 
 def ideal(ring, gens):
@@ -474,9 +479,6 @@ def _reduce(codec, polys):
     return tuple(kept)
 
 
-_GB_CACHE = {}
-
-
 def _split_linear(gens):
     """The reduced basis of the linear forms among gens, and the other
     generators with that basis substituted out (zeros dropped).
@@ -532,25 +534,20 @@ def _reduced_basis(gens, ring):
 
 
 def groebner_basis(I):
-    """Reduced Groebner basis of I, shared through a cache.
+    """Reduced Groebner basis of I, cached on I's ring object.
 
+    The cache is the ring's ``_bases``, keyed by I's set of generators, so it
+    is freed with the ring; an equal ring built apart does not share it.
     Each cache access is one dict get or setdefault, atomic under the GIL, so
     threads may share the cache; two threads that miss on one key both
     compute the basis, and the first stored is kept.
     """
+    bases = I.ring._bases
     key = I._gb_key
-    got = _GB_CACHE.get(key)
+    got = bases.get(key)
     if got is not None:
         return got
-    return _GB_CACHE.setdefault(key, _reduced_basis(I.generators, I.ring))
-
-
-def _register_gb(I, gb):
-    _GB_CACHE.setdefault(I._gb_key, gb)
-
-
-def clear_cache():
-    _GB_CACHE.clear()
+    return bases.setdefault(key, _reduced_basis(I.generators, I.ring))
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +583,10 @@ def ideal_equal(I, J):
     return groebner_basis(I).basis == groebner_basis(J).basis
 
 
-def ideal_sum(I, J):
-    if I.ring != J.ring:
-        raise ValueError("mixed rings")
-    return ideal(I.ring, I.generators + J.generators)
-
-
 def intersect(I, J):
     """I ∩ (l) for a homogeneous I and J = (l), l one linear form: l times
     the reduced basis of I : l (_colon_by_linear_form), which is registered
-    in the cache as the basis of the colon.  Any other pair raises
+    in the ring's cache as the basis of the colon.  Any other pair raises
     ValueError.
     """
     if I.ring != J.ring:
@@ -607,7 +598,7 @@ def intersect(I, J):
     ring = I.ring
     l = J.generators[0]
     colon = _colon_by_linear_form(I, l)
-    _register_gb(ideal(ring, colon.basis), colon)
+    ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
     return ideal(ring, tuple(l * g for g in colon.basis))
 
 

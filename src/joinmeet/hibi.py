@@ -1,7 +1,10 @@
 """Join-meet ideals and the quotient calculus in H[L] = K[L]/I_L.
 
-The cached JoinMeetIdeal of a lattice owns K[L]: it builds the ring, the
-variables indexed by element and I_L.  Ring variable k belongs to element
+The JoinMeetIdeal of a lattice owns K[L]: it builds the ring, the
+variables indexed by element and I_L.  It is cached in the lattice's own
+_cache, and the ring holds the reduced bases of every ideal over it (see
+groebner), so K[L], I_L and all their bases are freed with the lattice; an
+equal lattice built apart builds its own.  Ring variable k belongs to element
 L.linear_extension[k], so lattice_ring, variable, variable_ideal and
 _elements_of all read one map between elements and variables.  A
 ResidueIdeal keeps the JoinMeetIdeal it was built from, and its lift and
@@ -61,23 +64,22 @@ class JoinMeetIdeal:
 
     @cached_property
     def ideal(self):
-        """I_L as one Ideal, so its GB-cache key is built once."""
+        """I_L as one Ideal, so its key in the ring's cache of bases is built
+        once."""
         return Ideal(self.ring, self.generators)
-
-
-_JOIN_MEET_CACHE = {}
 
 
 def join_meet_ideal(L):
     """Basic binomials ab - (a∨b)(a∧b), one per incomparable pair, in
     deterministic (linear extension) order, with their ring K[L].
 
-    Built once per lattice; the first one stored is the one every caller
-    gets (a dict setdefault, atomic under the GIL).
+    Built once per lattice object and kept in L._cache, so it lives and
+    dies with L; the first one stored is the one every caller gets (a dict
+    setdefault, atomic under the GIL).
     """
-    got = _JOIN_MEET_CACHE.get(L)
+    got = L._cache.get("join_meet_ideal")
     if got is None:
-        got = _JOIN_MEET_CACHE.setdefault(L, _build_join_meet_ideal(L))
+        got = L._cache.setdefault("join_meet_ideal", _build_join_meet_ideal(L))
     return got
 
 
@@ -210,10 +212,6 @@ def variable_ideal(L, elements):
     return ResidueIdeal(base, [base.variables[e] for e in sorted(elements)])
 
 
-def zero_ideal(L):
-    return residue_ideal(L, ())
-
-
 def maximal_ideal(L):
     """m, the maximal graded ideal: all the variables."""
     return variable_ideal(L, range(L.n))
@@ -251,11 +249,6 @@ class ResidueColonReport:
 
     def semantic_key(self):
         return self.groebner.basis
-
-    def as_residue_ideal(self):
-        if not self.linear_generated:
-            raise NotLinear("colon ideal is not generated by linear forms")
-        return residue_ideal(self.lattice, self.degree1)
 
     def variable_labels(self):
         if self.variables is None:

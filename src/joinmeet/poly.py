@@ -182,12 +182,17 @@ class Ring:
     codec (see _Codec), widened when a monomial outgrows its fields; equal
     rings with codecs of equal width pack alike.  A ring under any other
     order has no codec, and the Groebner kernel refuses it.
+
+    ``_bases`` is groebner_basis's cache of the reduced bases of ideals over
+    this ring object; it is freed with the ring, and an equal ring built
+    apart has its own.
     """
 
     names: tuple
     order: MonomialOrder
     _key_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _index: dict = field(default_factory=dict, compare=False, repr=False)
+    _bases: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -297,9 +302,6 @@ class Polynomial:
 
     def leading_monomial(self):
         return self.leading_term()[0]
-
-    def leading_coeff(self):
-        return self.leading_term()[1]
 
     def total_degree(self):
         """Maximum term degree; -1 for the zero polynomial."""

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from joinmeet.hibi import join_meet_ideal
 from joinmeet.lattice import (
     Lattice,
     boolean,
@@ -69,6 +70,15 @@ def data_lattice(name):
     """The lattice shipped as data/<name>.json."""
     doc = json.loads((DATA / f"{name}.json").read_text())
     return Lattice.from_covers(doc["elements"], doc["covers"])
+
+
+def cold_copy(L):
+    """L built again from its labels and covers: an equal lattice whose K[L],
+    I_L and every reduced basis over that ring are built afresh, so a test
+    on it starts with no cached basis, whatever ran before."""
+    copy = Lattice(L.labels, L.covers)
+    assert copy == L and not join_meet_ideal(copy).ring._bases
+    return copy
 
 
 def enumerated_lattices(max_n):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -20,7 +22,6 @@ from joinmeet.hibi import (
     residue_ideal,
     variable,
     variable_ideal,
-    zero_ideal,
 )
 from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
 
@@ -67,6 +68,21 @@ def test_generator_order_is_deterministic():
     assert a == b
 
 
+def test_the_ring_and_its_bases_are_freed_with_the_lattice():
+    # K[L] and every reduced basis over it hang off L alone, so once L and
+    # the ideal are dropped nothing keeps the ring.  L._cache -> JoinMeetIdeal
+    # -> L is a reference cycle, so only a collection frees it
+    L = divisor_lattice(60)
+    I = join_meet_ideal(L).ideal
+    assert join_meet_ideal(L) is join_meet_ideal(L)
+    gb = groebner_basis(I)
+    assert I.ring._bases[I._gb_key] is gb
+    ring = weakref.ref(I.ring)
+    del L, I, gb
+    gc.collect()
+    assert ring() is None
+
+
 # ---------------------------------------------------------------------------
 # residue ideals
 
@@ -83,7 +99,7 @@ def test_maximal_and_zero():
     P = pentagon()
     m = maximal_ideal(P)
     assert m.is_maximal() and m.dim == 5
-    z = zero_ideal(P)
+    z = residue_ideal(P, ())
     assert z.is_zero() and z.dim == 0
     assert ideal_equal(z.lift, join_meet_ideal(P).ideal)
 
@@ -210,7 +226,7 @@ def test_diamond_variable_colon():
 
 def test_claim_colon_not_linear():
     P = pentagon()
-    rep = colon_in_H(zero_ideal(P), "e")
+    rep = colon_in_H(residue_ideal(P, ()), "e")
     assert not rep.linear_generated
     assert not rep.variable_generated
     assert rep.degree1 == ()
@@ -222,10 +238,10 @@ def test_claim_colon_not_linear():
 
 def test_colon_by_ideal_diamond_equalities():
     D = diamond()
-    zero = zero_ideal(D)
+    zero = residue_ideal(D, ())
     r1 = colon_in_H_by_ideal(zero, residue_ideal(D, ["x"]))
     assert r1.linear_generated and not r1.variable_generated
-    assert r1.as_residue_ideal() == residue_ideal(D, ["y - z"])
+    assert residue_ideal(D, r1.degree1) == residue_ideal(D, ["y - z"])
     r2 = colon_in_H_by_ideal(zero, residue_ideal(D, ["y - z"]))
     assert r2.variable_generated and r2.variable_labels() == ["x"]
 
@@ -295,7 +311,7 @@ def test_colon_by_ideal_finds_the_generator_outside_j():
 
 def test_colon_by_zero_ideal_is_whole_ring():
     P = pentagon()
-    rep = colon_in_H_by_ideal(residue_ideal(P, ["x"]), zero_ideal(P))
+    rep = colon_in_H_by_ideal(residue_ideal(P, ["x"]), residue_ideal(P, ()))
     assert rep.whole_ring and not rep.linear_generated
 
 
@@ -313,9 +329,9 @@ def test_colon_lift_contains_source_and_products_return():
 def test_colon_rejects_nonlinear_divisor():
     P = pentagon()
     with pytest.raises(NotLinear):
-        colon_in_H(zero_ideal(P), "x*z")
+        colon_in_H(residue_ideal(P, ()), "x*z")
     with pytest.raises(NotLinear):
-        colon_in_H(zero_ideal(P), "x - x")
+        colon_in_H(residue_ideal(P, ()), "x - x")
 
 
 # ---------------------------------------------------------------------------
