@@ -27,8 +27,9 @@ codec and one lead-table row per nonzero polynomial, in order, with the
 support and fields of its leading monomial, the packed leading monomial and
 coefficient, and the packed tail terms.  A GroebnerBasis caches its
 divisors on first use and packs them again only after the ring's codec has
-widened, and an Ideal hashes its generators into its cache key once, so
-repeated queries against one basis or one Ideal object pay neither again.
+widened, and an Ideal builds its cache key once, from generators that
+each keep their own hash, so repeated queries against one basis or one
+Ideal object pay neither again.
 A plain sequence is packed per division.  A list that grows between
 divisions (Buchberger's basis, the elements reduce_basis has kept, the
 echelon form of linear generators) is a _Divisors list from the start, and
@@ -103,8 +104,9 @@ class Ideal:
     @cached_property
     def _gb_key(self):
         """The key of this ideal's reduced basis in its ring's cache of
-        bases: the set of generators, hashed once per instance."""
-        return frozenset(g.terms for g in self.generators)
+        bases: the set of generators, each of which keeps its own hash, so
+        generators shared between ideals (I_L's) are hashed once."""
+        return frozenset(self.generators)
 
 
 def ideal(ring, gens):

@@ -11,14 +11,19 @@ ResidueIdeal keeps the JoinMeetIdeal it was built from, and its lift and
 colons read I_L from there, so the cache is looked up once per ideal.
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
-K[L]; identity is always the reduced Groebner basis of the lift, never the
-generator list, so two presentations of the same ideal compare equal.
+K[L].  I_L is generated by the quadrics ab − (a∨b)(a∧b) (Hibi 1987), so the
+linear part of a lift (I_L, V) is exactly V: two lifts are equal iff their
+spans are, and a linear form lies in a lift iff it lies in the span.  A
+linear-form ideal is therefore named by its span, in reduced echelon form,
+never by its generator list, so two presentations of the same ideal compare
+equal; the full reduced basis of a lift is computed only when a colon or a
+nonlinear membership test needs it.
 
 colon_in_H is colon_element on the lift of J: it checks its input, makes one
 engine call and builds one report, whose verdicts are read from the degree-1
 part of the colon's reduced basis, a reduced echelon form.
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
-lift, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
+span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J.  claim_check reads colon_in_H's report for
 the colon of a poset ideal at one of its maximal elements.
 """
@@ -32,11 +37,13 @@ from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _split_linear,
     colon_element,
     groebner_basis,
     ideal,
     ideal_equal,
     ideal_member,
+    normal_form,
 )
 from .lattice import Lattice, PosetIdeal
 from .poly import MonomialOrder, Ring
@@ -132,7 +139,7 @@ class ResidueIdeal:
     """An ideal of H[L] given by lifts of linear-form generators; ``base``
     is the JoinMeetIdeal of its lattice."""
 
-    __slots__ = ("base", "lattice", "ring", "linear_generators", "_lift", "_gb")
+    __slots__ = ("base", "lattice", "ring", "linear_generators", "_span", "_lift", "_gb")
 
     def __init__(self, base, generators):
         self.base = base
@@ -150,6 +157,7 @@ class ResidueIdeal:
                 raise NotLinear(f"{g} is not a linear form")
             gens.append(g)
         self.linear_generators = tuple(gens)
+        self._span = None
         self._lift = None
         self._gb = None
 
@@ -161,18 +169,25 @@ class ResidueIdeal:
         return self._lift
 
     def groebner(self):
+        """The reduced basis of the lift, computed on first use: only a colon
+        or a nonlinear membership test needs it."""
         if self._gb is None:
             self._gb = groebner_basis(self.lift)
         return self._gb
 
     def semantic_key(self):
-        return self.groebner().basis
+        """The span's reduced echelon form, degree1(): it names the ideal."""
+        return self.degree1()
 
     def degree1(self):
-        """Canonical basis of the linear part of the lift (row-reduced by the
-        monomial order; equals the span of the generators since I_L starts in
-        degree 2)."""
-        return self.groebner().degree1
+        """The reduced echelon form of the span of the generators, computed
+        once.  I_L is generated by quadrics, so this span is the whole linear
+        part of the lift and determines the lift; the form equals the degree-1
+        part of the lift's reduced basis, polynomial for polynomial, with no
+        Buchberger run."""
+        if self._span is None:
+            self._span = tuple(_split_linear(self.linear_generators)[0])
+        return self._span
 
     @property
     def dim(self):
@@ -233,7 +248,9 @@ class ResidueColonReport:
     ``variable_generated`` additionally requires every element of
     ``degree1``, which is in reduced echelon form, to be a variable; those
     are recorded in ``variables`` (element indices).  ``whole_ring`` marks the
-    unit ideal, which is never linear-generated.
+    unit ideal, which is never linear-generated.  A linear-generated colon is
+    named by ``degree1``, its span, as a ResidueIdeal is; only another colon
+    is named by its reduced basis (see semantic_key).
     """
 
     lattice: Lattice
@@ -248,7 +265,11 @@ class ResidueColonReport:
     nonlinear_witness: object
 
     def semantic_key(self):
-        return self.groebner.basis
+        """The key of the colon's lift, comparable with ResidueIdeal's: a
+        linear-generated colon is (I_L, degree1), named by its span like a
+        ResidueIdeal; any other colon by its reduced basis, which holds a
+        form of degree other than 1 and so equals no span."""
+        return self.degree1 if self.linear_generated else self.groebner.basis
 
     def variable_labels(self):
         if self.variables is None:
@@ -301,18 +322,23 @@ def colon_in_H(J, f):
 
 def colon_in_H_by_ideal(J, I):
     """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: colon_in_H(J, g) for the
-    first generator g of I outside J's lift.  With no generator outside, the
+    first generator g of I outside J's span.  With no generator outside, the
     colon is the whole ring; when some generator lies outside J + (g),
     ValueError."""
     if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
-    outside = [g for g in I.linear_generators if not ideal_member(g, J.lift)]
+    # a linear form lies in J's lift iff it lies in J's span, and the span's
+    # reduced echelon form is a Groebner basis of the ideal it generates
+    span = J.degree1()
+    outside = [g for g in I.linear_generators if normal_form(g, span)]
     if not outside:
         return _colon_report(J, I.linear_generators, ideal(J.ring, (J.ring.one(),)))
     g = outside[0]
     if len(outside) > 1:
-        step = ideal(J.ring, J.lift.generators + (g,))
-        if not all(ideal_member(h, step) for h in outside[1:]):
+        # g's remainder leads with a variable that leads no row of the span,
+        # so the rows and it are again an echelon form, of span(J) + (g)
+        step = span + (normal_form(g, span),)
+        if any(normal_form(h, step) for h in outside[1:]):
             raise ValueError("the colon needs a cyclic I/J")
     return colon_in_H(J, g)
 

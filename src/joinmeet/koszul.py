@@ -61,9 +61,11 @@ class CapExceeded(InputError):
 class FiltrationSpec:
     """An ordered family of linear-form ideals of H[L].
 
-    ``keys`` maps each member's semantic key to its index; two members that
-    present the same ideal raise MalformedFamily.  ``combinatorial`` records
-    whether every member is generated by residue classes of variables.
+    ``keys`` maps each member's semantic key, its span in reduced echelon
+    form, to its index, so building a family runs no Buchberger; two members
+    that present the same ideal raise MalformedFamily.  ``combinatorial``
+    records whether every member is generated by residue classes of
+    variables.
     """
 
     lattice: Lattice

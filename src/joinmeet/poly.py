@@ -271,14 +271,17 @@ class Polynomial:
 
     ``_packed`` is None or (codec, lead-table row): the Groebner kernel's
     packed form, kept so that a polynomial is packed once per codec.
+    ``_hash`` is None or the hash of the terms, computed on first use, so an
+    ideal's key in its ring's cache of bases hashes each coefficient once.
     """
 
-    __slots__ = ("ring", "terms", "_packed")
+    __slots__ = ("ring", "terms", "_packed", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._packed = None
+        self._hash = None
 
     # -- basic structure
 
@@ -293,7 +296,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.terms)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.terms)
+        return h
 
     def leading_term(self):
         if not self.terms:

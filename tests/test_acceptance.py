@@ -106,8 +106,10 @@ def check_equalities(L, equalities):
         expected = residue_ideal(L, expected_gens)
         assert report.linear_generated
         assert residue_ideal(L, report.degree1) == expected, (j_gens, by_gens, expected_gens)
-        # and the lifts have identical reduced bases
+        # and the lifts have identical reduced bases: the keys compare spans,
+        # and the bases are compared as well
         assert report.semantic_key() == expected.semantic_key()
+        assert report.groebner.basis == expected.groebner().basis
         hits += 1
     return hits
 

@@ -17,9 +17,10 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _assignments(path, names):
+def _assignments(path, names, env=None):
     """Module-level assignments of ``names`` in ``path``, evaluated in order
-    with no builtins (they are literals, names bound before them and ``+``)."""
+    with no builtins (they are literals, names bound before them and ``+``),
+    and with ``env`` for any other name they read."""
     tree = ast.parse(path.read_text())
     scope = {}
     for node in tree.body:
@@ -30,7 +31,7 @@ def _assignments(path, names):
             and node.targets[0].id in names
         ):
             code = compile(ast.Expression(node.value), str(path), "eval")
-            scope[node.targets[0].id] = eval(code, {"__builtins__": {}}, scope)
+            scope[node.targets[0].id] = eval(code, {"__builtins__": {}, **(env or {})}, scope)
     return scope
 
 

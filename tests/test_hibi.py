@@ -137,14 +137,20 @@ def test_variable_set():
 
 
 def test_subset_ideal_bijection():
-    # distinct variable subsets always give semantically distinct ideals
+    # distinct variable subsets always give semantically distinct ideals, by
+    # their keys and by the reduced bases of their lifts
     for L in small_corpus(5):
         seen = {}
+        bases = {}
         for size in range(L.n + 1):
             for subset in combinations(range(L.n), size):
-                key = residue_ideal(L, [L.labels[i] for i in subset]).semantic_key()
+                ri = residue_ideal(L, [L.labels[i] for i in subset])
+                key = ri.semantic_key()
                 assert key not in seen or seen[key] == subset
                 seen[key] = subset
+                basis = ri.groebner().basis
+                assert basis not in bases or bases[basis] == subset
+                bases[basis] = subset
 
 
 def test_degree1_part_of_variable_lift_is_span():
@@ -194,6 +200,7 @@ def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
                 assert got.linear_generators == want.linear_generators
                 assert str(got) == str(want)
                 assert got.semantic_key() == want.semantic_key()
+                assert got.groebner().basis == want.groebner().basis
                 assert hibi._elements_of(L, got.linear_generators) == frozenset(subset)
                 assert got.variable_set() == frozenset(subset)
 
@@ -255,6 +262,7 @@ def test_colon_by_ideal_reduces_to_added_generator():
     by_ideal = colon_in_H_by_ideal(J, I)
     by_elem = colon_in_H(J, "y")
     assert by_ideal.semantic_key() == by_elem.semantic_key()
+    assert by_ideal.groebner.basis == by_elem.groebner.basis
     assert by_ideal.divisors == by_elem.divisors
 
 
@@ -304,8 +312,10 @@ def test_colon_by_ideal_finds_the_generator_outside_j():
     J = residue_ideal(D, ["x"])
     I = residue_ideal(D, ["x", "y", "x + 2*y"])
     rep = colon_in_H_by_ideal(J, I)
-    assert rep.semantic_key() == colon_in_H(J, "y").semantic_key()
-    assert rep.semantic_key() == colon_in_H(J, "x + 2*y").semantic_key()
+    for f in ("y", "x + 2*y"):
+        by_f = colon_in_H(J, f)
+        assert rep.semantic_key() == by_f.semantic_key()
+        assert rep.groebner.basis == by_f.groebner.basis
     assert rep.divisors == (I.linear_generators[1],)
 
 
