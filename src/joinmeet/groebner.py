@@ -51,22 +51,29 @@ stream of queries divides each distinct monomial once per basis.
 
 Buchberger's pair queue orders pairs by their packed lcms, which sort by
 degree, then in the ring's order, and ties by creation.  Two leads are
-coprime iff their supports are disjoint, and the chain criterion tests
-against the lcm each lead whose support lies inside the lcm's.
+coprime iff their supports are disjoint, and then their lcm is their
+product, the sum of the packed leads.  The treated pairs are one bitmask per
+basis element, and the chain criterion tests against the lcm only the leads
+whose pairs with both ends are treated, with the borrow trick.
 
 Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
-a smaller system in the remaining variables.
+a smaller system in the remaining variables.  An Ideal keeps that split, its
+nonlinear generators and its homogeneity once computed, so the colons of one
+ideal by several forms compute them once.
 
 Every colon is a colon by one linear form l, and every intersection is
 I ∩ (l) = l·(I : l) for a homogeneous I.  Modulo the linear generators of I,
 l = c·x + r for a variable x; the linear automorphism φ: x ↦ l gives
 I : l = φ(φ⁻¹(I) : x), and φ⁻¹(I) : x comes from a degrevlex basis with x as
 the smallest variable (Bayer–Stillman 1987; Eisenbud, Commutative Algebra,
-Prop. 15.12), with no extra variable.  When that colon is generated by I's
-nonlinear generators and its linear part, it is C = I + (I : l)_1, whose
-cached reduced basis is returned with no second Buchberger run; for
-I = (I_L, x_R) that is the basis hibi's colon report reads next.
+Prop. 15.12), with no extra variable.  The ring with x last is built once
+per ring object and variable and kept in the ring's _last, so its codec and
+key cache serve every colon by x, and it is freed with the ring.  When that
+colon is generated by I's nonlinear generators and its linear part, it is
+C = I + (I : l)_1, whose cached reduced basis is returned with no second
+Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon report
+reads next.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import add, le, sub
 
 from .poly import ONE, MonomialOrder, Polynomial, Ring, _Overflow
@@ -97,8 +105,9 @@ class Ideal:
     generators: tuple
 
     def __post_init__(self):
+        ring = self.ring
         for g in self.generators:
-            if g.ring != self.ring:
+            if g.ring is not ring and g.ring != ring:
                 raise ValueError("generator from a different ring")
 
     @cached_property
@@ -107,6 +116,21 @@ class Ideal:
         bases: the set of generators, each of which keeps its own hash, so
         generators shared between ideals (I_L's) are hashed once."""
         return frozenset(self.generators)
+
+    @cached_property
+    def _split(self):
+        """_split_linear of the generators, kept for every colon by a form."""
+        return _split_linear(self.generators)
+
+    @cached_property
+    def _nonlinear(self):
+        """The nonzero generators that are not linear forms."""
+        return tuple(g for g in self.generators if g and not g.is_linear_form())
+
+    @cached_property
+    def _homogeneous(self):
+        """Whether every generator is homogeneous."""
+        return all(g.is_homogeneous() for g in self.generators)
 
 
 def ideal(ring, gens):
@@ -394,10 +418,12 @@ def buchberger(gens, ring=None):
     table that grows with the basis; every element is nonzero, so row k of
     the table is basis[k]'s.  The pair tests read the supports and packed
     leads of those rows, and each queued pair carries its packed lcm: two
-    leads are coprime iff their supports are disjoint, and the chain
-    criterion tests by the borrow trick each lead whose support lies inside
-    the lcm's.  A monomial that outgrows the codec's fields starts the run
-    again with wider fields.
+    leads are coprime iff their supports are disjoint, and then the lcm is
+    the sum of the packed leads, with no fold.  done[i] is the bitmask of
+    the j whose pair with i is treated, so the chain criterion tests by the
+    borrow trick only the leads k with bit k set in done[i] & done[j].  A
+    monomial that outgrows the codec's fields starts the run again with
+    wider fields.
     """
     gens = list(gens)
     monic = [g.monic() for g in gens if g]
@@ -416,45 +442,50 @@ def _buchberger(codec, monic):
     rows = basis.rows
     mask, H, ones = codec.mask, codec.guard, codec.ones
     lcm_of = codec.lcm
-    pairs = []
-    counter = 0
 
-    def push(i, j):
-        # a packed lcm sorts by degree, then in the ring's order
-        nonlocal counter
-        lcm = lcm_of(rows[i][1], rows[j][1])
-        heapq.heappush(pairs, (lcm, counter, i, j))
-        counter += 1
+    def lcm(a, b):
+        # the lcm of coprime leads is their product, a sum when packed
+        return lcm_of(a[1], b[1]) if a[0] & b[0] else a[2] + b[2]
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
-
-    done = set()
+    # a packed lcm sorts by degree, then in the ring's order, and no two
+    # entries share a counter, so a heapified list pops as pushes would
+    n = len(basis)
+    pairs = [
+        (lcm(rows[i], rows[j]), k, i, j) for k, (i, j) in enumerate(combinations(range(n), 2))
+    ]
+    heapq.heapify(pairs)
+    counter = len(pairs)
+    # done[i] has bit j set once the pair of i and j is treated
+    done = [0] * n
     while pairs:
-        lcm, _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
+        lcm_ij, _, i, j = heapq.heappop(pairs)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         if not rows[i][0] & rows[j][0]:
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        x = -lcm & mask | H
-        outside = ((x - ones) & H) ^ H
-        skip = False
-        for k, row in enumerate(rows):
-            if row[0] & outside or (x - row[1]) & H != H or k == i or k == j:
+        # chain criterion, only against a k whose pairs with i and j are both
+        # treated: a break leaves common nonzero
+        common = done[i] & done[j]
+        if common:
+            x = -lcm_ij & mask | H
+            outside = ((x - ones) & H) ^ H
+            while common:
+                low = common & -common
+                row = rows[low.bit_length() - 1]
+                if not row[0] & outside and (x - row[1]) & H == H:
+                    break
+                common ^= low
+            if common:
                 continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a in done and b in done:
-                skip = True  # chain criterion, only against treated pairs
-                break
-        if skip:
-            continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r:
             basis.append(r.monic())
+            done.append(0)
             new = len(basis) - 1
+            row = rows[new]
             for k in range(new):
-                push(k, new)
+                heapq.heappush(pairs, (lcm(rows[k], row), counter, k, new))
+                counter += 1
     return tuple(basis)
 
 
@@ -491,7 +522,9 @@ def _split_linear(gens):
 
     When every linear form is one term c·x_v, as in a lift (I_L, x_R), the
     echelon form is those variables, monic and in lead order, and
-    substituting it out drops the terms whose support meets theirs.
+    substituting it out drops the terms whose support meets theirs.  A
+    generator that is already monic, or that keeps all its terms, is
+    returned itself, so the splits an Ideal keeps share gens' polynomials.
     """
     linear = []
     rest = []
@@ -502,14 +535,17 @@ def _split_linear(gens):
         return [], rest
     ring = linear[0].ring
     if all(len(g.terms) == 1 for g in linear):
+        monic = {g.terms[0][0]: g for g in linear if g.terms[0][1] == 1}
         leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
         killed = [m.index(1) for m in leads]
         kept = []
         for g in rest:
             terms = tuple(t for t in g.terms if not any(map(t[0].__getitem__, killed)))
-            if terms:
+            if len(terms) == len(g.terms):
+                kept.append(g)
+            elif terms:
                 kept.append(Polynomial(ring, terms))
-        return [Polynomial(ring, ((m, ONE),)) for m in leads], kept
+        return [monic.get(m) or Polynomial(ring, ((m, ONE),)) for m in leads], kept
     echelon = _Divisors(_codec_of(ring))
     for g in linear:
         r = normal_form(g, echelon)
@@ -595,7 +631,8 @@ def intersect(I, J):
         raise ValueError("mixed rings")
     if len(J.generators) != 1 or not J.generators[0].is_linear_form():
         raise ValueError("intersect needs J generated by one linear form")
-    if not all(g.is_homogeneous() for g in I.generators):
+    I = _as_ideal(I)
+    if not I._homogeneous:
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
     l = J.generators[0]
@@ -604,18 +641,27 @@ def intersect(I, J):
     return ideal(ring, tuple(l * g for g in colon.basis))
 
 
+def _as_ideal(I):
+    """I itself if it is an Ideal, which keeps its splits, else an Ideal of
+    I's ring and generators."""
+    return I if isinstance(I, Ideal) else Ideal(I.ring, tuple(I.generators))
+
+
 def _same(m):
     return m
 
 
 def _ring_with_last(ring, v):
     """The variables of ring under degrevlex, in ring's priority but with
-    variable v moved to the end (the smallest)."""
-    priority = tuple(p for p in ring.order.priority if p != v) + (v,)
-    order = MonomialOrder(priority)
-    if order == ring.order:
-        return ring
-    return Ring(ring.names, order)
+    variable v moved to the end (the smallest): ring itself when v is already
+    last, else a ring built once and kept in ring._last."""
+    last = ring._last.get(v)
+    if last is None:
+        priority = tuple(p for p in ring.order.priority if p != v) + (v,)
+        if priority == ring.order.priority:
+            return ring
+        last = ring._last.setdefault(v, Ring(ring.names, MonomialOrder(priority)))
+    return last
 
 
 def _substitute(f, v, image):
@@ -657,9 +703,10 @@ def _colon_by_linear_form(I, l):
     stay the same but that saving is lost; a test in test_colon_routes
     counts the report's Buchberger runs to catch it.
     """
+    I = _as_ideal(I)
     ring = I.ring
     _codec_of(ring)  # refuse a ring the kernel cannot pack before any work
-    linear, rest = _split_linear(I.generators)
+    linear, rest = I._split
     l = normal_form(l, linear)
     if not l:
         return GroebnerBasis(ring, (ring.one(),))
@@ -680,8 +727,7 @@ def _colon_by_linear_form(I, l):
         quotients = [_substitute(q, v, l) for q in quotients]
     if all(q.total_degree() > 0 for q in quotients):
         degree1, higher = _split_linear(linear + quotients)
-        nonlinear = tuple(g for g in I.generators if g and not g.is_linear_form())
-        C = ideal(ring, nonlinear + tuple(degree1))
+        C = ideal(ring, I._nonlinear + tuple(degree1))
         # a quotient and its substituted form differ by a member of C
         if all(ideal_member(q, C) for q in higher):
             return groebner_basis(C)

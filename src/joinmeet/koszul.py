@@ -34,7 +34,6 @@ deletion, 158 with the orbits alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .errors import InputError
@@ -152,10 +151,11 @@ class VerificationReport:
 
 
 def _coefficient_rows(polys, ring):
-    """Coefficient rows of linear forms, one column per variable of ring."""
+    """Coefficient rows of linear forms, one column per variable of ring,
+    with int zeros (see linalg)."""
     rows = []
     for p in polys:
-        row = [Fraction(0)] * ring.nvars
+        row = [0] * ring.nvars
         for m, c in p.terms:
             row[m.index(1)] = c
         rows.append(row)

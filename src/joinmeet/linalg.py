@@ -4,6 +4,11 @@ Used for degree-1 span comparisons (linear parts of ideals are tiny, at most
 n x n with n = number of lattice elements), never for anything large.  A
 span is row-reduced once by rref; the membership tests then reduce against
 those rows and never row-reduce again.
+
+A zero entry may be the int 0 or Fraction(0), with equal results.  An int 0
+is cheaper to test, and to compare with a pivot's 1, than a Fraction, so
+rref keeps a zero an int 0 when it rescales a row and sets each eliminated
+pivot column to 0.
 """
 
 from __future__ import annotations
@@ -35,13 +40,14 @@ def rref(rows):
         pivot = mat[pivot_row]
         inv = pivot[col]
         if inv != 1:
-            pivot = mat[pivot_row] = [v / inv for v in pivot]
+            pivot = mat[pivot_row] = [v / inv if v else 0 for v in pivot]
         support = [(k, v) for k, v in enumerate(pivot) if v]
         for r, row in enumerate(mat):
             factor = row[col]
             if r != pivot_row and factor:
                 for k, v in support:
                     row[k] -= factor * v
+                row[col] = 0
         pivot_row += 1
         if pivot_row == len(mat):
             break

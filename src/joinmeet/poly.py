@@ -153,9 +153,10 @@ class _Codec:
         def unpack(P):
             e = -P & mask
             if F == 8:
-                exps = tuple(e.to_bytes(nvars, "little"))
-            else:
-                exps = tuple([(e >> s) & field_mask for s in shifts])
+                # the permutation reads the bytes, one field per byte
+                e = e.to_bytes(nvars, "little")
+                return tuple(e) if restore is None else restore(e)
+            exps = tuple([(e >> s) & field_mask for s in shifts])
             return exps if restore is None else restore(exps)
 
         self.pack = pack
@@ -185,7 +186,10 @@ class Ring:
 
     ``_bases`` is groebner_basis's cache of the reduced bases of ideals over
     this ring object; it is freed with the ring, and an equal ring built
-    apart has its own.
+    apart has its own.  ``_last`` holds, by variable index v, the ring with
+    v moved to the end of the order that a colon by v computes in
+    (groebner._ring_with_last), so each such ring, with its codec and key
+    cache, is built once per ring object and freed with it.
     """
 
     names: tuple
@@ -193,6 +197,7 @@ class Ring:
     _key_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _index: dict = field(default_factory=dict, compare=False, repr=False)
     _bases: dict = field(default_factory=dict, compare=False, repr=False)
+    _last: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):

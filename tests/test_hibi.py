@@ -6,11 +6,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import corpus, distributive_corpus, m3_on_m3, small_corpus
+from conftest import cold_copy, corpus, distributive_corpus, m3_on_m3, small_corpus
 import oracles
 from oracles import macaulay_member
 from joinmeet import hibi, koszul
-from joinmeet.groebner import groebner_basis, ideal, ideal_equal, ideal_member
+from joinmeet.groebner import _ring_with_last, groebner_basis, ideal, ideal_equal, ideal_member
 from joinmeet.hibi import (
     NotLinear,
     claim_check,
@@ -81,6 +81,29 @@ def test_the_ring_and_its_bases_are_freed_with_the_lattice():
     del L, I, gb
     gc.collect()
     assert ring() is None
+
+
+def test_the_rings_with_a_variable_last_are_shared_and_freed_with_the_lattice():
+    # a colon by the variable x_v runs Buchberger in K[L] with x_v smallest:
+    # that ring is built once per ring object and kept on it, it caches no
+    # basis, and it dies with the lattice
+    L = cold_copy(divisor_lattice(60))
+    jm = join_meet_ideal(L)
+    R = jm.ring
+    smallest = R.order.priority[-1]
+    assert _ring_with_last(R, smallest) is R
+    for v in range(L.n):
+        assert _ring_with_last(R, v) is _ring_with_last(R, v)
+    for k in range(1, L.n):
+        J = variable_ideal(L, range(k))
+        for e in range(k, L.n):
+            colon_in_H(J, jm.variables[e])
+    assert len(R._last) == L.n - 1 and smallest not in R._last
+    assert all(not ring._bases for ring in R._last.values())
+    last = weakref.ref(R._last[L.n - 1])
+    del L, jm, R, J
+    gc.collect()
+    assert last() is None
 
 
 # ---------------------------------------------------------------------------

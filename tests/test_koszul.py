@@ -272,6 +272,18 @@ def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
         assert len(calls) == colons, L
 
 
+def test_pentagon_times_a_two_chain_runs_the_fixpoint_and_replays(monkeypatch):
+    # data/pentagon_c2.json is not modular; its walk meets a dead end, and
+    # the fixpoint's colons include ones that are not linear-generated
+    calls = _count_moves(monkeypatch)
+    L = data_lattice("pentagon_c2")
+    assert L.n == 10 and not L.is_modular()
+    fam = search_combinatorial(L)
+    assert len(calls) == 792
+    rep = verify_filtration(L, fam)
+    assert rep.passed and rep.replay(fam)
+
+
 @pytest.mark.parametrize("d", [60, 72])
 def test_twelve_element_search_verifies_and_replays(d):
     L = divisor_lattice(d)

@@ -322,9 +322,10 @@ def test_buchberger_matches_the_reference_on_join_meet_ideals():
         _assert_buchberger_matches_the_reference(jm.generators, jm.ring)
 
 
-def test_buchberger_matches_the_reference_on_lifts_with_a_variable_last():
-    # the colon route's run: (I_L, x_S) with the linear part substituted out,
-    # in degrevlex with the colon's variable smallest
+def _lifts_with_a_variable_last():
+    """The colon route's runs: (I_L, x_S) with the linear part substituted
+    out, in degrevlex with the colon's variable smallest; (gens, ring) pairs
+    over the corpus, four per lattice."""
     rng = random.Random(8)
     for L in corpus() + [m3_on_m3()]:
         jm = join_meet_ideal(L)
@@ -333,8 +334,39 @@ def test_buchberger_matches_the_reference_on_lifts_with_a_variable_last():
             v = rng.randrange(L.n)
             ring_x = _ring_with_last(jm.ring, v)
             G = [normal_form(g, S) for g in jm.generators] if S else list(jm.generators)
-            G = [g.map_exponents(ring_x, lambda m: m) for g in G if g]
-            _assert_buchberger_matches_the_reference(G, ring_x)
+            yield [g.map_exponents(ring_x, lambda m: m) for g in G if g], ring_x
+
+
+def test_buchberger_matches_the_reference_on_lifts_with_a_variable_last():
+    for G, ring_x in _lifts_with_a_variable_last():
+        _assert_buchberger_matches_the_reference(G, ring_x)
+
+
+def test_buchberger_treats_the_references_pairs_on_lifts_with_a_variable_last(monkeypatch):
+    # the coprime and chain criteria skip exactly the pairs the reference
+    # skips: one S-polynomial for each pair the reference computes, even
+    # where a criterion that skipped more or fewer would leave the basis as
+    # it is
+    calls = {"engine": 0, "reference": 0}
+    s_poly, ref_s_poly = groebner.s_polynomial, reference_s_polynomial
+
+    def counted(name, fn):
+        def wrapped(f, g):
+            calls[name] += 1
+            return fn(f, g)
+
+        return wrapped
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted("engine", s_poly))
+    monkeypatch.setitem(globals(), "reference_s_polynomial", counted("reference", ref_s_poly))
+    computed = 0
+    for G, ring_x in _lifts_with_a_variable_last():
+        calls.update(engine=0, reference=0)
+        buchberger(G, ring=ring_x)
+        reference_buchberger(G, ring=ring_x)
+        assert calls["engine"] == calls["reference"], (G, ring_x)
+        computed += calls["engine"]
+    assert computed > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,3 +726,27 @@ def test_linalg_matches_the_oracle_on_sparse_matrices(data, ncols):
     reduced = linalg.rref(big)
     assert [linalg.in_row_space(reduced, v) for v in small] == expected
     assert linalg.row_space_contains(reduced, small) == all(expected)
+
+
+def _with_int_zeros(rows):
+    return [[v if v else 0 for v in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 6))
+def test_linalg_gives_equal_results_on_int_zeros(data, ncols):
+    # koszul's span rows hold int zeros; each matrix is drawn once and given
+    # with Fraction(0) zeros and with int 0 zeros
+    big = data.draw(_matrix(ncols))
+    small = data.draw(_matrix(ncols))
+    results = []
+    for b, s in ((big, small), (_with_int_zeros(big), _with_int_zeros(small))):
+        reduced = linalg.rref(b)
+        results.append(
+            (
+                reduced,
+                [linalg.in_row_space(reduced, v) for v in s],
+                linalg.row_space_contains(reduced, s),
+            )
+        )
+    assert results[0] == results[1]
