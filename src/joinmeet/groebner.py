@@ -60,7 +60,9 @@ Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
 a smaller system in the remaining variables.  An Ideal keeps that split, its
 nonlinear generators and its homogeneity once computed, so the colons of one
-ideal by several forms compute them once.
+ideal by several forms compute them once.  Ideal.with_linear is the one
+construction of an ideal's nonlinear generators plus given linear forms, so
+every lift (I_L, V) has one generator set, and so one cache key.
 
 Every colon is a colon by one linear form l, and every intersection is
 I ∩ (l) = l·(I : l) for a homogeneous I.  Modulo the linear generators of I,
@@ -71,9 +73,10 @@ Prop. 15.12), with no extra variable.  The ring with x last is built once
 per ring object and variable and kept in the ring's _last, so its codec and
 key cache serve every colon by x, and it is freed with the ring.  When that
 colon is generated by I's nonlinear generators and its linear part, it is
-C = I + (I : l)_1, whose cached reduced basis is returned with no second
-Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon report
-reads next.
+C = I.with_linear((I : l)_1), whose cached reduced basis is returned with no
+second Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon
+report reads next.  intersect and the colon take an Ideal, never a bare
+generator list.
 """
 
 from __future__ import annotations
@@ -131,6 +134,11 @@ class Ideal:
     def _homogeneous(self):
         """Whether every generator is homogeneous."""
         return all(g.is_homogeneous() for g in self.generators)
+
+    def with_linear(self, forms):
+        """This ideal's nonlinear generators plus the linear forms given: for
+        I_L, the lift (I_L, V) of a linear-form ideal of H[L]."""
+        return ideal(self.ring, self._nonlinear + tuple(forms))
 
 
 def ideal(ring, gens):
@@ -240,18 +248,15 @@ def _divisors_of(G, codec):
     return _Divisors(codec, G)
 
 
-def _remainder_terms(f, G, codec=None):
+def _remainder_terms(f, G, codec):
     """The packed terms of f's remainder under division by G, largest first.
     A step on the term m = q·lm adds q·t for tail terms t < lm, all below m,
     so a term no lead divides is final once it is the largest left.
 
-    codec defaults to G's own if G is a _Divisors list, else to f's ring's.
     A term whose guard bits are set raises _Overflow when it is reached,
     before any lead is tested against it."""
     if not f:
         return
-    if codec is None:
-        codec = G.codec if isinstance(G, _Divisors) else _codec_of(f.ring)
     rows = _divisors_of(G, codec).rows
     mask, H, ones = codec.mask, codec.guard, codec.ones
     kept = f._packed
@@ -622,16 +627,15 @@ def ideal_equal(I, J):
 
 
 def intersect(I, J):
-    """I ∩ (l) for a homogeneous I and J = (l), l one linear form: l times
-    the reduced basis of I : l (_colon_by_linear_form), which is registered
-    in the ring's cache as the basis of the colon.  Any other pair raises
-    ValueError.
+    """I ∩ (l) for a homogeneous Ideal I and the Ideal J = (l) of one linear
+    form l: l times the reduced basis of I : l (_colon_by_linear_form), which
+    is registered in the ring's cache as the basis of the colon.  Any other
+    pair raises ValueError.
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
     if len(J.generators) != 1 or not J.generators[0].is_linear_form():
         raise ValueError("intersect needs J generated by one linear form")
-    I = _as_ideal(I)
     if not I._homogeneous:
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
@@ -639,12 +643,6 @@ def intersect(I, J):
     colon = _colon_by_linear_form(I, l)
     ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
     return ideal(ring, tuple(l * g for g in colon.basis))
-
-
-def _as_ideal(I):
-    """I itself if it is an Ideal, which keeps its splits, else an Ideal of
-    I's ring and generators."""
-    return I if isinstance(I, Ideal) else Ideal(I.ring, tuple(I.generators))
 
 
 def _same(m):
@@ -677,7 +675,7 @@ def _substitute(f, v, image):
 
 
 def _colon_by_linear_form(I, l):
-    """Reduced basis of I : l, for homogeneous I and a linear form l.
+    """Reduced basis of I : l, for a homogeneous Ideal I and a linear form l.
 
     1. Split off the linear generators of I as their reduced basis (row
        echelon form) and substitute it out of the rest and out of l.  If l
@@ -695,15 +693,7 @@ def _colon_by_linear_form(I, l):
        reduces to 0 modulo C's reduced basis, then I : l = C, and that
        cached basis is the answer.  Otherwise add the linear generators to
        the quotients and reduce in ring's own order.
-
-    C's generators are built to match the ``linear_lift`` of
-    hibi._colon_report (I_L's generators and the colon's degree1), so that
-    for I = (I_L, x_R) C's basis is the cache entry the report reads next,
-    whichever branch returns.  If the two constructions drift apart, results
-    stay the same but that saving is lost; a test in test_colon_routes
-    counts the report's Buchberger runs to catch it.
     """
-    I = _as_ideal(I)
     ring = I.ring
     _codec_of(ring)  # refuse a ring the kernel cannot pack before any work
     linear, rest = I._split
@@ -727,7 +717,7 @@ def _colon_by_linear_form(I, l):
         quotients = [_substitute(q, v, l) for q in quotients]
     if all(q.total_degree() > 0 for q in quotients):
         degree1, higher = _split_linear(linear + quotients)
-        C = ideal(ring, I._nonlinear + tuple(degree1))
+        C = I.with_linear(degree1)
         # a quotient and its substituted form differ by a member of C
         if all(ideal_member(q, C) for q in higher):
             return groebner_basis(C)

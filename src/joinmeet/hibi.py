@@ -8,7 +8,10 @@ equal lattice built apart builds its own.  Ring variable k belongs to element
 L.linear_extension[k], so lattice_ring, variable, variable_ideal and
 _elements_of all read one map between elements and variables.  A
 ResidueIdeal keeps the JoinMeetIdeal it was built from, and its lift and
-colons read I_L from there, so the cache is looked up once per ideal.
+colons read I_L from there, so the cache is looked up once per ideal.  Every
+lift (I_L, V), a ResidueIdeal's and the linear lift a colon report compares
+against, is I_L's Ideal.with_linear(V), so its reduced basis is cached once,
+on the ring, keyed by the lift.
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L].  I_L is generated by the quadrics ab − (a∨b)(a∧b) (Hibi 1987), so the
@@ -139,7 +142,7 @@ class ResidueIdeal:
     """An ideal of H[L] given by lifts of linear-form generators; ``base``
     is the JoinMeetIdeal of its lattice."""
 
-    __slots__ = ("base", "lattice", "ring", "linear_generators", "_span", "_lift", "_gb")
+    __slots__ = ("base", "lattice", "ring", "linear_generators", "_span", "_lift")
 
     def __init__(self, base, generators):
         self.base = base
@@ -159,21 +162,19 @@ class ResidueIdeal:
         self.linear_generators = tuple(gens)
         self._span = None
         self._lift = None
-        self._gb = None
 
     @property
     def lift(self):
         """(I_L, generators) in K[L]."""
         if self._lift is None:
-            self._lift = ideal(self.ring, self.base.generators + self.linear_generators)
+            self._lift = self.base.ideal.with_linear(self.linear_generators)
         return self._lift
 
     def groebner(self):
-        """The reduced basis of the lift, computed on first use: only a colon
-        or a nonlinear membership test needs it."""
-        if self._gb is None:
-            self._gb = groebner_basis(self.lift)
-        return self._gb
+        """The reduced basis of the lift, computed on first use and cached on
+        the ring, keyed by the lift: only a colon or a nonlinear membership
+        test needs it."""
+        return groebner_basis(self.lift)
 
     def semantic_key(self):
         """The span's reduced echelon form, degree1(): it names the ideal."""
@@ -284,10 +285,7 @@ def _colon_report(J, divisors, lifted):
     # the reduced basis holds the linear part in reduced echelon form, so
     # when that part is all variables, (I_L, degree1) is (I_L, variables)
     degree1 = gb.degree1
-    # groebner._colon_by_linear_form builds its C from the same generator
-    # set (I_L's generators and the colon's degree1), so this basis is
-    # already cached; keep the two constructions in step
-    linear_lift = ideal(base.ring, base.generators + degree1)
+    linear_lift = base.ideal.with_linear(degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
     variables = _elements_of(L, degree1) if linear_generated else None
     witness = None

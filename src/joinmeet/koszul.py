@@ -28,7 +28,8 @@ search makes is therefore filed under the whole orbit of its (subset,
 variable) pair, walked with the generators of Aut(L); the moves, and so the
 family, are those of the search without it.  A certified none on M3-on-M3
 (|Aut| = 36) makes 17 colons: 630 with neither the orbits nor the in-place
-deletion, 158 with the orbits alone.
+deletion, 158 with the orbits alone and 30 with the deletion alone.  On M_10
+(|Aut| = 10!) it makes 14 colons, and 68 with the deletion alone.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class FiltrationSpec:
 
     def __len__(self):
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def filtration(L, members):

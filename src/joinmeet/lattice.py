@@ -40,15 +40,6 @@ class PosetIdeal:
 
     members: frozenset
 
-    def __contains__(self, item):
-        return item in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
 
 @dataclass(frozen=True)
 class Sublattice:
@@ -432,7 +423,9 @@ class Lattice:
     # -- poset ideals
 
     def poset_ideals(self):
-        """All downward-closed subsets, including the empty set and the whole lattice."""
+        """All downward-closed subsets, including the empty set and the whole
+        lattice.  More than MAX_POSET_IDEALS of them raise InputError as soon
+        as the enumeration passes that count (boolean(6) has 7,828,354)."""
         topo = self.linear_extension
         lower = [[] for _ in range(self.n)]
         for a, b in self.covers:
@@ -441,6 +434,8 @@ class Lattice:
 
         def extend(i, current):
             if i == len(topo):
+                if len(ideals) == MAX_POSET_IDEALS:
+                    raise InputError(f"the lattice has more than {MAX_POSET_IDEALS} poset ideals")
                 ideals.append(PosetIdeal(frozenset(current)))
                 return
             v = topo[i]
@@ -475,10 +470,13 @@ class Lattice:
 # Each function below counts its elements before building and refuses more than
 # MAX_ELEMENTS, so an oversized request fails at once instead of running for
 # minutes.  divisor_lattice also refuses n above MAX_DIVISOR_N, which bounds
-# the trial division that counts the divisors.
+# the trial division that counts the divisors.  A lattice within MAX_ELEMENTS
+# can still have millions of poset ideals, so Lattice.poset_ideals stops past
+# MAX_POSET_IDEALS of them.
 
 MAX_ELEMENTS = 128
 MAX_DIVISOR_N = 10**12
+MAX_POSET_IDEALS = 2**16
 
 
 def _check_size(name, count):

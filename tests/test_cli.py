@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from joinmeet.cli import main
+from joinmeet.lattice import MAX_POSET_IDEALS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -291,6 +292,16 @@ def test_oversized_builtin_is_refused_at_once(capsys):
         assert ("elements" in err or "above" in err) and "Traceback" not in err, size
 
 
+def test_posetideals_past_the_bound_is_an_input_error(capsys):
+    # boolean(6) has 7,828,354 poset ideals, the Dedekind number M(6); the
+    # enumeration stops as soon as it passes the bound
+    start = time.monotonic()
+    code, out, err = run(capsys, "posetideals", "--builtin", "boolean", "--n", "6")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (2, "")
+    assert err == f"error: the lattice has more than {MAX_POSET_IDEALS} poset ideals\n"
+
+
 def test_search_diamond_none(capsys):
     code, out, _ = run(capsys, "filtration", "search", "--builtin", "diamond")
     assert code == 1
@@ -539,6 +550,8 @@ def test_bad_files_and_negative_n_are_input_errors(tmp_path, capsys):
     huge_number = tmp_path / "huge.json"
     huge_number.write_text('{"elements": [' + "7" * 5000 + '], "covers": []}')
     for argv in (["check", "--builtin", "boolean", "--n", "-1"],
+                 ["check", "--builtin", "hexagon"],
+                 ["check"],
                  ["check", "--input", str(not_json)],
                  ["check", "--input", str(not_utf8)],
                  ["check", "--input", str(huge_number)],

@@ -305,6 +305,9 @@ def test_divide_exact(R):
     assert divide_exact(f * q, f) == q
     with pytest.raises(ArithmeticError):
         divide_exact(R.var("x"), R.var("y"))
+    # by a two-term form, inexact at the first term no lead divides
+    with pytest.raises(ArithmeticError, match="inexact"):
+        divide_exact(R.parse("x^2 + y*z"), R.parse("x + y"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,12 @@ def test_membership_agrees_with_macaulay_oracle():
                 probes.append(g)
             for f in probes:
                 assert ideal_member(f, I) == macaulay_member(I.generators, f), str(f)
+
+
+def test_intersect_refuses_two_rings(IL):
+    other = Ring(("p", "q"), degrevlex(2))
+    with pytest.raises(ValueError, match="mixed rings"):
+        intersect(IL, ideal(other, (other.var("p"),)))
 
 
 def test_membership_rejects_a_polynomial_from_another_ring():

@@ -495,6 +495,16 @@ def test_span_check_matches_row_reduction(name):
     assert verdicts == {True, False}
 
 
+def test_residue_ideal_refuses_a_generator_from_another_lattices_ring():
+    with pytest.raises(ValueError, match="different ring"):
+        residue_ideal(pentagon(), [lattice_ring(chain(3)).gens()[0]])
+
+
+def test_colon_by_ideal_refuses_two_lattices():
+    with pytest.raises(ValueError, match="different lattices"):
+        colon_in_H_by_ideal(variable_ideal(pentagon(), [0]), variable_ideal(diamond(), [0, 1]))
+
+
 # ---------------------------------------------------------------------------
 # on distributive lattices every such colon is again a poset ideal
 

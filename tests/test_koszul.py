@@ -102,6 +102,31 @@ def test_diamond_family_passes():
     assert rep.replay(fam)
 
 
+def _mark_failed(rep):
+    rep.passed = False
+
+
+def _drop_a_witness(rep):
+    rep.witnesses.pop()
+
+
+def _misdirect_a_witness(rep):
+    w = rep.witnesses[-1]
+    w.colon_member_index = 0 if w.colon_member_index else 1
+
+
+@pytest.mark.parametrize("tamper", [_mark_failed, _drop_a_witness, _misdirect_a_witness])
+def test_replay_refuses_a_tampered_report(tamper):
+    # a report that replays, marked failed, missing the witness of a nonzero
+    # member, or with a witness whose colon points at the wrong member
+    P = pentagon()
+    fam = filtration(P, PENTAGON_FAMILY)
+    rep = verify_filtration(P, fam)
+    assert rep.replay(fam)
+    tamper(rep)
+    assert not rep.replay(fam)
+
+
 def test_diamond_witness_chain_matches_listed_equalities():
     D = diamond()
     fam = filtration(D, DIAMOND_FAMILY)

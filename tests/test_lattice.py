@@ -7,6 +7,7 @@ import pytest
 
 from conftest import corpus, data_lattice, m3_on_m3, m_lattice, modular_corpus, stacked_diamond
 from joinmeet import lattice
+from joinmeet.errors import InputError
 from joinmeet.lattice import (
     MAX_DIVISOR_N,
     MAX_ELEMENTS,
@@ -382,6 +383,31 @@ def test_poset_ideals_match_brute_force():
     # the stated enumeration boundary: 2^12 subsets
     L = chain(12)
     assert [s.members for s in L.poset_ideals()] == brute_force_poset_ideals(L)
+
+
+def test_poset_ideals_stop_past_the_bound(monkeypatch):
+    # boolean(5) has 7,581 poset ideals, within the bound; boolean(4) has
+    # 168, the Dedekind number M(4), which a bound of 167 refuses
+    assert len(boolean(5).poset_ideals()) == 7581
+    monkeypatch.setattr(lattice, "MAX_POSET_IDEALS", 168)
+    assert len(boolean(4).poset_ideals()) == 168
+    monkeypatch.setattr(lattice, "MAX_POSET_IDEALS", 167)
+    with pytest.raises(InputError, match="more than 167 poset ideals"):
+        boolean(4).poset_ideals()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Lattice(["a", "a"], []), "labels must be distinct"),
+        (lambda: Lattice(["a", "b"], [(0, 2)]), r"cover pair \(0, 2\) out of range"),
+        (lambda: divisor_lattice(0), "n must be positive"),
+    ],
+    ids=["duplicate-labels", "cover-out-of-range", "divisor-0"],
+)
+def test_malformed_lattice_input_is_an_input_error(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
 
 
 def test_poset_ideal_validation(P):

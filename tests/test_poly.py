@@ -117,6 +117,15 @@ def test_parse_errors(R):
     for bad in ["", "   ", "x +", "* x", "x ^ q", "x + $"]:
         with pytest.raises(PolyParseError):
             R.parse(bad)
+    for bad, message in [
+        ("x²", "invalid literal"),
+        ("-", "empty polynomial"),
+        ("x / y", "expected \\+ or - before '/'"),
+        ("x^y", "bad exponent"),
+        ("1/0", "bad rational coefficient"),
+    ]:
+        with pytest.raises(PolyParseError, match=message):
+            R.parse(bad)
 
 
 def test_exponent_literals_are_bounded(R):
