@@ -36,7 +36,6 @@ from .hibi import (
     lattice_ring,
     maximal_ideal,
     residue_ideal,
-    variable,
     variable_ideal,
 )
 from .koszul import (
@@ -55,8 +54,6 @@ from .lattice import (
     Lattice,
     NotALattice,
     NotPureWarning,
-    PosetIdeal,
-    Sublattice,
     boolean,
     chain,
     diamond,

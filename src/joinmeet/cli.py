@@ -121,13 +121,13 @@ def _parens(gens):
 
 
 # ---------------------------------------------------------------------------
-# commands: each maps (lattice, args, config) to (exit code, result dict), and
+# commands: each maps (lattice, args) to (exit code, result dict), and
 # its text_* renders that result dict
 
 
-def cmd_check(L, args, config):
+def cmd_check(L, args):
     def labels(sub):  # in element order
-        return [L.labels[i] for i in sub] if sub else None
+        return [L.labels[i] for i in sorted(sub)] if sub else None
 
     return 0, {
         "elements": list(L.labels),
@@ -158,7 +158,7 @@ def text_check(r):
     ]
 
 
-def cmd_ideal(L, args, config):
+def cmd_ideal(L, args):
     jm = join_meet_ideal(L)
     return 0, {
         "elements": list(L.labels),
@@ -177,7 +177,7 @@ def text_ideal(r):
     ]
 
 
-def cmd_colon(L, args, config):
+def cmd_colon(L, args):
     J = residue_ideal(L, [g.strip() for g in args.j.split(",") if g.strip()])
     rep = colon_in_H(J, lattice_ring(L).parse(args.by))
     return 0, {
@@ -204,7 +204,7 @@ def text_colon(r):
     ]
 
 
-def cmd_filtration_verify(L, args, config):
+def cmd_filtration_verify(L, args):
     family = load_filtration(L, args.file)
     rep = verify_filtration(L, family)
     return 0 if rep.passed else 1, {
@@ -269,7 +269,7 @@ def text_filtration_verify(r):
     return lines
 
 
-def cmd_filtration_search(L, args, config):
+def cmd_filtration_search(L, args):
     family = search_combinatorial(L, cap=DEFAULT_SEARCH_CAP if args.cap is None else args.cap)
     subsets = 1 << L.n
     if family is None:
@@ -305,11 +305,11 @@ def text_filtration_search(r):
     return lines
 
 
-def cmd_posetideals(L, args, config):
+def cmd_posetideals(L, args):
     ideals = L.poset_ideals()
     result = {
         "count": len(ideals),
-        "ideals": [sorted(L.label_set(s.members)) for s in ideals],
+        "ideals": [sorted(L.label_set(s)) for s in ideals],
     }
     if not args.verify:
         return 0, result
@@ -441,7 +441,7 @@ def _run(args, config):
     run, render = COMMANDS[config["command"]]
     started = time.perf_counter()
     try:
-        code, result = run(load_lattice(args), args, config)
+        code, result = run(load_lattice(args), args)
     except Exception as exc:
         kind = "input" if isinstance(exc, _INPUT_ERRORS) else "internal"
         if config["format"] == "json":

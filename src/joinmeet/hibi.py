@@ -5,13 +5,13 @@ variables indexed by element and I_L.  It is cached in the lattice's own
 _cache, and the ring holds the reduced bases of every ideal over it (see
 groebner), so K[L], I_L and all their bases are freed with the lattice; an
 equal lattice built apart builds its own.  Ring variable k belongs to element
-L.linear_extension[k], so lattice_ring, variable, variable_ideal and
-_elements_of all read one map between elements and variables.  A
-ResidueIdeal keeps the JoinMeetIdeal it was built from, and its lift and
-colons read I_L from there, so the cache is looked up once per ideal.  Every
-lift (I_L, V), a ResidueIdeal's and the linear lift a colon report compares
-against, is I_L's Ideal.with_linear(V), so its reduced basis is cached once,
-on the ring, keyed by the lift.
+L.linear_extension[k], so lattice_ring, variable_ideal and _elements_of
+all read one map between elements and variables.  A ResidueIdeal keeps the
+JoinMeetIdeal it was built from, and its lift and colons read I_L from
+there, so the cache is looked up once per ideal.  Every lift (I_L, V), a
+ResidueIdeal's and the linear lift a colon report compares against, is
+I_L's Ideal.with_linear(V), so its reduced basis is cached once, on the
+ring, keyed by the lift.
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L].  I_L is generated by the quadrics ab − (a∨b)(a∧b) (Hibi 1987), so the
@@ -48,7 +48,7 @@ from .groebner import (
     ideal_member,
     normal_form,
 )
-from .lattice import Lattice, PosetIdeal
+from .lattice import Lattice
 from .poly import MonomialOrder, Ring
 
 
@@ -118,11 +118,6 @@ def lattice_ring(L):
     return join_meet_ideal(L).ring
 
 
-def variable(L, element):
-    """The variable of K[L] attached to a lattice element index."""
-    return join_meet_ideal(L).variables[element]
-
-
 def _elements_of(L, linear):
     """The element indices of monic linear forms that are all variables, else
     None."""
@@ -169,12 +164,6 @@ class ResidueIdeal:
         if self._lift is None:
             self._lift = self.base.ideal.with_linear(self.linear_generators)
         return self._lift
-
-    def groebner(self):
-        """The reduced basis of the lift, computed on first use and cached on
-        the ring, keyed by the lift: only a colon or a nonlinear membership
-        test needs it."""
-        return groebner_basis(self.lift)
 
     def semantic_key(self):
         """The span's reduced echelon form, degree1(): it names the ideal."""
@@ -249,9 +238,12 @@ class ResidueColonReport:
     ``variable_generated`` additionally requires every element of
     ``degree1``, which is in reduced echelon form, to be a variable; those
     are recorded in ``variables`` (element indices).  ``whole_ring`` marks the
-    unit ideal, which is never linear-generated.  A linear-generated colon is
-    named by ``degree1``, its span, as a ResidueIdeal is; only another colon
-    is named by its reduced basis (see semantic_key).
+    unit ideal, which is never linear-generated.  ``nonlinear_witness`` is a
+    basis element of degree other than 1 outside (I_L, degree1): 1 for the
+    unit ideal, as (I_L, degree1) is generated in positive degrees.  A
+    linear-generated colon is named by ``degree1``, its span, as a
+    ResidueIdeal is; only another colon is named by its reduced basis (see
+    semantic_key).
     """
 
     lattice: Lattice
@@ -290,7 +282,7 @@ def _colon_report(J, divisors, lifted):
     variables = _elements_of(L, degree1) if linear_generated else None
     witness = None
     if not linear_generated:
-        nonlinear = (g for g in gb.basis if g.total_degree() >= 2)
+        nonlinear = (g for g in gb.basis if g.total_degree() != 1)
         witness = next((g for g in nonlinear if not ideal_member(g, linear_lift)), None)
     return ResidueColonReport(
         lattice=L,
@@ -351,7 +343,7 @@ class ClaimReport:
     """Verdicts for the colon (J̄) : ē with J = I ∖ {e}, e maximal in I."""
 
     lattice: Lattice
-    ideal: PosetIdeal
+    ideal: frozenset
     element: int
     linear_generated: bool
     span_matches: bool
@@ -367,15 +359,14 @@ def _span_matches(L, e, report):
 
 
 def claim_check(L, I, e):
-    """The report of (J̄) : ē for the poset ideal I (or its members), J = I ∖ {e},
-    and a maximal element e of I: whether the colon is linear-generated, whether
-    its linear part is span{a : a ≱ e}, and whether a pentagon or a diamond
-    sublattice has e as its minimum."""
-    members = I.members if hasattr(I, "members") else frozenset(I)
-    I = L.poset_ideal(members)
-    if e not in L.maximal_elements(I.members):
+    """The report of (J̄) : ē for the poset ideal I, any iterable of element
+    indices, J = I ∖ {e}, and a maximal element e of I: whether the colon is
+    linear-generated, whether its linear part is span{a : a ≱ e}, and whether
+    a pentagon or a diamond sublattice has e as its minimum."""
+    I = L.poset_ideal(I)
+    if e not in L.maximal_elements(I):
         raise InputError(f"{L.labels[e]!r} is not a maximal element of the ideal")
-    J = variable_ideal(L, I.members - {e})
+    J = variable_ideal(L, I - {e})
     report = colon_in_H(J, J.base.variables[e])
     return ClaimReport(
         lattice=L,

@@ -81,9 +81,6 @@ class FiltrationSpec:
                 raise MalformedFamily(f"members {j} and {i} present the same ideal {m!r}")
         self.combinatorial = all(m.variable_set() is not None for m in self.members)
 
-    def __len__(self):
-        return len(self.members)
-
 
 def filtration(L, members):
     """Build a FiltrationSpec, coercing each member to a ResidueIdeal."""
@@ -239,7 +236,7 @@ def verify_filtration(L, family):
 
 def poset_ideal_filtration(L):
     """One member per poset ideal of L, generated by its variables."""
-    return FiltrationSpec(L, tuple(variable_ideal(L, s.members) for s in L.poset_ideals()))
+    return FiltrationSpec(L, tuple(variable_ideal(L, s) for s in L.poset_ideals()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Finite lattices: validated join/meet structure, order-theoretic predicates,
 poset-ideal enumeration, and pentagon/diamond sublattice search.
 
-Elements are identified by index; labels are presentation-only.  A fixed
-linear extension (topological order of the covers, ties broken by input
-order) is computed once and shared with the polynomial ring so variable
-ordering is deterministic across runs.
+Elements are identified by index; labels are presentation-only.  A set of
+elements (a poset ideal, a pentagon or diamond sublattice) is a frozenset
+of element indices.  A fixed linear extension (topological order of the
+covers, ties broken by input order) is computed once and shared with the
+polynomial ring so variable ordering is deterministic across runs.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
@@ -34,26 +34,6 @@ class NotPureWarning(UserWarning):
     """Rank was requested on a lattice whose maximal chains differ in length."""
 
 
-@dataclass(frozen=True)
-class PosetIdeal:
-    """A downward-closed subset of the lattice, as element indices."""
-
-    members: frozenset
-
-
-@dataclass(frozen=True)
-class Sublattice:
-    """A subset closed under the ambient join and meet."""
-
-    members: frozenset
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-
 class Lattice:
     """Immutable finite lattice with precomputed join/meet tables.
 
@@ -68,7 +48,7 @@ class Lattice:
         "top",
         "linear_extension",
         "_down",
-        "_up",
+        "_lower",
         "_join",
         "_meet",
         "_ranks",
@@ -131,7 +111,7 @@ class Lattice:
         for b in range(n):
             for a in down[b]:
                 up[a].add(b)
-        self._up = up = tuple(frozenset(s) for s in up)
+        up = tuple(frozenset(s) for s in up)
 
         # canonical cover relation from the closure (input may hold redundant pairs)
         canon = []
@@ -180,10 +160,11 @@ class Lattice:
         self.top = top
 
         # longest chain from bottom; purity = every cover climbs exactly one rank
-        ranks = [0] * n
-        lower = [[] for _ in range(n)]
+        lower = [set() for _ in range(n)]
         for a, b in self.covers:
-            lower[b].append(a)
+            lower[b].add(a)
+        self._lower = lower = tuple(frozenset(s) for s in lower)
+        ranks = [0] * n
         for v in topo:
             ranks[v] = max((ranks[u] + 1 for u in lower[v]), default=0)
         self._ranks = tuple(ranks)
@@ -216,9 +197,6 @@ class Lattice:
             return self.labels.index(str(label))
         except ValueError:
             raise KeyError(f"unknown label {label!r}") from None
-
-    def label(self, i):
-        return self.labels[i]
 
     def label_set(self, members):
         return {self.labels[i] for i in members}
@@ -305,11 +283,7 @@ class Lattice:
         return got
 
     def _transversals(self):
-        n, topo = self.n, self.linear_extension
-        lower = [set() for _ in range(n)]
-        for a, b in self.covers:
-            lower[b].add(a)
-        lower = [frozenset(s) for s in lower]
+        n, topo, lower = self.n, self.linear_extension, self._lower
         with_lower = {}
         for w in range(n):
             with_lower.setdefault(lower[w], []).append(w)
@@ -367,7 +341,7 @@ class Lattice:
 
     def find_pentagon(self):
         for e, y, x, z, f in self.iter_pentagons():
-            return Sublattice(frozenset((e, y, x, z, f)))
+            return frozenset((e, y, x, z, f))
         return None
 
     def iter_diamonds(self):
@@ -389,7 +363,7 @@ class Lattice:
 
     def find_diamond(self):
         for e, x, y, z, f in self.iter_diamonds():
-            return Sublattice(frozenset((e, x, y, z, f)))
+            return frozenset((e, x, y, z, f))
         return None
 
     # -- rank and purity
@@ -417,7 +391,7 @@ class Lattice:
             return None
         for e, x, y, z, f in self.iter_diamonds():
             if self._ranks[f] - self._ranks[e] == 2:
-                return Sublattice(frozenset((e, x, y, z, f)))
+                return frozenset((e, x, y, z, f))
         return None
 
     # -- poset ideals
@@ -426,17 +400,14 @@ class Lattice:
         """All downward-closed subsets, including the empty set and the whole
         lattice.  More than MAX_POSET_IDEALS of them raise InputError as soon
         as the enumeration passes that count (boolean(6) has 7,828,354)."""
-        topo = self.linear_extension
-        lower = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            lower[b].append(a)
+        topo, lower = self.linear_extension, self._lower
         ideals = []
 
         def extend(i, current):
             if i == len(topo):
                 if len(ideals) == MAX_POSET_IDEALS:
                     raise InputError(f"the lattice has more than {MAX_POSET_IDEALS} poset ideals")
-                ideals.append(PosetIdeal(frozenset(current)))
+                ideals.append(frozenset(current))
                 return
             v = topo[i]
             extend(i + 1, current)
@@ -446,7 +417,7 @@ class Lattice:
                 current.remove(v)
 
         extend(0, set())
-        ideals.sort(key=lambda s: (len(s.members), sorted(s.members)))
+        ideals.sort(key=lambda s: (len(s), sorted(s)))
         return ideals
 
     def is_poset_ideal(self, members):
@@ -457,7 +428,7 @@ class Lattice:
         members = frozenset(members)
         if not self.is_poset_ideal(members):
             raise InputError(f"{self.label_set(members)} is not downward closed")
-        return PosetIdeal(members)
+        return members
 
     def maximal_elements(self, members):
         members = set(members)

@@ -396,11 +396,27 @@ pentagon sublattice: {e, x, y, z, f}
 diamond sublattice: none
 rank-2 diamond: n/a (lattice is not modular)
 """),
+    (["check", "--builtin", "diamond"], 0, """\
+lattice: 5 elements: e x y z f
+is_modular: True
+is_distributive: False
+is_pure: True
+pentagon sublattice: none
+diamond sublattice: {e, x, y, z, f}
+rank-2 diamond: {e, x, y, z, f}
+"""),
     (["colon", "--builtin", "pentagon", "--j", "", "--by", "e"], 0, """\
 colon () : (e) in H[L]
 lifted colon reduced GB: (y*z - e*f, x*z - e*f, x*f - y*f)
 degree-1 part: ()
 NOT generated by linear forms (witness: x*f - y*f)
+generated by variables: no
+"""),
+    (["colon", "--builtin", "diamond", "--j", "x", "--by", "x"], 0, """\
+colon (x) : (x) in H[L]
+lifted colon reduced GB: (1)
+degree-1 part: ()
+NOT generated by linear forms (witness: 1)
 generated by variables: no
 """),
     (["filtration", "verify", "--builtin", "pentagon", str(DATA / "pentagon.filt")], 0, """\
@@ -459,7 +475,10 @@ Koszul filtration: pass
 ]
 
 
-PINNED_IDS = ["check", "colon", "verify-pentagon", "verify-diamond", "search", "posetideals"]
+PINNED_IDS = [
+    "check", "check-diamond", "colon", "unit-colon", "verify-pentagon", "verify-diamond",
+    "search", "posetideals",
+]
 
 
 @pytest.mark.parametrize("argv, want_code, want_out", PINNED_TEXT, ids=PINNED_IDS)

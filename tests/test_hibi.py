@@ -6,10 +6,18 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import cold_copy, corpus, distributive_corpus, m3_on_m3, small_corpus
+from conftest import (
+    cold_copy,
+    corpus,
+    distributive_corpus,
+    m3_on_m3,
+    small_corpus,
+    stacked_diamond,
+)
 import oracles
 from oracles import macaulay_member
 from joinmeet import hibi, koszul
+from joinmeet.errors import InputError
 from joinmeet.groebner import _ring_with_last, groebner_basis, ideal, ideal_equal, ideal_member
 from joinmeet.hibi import (
     NotLinear,
@@ -20,7 +28,6 @@ from joinmeet.hibi import (
     lattice_ring,
     maximal_ideal,
     residue_ideal,
-    variable,
     variable_ideal,
 )
 from joinmeet.lattice import boolean, chain, diamond, divisor_lattice, pentagon
@@ -171,7 +178,7 @@ def test_subset_ideal_bijection():
                 key = ri.semantic_key()
                 assert key not in seen or seen[key] == subset
                 seen[key] = subset
-                basis = ri.groebner().basis
+                basis = groebner_basis(ri.lift).basis
                 assert basis not in bases or bases[basis] == subset
                 bases[basis] = subset
 
@@ -213,8 +220,7 @@ def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
         assert all(type(c) is field for g in jm.generators for _, c in g.terms)
         for e in range(L.n):
             assert jm.variables[e] == jm.ring.var(L.labels[e])
-            assert variable(L, e) is jm.variables[e]
-            assert hibi._elements_of(L, [variable(L, e)]) == {e}
+            assert hibi._elements_of(L, [jm.variables[e]]) == {e}
         for size in range(L.n + 1):
             for subset in combinations(range(L.n), size):
                 got = variable_ideal(L, subset[::-1])  # any order
@@ -223,7 +229,7 @@ def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
                 assert got.linear_generators == want.linear_generators
                 assert str(got) == str(want)
                 assert got.semantic_key() == want.semantic_key()
-                assert got.groebner().basis == want.groebner().basis
+                assert groebner_basis(got.lift).basis == groebner_basis(want.lift).basis
                 assert hibi._elements_of(L, got.linear_generators) == frozenset(subset)
                 assert got.variable_set() == frozenset(subset)
 
@@ -343,15 +349,23 @@ def test_colon_by_ideal_finds_the_generator_outside_j():
 
 
 def test_colon_by_zero_ideal_is_whole_ring():
+    # J : I is the whole ring for every I inside J, the zero ideal first;
+    # (I_L, degree1) is generated in positive degrees, so 1 is the witness
     P = pentagon()
-    rep = colon_in_H_by_ideal(residue_ideal(P, ["x"]), residue_ideal(P, ()))
-    assert rep.whole_ring and not rep.linear_generated
+    one = lattice_ring(P).one()
+    J = residue_ideal(P, ["x", "y"])
+    for gens in [(), ["x"], ["y", "x"], ["x - y"], ["2*x", "x + y"]]:
+        I = residue_ideal(P, gens)
+        rep = colon_in_H_by_ideal(J, I)
+        assert rep.whole_ring and not rep.linear_generated and not rep.variable_generated
+        assert rep.groebner.basis == (one,) and rep.divisors == I.linear_generators
+        assert rep.nonlinear_witness == one
 
 
 def test_colon_lift_contains_source_and_products_return():
     P = pentagon()
     J = residue_ideal(P, ["x", "y"])
-    f = variable(P, P.index("z"))
+    f = join_meet_ideal(P).variables[P.index("z")]
     rep = colon_in_H(J, f)
     for g in J.lift.generators:
         assert ideal_member(g, rep.lift)
@@ -371,11 +385,6 @@ def test_colon_rejects_nonlinear_divisor():
 # the degree-1 span identity
 
 
-def test_span_claim_pentagon_bottom():
-    P = pentagon()
-    assert claim_check(P, {P.index("e")}, P.index("e")).span_matches
-
-
 def test_span_claim_boolean2():
     B = boolean(2)
     I = {B.index("o"), B.index("a")}
@@ -387,21 +396,83 @@ def test_span_claim_chain():
     assert claim_check(C, {0, 1}, 1).span_matches
 
 
-def test_span_claim_requires_maximal_element():
-    P = pentagon()
-    with pytest.raises(ValueError):
-        claim_check(P, {P.index("e"), P.index("y")}, P.index("e"))
-
-
 def test_span_claim_across_small_corpus():
     # the linear-part identity holds for every poset ideal and every
     # maximal element, on all corpus lattices with <= 6 elements
     for L in small_corpus(6):
         for s in L.poset_ideals():
-            if not s.members:
+            if not s:
                 continue
-            for e in L.maximal_elements(s.members):
-                assert claim_check(L, s, e).span_matches, (L.labels, sorted(s.members), e)
+            for e in L.maximal_elements(s):
+                assert claim_check(L, s, e).span_matches, (L.labels, sorted(s), e)
+
+
+# ---------------------------------------------------------------------------
+# claim_check
+
+
+def test_claim_pentagon_bottom():
+    P = pentagon()
+    rep = claim_check(P, {P.index("e")}, P.index("e"))
+    assert not rep.linear_generated
+    assert rep.span_matches
+    assert rep.pentagon_with_min_e and not rep.diamond_with_min_e
+
+
+def test_claim_diamond_bottom():
+    D = diamond()
+    rep = claim_check(D, {D.index("e")}, D.index("e"))
+    assert not rep.linear_generated
+    assert rep.span_matches
+    assert rep.diamond_with_min_e
+
+
+def test_claim_distributive_case_is_linear():
+    B = boolean(2)
+    rep = claim_check(B, {B.index("o")}, B.index("o"))
+    assert rep.linear_generated and rep.span_matches
+    assert not rep.pentagon_with_min_e and not rep.diamond_with_min_e
+
+
+def test_claim_requires_maximal_element():
+    P = pentagon()
+    with pytest.raises(ValueError):
+        claim_check(P, {P.index("e"), P.index("y")}, P.index("e"))
+
+
+def test_claim_holds_wherever_pentagon_or_diamond_sits_at_e():
+    # wherever a pentagon or diamond sits with its minimum at e, the colon
+    # must fail to be linear-form generated
+    for L in [pentagon(), diamond(), stacked_diamond()]:
+        for s in L.poset_ideals():
+            for e in L.maximal_elements(s):
+                rep = claim_check(L, s, e)
+                if rep.pentagon_with_min_e or rep.diamond_with_min_e:
+                    assert not rep.linear_generated
+                assert rep.span_matches
+
+
+def _claim_verdicts(rep):
+    return (
+        rep.ideal, rep.element, rep.linear_generated, rep.span_matches,
+        rep.pentagon_with_min_e, rep.diamond_with_min_e, rep.colon.semantic_key(),
+    )
+
+
+@pytest.mark.parametrize("build", [pentagon, diamond, lambda: boolean(3)],
+                         ids=["pentagon", "diamond", "boolean(3)"])
+def test_claim_takes_any_iterable_of_elements(build):
+    # a list, a set and a member of poset_ideals() name the same ideal and
+    # give the same report; a set that is not downward closed is refused
+    L = build()
+    for s in L.poset_ideals():
+        for e in L.maximal_elements(s):
+            want = _claim_verdicts(claim_check(L, s, e))
+            assert type(want[0]) is frozenset and want[0] == s
+            for other in (sorted(s, reverse=True), set(s)):
+                assert _claim_verdicts(claim_check(L, other, e)) == want
+    with pytest.raises(InputError, match="not downward closed"):
+        claim_check(L, [L.top], L.top)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +508,8 @@ def search_colons(name):
     finally:
         koszul.colon_in_H = saved
     for a in range(L.n):
-        reports.append(colon_in_H(residue_ideal(L, [L.labels[a]]), variable(L, a)))
+        J = residue_ideal(L, [L.labels[a]])
+        reports.append(colon_in_H(J, J.base.variables[a]))
     return L, tuple(reports)
 
 
@@ -481,12 +553,13 @@ def test_span_check_matches_row_reduction(name):
     L, reports = search_colons(name)
     pairs = []
     for s in L.poset_ideals():
-        for e in L.maximal_elements(s.members):
+        for e in L.maximal_elements(s):
             pairs.append((e, claim_check(L, s, e).colon))
     pairs += [(L.index(str(rep.divisors[0])), rep) for rep in reports]
+    variables = join_meet_ideal(L).variables
     verdicts = set()
     for e, rep in pairs:
-        expected = [variable(L, a) for a in range(L.n) if not L.le(e, a)]
+        expected = [variables[a] for a in range(L.n) if not L.le(e, a)]
         old = oracles.rref(coefficient_rows(L, rep.degree1)) == oracles.rref(
             coefficient_rows(L, expected)
         )
@@ -514,10 +587,10 @@ def test_distributive_colons_are_poset_ideals():
         if L.n > 8:
             continue
         for s in L.poset_ideals():
-            if not s.members:
+            if not s:
                 continue
-            for e in L.maximal_elements(s.members):
-                J = residue_ideal(L, [L.labels[a] for a in sorted(s.members - {e})])
-                rep = colon_in_H(J, variable(L, e))
+            for e in L.maximal_elements(s):
+                J = residue_ideal(L, [L.labels[a] for a in sorted(s - {e})])
+                rep = colon_in_H(J, J.base.variables[e])
                 assert rep.variable_generated
                 assert L.is_poset_ideal(rep.variables)

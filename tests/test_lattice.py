@@ -243,12 +243,12 @@ def test_distributive_implies_modular():
 
 
 def test_find_pentagon_self(P):
-    assert P.find_pentagon().members == frozenset(range(5))
+    assert P.find_pentagon() == frozenset(range(5))
     assert P.find_diamond() is None
 
 
 def test_find_diamond_self(D):
-    assert D.find_diamond().members == frozenset(range(5))
+    assert D.find_diamond() == frozenset(range(5))
     assert D.find_pentagon() is None
 
 
@@ -269,7 +269,7 @@ def test_sublattices_are_closed():
     for L in corpus():
         for sub in (L.find_pentagon(), L.find_diamond(), L.find_rank2_diamond()):
             if sub is not None:
-                members = set(sub.members)
+                members = set(sub)
                 for a in members:
                     for b in members:
                         assert L.join(a, b) in members and L.meet(a, b) in members
@@ -313,7 +313,8 @@ def test_rank_identity_on_modular_corpus():
 
 def test_rank2_diamond_on_diamond(D):
     sub = D.find_rank2_diamond()
-    members = sorted(sub.members)
+    assert type(sub) is frozenset and sub == frozenset(range(5))
+    members = sorted(sub)
     e, f = members[0], members[-1]
     assert D.rank(f) - D.rank(e) == 2
 
@@ -332,8 +333,8 @@ def test_rank2_diamond_on_stacked_lattice():
     assert L.n == 7 and L.is_modular() and not L.is_distributive()
     sub = L.find_rank2_diamond()
     assert sub is not None
-    bottom = next(a for a in sub.members if all(L.le(a, b) for b in sub.members))
-    top = next(a for a in sub.members if all(L.le(b, a) for b in sub.members))
+    bottom = next(a for a in sub if all(L.le(a, b) for b in sub))
+    top = next(a for a in sub if all(L.le(b, a) for b in sub))
     assert L.rank(top) - L.rank(bottom) == 2
     # the open interval consists of pairwise-incomparable elements with
     # join top and meet bottom
@@ -371,7 +372,7 @@ def test_pentagon_ideals_match_listing(P):
         {"e", "y", "x", "z"},
         {"e", "y", "x", "z", "f"},
     ]
-    got = [P.label_set(s.members) for s in P.poset_ideals()]
+    got = [P.label_set(s) for s in P.poset_ideals()]
     assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
 
 
@@ -379,10 +380,22 @@ def test_poset_ideals_match_brute_force():
     for L in corpus():
         if L.n > 12:
             continue
-        assert [s.members for s in L.poset_ideals()] == brute_force_poset_ideals(L)
+        assert L.poset_ideals() == brute_force_poset_ideals(L)
     # the stated enumeration boundary: 2^12 subsets
     L = chain(12)
-    assert [s.members for s in L.poset_ideals()] == brute_force_poset_ideals(L)
+    assert L.poset_ideals() == brute_force_poset_ideals(L)
+
+
+def test_poset_ideals_are_frozensets_of_element_indices():
+    # boolean(3): o, a, b, c, ab, ac, bc, abc are elements 0..7
+    got = boolean(3).poset_ideals()
+    assert all(type(s) is frozenset for s in got)
+    assert got == [frozenset(s) for s in [
+        [], [0], [0, 1], [0, 2], [0, 3], [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 1, 2, 3],
+        [0, 1, 2, 4], [0, 1, 3, 5], [0, 2, 3, 6], [0, 1, 2, 3, 4], [0, 1, 2, 3, 5],
+        [0, 1, 2, 3, 6], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 5, 6],
+        [0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7],
+    ]]
 
 
 def test_poset_ideals_stop_past_the_bound(monkeypatch):
@@ -414,7 +427,7 @@ def test_poset_ideal_validation(P):
     with pytest.raises(ValueError):
         P.poset_ideal({P.index("x")})  # x without y and e below it
     ok = P.poset_ideal({P.index("e"), P.index("y")})
-    assert ok.members == {P.index("e"), P.index("y")}
+    assert ok == {P.index("e"), P.index("y")} and type(ok) is frozenset
 
 
 def test_maximal_elements(P):
@@ -454,8 +467,8 @@ def test_divisor_lattice_12():
     L = divisor_lattice(12)
     assert L.labels == ("1", "2", "3", "4", "6", "12")
     a, b = L.index("4"), L.index("6")
-    assert L.label(L.join(a, b)) == "12"
-    assert L.label(L.meet(a, b)) == "2"
+    assert L.labels[L.join(a, b)] == "12"
+    assert L.labels[L.meet(a, b)] == "2"
 
 
 def test_linear_extension_is_topological_and_deterministic():
