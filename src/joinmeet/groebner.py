@@ -77,6 +77,22 @@ C = I.with_linear((I : l)_1), whose cached reduced basis is returned with no
 second Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon
 report reads next.  intersect and the colon take an Ideal, never a bare
 generator list.
+
+A caller that knows more than the engine may skip the x-last Buchberger run:
+colon_element, intersect and the colon take substituted_basis, off by
+default, the caller's word that I's nonlinear generators with its linear
+part substituted out are already a Groebner basis with x last.  Then the
+colon takes them, made monic, as the basis; the quotients, the test against
+C and the fallback run as before, and the basis is the one Buchberger would
+return, since it would add nothing.  hibi gives that word for a colon of
+(I_L, x_A) by x_e with L distributive, A a poset ideal and e a minimal
+element of L ∖ A: A's elements in the fixed linear extension, then e, then
+the rest of L in that order, is again a linear extension, so I_L's basic
+binomials are a degrevlex Groebner basis with those variables smallest
+first (Hibi 1987), and setting the smallest variables x_A to zero keeps a
+degrevlex Groebner basis (Bayer–Stillman 1987).  No generator then has a
+term in x_A, and the ring with x_e last orders the remaining monomials as
+that order does.
 """
 
 from __future__ import annotations
@@ -626,11 +642,12 @@ def ideal_equal(I, J):
     return groebner_basis(I).basis == groebner_basis(J).basis
 
 
-def intersect(I, J):
+def intersect(I, J, *, substituted_basis=False):
     """I ∩ (l) for a homogeneous Ideal I and the Ideal J = (l) of one linear
     form l: l times the reduced basis of I : l (_colon_by_linear_form), which
     is registered in the ring's cache as the basis of the colon.  Any other
-    pair raises ValueError.
+    pair raises ValueError.  substituted_basis is passed to the colon (see
+    the module docstring).
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
@@ -640,7 +657,7 @@ def intersect(I, J):
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
     l = J.generators[0]
-    colon = _colon_by_linear_form(I, l)
+    colon = _colon_by_linear_form(I, l, substituted_basis=substituted_basis)
     ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
     return ideal(ring, tuple(l * g for g in colon.basis))
 
@@ -674,7 +691,7 @@ def _substitute(f, v, image):
     return f.ring.from_dict(acc)
 
 
-def _colon_by_linear_form(I, l):
+def _colon_by_linear_form(I, l, *, substituted_basis=False):
     """Reduced basis of I : l, for a homogeneous Ideal I and a linear form l.
 
     1. Split off the linear generators of I as their reduced basis (row
@@ -687,6 +704,8 @@ def _colon_by_linear_form(I, l):
     2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
+       With substituted_basis the substituted generators, made monic, are
+       that basis, and Buchberger does not run.
     3. Map back.  C = I + (I : l)_1, the nonlinear generators of I with the
        reduced echelon form of I's linear part and the linear quotients,
        lies inside I : l.  If no quotient is a constant and every quotient
@@ -709,7 +728,10 @@ def _colon_by_linear_form(I, l):
     var = ring_x.var(ring.names[v])
     if ring_x is not ring:
         rest = [g.map_exponents(ring_x, _same) for g in rest]
-    gb = buchberger(rest, ring=ring_x)
+    if substituted_basis:
+        gb = GroebnerBasis(ring_x, tuple(g.monic() for g in rest))
+    else:
+        gb = buchberger(rest, ring=ring_x)
     quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
     if ring_x is not ring:
         quotients = [q.map_exponents(ring, _same) for q in quotients]
@@ -725,15 +747,16 @@ def _colon_by_linear_form(I, l):
     return _reduced_basis(linear + quotients, ring)
 
 
-def colon_element(I, f):
+def colon_element(I, f, *, substituted_basis=False):
     """I : f = { g : g·f ∈ I } for a homogeneous I and a linear form f,
     computed as (1/f) · (I ∩ (f)).
 
     intersect's generators are f times the reduced basis of the colon, so the
     quotients here are that basis and the cache already holds it.  Any other
-    I or f raises ValueError, as in intersect.
+    I or f raises ValueError, as in intersect.  substituted_basis is passed
+    to the colon (see the module docstring).
     """
     if not f:
         raise ZeroDivisorArgument("colon by the zero polynomial")
-    inter = intersect(I, ideal(I.ring, (f,)))
+    inter = intersect(I, ideal(I.ring, (f,)), substituted_basis=substituted_basis)
     return ideal(I.ring, tuple(divide_exact(g, f) for g in inter.generators))

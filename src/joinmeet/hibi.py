@@ -24,7 +24,18 @@ nonlinear membership test needs it.
 
 colon_in_H is colon_element on the lift of J: it checks its input, makes one
 engine call and builds one report, whose verdicts are read from the degree-1
-part of the colon's reduced basis, a reduced echelon form.
+part of the colon's reduced basis, a reduced echelon form.  When L is
+distributive, J = (x_A) for a poset ideal A and f = c·x_e for a minimal
+element e of L ∖ A, it tells the engine that I_L with x_A set to zero is
+already a Groebner basis with x_e the smallest variable, so the colon runs
+no Buchberger for it.  Ordering A's elements by the fixed linear extension,
+then e, then the rest of L in that order, is again a linear extension, so
+the basic binomials are a degrevlex Groebner basis with those variables
+smallest first (Hibi 1987); setting the smallest variables x_A to zero keeps
+a degrevlex Groebner basis (Bayer–Stillman 1987), and on monomials free of
+x_A that order is K[L]'s with x_e moved last.  _substituted_basis checks the
+five conditions exactly, cheapest first; on a distributive lattice every
+colon that verify_filtration takes on the poset-ideal family passes them.
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
 span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J.  claim_check reads colon_in_H's report for
@@ -306,8 +317,30 @@ def colon_in_H(J, f):
         raise NotLinear("colon by the zero form")
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
-    lifted = colon_element(J.lift, f)
+    lifted = colon_element(J.lift, f, substituted_basis=_substituted_basis(J, f))
     return _colon_report(J, (f,), lifted)
+
+
+def _substituted_basis(J, f):
+    """Whether L is distributive, J = (x_A) for a poset ideal A and f = c·x_e
+    for an e outside A whose lower covers lie in A: then I_L with x_A set to
+    zero is a Groebner basis with x_e last (see the module docstring)."""
+    if len(f.terms) != 1:
+        return False
+    L = J.lattice
+    # J's variable set, read from the split of its lift, which the colon
+    # makes next anyway, rather than from a second echelon form of its span
+    A = _elements_of(L, J.lift._split[0])
+    if A is None:
+        return False
+    e = L.linear_extension[f.terms[0][0].index(1)]
+    lower = L._lower
+    return (
+        e not in A
+        and lower[e] <= A
+        and all(lower[a] <= A for a in A)
+        and L.is_distributive()
+    )
 
 
 def colon_in_H_by_ideal(J, I):

@@ -278,6 +278,10 @@ class Polynomial:
     packed form, kept so that a polynomial is packed once per codec.
     ``_hash`` is None or the hash of the terms, computed on first use, so an
     ideal's key in its ring's cache of bases hashes each coefficient once.
+
+    A polynomial equals an int or a Fraction when it is that constant, so
+    ``ring.one() == 1``; a constant hashes as its coefficient, and the zero
+    polynomial as 0, so equal values hash alike.
     """
 
     __slots__ = ("ring", "terms", "_packed", "_hash")
@@ -296,14 +300,21 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.ring == other.ring and self.terms == other.terms
-        if other == 0:
-            return not self.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == self.ring.constant(other).terms
         return NotImplemented
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.terms)
+            terms = self.terms
+            if not terms:
+                h = 0
+            elif len(terms) == 1 and not any(terms[0][0]):
+                h = hash(terms[0][1])
+            else:
+                h = hash(terms)
+            self._hash = h
         return h
 
     def leading_term(self):

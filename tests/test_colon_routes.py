@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cold_copy, m3_on_m3
+from conftest import cold_copy, enumerated_lattices, m3_on_m3
 from joinmeet import groebner, hibi
 from joinmeet.groebner import (
     GroebnerBasis,
@@ -269,13 +269,12 @@ def test_colon_by_a_variable_matches_the_reference_on_every_move():
     }
 
 
-def test_linear_generated_colon_runs_buchberger_once_on_a_cached_target(monkeypatch):
-    # (J : ab) in H[boolean(3)] for J = (o, a, b) is (o, a, b, c, ac, bc); with
-    # the basis of that lift cached, the colon needs only the x-last run
-    L = cold_copy(boolean(3))
-    e = L.index("ab")
-    J = variable_ideal(L, [L.index(a) for a in ("o", "a", "b")])
-    target = variable_ideal(L, [L.index(a) for a in ("o", "a", "b", "c", "ac", "bc")])
+def _colon_runs_with_cached_target(monkeypatch, L, j, e, target):
+    """colon_in_H(J, x_e) for J = (x_j) on a cold copy of L, with the basis
+    of the target's lift cached first, and the Buchberger runs it made."""
+    L = cold_copy(L)
+    J = variable_ideal(L, [L.index(a) for a in j])
+    target = variable_ideal(L, [L.index(a) for a in target])
     groebner_basis(target.lift)
     runs = []
     real = groebner.buchberger
@@ -285,10 +284,104 @@ def test_linear_generated_colon_runs_buchberger_once_on_a_cached_target(monkeypa
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
-    report = colon_in_H(J, J.base.variables[e])
+    report = colon_in_H(J, J.base.variables[L.index(e)])
     assert report.variable_generated
     assert report.groebner.basis == groebner_basis(target.lift).basis
-    assert len(runs) == 1
+    return len(runs)
+
+
+def test_linear_generated_colon_runs_buchberger_once_on_a_cached_target(monkeypatch):
+    # (J : ab) in H[boolean(3)] for J = (o, a) is (o, a, c, ac).  b, a lower
+    # cover of ab, lies outside J, so hibi vouches for no basis; with the
+    # basis of the target's lift cached the colon needs only the x-last run
+    runs = _colon_runs_with_cached_target(
+        monkeypatch, boolean(3), ("o", "a"), "ab", ("o", "a", "c", "ac"))
+    assert runs == 1
+
+
+def test_poset_ideal_colon_runs_no_buchberger_on_a_cached_target(monkeypatch):
+    # (J : ab) for J = (o, a, b) is (o, a, b, c, ac, bc).  boolean(3) is
+    # distributive, {o, a, b} is a poset ideal and ab's lower covers lie in
+    # it, so I_L with x_o, x_a, x_b set to zero is already a basis with ab
+    # last (Hibi, Bayer-Stillman), and the colon runs no Buchberger at all
+    runs = _colon_runs_with_cached_target(
+        monkeypatch, boolean(3), ("o", "a", "b"), "ab", ("o", "a", "b", "c", "ac", "bc"))
+    assert runs == 0
+
+
+def _x_last_basis(J, e):
+    """The x-last run of the colon of J's lift by x_e: the substituted
+    generators in the ring with x_e last, and Buchberger's basis of them."""
+    jm = J.base
+    v = jm.variables[e].terms[0][0].index(1)
+    ring_x = _ring_with_last(jm.ring, v)
+    rest = [g.map_exponents(ring_x, lambda m: m) for g in J.lift._split[1]]
+    return tuple(g.monic() for g in rest), buchberger(rest, ring=ring_x).basis
+
+
+def test_poset_ideal_colons_skip_only_runs_that_add_nothing(monkeypatch):
+    # every move (A, e) of every distributive lattice of at most 7 elements,
+    # A a poset ideal and e a minimal element of L ∖ A: the gate takes it,
+    # the x-last Buchberger run it skips adds no element, and the colon with
+    # the skip gives the reduced basis and variables of the colon forced
+    # through Buchberger, on cold copies that share no cached basis
+    lattices = [L for L in enumerated_lattices(7) if L.is_distributive()]
+    assert len(lattices) == 33
+    moves = 0
+    for L in lattices:
+        fast, slow = cold_copy(L), cold_copy(L)
+        lower = L._lower
+        for A in L.poset_ideals():
+            for e in range(L.n):
+                if e in A or not lower[e] <= A:
+                    continue
+                moves += 1
+                J = variable_ideal(fast, A)
+                f = J.base.variables[e]
+                assert hibi._substituted_basis(J, f), (L, A, e)
+                given, full = _x_last_basis(J, e)
+                assert full == given, (L, A, e)
+                got = colon_in_H(J, f)
+                with monkeypatch.context() as m:
+                    m.setattr(hibi, "_substituted_basis", lambda J, f: False)
+                    K = variable_ideal(slow, A)
+                    want = colon_in_H(K, K.base.variables[e])
+                assert got.groebner.basis == want.groebner.basis, (L, A, e)
+                assert got.variables == want.variables, (L, A, e)
+    assert moves == 309
+
+
+@pytest.mark.parametrize(
+    "L, a, e, added",
+    [
+        # A = {a, b} is not a poset ideal: o lies below it
+        (boolean(3), ("a", "b"), "ab", 1),
+        # not distributive, with A = ∅ and x the bottom
+        (pentagon(), (), "e", 1),
+        (diamond(), (), "e", 3),
+        # x = 6 is not minimal outside A = ∅: 2 and 3 lie below it
+        (divisor_lattice(60), (), "6", 1),
+    ],
+)
+def test_gate_refuses_a_move_where_skipping_would_be_wrong(L, a, e, added):
+    # each move fails exactly one of the gate's conditions, and Buchberger
+    # adds elements to its substituted generators, so they are no basis
+    L = cold_copy(L)
+    A = frozenset(L.index(x) for x in a)
+    x = L.index(e)
+    lower = L._lower
+    conditions = (
+        L.is_distributive(),
+        all(lower[b] <= A for b in A),
+        x not in A and lower[x] <= A,
+    )
+    assert conditions.count(False) == 1
+    J = variable_ideal(L, A)
+    f = J.base.variables[x]
+    assert not hibi._substituted_basis(J, f)
+    given, full = _x_last_basis(J, x)
+    assert len(full) - len(given) == added
+    assert full[: len(given)] == given
 
 
 def test_colon_report_reads_the_basis_the_colon_cached(monkeypatch):

@@ -360,6 +360,7 @@ def test_colon_by_zero_ideal_is_whole_ring():
         assert rep.whole_ring and not rep.linear_generated and not rep.variable_generated
         assert rep.groebner.basis == (one,) and rep.divisors == I.linear_generators
         assert rep.nonlinear_witness == one
+        assert rep.nonlinear_witness == 1
 
 
 def test_colon_lift_contains_source_and_products_return():

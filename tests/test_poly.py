@@ -56,6 +56,22 @@ def test_scaling(R):
     assert Fraction(1, 2) * R.var("x") == R.parse("1/2*x")
 
 
+def test_constants_equal_their_coefficient(R):
+    # a constant polynomial equals the int or Fraction it is, and hashes as
+    # it does, so a == b implies hash(a) == hash(b) across the two types
+    assert R.one() == 1 and 1 == R.one() and R.one() != 2
+    assert R.constant(Fraction(-2, 3)) == Fraction(-2, 3)
+    assert R.zero() == 0 and R.zero() != 1 and R.one() != 0
+    assert R.var("x") != 1 and R.var("x") != 0 and R.parse("x + 1") != 1
+    assert R.constant(0) == R.zero()
+    for p, c in [(R.zero(), 0), (R.one(), 1), (R.constant(-5), -5),
+                 (R.constant(Fraction(2, 7)), Fraction(2, 7))]:
+        assert p == c and hash(p) == hash(c)
+    assert {R.one(): "unit"}[1] == "unit"
+    assert {0: "zero"}[R.parse("x - x")] == "zero"
+    assert R.one() != "1"
+
+
 def test_leading_term_custom_priority():
     R = Ring(("x", "z", "e", "f"), degrevlex(4))  # x > z > e > f
     f = R.parse("x*z - e*f")
