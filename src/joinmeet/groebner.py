@@ -82,9 +82,11 @@ A caller that knows more than the engine may skip the x-last Buchberger run:
 colon_element, intersect and the colon take substituted_basis, off by
 default, the caller's word that I's nonlinear generators with its linear
 part substituted out are already a Groebner basis with x last.  Then the
-colon takes them, made monic, as the basis; the quotients, the test against
-C and the fallback run as before, and the basis is the one Buchberger would
-return, since it would add nothing.  hibi gives that word for a colon of
+colon takes them as the basis, since Buchberger would add nothing to them,
+and divides by x those that x divides term by term: for a homogeneous
+element that is whether x divides its lead with x last, so the division
+stays in the ring's own order and builds no x-last ring.  The test against
+C and the fallback run as before.  hibi gives that word for a colon of
 (I_L, x_A) by x_e with L distributive, A a poset ideal and e a minimal
 element of L ∖ A: A's elements in the fixed linear extension, then e, then
 the rest of L in that order, is again a linear extension, so I_L's basic
@@ -704,8 +706,10 @@ def _colon_by_linear_form(I, l, *, substituted_basis=False):
     2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
-       With substituted_basis the substituted generators, made monic, are
-       that basis, and Buchberger does not run.
+       With substituted_basis the substituted generators are that basis,
+       and Buchberger does not run; the elements are homogeneous, so x
+       divides one's x-last lead iff it divides every term, and they are
+       divided in ring's own order, with no x-last ring.
     3. Map back.  C = I + (I : l)_1, the nonlinear generators of I with the
        reduced echelon form of I's linear part and the linear quotients,
        lies inside I : l.  If no quotient is a constant and every quotient
@@ -721,20 +725,22 @@ def _colon_by_linear_form(I, l, *, substituted_basis=False):
         return GroebnerBasis(ring, (ring.one(),))
     (lead, c), r = l.terms[0], Polynomial(ring, l.terms[1:])
     v = lead.index(1)
+    x = Polynomial(ring, ((lead, ONE),))
     if r:
-        x = Polynomial(ring, ((lead, ONE),))
         rest = [_substitute(g, v, (x - r) * (1 / c)) for g in rest]
-    ring_x = _ring_with_last(ring, v)
-    var = ring_x.var(ring.names[v])
-    if ring_x is not ring:
-        rest = [g.map_exponents(ring_x, _same) for g in rest]
     if substituted_basis:
-        gb = GroebnerBasis(ring_x, tuple(g.monic() for g in rest))
+        # x divides the x-last lead of a homogeneous element iff it divides
+        # every term, a test that needs no x-last ring
+        quotients = [divide_exact(g, x) if all(m[v] for m, _ in g.terms) else g for g in rest]
     else:
+        ring_x = _ring_with_last(ring, v)
+        var = ring_x.var(ring.names[v])
+        if ring_x is not ring:
+            rest = [g.map_exponents(ring_x, _same) for g in rest]
         gb = buchberger(rest, ring=ring_x)
-    quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
-    if ring_x is not ring:
-        quotients = [q.map_exponents(ring, _same) for q in quotients]
+        quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
+        if ring_x is not ring:
+            quotients = [q.map_exponents(ring, _same) for q in quotients]
     if r:
         quotients = [_substitute(q, v, l) for q in quotients]
     if all(q.total_degree() > 0 for q in quotients):

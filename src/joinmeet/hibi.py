@@ -38,7 +38,8 @@ five conditions exactly, cheapest first; on a distributive lattice every
 colon that verify_filtration takes on the poset-ideal family passes them.
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
 span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
-only asks for such a cyclic I/J.  claim_check reads colon_in_H's report for
+only asks for such a cyclic I/J, and its witness records the same g, chosen
+by cyclic_generator.  claim_check reads colon_in_H's report for
 the colon of a poset ideal at one of its maximal elements.
 """
 
@@ -343,26 +344,37 @@ def _substituted_basis(J, f):
     )
 
 
-def colon_in_H_by_ideal(J, I):
-    """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: colon_in_H(J, g) for the
-    first generator g of I outside J's span.  With no generator outside, the
-    colon is the whole ring; when some generator lies outside J + (g),
-    ValueError."""
+def cyclic_generator(J, I):
+    """The form J : I is taken by: the first generator g of I outside J's
+    span, or None when I lies inside J.  A Koszul filtration's witness
+    records g as the generator of the cyclic I/J.  When some generator lies
+    outside J + (g), I/J is not cyclic, and ValueError."""
     if J.lattice != I.lattice:
         raise ValueError("colon of ideals over different lattices")
     # a linear form lies in J's lift iff it lies in J's span, and the span's
-    # reduced echelon form is a Groebner basis of the ideal it generates
-    span = J.degree1()
+    # reduced echelon form is a Groebner basis of the ideal it generates,
+    # packed once for every generator of I
+    span = GroebnerBasis(J.ring, J.degree1())
     outside = [g for g in I.linear_generators if normal_form(g, span)]
     if not outside:
-        return _colon_report(J, I.linear_generators, ideal(J.ring, (J.ring.one(),)))
+        return None
     g = outside[0]
     if len(outside) > 1:
         # g's remainder leads with a variable that leads no row of the span,
         # so the rows and it are again an echelon form, of span(J) + (g)
-        step = span + (normal_form(g, span),)
+        step = span.basis + (normal_form(g, span),)
         if any(normal_form(h, step) for h in outside[1:]):
             raise ValueError("the colon needs a cyclic I/J")
+    return g
+
+
+def colon_in_H_by_ideal(J, I):
+    """(J̄) : (Ī) in H[L] for a cyclic (Ī + J̄)/J̄: colon_in_H(J, g) for
+    g = cyclic_generator(J, I).  With no generator outside J, the colon is
+    the whole ring; when some generator lies outside J + (g), ValueError."""
+    g = cyclic_generator(J, I)
+    if g is None:
+        return _colon_report(J, I.linear_generators, ideal(J.ring, (J.ring.one(),)))
     return colon_in_H(J, g)
 
 

@@ -4,11 +4,30 @@ and exhaustive search for combinatorial filtrations.
 Cyclicity of I/J for linear-form ideals reduces to linear algebra: since the
 degree-1 part of a lift (I_L, gens) is exactly the span of the generators,
 I/J is cyclic with J ⊊ I iff span(J) sits inside span(I) with codimension
-one.  Each member's span is row-reduced once, and every containment test
-reduces against it.  colon_in_H_by_ideal takes J : I as the colon by the
-first generator g of I outside J, and a witness records that g as I/J's
-cyclic generator.  J = I is excluded: axiom (3) would pair it with
-J : I = H[L], which is never a member.
+one.  colon_in_H_by_ideal takes J : I as the colon by the first generator g
+of I outside J (hibi.cyclic_generator), and a witness records that g as
+I/J's cyclic generator.  J = I is excluded: axiom (3) would pair it with
+J : I = H[L], which is never a member.  A family that is not combinatorial
+finds each member's candidates by scanning the family: each span is
+row-reduced once, and every containment test reduces against it.
+
+A combinatorial family names each member by the bitmask of its variable
+set, so the candidates of the member with set S are the members with set
+S∖{x}, read off a dict in family order, and the first whose colon is a
+member is the witness, as the scan finds it.  An automorphism σ of L
+preserves ∨ and ∧, so it fixes I_L and permutes the variables; hence
+σ(J : I) = σJ : σI, and J : I is generated by variables exactly when
+σ(J : I) is, with σ carrying its variables.  The verdict of (S, x), the
+mask of J : I or None, is therefore filed under the whole Aut(L) orbit of
+(S, x) by the move memo the search also uses, and a member whose pair was
+filed from another pair's colon takes no colon of its own; its witness
+holds no report.  The generators of Aut(L) are checked to preserve ∨ and ∧ before
+anything is filed, a member with no witness is checked again colon by
+colon, so its diagnostics are those of the scan, and each witness's
+containment is confirmed on row-reduced spans.  The memo lives for one
+call, so a replay shares nothing with the search it checks.  On the
+poset-ideal family this takes divisor(60) from 49 colons to 37 and
+boolean(5) from 7,580 to 346.
 
 The poset-ideal family and the search build their members with
 variable_ideal.  The search decides from the full set first: it walks each
@@ -22,11 +41,11 @@ surviving move as soon as it is found, so a move whose piece S∖{x} is
 already dead is passed over without a colon; one helper picks a subset's
 first move for the walk, the fixpoint scans and the closure.
 
-An automorphism σ of L preserves ∨ and ∧, so it fixes I_L and maps variable
-ideals to variable ideals: move(σR, σx) = σ·move(R, x).  Each colon the
-search makes is therefore filed under the whole orbit of its (subset,
-variable) pair, walked with the generators of Aut(L); the moves, and so the
-family, are those of the search without it.  A certified none on M3-on-M3
+For the same reason move(σR, σx) = σ·move(R, x) in the search, where
+move(R, x) is decided by (R∖{x}) : x.  Each colon the search makes is
+filed under the whole orbit of its (subset, variable) pair, walked with
+the generators of Aut(L); the moves, and so the family, are those of the
+search without it.  A certified none on M3-on-M3
 (|Aut| = 36) makes 17 colons: 630 with neither the orbits nor the in-place
 deletion, 158 with the orbits alone and 30 with the deletion alone.  On M_10
 (|Aut| = 10!) it makes 14 colons, and 68 with the deletion alone.
@@ -42,6 +61,7 @@ from .hibi import (
     ResidueIdeal,
     colon_in_H,
     colon_in_H_by_ideal,
+    cyclic_generator,
     join_meet_ideal,
     residue_ideal,
     variable_ideal,
@@ -96,7 +116,10 @@ def filtration(L, members):
 @dataclass
 class Witness:
     """Axiom-(3) witness for one member: the chosen J, the cyclic generator,
-    and which member equals J : I."""
+    and which member equals J : I.  ``colon`` is the report of J : I when
+    this verification computed it, and None when the verdict was filed from
+    the colon of another pair in its Aut(L) orbit (see the module
+    docstring); replay computes every witness colon again."""
 
     member_index: int
     member: ResidueIdeal
@@ -147,12 +170,12 @@ class VerificationReport:
 
 def _coefficient_rows(polys, ring):
     """Coefficient rows of linear forms, one column per variable of ring,
-    with int zeros (see linalg)."""
+    with int zeros and integral coefficients as ints (see linalg)."""
     rows = []
     for p in polys:
         row = [0] * ring.nvars
         for m, c in p.terms:
-            row[m.index(1)] = c
+            row[m.index(1)] = c.numerator if c.denominator == 1 else c
         rows.append(row)
     return rows
 
@@ -167,10 +190,12 @@ def verify_filtration(L, family):
 
     Axiom (1) holds by construction; axiom (2) by semantic membership
     of 0 and m; axiom (3) by searching, for each nonzero member I, a member
-    J of codimension one inside I whose colon J : I is again a member.
+    J of codimension one inside I whose colon J : I is again a member.  The
+    candidates J are taken in family order and the first whose colon is a
+    member is the witness; a member with none gets the report of every
+    colon tried.
     """
     members = family.members
-    keys = family.keys
 
     # every member is a ResidueIdeal, whose constructor refuses a generator
     # that is not a linear form, so axiom (1) holds by construction
@@ -180,41 +205,9 @@ def verify_filtration(L, family):
     has_maximal = any(m.is_maximal() for m in members)
     axiom2_ok = has_zero and has_maximal
 
-    witnesses = []
-    failures = []
-    # each member's span, row-reduced once for every containment test
-    spans = {
-        i: linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for i, m in enumerate(members)
-    }
-    # a span holds a row only if its support holds the row's support
-    supports = {i: _support(rows) for i, rows in spans.items()}
-    for i, member in enumerate(members):
-        if member.is_zero():
-            continue
-        dim = member.dim
-        candidates = [
-            (j, other)
-            for j, other in enumerate(members)
-            if other.dim == dim - 1
-            and not supports[j] & ~supports[i]
-            and linalg.row_space_contains(spans[i], spans[j])
-        ]
-        found = None
-        tried = []
-        for j, other in candidates:
-            report = colon_in_H_by_ideal(other, member)
-            target = keys.get(report.semantic_key())
-            if target is not None:
-                found = Witness(i, member, j, other, report.divisors[0], target, report)
-                break
-            if not report.linear_generated:
-                tried.append((j, "colon-not-linear", report.nonlinear_witness))
-            else:
-                tried.append((j, "colon-not-member", report.degree1))
-        if found is not None:
-            witnesses.append(found)
-        else:
-            failures.append(Axiom3Failure(i, member, not candidates, tried))
+    steps = _axiom3_by_masks(L, family) if family.combinatorial else _axiom3_by_scan(family)
+    witnesses = [s for s in steps if isinstance(s, Witness)]
+    failures = [s for s in steps if isinstance(s, Axiom3Failure)]
     axiom3_ok = not failures
 
     return VerificationReport(
@@ -228,6 +221,105 @@ def verify_filtration(L, family):
         witnesses=witnesses,
         axiom3_failures=failures,
     )
+
+
+def _first_witness(family, i, candidates):
+    """Member i's Witness from the first candidate index j whose colon J : I,
+    computed directly, is a member; else its Axiom3Failure, with why each
+    colon failed."""
+    member = family.members[i]
+    tried = []
+    for j in candidates:
+        other = family.members[j]
+        report = colon_in_H_by_ideal(other, member)
+        target = family.keys.get(report.semantic_key())
+        if target is not None:
+            return Witness(i, member, j, other, report.divisors[0], target, report)
+        if not report.linear_generated:
+            tried.append((j, "colon-not-linear", report.nonlinear_witness))
+        else:
+            tried.append((j, "colon-not-member", report.degree1))
+    return Axiom3Failure(i, member, not candidates, tried)
+
+
+def _axiom3_by_scan(family):
+    """Axiom (3) for any family: each member's candidates are found by
+    scanning the family for spans of codimension one inside its own."""
+    members = family.members
+    # each member's span, row-reduced once for every containment test
+    spans = [linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for m in members]
+    # a span holds a row only if its support holds the row's support
+    supports = [_support(rows) for rows in spans]
+    steps = []
+    for i, member in enumerate(members):
+        if member.is_zero():
+            continue
+        dim = member.dim
+        candidates = [
+            j
+            for j, other in enumerate(members)
+            if other.dim == dim - 1
+            and not supports[j] & ~supports[i]
+            and linalg.row_space_contains(spans[i], spans[j])
+        ]
+        steps.append(_first_witness(family, i, candidates))
+    return steps
+
+
+def _axiom3_by_masks(L, family):
+    """Axiom (3) for a combinatorial family, whose members are named by the
+    bitmasks of their variable sets: member I's candidates are the members
+    whose set is I's less one element x, in family order, and each verdict
+    is read from a move memo that files it under its Aut(L) orbit.  Each
+    witness's containment is confirmed on row-reduced spans."""
+    members = family.members
+    masks = [sum(1 << a for a in m.variable_set()) for m in members]
+    index_of = {mask: i for i, mask in enumerate(masks)}
+    reports = {}
+
+    def colon(mask, x):
+        I = members[index_of[mask]]
+        J = members[index_of[mask & ~(1 << x)]]
+        report = reports[mask, x] = colon_in_H_by_ideal(J, I)
+        return report
+
+    move = _orbit_moves(L, colon)
+    spans = {}
+
+    def span(i):
+        if i not in spans:
+            spans[i] = linalg.rref(_coefficient_rows(members[i].degree1(), members[i].ring))
+        return spans[i]
+
+    steps = []
+    for i, member in enumerate(members):
+        if member.is_zero():
+            continue
+        mask = masks[i]
+        candidates = sorted(
+            (index_of[mask & ~(1 << x)], x)
+            for x in range(L.n)
+            if mask >> x & 1 and mask & ~(1 << x) in index_of
+        )
+        for j, x in candidates:
+            target = index_of.get(move(mask, x))
+            if target is not None:
+                J = members[j]
+                if not linalg.row_space_contains(span(i), span(j)):
+                    raise RuntimeError(f"member {j} {J!r} does not lie inside {i} {member!r}")
+                # a colon computed here was taken by cyclic_generator's form
+                report = reports.pop((mask, x), None)
+                generator = report.divisors[0] if report else cyclic_generator(J, member)
+                steps.append(Witness(i, member, j, J, generator, target, report))
+                break
+        else:
+            step = _first_witness(family, i, [j for j, _ in candidates])
+            if isinstance(step, Witness):
+                raise RuntimeError(
+                    f"member {i} {member!r} has a witness colon by colon, none by orbits"
+                )
+            steps.append(step)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -269,32 +361,43 @@ def _image(table, mask):
     return out
 
 
-def _search_moves(L):
-    """The search's memoised (subset_ideal, move) for L, on bitmasks of
-    element indices.
+def _automorphisms(L):
+    """The generators of Aut(L), each checked to permute the elements and
+    preserve join and meet, in O(n²) each.  A move filed under the orbit of
+    a map that is no automorphism could be wrong, so a failed check is an
+    internal error (RuntimeError), never a verdict."""
+    n = L.n
+    join, meet = L._join, L._meet
+    generators = L.automorphism_generators()
+    for sigma in generators:
+        if sorted(sigma) != list(range(n)) or any(
+            sigma[join[a][b]] != join[sigma[a]][sigma[b]]
+            or sigma[meet[a][b]] != meet[sigma[a]][sigma[b]]
+            for a in range(n)
+            for b in range(a + 1, n)
+        ):
+            raise RuntimeError(f"{sigma} is not an automorphism of the lattice")
+    return generators
 
-    move(mask, x) is the target set of mask's move x, or None if the move is
-    not valid.  One colon decides the whole Aut(L) orbit of (mask, x): each
+
+def _orbit_moves(L, colon):
+    """The memoised move(mask, x) for L, on bitmasks of element indices.
+
+    colon(mask, x) is the report of the colon that decides mask's move x;
+    move(mask, x) is the bitmask of that colon's variables when it is
+    generated by variables, else None.  The colon must commute with
+    automorphisms: σ carries the colon of (mask, x) to that of (σmask, σx).
+    Then one colon decides the whole Aut(L) orbit of (mask, x): each
     generator carries a filed pair and its target to another pair and
     target, through the generator's image table.  The memo is a union of
     orbits, so the orbit of a pair outside it is new.
     """
-    n = L.n
-    variables = join_meet_ideal(L).variables
-    generators = [(sigma, _image_table(sigma)) for sigma in L.automorphism_generators()]
-    ideal_of = {}
-
-    def subset_ideal(mask):
-        got = ideal_of.get(mask)
-        if got is None:
-            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
-        return got
-
+    generators = [(sigma, _image_table(sigma)) for sigma in _automorphisms(L)]
     moves = {}
 
     def move(mask, x):
         if (mask, x) not in moves:
-            rep = colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
+            rep = colon(mask, x)
             target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
             moves[(mask, x)] = target
             stack = [(mask, x)]
@@ -308,7 +411,26 @@ def _search_moves(L):
                         stack.append(seen)
         return moves[(mask, x)]
 
-    return subset_ideal, move
+    return move
+
+
+def _search_moves(L):
+    """The search's memoised (subset_ideal, move) for L: move(mask, x) is
+    the _orbit_moves verdict of the colon (mask ∖ {x}) : x."""
+    n = L.n
+    variables = join_meet_ideal(L).variables
+    ideal_of = {}
+
+    def subset_ideal(mask):
+        got = ideal_of.get(mask)
+        if got is None:
+            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
+        return got
+
+    def colon(mask, x):
+        return colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
+
+    return subset_ideal, _orbit_moves(L, colon)
 
 
 def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):

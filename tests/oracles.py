@@ -3,7 +3,9 @@
 Everything here is deliberately dumb and self-contained: brute force over
 subsets, Macaulay-matrix linear algebra with its own row reduction, and a
 generator for every naturally labeled poset on up to six elements.  None of
-it shares code with the engine paths it cross-checks.
+it shares code with the engine paths it cross-checks, except the reference
+verifier, which takes each colon from the engine and checks only the
+verification around it.
 """
 
 from __future__ import annotations
@@ -174,3 +176,74 @@ def poset_covers(down):
             ):
                 covers.append((a, b))
     return covers
+
+
+# ---------------------------------------------------------------------------
+# axiom (3) of a Koszul filtration by scanning the whole family
+
+
+def _linear_rows(forms, nvars):
+    rows = []
+    for g in forms:
+        row = [Fraction(0)] * nvars
+        for m, c in g.terms:
+            row[m.index(1)] = Fraction(c)
+        rows.append(row)
+    return rows
+
+
+def reference_verify_filtration(family):
+    """The verdict, witnesses and failures of a family by the plain scan.
+
+    For each nonzero member I, in family order, the candidates are every
+    member J whose span has codimension one inside I's, in family order, and
+    the first whose colon J : I is a member is the witness.  Each candidate
+    takes one colon_in_H_by_ideal: no memo and no automorphisms.  Spans and
+    the colon's membership are decided by this module's own row reduction.
+    Returns (passed, witnesses, failures), with witnesses as (member index,
+    J's index, the colon's member index, the first generator of I outside
+    J's span) and failures as (member index, no candidates, tried), tried
+    listing (J's index, reason, detail) as the engine's reports do.
+    """
+    from joinmeet.hibi import colon_in_H_by_ideal
+
+    members = family.members
+    nvars = members[0].ring.nvars
+    spans = [rref(_linear_rows(m.linear_generators, nvars)) for m in members]
+    index_of = {}
+    for i, span in enumerate(spans):
+        index_of.setdefault(tuple(map(tuple, span)), i)
+    witnesses = []
+    failures = []
+    for i, member in enumerate(members):
+        if not spans[i]:
+            continue
+        candidates = [
+            j
+            for j, span in enumerate(spans)
+            if len(span) == len(spans[i]) - 1 and all(in_span(spans[i], row) for row in span)
+        ]
+        tried = []
+        for j in candidates:
+            report = colon_in_H_by_ideal(members[j], member)
+            target = None
+            if report.linear_generated:
+                key = tuple(map(tuple, rref(_linear_rows(report.degree1, nvars))))
+                target = index_of.get(key)
+            if target is not None:
+                generator = next(
+                    g
+                    for g in member.linear_generators
+                    if not in_span(spans[j], _linear_rows([g], nvars)[0])
+                )
+                witnesses.append((i, j, target, generator))
+                break
+            if not report.linear_generated:
+                tried.append((j, "colon-not-linear", report.nonlinear_witness))
+            else:
+                tried.append((j, "colon-not-member", report.degree1))
+        else:
+            failures.append((i, not candidates, tried))
+    has_zero = any(not span for span in spans)
+    has_maximal = any(len(span) == nvars for span in spans)
+    return has_zero and has_maximal and not failures, witnesses, failures

@@ -1,6 +1,8 @@
 import pytest
 
 from conftest import (
+    DATA,
+    cold_copy,
     corpus,
     data_lattice,
     enumerated_lattices,
@@ -10,7 +12,7 @@ from conftest import (
     stacked_diamond,
 )
 from joinmeet import koszul
-from joinmeet.hibi import colon_in_H, residue_ideal
+from joinmeet.hibi import colon_in_H, join_meet_ideal, residue_ideal
 from joinmeet.koszul import (
     CapExceeded,
     FiltrationSpec,
@@ -468,3 +470,124 @@ def test_moves_are_equivariant_and_the_orbit_memo_matches_them(build):
             assert moves[_image(sigma, mask), sigma[x]] == want, (mask, x, sigma)
     _, move = _search_moves(L)
     assert {pair: move(*pair) for pair in moves} == moves
+
+
+# ---------------------------------------------------------------------------
+# verification by Aut(L) orbits and candidates by mask
+
+
+def _verdicts(rep):
+    """A report's verdict, witnesses and failures in the reference's form."""
+    witnesses = [
+        (w.member_index, w.j_index, w.colon_member_index, w.cyclic_generator)
+        for w in rep.witnesses
+    ]
+    failures = [(f.member_index, f.no_candidates, f.tried) for f in rep.axiom3_failures]
+    return rep.passed, witnesses, failures
+
+
+def test_verification_matches_the_scan_reference():
+    # the reference scans the whole family for each member's candidates and
+    # computes every colon it tries; verification reads a combinatorial
+    # family's candidates off bitmasks and files each colon under its Aut(L)
+    # orbit, and must report the same witnesses and the same failures
+    from joinmeet.cli import load_filtration
+    from oracles import reference_verify_filtration
+
+    families = []
+    for L in enumerated_lattices(6):
+        families.append((L, poset_ideal_filtration(L)))
+        found = search_combinatorial(L)
+        if found is not None:
+            families.append((L, found))
+    families += [
+        (pentagon(), load_filtration(pentagon(), DATA / "pentagon.filt")),
+        (diamond(), load_filtration(diamond(), DATA / "diamond.filt")),
+        (pentagon(), poset_ideal_filtration(pentagon())),
+        (diamond(), poset_ideal_filtration(diamond())),
+    ]
+    verdicts = set()
+    for L, fam in families:
+        got = _verdicts(verify_filtration(L, fam))
+        assert got == reference_verify_filtration(fam), (L, fam.members)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def _count_colons(monkeypatch):
+    calls = []
+    real = koszul.colon_in_H_by_ideal
+
+    def counted(J, I):
+        calls.append((J, I))
+        return real(J, I)
+
+    monkeypatch.setattr(koszul, "colon_in_H_by_ideal", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, colons",
+    [(lambda: divisor_lattice(60), 37), (lambda: boolean(4), 33)],
+    ids=["divisor(60)", "boolean(4)"],
+)
+def test_poset_ideal_verification_makes_one_colon_per_orbit(monkeypatch, build, colons):
+    # the scan makes one colon per nonzero member, 49 on divisor(60) and 167
+    # on boolean(4); a colon decides its move's whole Aut(L) orbit
+    calls = _count_colons(monkeypatch)
+    L = build()
+    rep = verify_filtration(L, poset_ideal_filtration(L))
+    assert rep.passed
+    assert len(calls) == colons
+
+
+def test_a_witness_filed_through_an_orbit_carries_no_report():
+    L = boolean(3)
+    fam = poset_ideal_filtration(L)
+    rep = verify_filtration(L, fam)
+    assert rep.passed
+    direct = [w for w in rep.witnesses if w.colon is not None]
+    filed = [w for w in rep.witnesses if w.colon is None]
+    assert direct and filed
+    assert all(w.colon.divisors == (w.cyclic_generator,) for w in direct)
+    assert rep.replay(fam)
+
+
+def test_every_distributive_poset_ideal_family_replays():
+    # replay computes each witness colon again, with no memo
+    lattices = [L for L in enumerated_lattices(6) if L.is_distributive()]
+    assert len(lattices) > 5
+    for L in lattices:
+        fam = poset_ideal_filtration(L)
+        rep = verify_filtration(L, fam)
+        assert rep.passed and rep.replay(fam), L
+
+
+def test_poset_ideal_verification_builds_no_x_last_ring():
+    # every poset-ideal colon of a distributive lattice takes I_L with x_A set
+    # to zero as its basis with x last, and divides in the ring's own order
+    L = cold_copy(boolean(3))
+    assert verify_filtration(L, poset_ideal_filtration(L)).passed
+    assert not join_meet_ideal(L).ring._last
+
+
+def _swap_bottom_and_an_atom(L):
+    sigma = list(range(L.n))
+    sigma[0], sigma[1] = 1, 0
+    return (tuple(sigma),)
+
+
+def test_a_map_that_is_no_automorphism_is_an_internal_error(monkeypatch, capsys):
+    # element 0 is the bottom of divisor(12) and element 1 an atom, so the
+    # swap preserves neither join nor meet; filing a colon under its orbit
+    # would give wrong verdicts, so it is refused before any colon is filed
+    from joinmeet import cli
+    from joinmeet.lattice import Lattice
+
+    monkeypatch.setattr(Lattice, "automorphism_generators", _swap_bottom_and_an_atom)
+    L = divisor_lattice(12)
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        verify_filtration(L, poset_ideal_filtration(L))
+    code = cli.main(["posetideals", "--builtin", "divisor", "--n", "12", "--verify"])
+    assert code == 3
+    assert "internal error" in capsys.readouterr().err
