@@ -39,8 +39,8 @@ colon that verify_filtration takes on the poset-ideal family passes them.
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
 span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J, and its witness records the same g, chosen
-by cyclic_generator.  claim_check reads colon_in_H's report for
-the colon of a poset ideal at one of its maximal elements.
+by cyclic_generator.  claim_check reads colon_in_H's report for the colon of
+a poset ideal at one of its maximal elements.
 """
 
 from __future__ import annotations
