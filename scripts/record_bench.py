@@ -2,11 +2,12 @@
 
     python3 scripts/record_bench.py --label NAME [--root CHECKOUT] [--out FILE]
 
-Runs ``python3 bench/run.py --workload W --seed S --seconds 20`` in the
-checkout for each of the four workloads and the seeds 1, 2 and 3, one run at
-a time, and writes, per workload and metric, the value of each run and their
-median and quartiles, with the seeds, the Python version, ``nproc`` and the
-checkout's commit.  The checkout defaults to the one holding this script,
+Runs the command of the checkout's BENCHMARK.json with ``--workload W
+--seed S --seconds T`` in the checkout, for each workload W it lists, T its
+``run_seconds`` and the seeds S = 1, 2 and 3, one run at a time, and writes,
+per workload and metric, the value of each run and their median and
+quartiles, with the seeds, the Python version, ``nproc`` and the checkout's
+commit.  The checkout defaults to the one holding this script,
 and the file to BENCH_<label>.json at its root.  A run that fails or reports
 ``correct: false`` stops the recording with exit 1.
 """
@@ -22,15 +23,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("search-found", "search-none", "verify", "member")
 SEEDS = (1, 2, 3)
-SECONDS = 20
 
 
-def run_bench(root, workload, seed):
+def run_bench(root, command, workload, seed, seconds):
     """The last line of one bench run, parsed; exits on a failed run."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(SECONDS)]
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -59,12 +57,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     root = args.root.resolve()
     out = args.out or root / f"BENCH_{args.label}.json"
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    command, seconds = bench["command"], bench["run_seconds"]
 
     workloads = {}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for seed in SEEDS:
-            runs.append(run_bench(root, workload, seed))
+            runs.append(run_bench(root, command, workload, seed, seconds))
             print(f"{workload} seed {seed}: verdict_s "
                   f"{runs[-1]['metrics']['verdict_s']['value']:.4f}", file=sys.stderr)
         metrics = {}
@@ -79,7 +79,7 @@ def main(argv=None):
     doc = {
         "label": args.label,
         "commit": commit_of(root),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS}",
+        "command": " ".join(command) + f" --workload W --seed S --seconds {seconds}",
         "seeds": list(SEEDS),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),

@@ -205,7 +205,7 @@ def verify_filtration(L, family):
     has_maximal = any(m.is_maximal() for m in members)
     axiom2_ok = has_zero and has_maximal
 
-    steps = _axiom3_by_masks(L, family) if family.combinatorial else _axiom3_by_scan(family)
+    steps = _axiom3_by_masks(family) if family.combinatorial else _axiom3_by_scan(family)
     witnesses = [s for s in steps if isinstance(s, Witness)]
     failures = [s for s in steps if isinstance(s, Axiom3Failure)]
     axiom3_ok = not failures
@@ -266,12 +266,14 @@ def _axiom3_by_scan(family):
     return steps
 
 
-def _axiom3_by_masks(L, family):
+def _axiom3_by_masks(family):
     """Axiom (3) for a combinatorial family, whose members are named by the
     bitmasks of their variable sets: member I's candidates are the members
     whose set is I's less one element x, in family order, and each verdict
-    is read from a move memo that files it under its Aut(L) orbit.  Each
-    witness's containment is confirmed on row-reduced spans."""
+    is read from a move memo that files it under its Aut(L) orbit, L being
+    the lattice the members are ideals over.  Each witness's containment is
+    confirmed on row-reduced spans."""
+    L = family.lattice
     members = family.members
     masks = [sum(1 << a for a in m.variable_set()) for m in members]
     index_of = {mask: i for i, mask in enumerate(masks)}

@@ -1,17 +1,20 @@
-"""Small exact linear algebra: row reduction of rows of Fractions.
+"""Small exact linear algebra: row reduction of rows of ints and Fractions.
 
 Used for degree-1 span comparisons (linear parts of ideals are tiny, at most
 n x n with n = number of lattice elements), never for anything large.  A
 span is row-reduced once by rref; the membership tests then reduce against
 those rows and never row-reduce again.
 
-A zero entry may be the int 0 or Fraction(0), with equal results.  An int 0
-is cheaper to test, and to compare with a pivot's 1, than a Fraction, so
-rref keeps a zero an int 0 when it rescales a row and sets each eliminated
-pivot column to 0.
+An entry may be an int or a Fraction, and a zero the int 0 or Fraction(0),
+with equal results.  An int is cheaper to test and to multiply than a
+Fraction, so rref keeps a zero an int 0 when it rescales a row and sets each
+eliminated pivot column to 0.  A row is rescaled by Fraction division, never
+by /, which on two ints would give a float and lose exactness.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def rref(rows):
@@ -40,7 +43,7 @@ def rref(rows):
         pivot = mat[pivot_row]
         inv = pivot[col]
         if inv != 1:
-            pivot = mat[pivot_row] = [v / inv if v else 0 for v in pivot]
+            pivot = mat[pivot_row] = [Fraction(v, inv) if v else 0 for v in pivot]
         support = [(k, v) for k, v in enumerate(pivot) if v]
         for r, row in enumerate(mat):
             factor = row[col]

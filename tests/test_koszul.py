@@ -505,6 +505,7 @@ def test_verification_matches_the_scan_reference():
         (diamond(), load_filtration(diamond(), DATA / "diamond.filt")),
         (pentagon(), poset_ideal_filtration(pentagon())),
         (diamond(), poset_ideal_filtration(diamond())),
+        (chain(3), filtration(chain(3), NON_UNIT_FAMILY)),
     ]
     verdicts = set()
     for L, fam in families:
@@ -512,6 +513,27 @@ def test_verification_matches_the_scan_reference():
         assert got == reference_verify_filtration(fam), (L, fam.members)
         verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+# over chain(3), whose H[L] is the polynomial ring: the span of member 2 holds
+# member 1 only through non-unit coefficients, whose row reduction must be exact
+NON_UNIT_FAMILY = [[], ["c2 - c1 + 2*c0"], ["c2 + 5*c0", "c1 + 3*c0"], ["c0", "c1", "c2"]]
+
+
+def test_a_span_with_non_unit_coefficients_is_decided_exactly():
+    L = chain(3)
+    rep = verify_filtration(L, filtration(L, NON_UNIT_FAMILY))
+    assert rep.passed
+    assert [(w.member_index, w.j_index) for w in rep.witnesses] == [(1, 0), (2, 1), (3, 2)]
+
+
+def test_automorphisms_are_those_of_the_members_lattice():
+    # the members are ideals over the pentagon, which has no automorphism;
+    # the diamond given to label the report has the 6 of its atoms
+    fam = poset_ideal_filtration(pentagon())
+    assert _verdicts(verify_filtration(diamond(), fam)) == _verdicts(
+        verify_filtration(pentagon(), fam)
+    )
 
 
 def _count_colons(monkeypatch):

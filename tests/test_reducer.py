@@ -728,6 +728,31 @@ def test_linalg_matches_the_oracle_on_sparse_matrices(data, ncols):
     assert linalg.row_space_contains(reduced, small) == all(expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 6))
+def test_linalg_is_exact_on_int_rows(data, ncols):
+    # koszul's span rows hold integral coefficients as ints; a pivot other
+    # than 1 must rescale its row to Fractions, never to floats
+    ints = st.lists(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 5]), min_size=ncols, max_size=ncols),
+        max_size=6,
+    )
+    big = data.draw(ints)
+    small = data.draw(ints)
+    reduced = linalg.rref(big)
+    assert reduced == oracles.rref(big)
+    assert not any(isinstance(v, float) for row in reduced for v in row)
+    assert [linalg.in_row_space(reduced, v) for v in small] == [
+        oracles.in_span(big, v) for v in small
+    ]
+
+
+def test_a_form_in_a_span_with_non_unit_pivots_is_found_in_it():
+    reduced = linalg.rref([[5, 0, 1], [3, 1, 0]])
+    assert reduced == [[1, 0, Fraction(1, 5)], [0, 1, Fraction(-3, 5)]]
+    assert linalg.in_row_space(reduced, [2, -1, 1])
+
+
 def _with_int_zeros(rows):
     return [[v if v else 0 for v in row] for row in rows]
 
