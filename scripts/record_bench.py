@@ -10,6 +10,15 @@ quartiles, with the seeds, the Python version, ``nproc`` and the checkout's
 commit.  The checkout defaults to the one holding this script,
 and the file to BENCH_<label>.json at its root.  A run that fails or reports
 ``correct: false`` stops the recording with exit 1.
+
+It also records the start-up floor, which is most of each short CLI time:
+the wall time of STARTUP_RUNS fresh interpreters that only import
+joinmeet.cli, and of as many that run ``check --builtin pentagon``, the
+cheapest command, alternated, with ``PYTHONPATH=src`` in the checkout; and
+the bytecode state at the start and the end of the recording, that is
+``PYTHONDONTWRITEBYTECODE`` and whether ``src/joinmeet/__pycache__``
+exists.  With no bytecode cache every interpreter compiles the package
+again, so records made in different bytecode states are not comparable.
 """
 
 from __future__ import annotations
@@ -21,9 +30,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+STARTUP_RUNS = 20
+STARTUP_COMMANDS = {
+    "import_cli": ["-c", "import joinmeet.cli"],
+    "check_pentagon": ["-m", "joinmeet.cli", "check", "--builtin", "pentagon"],
+}
 
 
 def run_bench(root, command, workload, seed, seconds):
@@ -44,6 +59,29 @@ def summary(values):
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def startup_floor(root):
+    """The wall seconds of each start-up command, STARTUP_RUNS fresh
+    interpreters each, alternated; exits on a failed run."""
+    env = dict(os.environ, PYTHONPATH="src")
+    times = {name: [] for name in STARTUP_COMMANDS}
+    for _ in range(STARTUP_RUNS):
+        for name, args in STARTUP_COMMANDS.items():
+            started = time.perf_counter()
+            done = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True)
+            elapsed = time.perf_counter() - started
+            if done.returncode != 0:
+                sys.exit(f"start-up {name}: exit {done.returncode}\n{done.stderr.decode()}")
+            times[name].append(elapsed)
+    return {name: {"unit": "s", **summary(values)} for name, values in times.items()}
+
+
+def bytecode_state(root):
+    return {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "pycache": (root / "src" / "joinmeet" / "__pycache__").is_dir(),
+    }
+
+
 def commit_of(root):
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return done.stdout.strip() or None
@@ -60,6 +98,10 @@ def main(argv=None):
     bench = json.loads((root / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
 
+    bytecode = {"start": bytecode_state(root)}
+    startup = startup_floor(root)
+    print("start-up: " + ", ".join(f"{name} {m['median']:.4f} s" for name, m in startup.items()),
+          file=sys.stderr)
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
@@ -83,6 +125,8 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+        "bytecode": {**bytecode, "end": bytecode_state(root)},
+        "startup": startup,
         "workloads": workloads,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -22,6 +22,10 @@ wide for the fields is caught by the guard bits, never wraps, and makes the
 public call widen the ring's codec and run again from its inputs; the
 result does not depend on the width.
 
+Ideal and GroebnerBasis are frozen plain classes (poly._Frozen), compared
+and hashed by ring and generators or basis; their cached properties fill
+their __dict__ on first use.
+
 Division reads its divisors as one type, _Divisors: the polynomials, the
 codec and one lead-table row per nonzero polynomial, in order, with the
 support and fields of its leading monomial, the packed leading monomial and
@@ -101,35 +105,34 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import add, le, sub
 
-from .poly import ONE, MonomialOrder, Polynomial, Ring, _Overflow
+from .poly import ONE, MonomialOrder, Polynomial, Ring, _Frozen, _Overflow
 
 
 class ZeroDivisorArgument(ValueError):
     """Colon by zero is undefined."""
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A finitely generated ideal.
+class Ideal(_Frozen):
+    """A finitely generated ideal, frozen (see poly._Frozen).
 
-    ``==`` is structural: it compares the generator tuples, so
-    ``Ideal(R, (x, y)) != Ideal(R, (y, x))``.  ``ideal_equal`` is the semantic
-    test, by reduced Groebner bases.
+    ``==`` and the hash are structural: they read the ring and the generator
+    tuple, so ``Ideal(R, (x, y)) != Ideal(R, (y, x))``.  ``ideal_equal`` is
+    the semantic test, by reduced Groebner bases.
     """
 
-    ring: Ring
-    generators: tuple
+    _fields = ("ring", "generators")
 
-    def __post_init__(self):
-        ring = self.ring
-        for g in self.generators:
+    def __init__(self, ring, generators):
+        for g in generators:
             if g.ring is not ring and g.ring != ring:
                 raise ValueError("generator from a different ring")
+        d = self.__dict__
+        d["ring"] = ring
+        d["generators"] = generators
 
     @cached_property
     def _gb_key(self):
@@ -163,10 +166,16 @@ def ideal(ring, gens):
     return Ideal(ring, tuple(g for g in gens if g))
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ring: Ring
-    basis: tuple
+class GroebnerBasis(_Frozen):
+    """A tuple of polynomials over ring, frozen and compared by ring and
+    basis (see poly._Frozen); the cached properties below fill on use."""
+
+    _fields = ("ring", "basis")
+
+    def __init__(self, ring, basis):
+        d = self.__dict__
+        d["ring"] = ring
+        d["basis"] = basis
 
     def __iter__(self):
         return iter(self.basis)

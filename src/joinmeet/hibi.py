@@ -41,11 +41,14 @@ span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J, and its witness records the same g, chosen
 by cyclic_generator.  claim_check reads colon_in_H's report for the colon of
 a poset ideal at one of its maximal elements.
+
+JoinMeetIdeal is a frozen plain class, compared and hashed by its fields
+(poly._Frozen); the reports ResidueColonReport and ClaimReport compare by
+their fields and do not hash (poly._Record).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
@@ -60,8 +63,7 @@ from .groebner import (
     ideal_member,
     normal_form,
 )
-from .lattice import Lattice
-from .poly import MonomialOrder, Ring
+from .poly import MonomialOrder, Ring, _Frozen, _Record
 
 
 class NotLinear(InputError):
@@ -72,17 +74,21 @@ class NotLinear(InputError):
 # K[L] and the join-meet ideal
 
 
-@dataclass(frozen=True)
-class JoinMeetIdeal:
-    """K[L] and I_L, generated by one basic binomial per incomparable pair.
+class JoinMeetIdeal(_Frozen):
+    """K[L] and I_L, generated by one basic binomial per incomparable pair;
+    frozen, and compared by its four fields (see poly._Frozen).
 
     ``variables[e]`` is the variable of element e.
     """
 
-    lattice: Lattice
-    ring: Ring
-    variables: tuple
-    generators: tuple
+    _fields = ("lattice", "ring", "variables", "generators")
+
+    def __init__(self, lattice, ring, variables, generators):
+        d = self.__dict__
+        d["lattice"] = lattice
+        d["ring"] = ring
+        d["variables"] = variables
+        d["generators"] = generators
 
     @cached_property
     def ideal(self):
@@ -238,8 +244,7 @@ def maximal_ideal(L):
 # colon ideals in H[L]
 
 
-@dataclass
-class ResidueColonReport:
+class ResidueColonReport(_Record):
     """Outcome of a colon computation in H[L], with generation verdicts.
 
     ``divisors`` holds the form the colon is taken by: (f,) for J : f, and
@@ -255,19 +260,45 @@ class ResidueColonReport:
     unit ideal, as (I_L, degree1) is generated in positive degrees.  A
     linear-generated colon is named by ``degree1``, its span, as a
     ResidueIdeal is; only another colon is named by its reduced basis (see
-    semantic_key).
+    semantic_key).  Reports compare by their fields (see poly._Record).
     """
 
-    lattice: Lattice
-    divisors: tuple
-    lift: Ideal
-    groebner: GroebnerBasis
-    degree1: tuple
-    linear_generated: bool
-    variable_generated: bool
-    variables: object
-    whole_ring: bool
-    nonlinear_witness: object
+    _fields = (
+        "lattice",
+        "divisors",
+        "lift",
+        "groebner",
+        "degree1",
+        "linear_generated",
+        "variable_generated",
+        "variables",
+        "whole_ring",
+        "nonlinear_witness",
+    )
+
+    def __init__(
+        self,
+        lattice,
+        divisors,
+        lift,
+        groebner,
+        degree1,
+        linear_generated,
+        variable_generated,
+        variables,
+        whole_ring,
+        nonlinear_witness,
+    ):
+        self.lattice = lattice
+        self.divisors = divisors
+        self.lift = lift
+        self.groebner = groebner
+        self.degree1 = degree1
+        self.linear_generated = linear_generated
+        self.variable_generated = variable_generated
+        self.variables = variables
+        self.whole_ring = whole_ring
+        self.nonlinear_witness = nonlinear_witness
 
     def semantic_key(self):
         """The key of the colon's lift, comparable with ResidueIdeal's: a
@@ -383,18 +414,40 @@ def colon_in_H_by_ideal(J, I):
 # operation
 
 
-@dataclass
-class ClaimReport:
-    """Verdicts for the colon (J̄) : ē with J = I ∖ {e}, e maximal in I."""
+class ClaimReport(_Record):
+    """Verdicts for the colon (J̄) : ē with J = I ∖ {e}, e maximal in I,
+    compared by their fields (see poly._Record)."""
 
-    lattice: Lattice
-    ideal: frozenset
-    element: int
-    linear_generated: bool
-    span_matches: bool
-    colon: ResidueColonReport
-    pentagon_with_min_e: bool
-    diamond_with_min_e: bool
+    _fields = (
+        "lattice",
+        "ideal",
+        "element",
+        "linear_generated",
+        "span_matches",
+        "colon",
+        "pentagon_with_min_e",
+        "diamond_with_min_e",
+    )
+
+    def __init__(
+        self,
+        lattice,
+        ideal,
+        element,
+        linear_generated,
+        span_matches,
+        colon,
+        pentagon_with_min_e,
+        diamond_with_min_e,
+    ):
+        self.lattice = lattice
+        self.ideal = ideal
+        self.element = element
+        self.linear_generated = linear_generated
+        self.span_matches = span_matches
+        self.colon = colon
+        self.pentagon_with_min_e = pentagon_with_min_e
+        self.diamond_with_min_e = diamond_with_min_e
 
 
 def _span_matches(L, e, report):

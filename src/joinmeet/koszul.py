@@ -21,13 +21,20 @@ preserves ∨ and ∧, so it fixes I_L and permutes the variables; hence
 mask of J : I or None, is therefore filed under the whole Aut(L) orbit of
 (S, x) by the move memo the search also uses, and a member whose pair was
 filed from another pair's colon takes no colon of its own; its witness
-holds no report.  The generators of Aut(L) are checked to preserve ∨ and ∧ before
-anything is filed, a member with no witness is checked again colon by
-colon, so its diagnostics are those of the scan, and each witness's
-containment is confirmed on row-reduced spans.  The memo lives for one
-call, so a replay shares nothing with the search it checks.  On the
-poset-ideal family this takes divisor(60) from 49 colons to 37 and
-boolean(5) from 7,580 to 346.
+holds no report, and its cyclic generator is read off the masks: J's span
+is spanned by the variables of J's set, so a form lies in it iff its
+support does, and cyclic_generator's choice is the first generator of I
+whose support leaves J's set.  The generators of Aut(L) are checked to
+preserve ∨ and ∧ before anything is filed, a member with no witness is
+checked again colon by colon, so its diagnostics are those of the scan,
+and each witness's containment is confirmed on row-reduced spans.  The
+memo lives for one call, so a replay shares nothing with the search it
+checks.  On the poset-ideal family this takes divisor(60) from 49 colons
+to 37 and boolean(5) from 7,580 to 346.
+
+FiltrationSpec and the verification records (Witness, Axiom3Failure,
+VerificationReport) are plain classes that compare by their fields and do
+not hash (poly._Record).
 
 The poset-ideal family and the search build their members with
 variable_ideal.  The search decides from the full set first: it walks each
@@ -53,20 +60,17 @@ deletion, 158 with the orbits alone and 30 with the deletion alone.  On M_10
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .errors import InputError
 from .hibi import (
     ResidueIdeal,
     colon_in_H,
     colon_in_H_by_ideal,
-    cyclic_generator,
     join_meet_ideal,
     residue_ideal,
     variable_ideal,
 )
-from .lattice import Lattice
+from .poly import _Record
 
 
 class MalformedFamily(InputError):
@@ -77,29 +81,29 @@ class CapExceeded(InputError):
     """The lattice is larger than the configured search cap."""
 
 
-@dataclass
-class FiltrationSpec:
+class FiltrationSpec(_Record):
     """An ordered family of linear-form ideals of H[L].
 
     ``keys`` maps each member's semantic key, its span in reduced echelon
     form, to its index, so building a family runs no Buchberger; two members
     that present the same ideal raise MalformedFamily.  ``combinatorial``
     records whether every member is generated by residue classes of
-    variables.
+    variables.  Both are computed from the members, so a family compares
+    and prints by its lattice, members and ``combinatorial`` (see
+    poly._Record), and ``keys`` stays out of the repr.
     """
 
-    lattice: Lattice
-    members: tuple
-    keys: dict = field(init=False, repr=False)
-    combinatorial: bool = field(init=False)
+    _fields = ("lattice", "members", "combinatorial")
 
-    def __post_init__(self):
+    def __init__(self, lattice, members):
+        self.lattice = lattice
+        self.members = members
         self.keys = {}
-        for i, m in enumerate(self.members):
+        for i, m in enumerate(members):
             j = self.keys.setdefault(m.semantic_key(), i)
             if j != i:
                 raise MalformedFamily(f"members {j} and {i} present the same ideal {m!r}")
-        self.combinatorial = all(m.variable_set() is not None for m in self.members)
+        self.combinatorial = all(m.variable_set() is not None for m in members)
 
 
 def filtration(L, members):
@@ -113,44 +117,85 @@ def filtration(L, members):
 # verification
 
 
-@dataclass
-class Witness:
+class Witness(_Record):
     """Axiom-(3) witness for one member: the chosen J, the cyclic generator,
-    and which member equals J : I.  ``colon`` is the report of J : I when
-    this verification computed it, and None when the verdict was filed from
-    the colon of another pair in its Aut(L) orbit (see the module
+    and which member equals J : I.  ``colon`` is the ResidueColonReport of
+    J : I when this verification computed it, and None when the verdict was
+    filed from the colon of another pair in its Aut(L) orbit (see the module
     docstring); replay computes every witness colon again."""
 
-    member_index: int
-    member: ResidueIdeal
-    j_index: int
-    j: ResidueIdeal
-    cyclic_generator: object
-    colon_member_index: int
-    colon: object  # ResidueColonReport
+    _fields = (
+        "member_index",
+        "member",
+        "j_index",
+        "j",
+        "cyclic_generator",
+        "colon_member_index",
+        "colon",
+    )
+
+    def __init__(
+        self, member_index, member, j_index, j, cyclic_generator, colon_member_index, colon
+    ):
+        self.member_index = member_index
+        self.member = member
+        self.j_index = j_index
+        self.j = j
+        self.cyclic_generator = cyclic_generator
+        self.colon_member_index = colon_member_index
+        self.colon = colon
 
 
-@dataclass
-class Axiom3Failure:
-    member_index: int
-    member: ResidueIdeal
-    no_candidates: bool
-    tried: list  # (j_index, reason, detail)
+class Axiom3Failure(_Record):
+    """A member with no axiom-(3) witness: ``tried`` lists (j_index, reason,
+    detail) for each candidate J, and ``no_candidates`` says there was
+    none."""
+
+    _fields = ("member_index", "member", "no_candidates", "tried")
+
+    def __init__(self, member_index, member, no_candidates, tried):
+        self.member_index = member_index
+        self.member = member
+        self.no_candidates = no_candidates
+        self.tried = tried
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-axiom verdicts with witnesses (pass) or diagnostics (fail)."""
 
-    lattice: Lattice
-    passed: bool
-    axiom1_ok: bool
-    axiom2_ok: bool
-    has_zero: bool
-    has_maximal: bool
-    axiom3_ok: bool
-    witnesses: list
-    axiom3_failures: list
+    _fields = (
+        "lattice",
+        "passed",
+        "axiom1_ok",
+        "axiom2_ok",
+        "has_zero",
+        "has_maximal",
+        "axiom3_ok",
+        "witnesses",
+        "axiom3_failures",
+    )
+
+    def __init__(
+        self,
+        lattice,
+        passed,
+        axiom1_ok,
+        axiom2_ok,
+        has_zero,
+        has_maximal,
+        axiom3_ok,
+        witnesses,
+        axiom3_failures,
+    ):
+        self.lattice = lattice
+        self.passed = passed
+        self.axiom1_ok = axiom1_ok
+        self.axiom2_ok = axiom2_ok
+        self.has_zero = has_zero
+        self.has_maximal = has_maximal
+        self.axiom3_ok = axiom3_ok
+        self.witnesses = witnesses
+        self.axiom3_failures = axiom3_failures
 
     def replay(self, family):
         """Recompute every witness colon; a pass report must replay to pass."""
@@ -286,6 +331,8 @@ def _axiom3_by_masks(family):
         return report
 
     move = _orbit_moves(L, colon)
+    # the element bit of each ring variable
+    bits = [1 << e for e in L.linear_extension]
     spans = {}
 
     def span(i):
@@ -311,7 +358,14 @@ def _axiom3_by_masks(family):
                     raise RuntimeError(f"member {j} {J!r} does not lie inside {i} {member!r}")
                 # a colon computed here was taken by cyclic_generator's form
                 report = reports.pop((mask, x), None)
-                generator = report.divisors[0] if report else cyclic_generator(J, member)
+                if report:
+                    generator = report.divisors[0]
+                else:
+                    generator = next(
+                        g
+                        for g in member.linear_generators
+                        if sum(bits[m.index(1)] for m, _ in g.terms) & ~masks[j]
+                    )
                 steps.append(Witness(i, member, j, J, generator, target, report))
                 break
         else:

@@ -5,11 +5,16 @@ Exponent vectors are dense tuples, the public form of a monomial: terms,
 printing and parsing use them.  The Groebner kernel works on packed-integer
 monomials instead, through the codec each degrevlex Ring holds (see
 _Codec): one int per monomial, whose order as an int is degrevlex.
+
+The package's value classes are plain classes on two small bases, _Record
+and _Frozen: each writes its own __init__, with its checks, and the bases
+give ==, the repr and, for a frozen class, the hash from the fields it
+lists.  MonomialOrder and Ring are frozen.  No module imports dataclasses,
+whose import and code generation cost every fresh interpreter milliseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, lshift
 
@@ -36,19 +41,60 @@ def coefficient(value):
 
 
 # ---------------------------------------------------------------------------
+# records: classes named by their fields
+
+
+class _Record:
+    """A class named by the fields ``_fields`` lists, in order: ``==``
+    compares them between two objects of one class, and the repr names them.
+    Each subclass writes its own ``__init__``.  A record is unhashable, as
+    its fields may change."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class _Frozen(_Record):
+    """A record whose attributes are set once, by its ``__init__`` writing
+    them into ``__dict__`` (functools.cached_property writes there too); it
+    hashes by its fields, and assigning or deleting an attribute raises
+    AttributeError."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # monomial orders
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Frozen):
     """Degrevlex; ``priority`` lists variable indices from biggest to
     smallest."""
 
-    priority: tuple
+    _fields = ("priority",)
 
-    def __post_init__(self):
-        if sorted(self.priority) != list(range(len(self.priority))):
+    def __init__(self, priority):
+        if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of the variables")
+        self.__dict__["priority"] = priority
 
     def key(self, exps):
         # degree first, then the negated exponents from the smallest variable
@@ -175,9 +221,10 @@ def _permutation(order):
 # rings and polynomials
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(_Frozen):
     """A polynomial ring over the rationals: variable names and a monomial order.
+    It equals and hashes as its names and order, with the hash computed once;
+    its caches below take no part.
 
     A degrevlex ring (its order a MonomialOrder) packs monomials with one
     codec (see _Codec), widened when a monomial outgrows its fields; equal
@@ -192,23 +239,28 @@ class Ring:
     cache, is built once per ring object and freed with it.
     """
 
-    names: tuple
-    order: MonomialOrder
-    _key_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
-    _bases: dict = field(default_factory=dict, compare=False, repr=False)
-    _last: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("names", "order")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names, order):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        if len(self.order.priority) != len(self.names):
+        if len(order.priority) != len(names):
             raise ValueError("order priority size must match variable count")
-        self._index.update({name: i for i, name in enumerate(self.names)})
-        # the dataclass hash of the compared fields, computed once
-        object.__setattr__(self, "_hash", hash((self.names, self.order)))
-        codec = _Codec(self.order.priority, 8) if isinstance(self.order, MonomialOrder) else None
-        object.__setattr__(self, "_codec", codec)
+        d = self.__dict__
+        d["names"] = names
+        d["order"] = order
+        d["_key_cache"] = {}
+        d["_index"] = {name: i for i, name in enumerate(names)}
+        d["_bases"] = {}
+        d["_last"] = {}
+        d["_hash"] = hash((names, order))
+        d["_codec"] = _Codec(order.priority, 8) if isinstance(order, MonomialOrder) else None
+
+    def __eq__(self, other):
+        # every polynomial comparison compares rings, mostly a ring with itself
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self is other or (self.names == other.names and self.order == other.order)
 
     def __hash__(self):
         return self._hash
@@ -217,7 +269,7 @@ class Ring:
         """After fields of width bits overflowed, use fields twice as wide,
         unless the ring's codec is already wider."""
         if self._codec.width <= width:
-            object.__setattr__(self, "_codec", _Codec(self.order.priority, 2 * width))
+            self.__dict__["_codec"] = _Codec(self.order.priority, 2 * width)
 
     @property
     def nvars(self):
