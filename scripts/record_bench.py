@@ -98,7 +98,7 @@ def main(argv=None):
     bench = json.loads((root / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
 
-    bytecode = {"start": bytecode_state(root)}
+    bytecode_at_start = bytecode_state(root)
     startup = startup_floor(root)
     print("start-up: " + ", ".join(f"{name} {m['median']:.4f} s" for name, m in startup.items()),
           file=sys.stderr)
@@ -125,7 +125,7 @@ def main(argv=None):
         "seeds": list(SEEDS),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "bytecode": {**bytecode, "end": bytecode_state(root)},
+        "bytecode": {"start": bytecode_at_start, "end": bytecode_state(root)},
         "startup": startup,
         "workloads": workloads,
     }
