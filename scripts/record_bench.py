@@ -6,10 +6,12 @@ Runs the command of the checkout's BENCHMARK.json with ``--workload W
 --seed S --seconds T`` in the checkout, for each workload W it lists, T its
 ``run_seconds`` and the seeds S = 1, 2 and 3, one run at a time, and writes,
 per workload and metric, the value of each run and their median and
-quartiles, with the seeds, the Python version, ``nproc`` and the checkout's
-commit.  The checkout defaults to the one holding this script,
-and the file to BENCH_<label>.json at its root.  A run that fails or reports
-``correct: false`` stops the recording with exit 1.
+quartiles, with the seeds, the Python version, ``nproc``, the checkout's
+commit and, as ``dirty``, the paths ``git status --porcelain`` lists at the
+start, empty when the working tree is the commit.  The checkout defaults to
+the one holding this script, and the file to BENCH_<label>.json at its
+root.  A run that fails or reports ``correct: false`` stops the recording
+with exit 1.
 
 It also records the start-up floor, which is most of each short CLI time:
 the wall time of STARTUP_RUNS fresh interpreters that only import
@@ -87,6 +89,15 @@ def commit_of(root):
     return done.stdout.strip() or None
 
 
+def dirty_paths(root):
+    """The paths ``git status --porcelain`` lists in the checkout: its
+    uncommitted changes and untracked files, so an empty list means the
+    commit is the code measured."""
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=root, capture_output=True,
+                          text=True)
+    return [line[3:] for line in done.stdout.splitlines()]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
@@ -98,6 +109,7 @@ def main(argv=None):
     bench = json.loads((root / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]
 
+    dirty = dirty_paths(root)
     bytecode_at_start = bytecode_state(root)
     startup = startup_floor(root)
     print("start-up: " + ", ".join(f"{name} {m['median']:.4f} s" for name, m in startup.items()),
@@ -121,6 +133,7 @@ def main(argv=None):
     doc = {
         "label": args.label,
         "commit": commit_of(root),
+        "dirty": dirty,
         "command": " ".join(command) + f" --workload W --seed S --seconds {seconds}",
         "seeds": list(SEEDS),
         "python": platform.python_version(),

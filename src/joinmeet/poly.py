@@ -231,12 +231,19 @@ class Ring(_Frozen):
     rings with codecs of equal width pack alike.  A ring under any other
     order has no codec, and the Groebner kernel refuses it.
 
-    ``_bases`` is groebner_basis's cache of the reduced bases of ideals over
-    this ring object; it is freed with the ring, and an equal ring built
-    apart has its own.  ``_last`` holds, by variable index v, the ring with
-    v moved to the end of the order that a colon by v computes in
-    (groebner._ring_with_last), so each such ring, with its codec and key
-    cache, is built once per ring object and freed with it.
+    ``_key_cache`` is the ring's monomial table: it maps an exponent tuple
+    to (its key in the order, the ring's own tuple of it), the first equal
+    tuple seen.  from_dict, which builds every sum, every map into the ring
+    and every result that needs sorting, takes each term's sort key from it
+    and writes the ring's tuple into the term, so equal monomials of its
+    results are one object, and a stream of sums holds each distinct
+    monomial once (hash-consing).  ``_bases`` is groebner_basis's cache of
+    the reduced bases of ideals over this ring object.  Both are freed with
+    the ring, and an equal ring built apart has its own.  ``_last`` holds,
+    by variable index v, the ring with v moved to the end of the order that
+    a colon by v computes in (groebner._ring_with_last), so each such ring,
+    with its codec and monomial table, is built once per ring object and
+    freed with it.
     """
 
     _fields = ("names", "order")
@@ -276,11 +283,10 @@ class Ring(_Frozen):
         return len(self.names)
 
     def key(self, exps):
-        cache = self._key_cache
-        k = cache.get(exps)
-        if k is None:
-            k = cache[exps] = self.order.key(exps)
-        return k
+        entry = self._key_cache.get(exps)
+        if entry is None:
+            entry = self._key_cache[exps] = (self.order.key(exps), exps)
+        return entry[0]
 
     def index(self, name):
         try:
@@ -312,12 +318,20 @@ class Ring(_Frozen):
         return Polynomial(self, ((tuple(exps), coeff),))
 
     def from_dict(self, mapping):
-        terms = tuple(
-            (m, c)
-            for m, c in sorted(mapping.items(), key=lambda mc: self.key(mc[0]), reverse=True)
-            if c
-        )
-        return Polynomial(self, terms)
+        """The polynomial with mapping's nonzero terms, in order, each
+        monomial the table's own tuple: the lookup that gives the sort key
+        gives the tuple too."""
+        cache = self._key_cache
+        get = cache.get
+        rows = []
+        for m, c in mapping.items():
+            if c:
+                entry = get(m)
+                if entry is None:
+                    entry = cache[m] = (self.order.key(m), m)
+                rows.append((entry, c))
+        rows.sort(key=itemgetter(0), reverse=True)
+        return Polynomial(self, tuple([(entry[1], c) for entry, c in rows]))
 
     def parse(self, text):
         return _parse(self, text)

@@ -5,13 +5,18 @@ subsets, Macaulay-matrix linear algebra with its own row reduction, and a
 generator for every naturally labeled poset on up to six elements.  None of
 it shares code with the engine paths it cross-checks, except the reference
 verifier, which takes each colon from the engine and checks only the
-verification around it.
+verification around it, and the membership query stream, which builds its
+polynomials with the engine's arithmetic and takes its answers from theory.
+The module imports no test framework, so a plain interpreter can run it.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from joinmeet.hibi import join_meet_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +252,52 @@ def reference_verify_filtration(family):
     has_zero = any(not span for span in spans)
     has_maximal = any(len(span) == nvars for span in spans)
     return has_zero and has_maximal and not failures, witnesses, failures
+
+
+# ---------------------------------------------------------------------------
+# membership queries whose answers theory predicts
+
+
+def member_queries(lattices, seed, count):
+    """A seeded stream of (I_L, f, whether f lies in I_L) over distributive
+    lattices, built as the bench's member workload builds its queries, with
+    the answers theory predicts.  f is a sum of one to three generators of
+    I_L, each times a coefficient with denominator 1 to 3 and a monomial of
+    degree at most one, so f lies in I_L.  Half of the queries add a
+    positive combination of distinct monomials supported on a maximal chain,
+    which takes f out: for a distributive L those monomials are linearly
+    independent modulo I_L (Hibi 1987)."""
+    rng = random.Random(seed)
+    tables = []
+    for L in lattices:
+        assert L.is_distributive()
+        jm = join_meet_ideal(L)
+        upper = {a: [b for c, b in L.covers if c == a] for a in range(L.n)}
+        var = [jm.ring.index(label) for label in L.labels]
+        tables.append((L, jm, upper, var))
+    queries = []
+    for _ in range(count):
+        L, jm, upper, var = rng.choice(tables)
+        ring = jm.ring
+        f = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            shift = [0] * ring.nvars
+            if rng.random() < 0.5:
+                shift[rng.randrange(ring.nvars)] = 1
+            coeff = Fraction(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 3))
+            f = f + rng.choice(jm.generators).shift(tuple(shift), coeff)
+        member = rng.random() < 0.5
+        if not member:
+            monomials = set()
+            for _ in range(rng.randint(1, 3)):
+                chain = [L.bottom]
+                while chain[-1] != L.top:
+                    chain.append(rng.choice(upper[chain[-1]]))
+                exps = [0] * ring.nvars
+                for _ in range(rng.randint(1, 3)):
+                    exps[var[rng.choice(chain)]] += 1
+                monomials.add(tuple(exps))
+            for exps in sorted(monomials):
+                f = f + ring.monomial(exps, rng.randint(1, 5))
+        queries.append((jm.ideal, f, member))
+    return queries

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -315,11 +316,15 @@ def test_divide_exact(R):
 
 
 def test_membership_agrees_with_macaulay_oracle():
+    # coefficients with denominators 1 to 3 scale each query by an lcm that
+    # some terms' denominators equal and others do not; the form 2*x1 - 3*x2
+    # makes the forms of single monomials carry non-integral coefficients
     rng = random.Random(11)
     for L in [chain(3), boolean(2), pentagon(), diamond()]:
         R = lattice_ring(L)
         jm = join_meet_ideal(L)
-        for extra in [(), (R.var(L.labels[L.top]),)]:
+        form = 2 * R.var(L.labels[1]) - 3 * R.var(L.labels[2])
+        for extra in [(), (R.var(L.labels[L.top]),), (form,)]:
             I = ideal(R, jm.generators + extra)
             probes = list(R.gens())
             probes += [a * b for a in R.gens() for b in R.gens()]
@@ -327,10 +332,14 @@ def test_membership_agrees_with_macaulay_oracle():
                 g = R.zero()
                 for _ in range(rng.randint(1, 3)):
                     a = rng.choice(probes)
-                    g = g + rng.randint(-2, 2) * a
+                    g = g + Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * a
                 probes.append(g)
             for f in probes:
                 assert ideal_member(f, I) == macaulay_member(I.generators, f), str(f)
+            forms = groebner_basis(I)._forms.values()
+            fractional = any(type(c) is Fraction for nf in forms for _, c in nf)
+            assert fractional == (extra == (form,)), (L.labels, extra)
+    assert any(len({c.denominator for _, c in f.terms}) > 1 for f in probes)
 
 
 def test_intersect_refuses_two_rings(IL):

@@ -12,6 +12,7 @@ from joinmeet.groebner import (
     colon_element,
     groebner_basis,
     ideal,
+    ideal_member,
     normal_form,
     reduce_basis,
     s_polynomial,
@@ -26,6 +27,8 @@ from joinmeet.poly import (
     _Overflow,
     degrevlex,
 )
+from joinmeet.lattice import boolean
+from oracles import member_queries
 
 
 def pentagon_ring():
@@ -217,6 +220,9 @@ def test_canonicalization_idempotent(f):
     assert keys == sorted(keys, reverse=True)
     assert all(len(set(keys)) == len(keys) for _ in [0])
     assert all(c != 0 for _, c in f.terms)
+    # each monomial is the ring's own tuple, and its key the order's
+    assert all(m is RAND._key_cache[m][1] for m, _ in f.terms)
+    assert keys == [RAND.order.key(m) for m, _ in f.terms]
 
 
 MONOMS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -366,6 +372,47 @@ def test_mixed_rings_rejected(R):
     other = Ring(("x", "y"), degrevlex(2))
     with pytest.raises(ValueError):
         R.var("x") + other.var("x")
+
+
+# ---------------------------------------------------------------------------
+# the ring's monomial table: one exponent tuple per monomial
+
+
+def test_equal_monomials_of_one_ring_are_one_object(R):
+    f = R.parse("x*z - e*f") + R.parse("y^2 + 2*x*z")
+    # equal tuples built afresh, not the ones the sum wrote
+    xz, ef = tuple([0, 0, 1, 1, 0]), tuple([1, 0, 0, 0, 1])
+    g = R.from_dict({xz: Fraction(1, 2), ef: 3})
+    h = R.var("x") * R.parse("z + y") + R.var("e") * R.parse("f - y")
+    table = {m: m for m, _ in f.terms}
+    for m, _ in g.terms + h.terms:
+        if m in table:
+            assert m is table[m]
+        assert m is R._key_cache[m][1]
+        assert R.key(m) == R.order.key(m)
+    assert {m for m, _ in g.terms} <= set(table)
+
+
+def test_an_equal_ring_built_apart_starts_with_an_empty_table(R):
+    f = R.parse("x*z - e*f")
+    S = pentagon_ring()
+    assert R._key_cache and S == R and not S._key_cache
+    g = S.parse("x*z - e*f")
+    assert g == f and all(a is not b for (a, _), (b, _) in zip(g.terms, f.terms))
+
+
+def test_a_query_stream_holds_each_monomial_once():
+    # every sum's monomials are the ring's tuples, so the 2,000 queries hold
+    # one tuple per distinct monomial, and so do the cached forms' keys
+    queries = member_queries([boolean(4)], 5, 2000)
+    monomials = [m for _, f, _ in queries for m, _ in f.terms]
+    assert len(monomials) > 4 * len(set(monomials))
+    assert len({id(m) for m in monomials}) == len(set(monomials))
+    for I, f, member in queries:
+        assert ideal_member(f, I) == member, str(f)
+    ring = queries[0][0].ring
+    forms = groebner_basis(queries[0][0])._forms
+    assert forms and all(m is ring._key_cache[m][1] for m in forms)
 
 
 # ---------------------------------------------------------------------------
