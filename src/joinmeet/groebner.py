@@ -57,7 +57,7 @@ small int ids, from an id table the basis keeps beside its forms, so the sum
 hashes ints, not exponent tuples.  A query built by sums carries its ring's
 own monomial tuples (see poly.Ring), so its lookups in the forms succeed on
 identity, and 20,000 queries over three lattices hold each distinct
-monomial once: the bench's member workload peaks at 34.6 MB, not 48.8 MB.
+monomial once: the bench's member workload peaks at 34.7 MB, not 48.9 MB.
 
 Buchberger's pair queue orders pairs by their packed lcms, which sort by
 degree, then in the ring's order, and ties by creation.  Two leads are
