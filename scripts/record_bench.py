@@ -20,7 +20,9 @@ cheapest command, alternated, with ``PYTHONPATH=src`` in the checkout; and
 the bytecode state at the start and the end of the recording, that is
 ``PYTHONDONTWRITEBYTECODE`` and whether ``src/joinmeet/__pycache__``
 exists.  With no bytecode cache every interpreter compiles the package
-again, so records made in different bytecode states are not comparable.
+again, so records made in different bytecode states are not comparable, and
+the start-up cost follows the size of the source: ``src_lines`` records the
+physical line count of each ``src/joinmeet/*.py`` and their total.
 """
 
 from __future__ import annotations
@@ -84,6 +86,13 @@ def bytecode_state(root):
     }
 
 
+def source_lines(root):
+    """The physical line count of each module of the package, and the total."""
+    counts = {path.name: len(path.read_bytes().splitlines())
+              for path in sorted((root / "src" / "joinmeet").glob("*.py"))}
+    return {"files": counts, "total": sum(counts.values())}
+
+
 def commit_of(root):
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return done.stdout.strip() or None
@@ -139,6 +148,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "bytecode": {"start": bytecode_at_start, "end": bytecode_state(root)},
+        "src_lines": source_lines(root),
         "startup": startup,
         "workloads": workloads,
     }

@@ -178,11 +178,6 @@ class GroebnerBasis(_Frozen):
 
     _fields = ("ring", "basis")
 
-    def __init__(self, ring, basis):
-        d = self.__dict__
-        d["ring"] = ring
-        d["basis"] = basis
-
     def __iter__(self):
         return iter(self.basis)
 

@@ -39,8 +39,9 @@ colon that verify_filtration takes on the poset-ideal family passes them.
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
 span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J, and its witness records the same g, chosen
-by cyclic_generator.  claim_check reads colon_in_H's report for the colon of
-a poset ideal at one of its maximal elements.
+by cyclic_generator, by support when J's span is spanned by variables and
+by normal forms otherwise.  claim_check reads colon_in_H's report for the
+colon of a poset ideal at one of its maximal elements.
 
 JoinMeetIdeal is a frozen plain class, compared and hashed by its fields
 (poly._Frozen); the reports ResidueColonReport and ClaimReport compare by
@@ -82,13 +83,6 @@ class JoinMeetIdeal(_Frozen):
     """
 
     _fields = ("lattice", "ring", "variables", "generators")
-
-    def __init__(self, lattice, ring, variables, generators):
-        d = self.__dict__
-        d["lattice"] = lattice
-        d["ring"] = ring
-        d["variables"] = variables
-        d["generators"] = generators
 
     @cached_property
     def ideal(self):
@@ -155,7 +149,7 @@ class ResidueIdeal:
     """An ideal of H[L] given by lifts of linear-form generators; ``base``
     is the JoinMeetIdeal of its lattice."""
 
-    __slots__ = ("base", "lattice", "ring", "linear_generators", "_span", "_lift")
+    __slots__ = ("base", "lattice", "ring", "linear_generators", "_span", "_variables", "_lift")
 
     def __init__(self, base, generators):
         self.base = base
@@ -174,6 +168,7 @@ class ResidueIdeal:
             gens.append(g)
         self.linear_generators = tuple(gens)
         self._span = None
+        self._variables = False
         self._lift = None
 
     @property
@@ -208,8 +203,11 @@ class ResidueIdeal:
         return self.dim == self.lattice.n
 
     def variable_set(self):
-        """Element indices when the linear part is spanned by variables alone."""
-        return _elements_of(self.lattice, self.degree1())
+        """Element indices when the linear part is spanned by variables alone,
+        else None; computed once."""
+        if self._variables is False:
+            self._variables = _elements_of(self.lattice, self.degree1())
+        return self._variables
 
     def __eq__(self, other):
         if not isinstance(other, ResidueIdeal):
@@ -275,30 +273,6 @@ class ResidueColonReport(_Record):
         "whole_ring",
         "nonlinear_witness",
     )
-
-    def __init__(
-        self,
-        lattice,
-        divisors,
-        lift,
-        groebner,
-        degree1,
-        linear_generated,
-        variable_generated,
-        variables,
-        whole_ring,
-        nonlinear_witness,
-    ):
-        self.lattice = lattice
-        self.divisors = divisors
-        self.lift = lift
-        self.groebner = groebner
-        self.degree1 = degree1
-        self.linear_generated = linear_generated
-        self.variable_generated = variable_generated
-        self.variables = variables
-        self.whole_ring = whole_ring
-        self.nonlinear_witness = nonlinear_witness
 
     def semantic_key(self):
         """The key of the colon's lift, comparable with ResidueIdeal's: a
@@ -384,13 +358,22 @@ def cyclic_generator(J, I):
         raise ValueError("colon of ideals over different lattices")
     # a linear form lies in J's lift iff it lies in J's span, and the span's
     # reduced echelon form is a Groebner basis of the ideal it generates,
-    # packed once for every generator of I
-    span = GroebnerBasis(J.ring, J.degree1())
-    outside = [g for g in I.linear_generators if normal_form(g, span)]
+    # packed once for every generator of I; a span of variables holds a form
+    # exactly when it holds the form's support, and needs no basis
+    A = J.variable_set()
+    if A is None:
+        span = GroebnerBasis(J.ring, J.degree1())
+        outside = [g for g in I.linear_generators if normal_form(g, span)]
+    else:
+        element = J.lattice.linear_extension
+        outside = [
+            g for g in I.linear_generators if any(element[m.index(1)] not in A for m, _ in g.terms)
+        ]
     if not outside:
         return None
     g = outside[0]
     if len(outside) > 1:
+        span = GroebnerBasis(J.ring, J.degree1())
         # g's remainder leads with a variable that leads no row of the span,
         # so the rows and it are again an echelon form, of span(J) + (g)
         step = span.basis + (normal_form(g, span),)
@@ -428,26 +411,6 @@ class ClaimReport(_Record):
         "pentagon_with_min_e",
         "diamond_with_min_e",
     )
-
-    def __init__(
-        self,
-        lattice,
-        ideal,
-        element,
-        linear_generated,
-        span_matches,
-        colon,
-        pentagon_with_min_e,
-        diamond_with_min_e,
-    ):
-        self.lattice = lattice
-        self.ideal = ideal
-        self.element = element
-        self.linear_generated = linear_generated
-        self.span_matches = span_matches
-        self.colon = colon
-        self.pentagon_with_min_e = pentagon_with_min_e
-        self.diamond_with_min_e = diamond_with_min_e
 
 
 def _span_matches(L, e, report):

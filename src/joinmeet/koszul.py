@@ -21,16 +21,14 @@ preserves ∨ and ∧, so it fixes I_L and permutes the variables; hence
 mask of J : I or None, is therefore filed under the whole Aut(L) orbit of
 (S, x) by the move memo the search also uses, and a member whose pair was
 filed from another pair's colon takes no colon of its own; its witness
-holds no report, and its cyclic generator is read off the masks: J's span
-is spanned by the variables of J's set, so a form lies in it iff its
-support does, and cyclic_generator's choice is the first generator of I
-whose support leaves J's set.  The generators of Aut(L) are checked to
-preserve ∨ and ∧ before anything is filed, a member with no witness is
-checked again colon by colon, so its diagnostics are those of the scan,
-and each witness's containment is confirmed on row-reduced spans.  The
-memo lives for one call, so a replay shares nothing with the search it
-checks.  On the poset-ideal family this takes divisor(60) from 49 colons
-to 37 and boolean(5) from 7,580 to 346.
+holds no report, and names the form cyclic_generator chooses by support,
+as J's span is spanned by variables.  The generators of Aut(L) are
+checked to preserve ∨ and ∧ before anything is filed, a member with no
+witness is checked again colon by colon, so its diagnostics are those of
+the scan, and each witness's containment is confirmed on row-reduced
+spans.  The memo lives for one call, so a replay shares nothing with the
+search it checks.  On the poset-ideal family this takes divisor(60) from
+49 colons to 37 and boolean(5) from 7,580 to 346.
 
 FiltrationSpec and the verification records (Witness, Axiom3Failure,
 VerificationReport) are plain classes that compare by their fields and do
@@ -66,6 +64,7 @@ from .hibi import (
     ResidueIdeal,
     colon_in_H,
     colon_in_H_by_ideal,
+    cyclic_generator,
     join_meet_ideal,
     residue_ideal,
     variable_ideal,
@@ -134,17 +133,6 @@ class Witness(_Record):
         "colon",
     )
 
-    def __init__(
-        self, member_index, member, j_index, j, cyclic_generator, colon_member_index, colon
-    ):
-        self.member_index = member_index
-        self.member = member
-        self.j_index = j_index
-        self.j = j
-        self.cyclic_generator = cyclic_generator
-        self.colon_member_index = colon_member_index
-        self.colon = colon
-
 
 class Axiom3Failure(_Record):
     """A member with no axiom-(3) witness: ``tried`` lists (j_index, reason,
@@ -152,12 +140,6 @@ class Axiom3Failure(_Record):
     none."""
 
     _fields = ("member_index", "member", "no_candidates", "tried")
-
-    def __init__(self, member_index, member, no_candidates, tried):
-        self.member_index = member_index
-        self.member = member
-        self.no_candidates = no_candidates
-        self.tried = tried
 
 
 class VerificationReport(_Record):
@@ -174,28 +156,6 @@ class VerificationReport(_Record):
         "witnesses",
         "axiom3_failures",
     )
-
-    def __init__(
-        self,
-        lattice,
-        passed,
-        axiom1_ok,
-        axiom2_ok,
-        has_zero,
-        has_maximal,
-        axiom3_ok,
-        witnesses,
-        axiom3_failures,
-    ):
-        self.lattice = lattice
-        self.passed = passed
-        self.axiom1_ok = axiom1_ok
-        self.axiom2_ok = axiom2_ok
-        self.has_zero = has_zero
-        self.has_maximal = has_maximal
-        self.axiom3_ok = axiom3_ok
-        self.witnesses = witnesses
-        self.axiom3_failures = axiom3_failures
 
     def replay(self, family):
         """Recompute every witness colon; a pass report must replay to pass."""
@@ -331,8 +291,6 @@ def _axiom3_by_masks(family):
         return report
 
     move = _orbit_moves(L, colon)
-    # the element bit of each ring variable
-    bits = [1 << e for e in L.linear_extension]
     spans = {}
 
     def span(i):
@@ -356,16 +314,8 @@ def _axiom3_by_masks(family):
                 J = members[j]
                 if not linalg.row_space_contains(span(i), span(j)):
                     raise RuntimeError(f"member {j} {J!r} does not lie inside {i} {member!r}")
-                # a colon computed here was taken by cyclic_generator's form
                 report = reports.pop((mask, x), None)
-                if report:
-                    generator = report.divisors[0]
-                else:
-                    generator = next(
-                        g
-                        for g in member.linear_generators
-                        if sum(bits[m.index(1)] for m, _ in g.terms) & ~masks[j]
-                    )
+                generator = cyclic_generator(J, member)
                 steps.append(Witness(i, member, j, J, generator, target, report))
                 break
         else:

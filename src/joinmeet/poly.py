@@ -7,10 +7,11 @@ monomials instead, through the codec each degrevlex Ring holds (see
 _Codec): one int per monomial, whose order as an int is degrevlex.
 
 The package's value classes are plain classes on two small bases, _Record
-and _Frozen: each writes its own __init__, with its checks, and the bases
-give ==, the repr and, for a frozen class, the hash from the fields it
-lists.  MonomialOrder and Ring are frozen.  No module imports dataclasses,
-whose import and code generation cost every fresh interpreter milliseconds.
+and _Frozen, which give the constructor, ==, the repr and, for a frozen
+class, the hash, from the fields each class lists once; a class whose
+constructor checks or computes something writes its own __init__.
+MonomialOrder and Ring are frozen.  No module imports dataclasses, whose
+import and code generation cost every fresh interpreter milliseconds.
 """
 
 from __future__ import annotations
@@ -45,12 +46,21 @@ def coefficient(value):
 
 
 class _Record:
-    """A class named by the fields ``_fields`` lists, in order: ``==``
+    """A class named by the fields ``_fields`` lists, in order: the
+    constructor takes each of them once, by position or by keyword, ``==``
     compares them between two objects of one class, and the repr names them.
-    Each subclass writes its own ``__init__``.  A record is unhashable, as
-    its fields may change."""
+    A record is unhashable, as its fields may change."""
 
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        # the values go straight into __dict__, so a _Frozen is built too
+        fields = self._fields
+        given = len(args) + len(kwargs)
+        kwargs.update(zip(fields, args))
+        if not given == len(kwargs) == len(fields) or not all(map(kwargs.__contains__, fields)):
+            raise TypeError(f"{type(self).__qualname__}() takes each of {fields} once")
+        self.__dict__.update(kwargs)
 
     def _values(self):
         return tuple([getattr(self, name) for name in self._fields])
@@ -66,7 +76,7 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose attributes are set once, by its ``__init__`` writing
+    """A record whose attributes are set once, by its constructor writing
     them into ``__dict__`` (functools.cached_property writes there too); it
     hashes by its fields, and assigning or deleting an attribute raises
     AttributeError."""

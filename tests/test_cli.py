@@ -184,6 +184,21 @@ def test_verify_shipped_diamond_family(capsys):
     assert out.count("J:I = member") == 8
 
 
+def test_verify_shipped_boolean2_sums_family(capsys):
+    # every member is spanned by variables, some by sums of them; a witness
+    # filed from its Aut(L) orbit names the first generator whose support
+    # leaves J, as a computed colon does
+    code, out, _ = run(
+        capsys, "filtration", "verify", "--builtin", "boolean", "--n", "2",
+        str(DATA / "boolean2_sums.filt"),
+    )
+    assert code == 0
+    assert "family of 6 ideals (combinatorial)" in out
+    assert "(a + o, o): J = (o), cyclic via a + o, J:I = member 3 (b, -b + o)" in out
+    assert "(b, -b + o): J = (o), cyclic via b, J:I = member 2 (a + o, o)" in out
+    assert out.count("J:I = member") == 5
+
+
 def test_verify_failing_family(tmp_path, capsys):
     path = tmp_path / "bad.filt"
     path.write_text(json.dumps({"ideals": [[], "m"]}))

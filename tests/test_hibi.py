@@ -18,12 +18,21 @@ import oracles
 from oracles import macaulay_member
 from joinmeet import hibi, koszul
 from joinmeet.errors import InputError
-from joinmeet.groebner import _ring_with_last, groebner_basis, ideal, ideal_equal, ideal_member
+from joinmeet.groebner import (
+    GroebnerBasis,
+    _ring_with_last,
+    groebner_basis,
+    ideal,
+    ideal_equal,
+    ideal_member,
+    normal_form,
+)
 from joinmeet.hibi import (
     NotLinear,
     claim_check,
     colon_in_H,
     colon_in_H_by_ideal,
+    cyclic_generator,
     join_meet_ideal,
     lattice_ring,
     maximal_ideal,
@@ -293,6 +302,57 @@ def test_colon_by_ideal_reduces_to_added_generator():
     assert by_ideal.semantic_key() == by_elem.semantic_key()
     assert by_ideal.groebner.basis == by_elem.groebner.basis
     assert by_ideal.divisors == by_elem.divisors
+
+
+def _cyclic_by_normal_forms(J, I):
+    """cyclic_generator's choice made on every J by normal forms against J's
+    span, or "ValueError" when it refuses the pair."""
+    span = GroebnerBasis(J.ring, J.degree1())
+    outside = [g for g in I.linear_generators if normal_form(g, span)]
+    if len(outside) > 1:
+        step = span.basis + (normal_form(outside[0], span),)
+        if any(normal_form(h, step) for h in outside[1:]):
+            return "ValueError"
+    return outside[0] if outside else None
+
+
+def _cyclic_generator_or_refusal(J, I):
+    try:
+        return cyclic_generator(J, I)
+    except ValueError:
+        return "ValueError"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: koszul.poset_ideal_filtration(pentagon()).members,
+        lambda: koszul.poset_ideal_filtration(diamond()).members,
+        lambda: koszul.poset_ideal_filtration(boolean(3)).members,
+        lambda: koszul.filtration(boolean(2), [
+            [], ["o"], ["o + a", "o"], ["b", "o - b"], ["a + b", "a", "o"], list(boolean(2).labels)
+        ]).members,
+    ],
+    ids=["pentagon", "diamond", "boolean(3)", "boolean(2) sums"],
+)
+def test_cyclic_generator_by_support_agrees_with_normal_forms(family):
+    # a span of variables holds a form exactly when it holds its support, so
+    # the support test picks the normal forms' generator, or refuses the pair
+    members = family()
+    assert any(J.variable_set() is not None for J in members)
+    for J in members:
+        for I in members:
+            assert _cyclic_generator_or_refusal(J, I) == _cyclic_by_normal_forms(J, I)
+
+
+def test_cyclic_generator_refuses_a_non_cyclic_step_over_variables():
+    B = boolean(2)
+    J = variable_ideal(B, {B.index("o")})
+    assert J.variable_set() == {B.index("o")}
+    for gens in (["o", "a", "b"], ["a + o", "b"], ["a", "b - a"]):
+        with pytest.raises(ValueError, match="cyclic"):
+            cyclic_generator(J, residue_ideal(B, gens))
+    assert str(cyclic_generator(J, residue_ideal(B, ["o", "a + o", "a"]))) == "a + o"
 
 
 @pytest.mark.parametrize(

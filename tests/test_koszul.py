@@ -503,6 +503,9 @@ def test_verification_matches_the_scan_reference():
     families += [
         (pentagon(), load_filtration(pentagon(), DATA / "pentagon.filt")),
         (diamond(), load_filtration(diamond(), DATA / "diamond.filt")),
+        # spans of variables given by sums: (b, o - b) is filed through the
+        # orbit of (o + a, o), and names b, its first generator leaving (o)
+        (boolean(2), load_filtration(boolean(2), DATA / "boolean2_sums.filt")),
         (pentagon(), poset_ideal_filtration(pentagon())),
         (diamond(), poset_ideal_filtration(diamond())),
         (chain(3), filtration(chain(3), NON_UNIT_FAMILY)),

@@ -275,3 +275,50 @@ def test_join_meet_ideal_is_built_by_position_or_keyword():
     again = JoinMeetIdeal(*(getattr(jm, name) for name in fields))
     assert again == jm and hash(again) == hash(jm)
     assert JoinMeetIdeal(**{name: getattr(jm, name) for name in fields}) == jm
+
+
+def frozen_values():
+    """A GroebnerBasis and a JoinMeetIdeal, each with the values of its
+    fields, in order."""
+    R = xy_ring()
+    jm = join_meet_ideal(pentagon())
+    return [
+        (GroebnerBasis, {"ring": R, "basis": R.gens()}),
+        (JoinMeetIdeal, {name: getattr(jm, name) for name in FIELDS[JoinMeetIdeal]}),
+    ]
+
+
+def test_frozen_values_construct_by_position_or_keyword():
+    for cls, values in frozen_values():
+        by_keyword = cls(**values)
+        by_position = cls(*values.values())
+        assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
+        assert list(vars(by_keyword)) == list(FIELDS[cls])
+        first = FIELDS[cls][0]
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, first, None)
+        with pytest.raises(TypeError):
+            cls(*list(values.values())[:-1])
+        with pytest.raises(TypeError):
+            cls(**values, unknown=1)
+        with pytest.raises(TypeError):
+            cls(*values.values(), 1)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [GroebnerBasis, JoinMeetIdeal, ResidueColonReport, ClaimReport, Witness, Axiom3Failure,
+     VerificationReport],
+)
+def test_a_field_given_by_position_and_by_keyword_is_refused(cls):
+    values = report_fields(cls)
+    first, *rest = FIELDS[cls]
+    # as many arguments as fields, the first of them twice
+    with pytest.raises(TypeError):
+        cls(values[first], **{first: values[first]}, **{name: values[name] for name in rest[1:]})
+    # every field, and the first once more
+    with pytest.raises(TypeError):
+        cls(values[first], **values)
+    # as many keywords as fields, one of them unknown
+    with pytest.raises(TypeError):
+        cls(**{name: values[name] for name in rest}, unknown=1)
