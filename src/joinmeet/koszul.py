@@ -7,28 +7,31 @@ I/J is cyclic with J ⊊ I iff span(J) sits inside span(I) with codimension
 one.  colon_in_H_by_ideal takes J : I as the colon by the first generator g
 of I outside J (hibi.cyclic_generator), and a witness records that g as
 I/J's cyclic generator.  J = I is excluded: axiom (3) would pair it with
-J : I = H[L], which is never a member.  A family that is not combinatorial
-finds each member's candidates by scanning the family: each span is
-row-reduced once, and every containment test reduces against it.
+J : I = H[L], which is never a member.
 
-A combinatorial family names each member by the bitmask of its variable
-set, so the candidates of the member with set S are the members with set
-S∖{x}, read off a dict in family order, and the first whose colon is a
-member is the witness, as the scan finds it.  An automorphism σ of L
-preserves ∨ and ∧, so it fixes I_L and permutes the variables; hence
-σ(J : I) = σJ : σI, and J : I is generated by variables exactly when
-σ(J : I) is, with σ carrying its variables.  The verdict of (S, x), the
-mask of J : I or None, is therefore filed under the whole Aut(L) orbit of
-(S, x) by the move memo the search also uses, and a member whose pair was
-filed from another pair's colon takes no colon of its own; its witness
-holds no report, and names the form cyclic_generator chooses by support,
-as J's span is spanned by variables.  The generators of Aut(L) are
-checked to preserve ∨ and ∧ before anything is filed, a member with no
-witness is checked again colon by colon, so its diagnostics are those of
-the scan, and each witness's containment is confirmed on row-reduced
-spans.  The memo lives for one call, so a replay shares nothing with the
-search it checks.  On the poset-ideal family this takes divisor(60) from
-49 colons to 37 and boolean(5) from 7,580 to 346.
+A member's pivot set is the set of elements whose variables lead the rows
+of its span's reduced echelon form, degree1().  Every leading variable of
+a form in J leads a row of J's form, so J ⊂ I of codimension one has I's
+pivot set less one element x.  The members are filed once by pivot set,
+and I's candidates are those filed under each set I∖{x}, in family order:
+n lookups per member, not a scan of the family.  Two members can share a
+pivot set, so a candidate is tried only once its span is confirmed inside
+I's on row-reduced spans, and the first whose colon is a member is the
+witness.  A combinatorial family's pivot sets are its variable sets, and
+there each verdict is read from the move memo the search also uses.  An
+automorphism σ of L preserves ∨ and ∧, so it fixes I_L and permutes the
+variables; hence σ(J : I) = σJ : σI, and J : I is generated by variables
+exactly when σ(J : I) is, with σ carrying its variables.  The verdict of
+(S, x), the mask of J : I or None, is therefore filed under the whole
+Aut(L) orbit of (S, x), and a member whose pair was filed from another
+pair's colon takes no colon of its own; its witness names the form
+cyclic_generator chooses by support, as J's span is spanned by variables,
+and only the witness's containment is confirmed.  The generators of Aut(L)
+are checked to preserve ∨ and ∧ before anything is filed, and a member
+with no witness is checked again colon by colon, so its diagnostics are
+those of a scan.  The memo lives for one call, so a replay shares nothing
+with the search it checks.  On the poset-ideal family this takes
+divisor(60) from 49 colons to 37 and boolean(5) from 7,580 to 346.
 
 FiltrationSpec and the verification records (Witness, Axiom3Failure,
 VerificationReport) are plain classes that compare by their fields and do
@@ -118,10 +121,9 @@ def filtration(L, members):
 
 class Witness(_Record):
     """Axiom-(3) witness for one member: the chosen J, the cyclic generator,
-    and which member equals J : I.  ``colon`` is the ResidueColonReport of
-    J : I when this verification computed it, and None when the verdict was
-    filed from the colon of another pair in its Aut(L) orbit (see the module
-    docstring); replay computes every witness colon again."""
+    and which member equals J : I.  The colon itself is not kept, as most
+    verdicts are filed from the colon of another pair in their Aut(L) orbit
+    (see the module docstring); replay computes every witness colon again."""
 
     _fields = (
         "member_index",
@@ -130,7 +132,6 @@ class Witness(_Record):
         "j",
         "cyclic_generator",
         "colon_member_index",
-        "colon",
     )
 
 
@@ -185,11 +186,6 @@ def _coefficient_rows(polys, ring):
     return rows
 
 
-def _support(rows):
-    """The bitmask of the columns where some row is nonzero."""
-    return sum(1 << k for k, column in enumerate(zip(*rows)) if any(column))
-
-
 def verify_filtration(L, family):
     """Check the three Koszul-filtration axioms for the given family.
 
@@ -210,7 +206,7 @@ def verify_filtration(L, family):
     has_maximal = any(m.is_maximal() for m in members)
     axiom2_ok = has_zero and has_maximal
 
-    steps = _axiom3_by_masks(family) if family.combinatorial else _axiom3_by_scan(family)
+    steps = _axiom3(family)
     witnesses = [s for s in steps if isinstance(s, Witness)]
     failures = [s for s in steps if isinstance(s, Axiom3Failure)]
     axiom3_ok = not failures
@@ -239,7 +235,7 @@ def _first_witness(family, i, candidates):
         report = colon_in_H_by_ideal(other, member)
         target = family.keys.get(report.semantic_key())
         if target is not None:
-            return Witness(i, member, j, other, report.divisors[0], target, report)
+            return Witness(i, member, j, other, report.divisors[0], target)
         if not report.linear_generated:
             tried.append((j, "colon-not-linear", report.nonlinear_witness))
         else:
@@ -247,84 +243,62 @@ def _first_witness(family, i, candidates):
     return Axiom3Failure(i, member, not candidates, tried)
 
 
-def _axiom3_by_scan(family):
-    """Axiom (3) for any family: each member's candidates are found by
-    scanning the family for spans of codimension one inside its own."""
-    members = family.members
-    # each member's span, row-reduced once for every containment test
-    spans = [linalg.rref(_coefficient_rows(m.degree1(), m.ring)) for m in members]
-    # a span holds a row only if its support holds the row's support
-    supports = [_support(rows) for rows in spans]
-    steps = []
-    for i, member in enumerate(members):
-        if member.is_zero():
-            continue
-        dim = member.dim
-        candidates = [
-            j
-            for j, other in enumerate(members)
-            if other.dim == dim - 1
-            and not supports[j] & ~supports[i]
-            and linalg.row_space_contains(spans[i], spans[j])
-        ]
-        steps.append(_first_witness(family, i, candidates))
-    return steps
-
-
-def _axiom3_by_masks(family):
-    """Axiom (3) for a combinatorial family, whose members are named by the
-    bitmasks of their variable sets: member I's candidates are the members
-    whose set is I's less one element x, in family order, and each verdict
-    is read from a move memo that files it under its Aut(L) orbit, L being
-    the lattice the members are ideals over.  Each witness's containment is
-    confirmed on row-reduced spans."""
+def _axiom3(family):
+    """Axiom (3), member by member: each nonzero member's Witness or
+    Axiom3Failure, its candidates looked up by pivot set and, in a
+    combinatorial family, its verdicts read from the Aut(L) move memo of
+    the lattice the members are ideals over (see the module docstring)."""
     L = family.lattice
     members = family.members
-    masks = [sum(1 << a for a in m.variable_set()) for m in members]
-    index_of = {mask: i for i, mask in enumerate(masks)}
-    reports = {}
-
-    def colon(mask, x):
-        I = members[index_of[mask]]
-        J = members[index_of[mask & ~(1 << x)]]
-        report = reports[mask, x] = colon_in_H_by_ideal(J, I)
-        return report
-
-    move = _orbit_moves(L, colon)
+    element = L.linear_extension
+    pivots = [sum(1 << element[g.terms[0][0].index(1)] for g in m.degree1()) for m in members]
+    filed = {}
+    for i, mask in enumerate(pivots):
+        filed.setdefault(mask, []).append(i)
     spans = {}
 
-    def span(i):
-        if i not in spans:
-            spans[i] = linalg.rref(_coefficient_rows(members[i].degree1(), members[i].ring))
-        return spans[i]
+    def inside(j, i):
+        """Whether member j's span lies inside member i's, on spans
+        row-reduced once each."""
+        for k in (i, j):
+            if k not in spans:
+                spans[k] = linalg.rref(_coefficient_rows(members[k].degree1(), members[k].ring))
+        return linalg.row_space_contains(spans[i], spans[j])
+
+    move = None
+    if family.combinatorial:
+        # members with one variable set are one ideal, so each set files one
+        index_of = {mask: js[0] for mask, js in filed.items()}
+
+        def colon(mask, x):
+            I = members[index_of[mask]]
+            return colon_in_H_by_ideal(members[index_of[mask & ~(1 << x)]], I)
+
+        move = _orbit_moves(L, colon)
 
     steps = []
     for i, member in enumerate(members):
         if member.is_zero():
             continue
-        mask = masks[i]
+        mask = pivots[i]
         candidates = sorted(
-            (index_of[mask & ~(1 << x)], x)
-            for x in range(L.n)
-            if mask >> x & 1 and mask & ~(1 << x) in index_of
+            (j, x) for x in range(L.n) if mask >> x & 1 for j in filed.get(mask & ~(1 << x), ())
         )
-        for j, x in candidates:
-            target = index_of.get(move(mask, x))
+        if move is not None:
+            verdicts = ((j, index_of.get(move(mask, x))) for j, x in candidates)
+            j, target = next(((j, t) for j, t in verdicts if t is not None), (None, None))
             if target is not None:
                 J = members[j]
-                if not linalg.row_space_contains(span(i), span(j)):
+                if not inside(j, i):
                     raise RuntimeError(f"member {j} {J!r} does not lie inside {i} {member!r}")
-                report = reports.pop((mask, x), None)
-                generator = cyclic_generator(J, member)
-                steps.append(Witness(i, member, j, J, generator, target, report))
-                break
-        else:
-            step = _first_witness(family, i, [j for j, _ in candidates])
-            if isinstance(step, Witness):
-                raise RuntimeError(
-                    f"member {i} {member!r} has a witness colon by colon, none by orbits"
-                )
-            steps.append(step)
+                steps.append(Witness(i, member, j, J, cyclic_generator(J, member), target))
+                continue
+        step = _first_witness(family, i, [j for j, _ in candidates if inside(j, i)])
+        if move is not None and isinstance(step, Witness):
+            raise RuntimeError(
+                f"member {i} {member!r} has a witness colon by colon, none by orbits"
+            )
+        steps.append(step)
     return steps
 
 

@@ -11,8 +11,8 @@ from conftest import (
     modular_corpus,
     stacked_diamond,
 )
-from joinmeet import koszul
-from joinmeet.hibi import colon_in_H, join_meet_ideal, residue_ideal
+from joinmeet import koszul, linalg
+from joinmeet.hibi import colon_in_H, colon_in_H_by_ideal, join_meet_ideal, residue_ideal
 from joinmeet.koszul import (
     CapExceeded,
     FiltrationSpec,
@@ -159,7 +159,7 @@ def test_diamond_witness_chain_matches_listed_equalities():
 def test_redundant_generator_is_passed_over_for_the_cyclic_one():
     # (x, x + y, y) spans (x, y) with one generator too many; its witness
     # names x + y, the first of its generators outside J = (x), and the
-    # colon is taken by that form
+    # colon, computed again, is taken by that form
     D = diamond()
     fam = filtration(D, [[], ["x"], ["x", "x + y", "y"], ["x", "z"], list(D.labels)])
     rep = verify_filtration(D, fam)
@@ -167,7 +167,7 @@ def test_redundant_generator_is_passed_over_for_the_cyclic_one():
     (w,) = [w for w in rep.witnesses if w.member_index == 2]
     assert (w.j_index, w.colon_member_index) == (1, 3)
     assert str(w.cyclic_generator) == "y + x"
-    assert w.colon.divisors == (w.cyclic_generator,)
+    assert colon_in_H_by_ideal(w.j, w.member).divisors == (w.cyclic_generator,)
 
 
 def test_zero_and_maximal_only_fails_axiom3():
@@ -486,11 +486,26 @@ def _verdicts(rep):
     return rep.passed, witnesses, failures
 
 
+# over chain(3): (c2 + c0) and (c2) share the pivot set {c2}, and only (c2)
+# lies inside (c2, c1); the colon (c2 + c0) : (c2, c1) is not even defined
+SHARED_PIVOT_FAMILY = [[], ["c2 + c0"], ["c2"], ["c2", "c1"], ["c0", "c1", "c2"]]
+
+
+def _chain_sums_family(L):
+    """Every subset of y_i = c_i + c_(i+1) for i < n - 1 and y_(n-1) = c0,
+    over chain(n): distinct leading variables, so 2^n members, each with its
+    own pivot set, and not combinatorial."""
+    n = L.n
+    forms = [f"c{i} + c{i + 1}" for i in range(n - 1)] + ["c0"]
+    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+    return filtration(L, [[forms[i] for i in range(n) if s >> i & 1] for s in subsets])
+
+
 def test_verification_matches_the_scan_reference():
     # the reference scans the whole family for each member's candidates and
-    # computes every colon it tries; verification reads a combinatorial
-    # family's candidates off bitmasks and files each colon under its Aut(L)
-    # orbit, and must report the same witnesses and the same failures
+    # computes every colon it tries; verification looks its candidates up
+    # by pivot set, files a combinatorial family's colons under their Aut(L)
+    # orbits, and must report the same witnesses and the same failures
     from joinmeet.cli import load_filtration
     from oracles import reference_verify_filtration
 
@@ -509,6 +524,8 @@ def test_verification_matches_the_scan_reference():
         (pentagon(), poset_ideal_filtration(pentagon())),
         (diamond(), poset_ideal_filtration(diamond())),
         (chain(3), filtration(chain(3), NON_UNIT_FAMILY)),
+        (chain(3), filtration(chain(3), SHARED_PIVOT_FAMILY)),
+        (chain(4), _chain_sums_family(chain(4))),
     ]
     verdicts = set()
     for L, fam in families:
@@ -566,16 +583,40 @@ def test_poset_ideal_verification_makes_one_colon_per_orbit(monkeypatch, build, 
     assert len(calls) == colons
 
 
-def test_a_witness_filed_through_an_orbit_carries_no_report():
+def test_a_witness_filed_through_an_orbit_carries_no_report(monkeypatch):
+    # fewer colons than witnesses, so some witnesses were filed through an
+    # orbit; each names the form its colon, computed again, is taken by
     L = boolean(3)
     fam = poset_ideal_filtration(L)
+    calls = _count_colons(monkeypatch)
     rep = verify_filtration(L, fam)
     assert rep.passed
-    direct = [w for w in rep.witnesses if w.colon is not None]
-    filed = [w for w in rep.witnesses if w.colon is None]
-    assert direct and filed
-    assert all(w.colon.divisors == (w.cyclic_generator,) for w in direct)
+    assert 0 < len(calls) < len(rep.witnesses)
+    monkeypatch.undo()
+    assert all(
+        colon_in_H_by_ideal(w.j, w.member).divisors == (w.cyclic_generator,)
+        for w in rep.witnesses
+    )
     assert rep.replay(fam)
+
+
+def test_candidates_are_confirmed_inside_once_each(monkeypatch):
+    # each member of the chain(8) sums family has its own pivot set, so a
+    # member of dimension d has d candidates, and each is confirmed inside
+    # it once: 8 * 2^7 = 1,024 containment tests in all, not one per pair
+    L = chain(8)
+    fam = _chain_sums_family(L)
+    calls = []
+    real = linalg.row_space_contains
+
+    def counted(big, small):
+        calls.append(1)
+        return real(big, small)
+
+    monkeypatch.setattr(linalg, "row_space_contains", counted)
+    rep = verify_filtration(L, fam)
+    assert rep.passed and not fam.combinatorial
+    assert len(calls) <= sum(m.dim for m in fam.members) == 1024
 
 
 def test_every_distributive_poset_ideal_family_replays():

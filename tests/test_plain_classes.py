@@ -70,7 +70,6 @@ FIELDS = {
         "j",
         "cyclic_generator",
         "colon_member_index",
-        "colon",
     ),
     Axiom3Failure: ("member_index", "member", "no_candidates", "tried"),
     VerificationReport: (
