@@ -487,7 +487,8 @@ def _verdicts(rep):
 
 
 # over chain(3): (c2 + c0) and (c2) share the pivot set {c2}, and only (c2)
-# lies inside (c2, c1); the colon (c2 + c0) : (c2, c1) is not even defined
+# lies inside (c2, c1); (c2, c1) modulo (c2 + c0) is not cyclic, so the
+# colon (c2 + c0) : (c2, c1) is refused
 SHARED_PIVOT_FAMILY = [[], ["c2 + c0"], ["c2"], ["c2", "c1"], ["c0", "c1", "c2"]]
 
 
