@@ -18,20 +18,9 @@ n lookups per member, not a scan of the family.  Two members can share a
 pivot set, so a candidate is tried only once its span is confirmed inside
 I's on row-reduced spans, and the first whose colon is a member is the
 witness.  A combinatorial family's pivot sets are its variable sets, and
-there each verdict is read from the move memo the search also uses.  An
-automorphism σ of L preserves ∨ and ∧, so it fixes I_L and permutes the
-variables; hence σ(J : I) = σJ : σI, and J : I is generated by variables
-exactly when σ(J : I) is, with σ carrying its variables.  The verdict of
-(S, x), the mask of J : I or None, is therefore filed under the whole
-Aut(L) orbit of (S, x), and a member whose pair was filed from another
-pair's colon takes no colon of its own; its witness names the form
-cyclic_generator chooses by support, as J's span is spanned by variables,
-and only the witness's containment is confirmed.  The generators of Aut(L)
-are checked to preserve ∨ and ∧ before anything is filed, and a member
-with no witness is checked again colon by colon, so its diagnostics are
-those of a scan.  The memo lives for one call, so a replay shares nothing
-with the search it checks.  On the poset-ideal family this takes
-divisor(60) from 49 colons to 37 and boolean(5) from 7,580 to 346.
+there each verdict is read from the move memo the search also uses; a
+member with no witness is checked again colon by colon, so its
+diagnostics are those of a scan.
 
 FiltrationSpec and the verification records (Witness, Axiom3Failure,
 VerificationReport) are plain classes that compare by their fields and do
@@ -49,26 +38,35 @@ surviving move as soon as it is found, so a move whose piece S∖{x} is
 already dead is passed over without a colon; one helper picks a subset's
 first move for the walk, the fixpoint scans and the closure.
 
-For the same reason move(σR, σx) = σ·move(R, x) in the search, where
-move(R, x) is decided by (R∖{x}) : x.  Each colon the search makes is
-filed under the whole orbit of its (subset, variable) pair, walked with
-the generators of Aut(L); the moves, and so the family, are those of the
-search without it.  A certified none on M3-on-M3
-(|Aut| = 36) makes 17 colons: 630 with neither the orbits nor the in-place
-deletion, 158 with the orbits alone and 30 with the deletion alone.  On M_10
-(|Aut| = 10!) it makes 14 colons, and 68 with the deletion alone.
+The search and verification decide a move through one memo, _orbit_moves,
+by one colon: S admits the move x ∈ S when J : I, for J and I the ideals
+of the variables of S∖{x} and S, is generated by variables.  That is axiom
+(3), and J : I = J : x_x.  An automorphism σ of L preserves ∨ and ∧, so it
+fixes I_L and permutes the variables; hence σ(J : I) = σJ : σI, and
+move(σS, σx) = σ·move(S, x).  So the verdict of (S, x), the mask of the
+colon's variables or None, is filed under its whole Aut(L) orbit, walked
+with the generators of Aut(L), each checked first to preserve ∨ and ∧.  A
+member whose pair was filed from another pair's colon takes no colon of its
+own; its witness names the form cyclic_generator chooses by support, and
+only its containment is confirmed.  The memo lives for one call, so a
+replay shares nothing with the search it checks.  A certified none on
+M3-on-M3 (|Aut| = 36) makes 17 colons: 630 with neither the orbits nor the
+in-place deletion, 158 with the orbits alone and 30 with the deletion
+alone; M_10 (|Aut| = 10!) makes 14, and 68 with the deletion alone.  On
+the poset-ideal family the memo takes divisor(60) from 49 colons to 37 and
+boolean(5) from 7,580 to 346.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import linalg
 from .errors import InputError
 from .hibi import (
     ResidueIdeal,
-    colon_in_H,
     colon_in_H_by_ideal,
     cyclic_generator,
-    join_meet_ideal,
     residue_ideal,
     variable_ideal,
 )
@@ -92,7 +90,8 @@ class FiltrationSpec(_Record):
     records whether every member is generated by residue classes of
     variables.  Both are computed from the members, so a family compares
     and prints by its lattice, members and ``combinatorial`` (see
-    poly._Record), and ``keys`` stays out of the repr.
+    poly._Record), and ``keys`` stays out of the repr.  A member over
+    another lattice raises ValueError.
     """
 
     _fields = ("lattice", "members", "combinatorial")
@@ -102,6 +101,8 @@ class FiltrationSpec(_Record):
         self.members = members
         self.keys = {}
         for i, m in enumerate(members):
+            if m.lattice != lattice:
+                raise ValueError(f"member {i} {m!r} is an ideal over another lattice")
             j = self.keys.setdefault(m.semantic_key(), i)
             if j != i:
                 raise MalformedFamily(f"members {j} and {i} present the same ideal {m!r}")
@@ -269,12 +270,7 @@ def _axiom3(family):
     if family.combinatorial:
         # members with one variable set are one ideal, so each set files one
         index_of = {mask: js[0] for mask, js in filed.items()}
-
-        def colon(mask, x):
-            I = members[index_of[mask]]
-            return colon_in_H_by_ideal(members[index_of[mask & ~(1 << x)]], I)
-
-        move = _orbit_moves(L, colon)
+        move = _orbit_moves(L, lambda mask: members[index_of[mask]])
 
     steps = []
     for i, member in enumerate(members):
@@ -360,24 +356,25 @@ def _automorphisms(L):
     return generators
 
 
-def _orbit_moves(L, colon):
+def _orbit_moves(L, ideal):
     """The memoised move(mask, x) for L, on bitmasks of element indices.
 
-    colon(mask, x) is the report of the colon that decides mask's move x;
-    move(mask, x) is the bitmask of that colon's variables when it is
-    generated by variables, else None.  The colon must commute with
-    automorphisms: σ carries the colon of (mask, x) to that of (σmask, σx).
-    Then one colon decides the whole Aut(L) orbit of (mask, x): each
-    generator carries a filed pair and its target to another pair and
-    target, through the generator's image table.  The memo is a union of
-    orbits, so the orbit of a pair outside it is new.
+    ideal(mask) must return an ideal of H[L] over L spanned by the
+    variables of mask, for each mask asked about and each mask ∖ {x}.
+    move(mask, x) decides J : I for J = ideal(mask ∖ {x}) and I =
+    ideal(mask), which is J : x_x: the bitmask of its variables when it is
+    generated by variables, else None.  σ ∈ Aut(L) carries that colon to
+    the colon of (σmask, σx), so one colon decides the whole Aut(L) orbit
+    of (mask, x): each generator carries a filed pair and its target to
+    another pair and target, through the generator's image table.  The memo
+    is a union of orbits, so the orbit of a pair outside it is new.
     """
     generators = [(sigma, _image_table(sigma)) for sigma in _automorphisms(L)]
     moves = {}
 
     def move(mask, x):
         if (mask, x) not in moves:
-            rep = colon(mask, x)
+            rep = colon_in_H_by_ideal(ideal(mask & ~(1 << x)), ideal(mask))
             target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
             moves[(mask, x)] = target
             stack = [(mask, x)]
@@ -394,29 +391,10 @@ def _orbit_moves(L, colon):
     return move
 
 
-def _search_moves(L):
-    """The search's memoised (subset_ideal, move) for L: move(mask, x) is
-    the _orbit_moves verdict of the colon (mask ∖ {x}) : x."""
-    n = L.n
-    variables = join_meet_ideal(L).variables
-    ideal_of = {}
-
-    def subset_ideal(mask):
-        got = ideal_of.get(mask)
-        if got is None:
-            got = ideal_of[mask] = variable_ideal(L, (a for a in range(n) if mask >> a & 1))
-        return got
-
-    def colon(mask, x):
-        return colon_in_H(subset_ideal(mask & ~(1 << x)), variables[x])
-
-    return subset_ideal, _orbit_moves(L, colon)
-
-
 def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     """Search the variable subsets of L for a combinatorial filtration.
 
-    A subset S admits the move x ∈ S when (S∖{x}) : x is again generated by
+    A subset S admits the move x ∈ S when (S∖{x}) : S is again generated by
     variables, with target set T(S, x).  The answer is the greatest fixpoint
     of deleting subsets with no move whose pieces S∖{x} and T(S, x) both
     survive: if the full set survives, the witness closure of {L} plus the
@@ -454,7 +432,8 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
         raise CapExceeded(f"|L| = {n} exceeds the search cap {cap}")
     full = (1 << n) - 1
     everything = range(1 << n)
-    subset_ideal, move = _search_moves(L)
+    subset_ideal = cache(lambda mask: variable_ideal(L, (a for a in range(n) if mask >> a & 1)))
+    move = _orbit_moves(L, subset_ideal)
 
     def first_move(mask, alive):
         """The pieces (rest, target) of mask's first move inside alive."""

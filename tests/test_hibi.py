@@ -557,17 +557,17 @@ def search_colons(name):
     L = REFERENCE_LATTICES[name]()
     reports = []
 
-    def recording(J, f):
-        rep = colon_in_H(J, f)
+    def recording(J, I):
+        rep = colon_in_H_by_ideal(J, I)
         reports.append(rep)
         return rep
 
-    saved = koszul.colon_in_H
-    koszul.colon_in_H = recording
+    saved = koszul.colon_in_H_by_ideal
+    koszul.colon_in_H_by_ideal = recording
     try:
         koszul.search_combinatorial(L)
     finally:
-        koszul.colon_in_H = saved
+        koszul.colon_in_H_by_ideal = saved
     for a in range(L.n):
         J = residue_ideal(L, [L.labels[a]])
         reports.append(colon_in_H(J, J.base.variables[a]))

@@ -12,14 +12,20 @@ from conftest import (
     stacked_diamond,
 )
 from joinmeet import koszul, linalg
-from joinmeet.hibi import colon_in_H, colon_in_H_by_ideal, join_meet_ideal, residue_ideal
+from joinmeet.hibi import (
+    colon_in_H,
+    colon_in_H_by_ideal,
+    join_meet_ideal,
+    residue_ideal,
+    variable_ideal,
+)
 from joinmeet.koszul import (
     CapExceeded,
     FiltrationSpec,
     MalformedFamily,
     filtration,
     poset_ideal_filtration,
-    _search_moves,
+    _orbit_moves,
     search_combinatorial,
     verify_filtration,
 )
@@ -73,6 +79,16 @@ def test_verify_rejects_directly_built_duplicates():
     D = diamond()
     with pytest.raises(MalformedFamily, match="members 0 and 1 present the same ideal"):
         FiltrationSpec(D, (residue_ideal(D, ["x"]), residue_ideal(D, ["2*x"])))
+
+
+def test_a_family_refuses_members_over_another_lattice():
+    # the pentagon's poset ideals are no ideals of H[diamond]; filed under
+    # Aut(diamond), their colons would contradict the scan of them
+    members = poset_ideal_filtration(pentagon()).members
+    with pytest.raises(ValueError, match="member 0 .* over another lattice"):
+        filtration(diamond(), members)
+    with pytest.raises(ValueError, match="over another lattice"):
+        FiltrationSpec(diamond(), (residue_ideal(diamond(), []), members[1]))
 
 
 def test_directly_built_family_derives_combinatorial():
@@ -253,22 +269,22 @@ def test_search_found_iff_distributive_on_modular_corpus():
             assert fam is None, L.labels
 
 
-def _count_moves(monkeypatch):
-    import joinmeet.koszul as koszul
-
+def _count_colons(monkeypatch):
+    """The colons the search and verification make: both decide every move
+    by colon_in_H_by_ideal."""
     calls = []
-    real = koszul.colon_in_H
+    real = koszul.colon_in_H_by_ideal
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(J, I):
+        calls.append((J, I))
+        return real(J, I)
 
-    monkeypatch.setattr(koszul, "colon_in_H", counted)
+    monkeypatch.setattr(koszul, "colon_in_H_by_ideal", counted)
     return calls
 
 
 def test_found_search_makes_one_move_per_member(monkeypatch):
-    calls = _count_moves(monkeypatch)
+    calls = _count_colons(monkeypatch)
     fam = search_combinatorial(divisor_lattice(36))
     assert len(fam.members) == 19
     # at most one per non-zero member, of 511 non-empty subsets; the orbit of
@@ -285,7 +301,7 @@ def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
     # its 1,024 in 12, and the 12-element M3-on-M3 with a chain on top its
     # 4,096 in 62.  The walk on pentagon meets a dead end, so its found
     # search runs the fixpoint too
-    calls = _count_moves(monkeypatch)
+    calls = _count_colons(monkeypatch)
     for L, found, colons in [
         (m3_on_m3(), False, 17),
         (m_lattice(8), False, 12),
@@ -302,7 +318,7 @@ def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
 def test_pentagon_times_a_two_chain_runs_the_fixpoint_and_replays(monkeypatch):
     # data/pentagon_c2.json is not modular; its walk meets a dead end, and
     # the fixpoint's colons include ones that are not linear-generated
-    calls = _count_moves(monkeypatch)
+    calls = _count_colons(monkeypatch)
     L = data_lattice("pentagon_c2")
     assert L.n == 10 and not L.is_modular()
     fam = search_combinatorial(L)
@@ -451,7 +467,7 @@ def test_image_tables_map_every_mask_as_the_bit_loop_does():
 def test_moves_are_equivariant_and_the_orbit_memo_matches_them(build):
     # move(σR, σx) = σ·move(R, x): an automorphism fixes I_L and permutes the
     # variables, so it carries each colon to the colon of the image pair;
-    # the search's memo, which fills whole orbits, agrees with every colon
+    # the memo, which fills whole orbits, agrees with every colon
     L = build()
     generators = L.automorphism_generators()
     assert generators
@@ -468,8 +484,40 @@ def test_moves_are_equivariant_and_the_orbit_memo_matches_them(build):
         for sigma in generators:
             want = None if target is None else _image(sigma, target)
             assert moves[_image(sigma, mask), sigma[x]] == want, (mask, x, sigma)
-    _, move = _search_moves(L)
+    move = _orbit_moves(L, lambda mask: _variables(L, mask))
     assert {pair: move(*pair) for pair in moves} == moves
+
+
+def _variables(L, mask):
+    """A fresh ideal of the variables of mask, as the search builds it."""
+    return variable_ideal(L, [a for a in range(L.n) if mask >> a & 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [diamond, lambda: m_lattice(4), lambda: boolean(3), lambda: divisor_lattice(12)],
+    ids=["diamond", "M_4", "boolean(3)", "divisor(12)"],
+)
+def test_the_memo_gives_one_verdict_on_fresh_ideals_and_on_members(build):
+    # the search hands the memo fresh variable ideals, verification the
+    # members of its family; on the moves between poset ideals, where both
+    # are defined, the two memos must agree
+    L = build()
+    members = {
+        sum(1 << a for a in m.variable_set()): m for m in poset_ideal_filtration(L).members
+    }
+    fresh = _orbit_moves(L, lambda mask: _variables(L, mask))
+    given = _orbit_moves(L, members.__getitem__)
+    pairs = [
+        (mask, x)
+        for mask in members
+        for x in range(L.n)
+        if mask >> x & 1 and mask & ~(1 << x) in members
+    ]
+    assert len(pairs) > L.n
+    verdicts = [fresh(*pair) for pair in pairs]
+    assert verdicts == [given(*pair) for pair in pairs]
+    assert any(v is not None for v in verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +603,6 @@ def test_automorphisms_are_those_of_the_members_lattice():
     assert _verdicts(verify_filtration(diamond(), fam)) == _verdicts(
         verify_filtration(pentagon(), fam)
     )
-
-
-def _count_colons(monkeypatch):
-    calls = []
-    real = koszul.colon_in_H_by_ideal
-
-    def counted(J, I):
-        calls.append((J, I))
-        return real(J, I)
-
-    monkeypatch.setattr(koszul, "colon_in_H_by_ideal", counted)
-    return calls
 
 
 @pytest.mark.parametrize(
