@@ -41,7 +41,9 @@ span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J, and its witness records the same g, chosen
 by cyclic_generator, by support when J's span is spanned by variables and
 by normal forms otherwise.  claim_check reads colon_in_H's report for the
-colon of a poset ideal at one of its maximal elements.
+colon of a poset ideal at one of its maximal elements.  degree2_move reads
+the degree-2 part of a search move's colon off the join and meet tables,
+with no ring: it rejects some moves and names the only target of the rest.
 
 JoinMeetIdeal is a frozen plain class, compared and hashed by its fields
 (poly._Frozen); the reports ResidueColonReport and ClaimReport compare by
@@ -228,9 +230,13 @@ def residue_ideal(L, generators):
 
 def variable_ideal(L, elements):
     """The ideal of H[L] generated by the variables of the given elements,
-    in element order."""
+    in element order; its variable set is those elements, with no echelon
+    form made to read it."""
+    elements = frozenset(elements)
     base = join_meet_ideal(L)
-    return ResidueIdeal(base, [base.variables[e] for e in sorted(elements)])
+    got = ResidueIdeal(base, [base.variables[e] for e in sorted(elements)])
+    got._variables = elements
+    return got
 
 
 def maximal_ideal(L):
@@ -380,6 +386,75 @@ def cyclic_generator(J, I):
         if any(normal_form(h, step) for h in outside[1:]):
             raise ValueError("the colon needs a cyclic I/J")
     return g
+
+
+def degree2_move(L, mask, x):
+    """The degree-2 check of the move x of the variable set mask, read off
+    the join and meet tables alone: None when (I_L, x_A) : x_x, for A = mask
+    ∖ {x}, cannot be generated by variables, else the bitmask of the only
+    variable set it can be generated by.
+
+    The degree-2 part of (I_L, x_A) is spanned by the basic binomials and
+    the products that meet A (Hibi 1987), so the quotient in degree 2 has
+    one basis vector per class of a union-find over the degree-2 monomials
+    outside (x_A) (Eisenbud–Sturmfels 1996): a binomial whose two sides
+    avoid A joins them, and one with exactly one side in (x_A) marks the
+    other side's class zero.  A linear form Σ c_b x_b lies in the colon
+    when Σ c_b x_b x_x is zero there, so the colon's linear part is x_A,
+    x_b for each product x_b x_x in a zero class, and x_b − x_b' for two
+    products in one unmarked class; with such a pair the colon is not
+    generated by variables.  Whether it is (I_L, x_T) for the returned T
+    depends on higher degrees, which only the colon decides.
+
+    A monomial x_a x_b is keyed by the bitmask of {a, b}, unique in degree
+    2, so a side meets A when its key does.  The (ab, (a∨b)(a∧b)) key pairs
+    are built once per lattice and kept in L._cache.
+    """
+    rows = L._cache.get("degree2_rows")
+    if rows is None:
+        join, meet = L._join, L._meet
+        rows = L._cache.setdefault(
+            "degree2_rows",
+            tuple(
+                ((1 << a) | (1 << b), (1 << join[a][b]) | (1 << meet[a][b]))
+                for a, b in L.incomparable_pairs()
+            ),
+        )
+    A = mask & ~(1 << x)
+    parent = {}
+    zero = []
+    for ab, jm in rows:
+        if ab & A:
+            if not jm & A:
+                zero.append(jm)
+        elif jm & A:
+            zero.append(ab)
+        else:
+            while ab in parent:
+                ab = parent[ab]
+            while jm in parent:
+                jm = parent[jm]
+            if ab != jm:
+                parent[ab] = jm
+    dead = set()
+    for k in zero:
+        while k in parent:
+            k = parent[k]
+        dead.add(k)
+    target = A
+    seen = set()
+    for b in range(L.n):
+        if not A >> b & 1:
+            k = 1 << b | 1 << x
+            while k in parent:
+                k = parent[k]
+            if k in dead:
+                target |= 1 << b
+            elif k in seen:
+                return None
+            else:
+                seen.add(k)
+    return target
 
 
 def colon_in_H_by_ideal(J, I):

@@ -49,12 +49,21 @@ with the generators of Aut(L), each checked first to preserve ∨ and ∧.  A
 member whose pair was filed from another pair's colon takes no colon of its
 own; its witness names the form cyclic_generator chooses by support, and
 only its containment is confirmed.  The memo lives for one call, so a
-replay shares nothing with the search it checks.  A certified none on
-M3-on-M3 (|Aut| = 36) makes 17 colons: 630 with neither the orbits nor the
-in-place deletion, 158 with the orbits alone and 30 with the deletion
-alone; M_10 (|Aut| = 10!) makes 14, and 68 with the deletion alone.  On
-the poset-ideal family the memo takes divisor(60) from 49 colons to 37 and
-boolean(5) from 7,580 to 346.
+replay shares nothing with the search it checks.
+
+Before its colon, a move is put to hibi.degree2_move, which reads the
+degree-2 part of (I_L, x_{S∖x}) off the join and meet tables.  When that
+part already puts a difference x_b − x_b' in the colon, the move is invalid
+and its orbit is filed None with no colon; σ carries the tables to
+themselves, so this too is exact under Aut(L).  Otherwise the check names
+the only variable set the colon can have, and a colon generated by other
+variables is an internal error (RuntimeError).  A certified none on
+M3-on-M3 (|Aut| = 36) makes 15 colons, 17 without the check; without it
+there were 630 with neither the orbits nor the in-place deletion, 158 with
+the orbits alone and 30 with the deletion alone.  M_10 (|Aut| = 10!) makes
+13 (14 without the check, 68 with the deletion alone).  On the poset-ideal
+family the memo takes divisor(60) from 49 colons to 37 and boolean(5) from
+7,580 to 346; the check rejects nothing on a distributive lattice.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ from .hibi import (
     ResidueIdeal,
     colon_in_H_by_ideal,
     cyclic_generator,
+    degree2_move,
     residue_ideal,
     variable_ideal,
 )
@@ -367,15 +377,25 @@ def _orbit_moves(L, ideal):
     the colon of (σmask, σx), so one colon decides the whole Aut(L) orbit
     of (mask, x): each generator carries a filed pair and its target to
     another pair and target, through the generator's image table.  The memo
-    is a union of orbits, so the orbit of a pair outside it is new.
+    is a union of orbits, so the orbit of a pair outside it is new.  A move
+    that degree2_move rejects is filed None with no colon; the colon of any
+    other must be generated by the variables the check names, or by none.
     """
     generators = [(sigma, _image_table(sigma)) for sigma in _automorphisms(L)]
     moves = {}
 
     def move(mask, x):
         if (mask, x) not in moves:
-            rep = colon_in_H_by_ideal(ideal(mask & ~(1 << x)), ideal(mask))
-            target = sum(1 << a for a in rep.variables) if rep.variable_generated else None
+            target = degree2_move(L, mask, x)
+            if target is not None:
+                rep = colon_in_H_by_ideal(ideal(mask & ~(1 << x)), ideal(mask))
+                got = sum(1 << a for a in rep.variables) if rep.variable_generated else None
+                if got not in (None, target):
+                    raise RuntimeError(
+                        f"the colon of move {x} of {mask:#x} has variables {got:#x}, "
+                        f"the degree-2 check {target:#x}"
+                    )
+                target = got
             moves[(mask, x)] = target
             stack = [(mask, x)]
             while stack:
@@ -423,7 +443,7 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     there.  A move whose piece S∖{x} is already dead is skipped without a
     colon, so deaths cascade up the masks.  The memo files each colon's
     verdict under the whole Aut(L) orbit of its move, so it makes one colon
-    per orbit.
+    per orbit, and none for an orbit the degree-2 check rejects.
     """
     n = L.n
     if cap < 1:

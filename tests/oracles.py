@@ -5,8 +5,10 @@ subsets, Macaulay-matrix linear algebra with its own row reduction, and a
 generator for every naturally labeled poset on up to six elements.  None of
 it shares code with the engine paths it cross-checks, except the reference
 verifier, which takes each colon from the engine and checks only the
-verification around it, and the membership query stream, which builds its
-polynomials with the engine's arithmetic and takes its answers from theory.
+verification around it, the degree-2 cross-check, which sets the engine's
+colons and degree-2 check against an oracle that reads only the join and
+meet tables, and the membership query stream, which builds its polynomials
+with the engine's arithmetic and takes its answers from theory.
 The module imports no test framework, so a plain interpreter can run it.
 """
 
@@ -252,6 +254,88 @@ def reference_verify_filtration(family):
     has_zero = any(not span for span in spans)
     has_maximal = any(len(span) == nvars for span in spans)
     return has_zero and has_maximal and not failures, witnesses, failures
+
+
+# ---------------------------------------------------------------------------
+# the degree-2 part of a move's colon, from the join and meet tables
+
+
+def degree2_oracle(L, A, x):
+    """The variable set the colon (I_L, x_A) : x_x can be generated by, read
+    in degree 2 from L.join and L.meet alone, or None when its degree-2 part
+    shows it is not generated by variables.
+
+    The monomials x_a x_b are the sorted pairs (a, b).  Pairs with an
+    element of A are zero.  Every binomial ab - (a∨b)(a∧b) equates its two
+    sides, so a side is zero when it is joined, through such equalities, to
+    a pair with an element of A.  A linear form l lies in the colon in
+    degree 1 when l·x_x is zero modulo these, so b joins the set when the
+    pair (b, x) is zero, and two b whose pairs with x are equal and nonzero
+    put x_b - x_b' in the colon, which no set of variables spans.
+    """
+    A = set(A)
+    parent = {}
+
+    def root(p):
+        while parent.get(p, p) != p:
+            p = parent[p]
+        return p
+
+    def pair(a, b):
+        return (min(a, b), max(a, b))
+
+    for a in range(L.n):
+        for b in range(a + 1, L.n):
+            left, right = pair(a, b), pair(L.join(a, b), L.meet(a, b))
+            if left != right:
+                parent[root(left)] = root(right)
+    zero = {root(pair(a, b)) for a in A for b in range(L.n)}
+    target = set(A)
+    classes = {}
+    for b in range(L.n):
+        if b in A:
+            continue
+        r = root(pair(b, x))
+        if r in zero:
+            target.add(b)
+        elif r in classes:
+            return None
+        else:
+            classes[r] = b
+    return frozenset(target)
+
+
+def degree2_cross_check(lattices):
+    """Every move (S, x) of every lattice given, decided three ways: by the
+    engine's colon_in_H_by_ideal, by degree2_oracle and by the engine's own
+    degree-2 check.  A colon generated by variables must have the oracle's
+    set, an oracle None must be a colon not generated by variables, and the
+    engine's check must equal the oracle.  Raises AssertionError on the
+    first disagreement; returns (moves, invalid moves, invalid moves the
+    oracle rejects)."""
+    from joinmeet.hibi import colon_in_H_by_ideal, degree2_move, variable_ideal
+
+    moves = invalid = rejected = 0
+    for L in lattices:
+        for mask in range(1, 1 << L.n):
+            S = {a for a in range(L.n) if mask >> a & 1}
+            I = variable_ideal(L, S)
+            for x in sorted(S):
+                A = S - {x}
+                expected = degree2_oracle(L, A, x)
+                engine = degree2_move(L, mask, x)
+                engine = None if engine is None else {a for a in range(L.n) if engine >> a & 1}
+                report = colon_in_H_by_ideal(variable_ideal(L, A), I)
+                where = f"{L.labels} S={sorted(S)} x={x}"
+                if engine != expected:
+                    raise AssertionError(f"{where}: engine check {engine}, oracle {expected}")
+                if report.variable_generated and report.variables != expected:
+                    raise AssertionError(f"{where}: colon {report.variables}, oracle {expected}")
+                moves += 1
+                if not report.variable_generated:
+                    invalid += 1
+                    rejected += expected is None
+    return moves, invalid, rejected
 
 
 # ---------------------------------------------------------------------------

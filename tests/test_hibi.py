@@ -10,6 +10,7 @@ from conftest import (
     cold_copy,
     corpus,
     distributive_corpus,
+    enumerated_lattices,
     m3_on_m3,
     small_corpus,
     stacked_diamond,
@@ -243,12 +244,59 @@ def test_variable_ideal_equals_the_ideal_of_parsed_labels(field):
                 assert got.variable_set() == frozenset(subset)
 
 
+def test_variable_ideal_knows_its_variable_set_without_an_echelon_form():
+    # variable_ideal is handed its elements, so variable_set() reads them
+    # (any iterable, a one-shot generator too) and makes no span; the set
+    # is the one residue_ideal reads off the parsed labels' echelon form
+    for L in corpus():
+        for size in range(L.n + 1):
+            for subset in combinations(range(L.n), size):
+                got = variable_ideal(L, (a for a in subset))
+                assert got.variable_set() == frozenset(subset)
+                assert got._span is None
+                want = residue_ideal(L, [L.labels[a] for a in subset])
+                assert got.variable_set() == want.variable_set()
+
+
 def test_elements_of_refuses_forms_that_are_not_variables():
     D = diamond()
     R = lattice_ring(D)
     assert hibi._elements_of(D, []) == frozenset()
     for text in ("y - z", "2*x", "x + y"):
         assert hibi._elements_of(D, [R.var("x"), R.parse(text)]) is None
+
+
+# ---------------------------------------------------------------------------
+# the degree-2 move check
+
+
+def test_the_degree2_check_agrees_with_the_oracle_and_every_colon():
+    # every (S, x) of the 51 labelled lattices of at most 6 elements: each
+    # colon generated by variables has the oracle's set, each move the oracle
+    # rejects has a colon not generated by variables, and the engine's check
+    # equals the oracle, which reads only L.join and L.meet
+    lattices = enumerated_lattices(6)
+    assert len(lattices) == 51
+    assert oracles.degree2_cross_check(lattices) == (8129, 206, 82)
+
+
+def test_the_degree2_check_reads_only_the_lattice_tables():
+    # M3-on-M3's annihilators 0 : x_x and 0 : x_p are rejected: in degree 2
+    # the colon holds a difference of two atoms' variables.  The check
+    # builds no ring, and its table lives in L._cache, freed with L
+    L = m3_on_m3()
+    for label in ("x", "p"):
+        x = L.index(label)
+        assert hibi.degree2_move(L, 1 << x, x) is None
+    assert set(L._cache) == {"degree2_rows"}
+    assert len(L._cache["degree2_rows"]) == len(L.incomparable_pairs())
+    # in boolean(2) the move b of {o, a, b} has the colon (o, a) : b = (o, a),
+    # and the check names that set
+    B = boolean(2)
+    o, a, b = (B.index(label) for label in ("o", "a", "b"))
+    assert hibi.degree2_move(B, 1 << o | 1 << a | 1 << b, b) == 1 << o | 1 << a
+    rep = colon_in_H_by_ideal(variable_ideal(B, {o, a}), variable_ideal(B, {o, a, b}))
+    assert rep.variables == {o, a}
 
 
 # ---------------------------------------------------------------------------

@@ -294,21 +294,21 @@ def test_found_search_makes_one_move_per_member(monkeypatch):
 
 
 def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
-    # one colon decides each move's whole orbit under Aut(L), and the
-    # fixpoint deletes a subset as soon as it has no surviving move, so a
-    # move whose piece S \ {x} is already dead takes no colon: M3-on-M3
-    # (|Aut| = 36) decides its 512 subsets in 17 colons, M_8 (|Aut| = 8!)
-    # its 1,024 in 12, and the 12-element M3-on-M3 with a chain on top its
-    # 4,096 in 62.  The walk on pentagon meets a dead end, so its found
-    # search runs the fixpoint too
+    # one colon decides each move's whole orbit under Aut(L), the fixpoint
+    # deletes a subset as soon as it has no surviving move, so a move whose
+    # piece S \ {x} is already dead takes no colon, and a move the degree-2
+    # check rejects takes none either: M3-on-M3 (|Aut| = 36) decides its 512
+    # subsets in 15 colons, M_8 (|Aut| = 8!) its 1,024 in 11, and the
+    # 12-element M3-on-M3 with a chain on top its 4,096 in 46.  The walk on
+    # pentagon meets a dead end, so its found search runs the fixpoint too
     calls = _count_colons(monkeypatch)
     for L, found, colons in [
-        (m3_on_m3(), False, 17),
-        (m_lattice(8), False, 12),
-        (data_lattice("m3_on_m3_chain"), False, 62),
-        (stacked_diamond(), False, 21),
-        (diamond(), False, 7),
-        (pentagon(), True, 30),
+        (m3_on_m3(), False, 15),
+        (m_lattice(8), False, 11),
+        (data_lattice("m3_on_m3_chain"), False, 46),
+        (stacked_diamond(), False, 17),
+        (diamond(), False, 6),
+        (pentagon(), True, 29),
     ]:
         calls.clear()
         assert (search_combinatorial(L) is not None) == found, L
@@ -322,7 +322,7 @@ def test_pentagon_times_a_two_chain_runs_the_fixpoint_and_replays(monkeypatch):
     L = data_lattice("pentagon_c2")
     assert L.n == 10 and not L.is_modular()
     fam = search_combinatorial(L)
-    assert len(calls) == 792
+    assert len(calls) == 742
     rep = verify_filtration(L, fam)
     assert rep.passed and rep.replay(fam)
 
@@ -678,6 +678,30 @@ def _swap_bottom_and_an_atom(L):
     sigma = list(range(L.n))
     sigma[0], sigma[1] = 1, 0
     return (tuple(sigma),)
+
+
+def test_a_colon_that_contradicts_the_degree2_check_is_an_internal_error(monkeypatch, capsys):
+    # the degree-2 check names the only variable set a move's colon can
+    # have; a colon generated by other variables means the engine or the
+    # check is wrong, which must never come out as a verdict (exit 1)
+    import json
+
+    from joinmeet import cli
+
+    check = koszul.degree2_move
+
+    def wrong(L, mask, x):
+        got = check(L, mask, x)
+        return None if got is None else got ^ 1 << x
+
+    monkeypatch.setattr(koszul, "degree2_move", wrong)
+    with pytest.raises(RuntimeError, match="degree-2 check"):
+        search_combinatorial(divisor_lattice(36))
+    argv = ["filtration", "search", "--builtin", "divisor", "--n", "36", "--format", "json"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["kind"] == "internal"
+    assert "degree-2 check" in err
 
 
 def test_a_map_that_is_no_automorphism_is_an_internal_error(monkeypatch, capsys):
