@@ -422,13 +422,13 @@ def degree2_move(L, mask, x):
         )
     A = mask & ~(1 << x)
     parent = {}
-    zero = []
+    marked = []
     for ab, jm in rows:
         if ab & A:
             if not jm & A:
-                zero.append(jm)
+                marked.append(jm)
         elif jm & A:
-            zero.append(ab)
+            marked.append(ab)
         else:
             while ab in parent:
                 ab = parent[ab]
@@ -436,11 +436,11 @@ def degree2_move(L, mask, x):
                 jm = parent[jm]
             if ab != jm:
                 parent[ab] = jm
-    dead = set()
-    for k in zero:
+    zero = set()
+    for k in marked:
         while k in parent:
             k = parent[k]
-        dead.add(k)
+        zero.add(k)
     target = A
     seen = set()
     for b in range(L.n):
@@ -448,7 +448,7 @@ def degree2_move(L, mask, x):
             k = 1 << b | 1 << x
             while k in parent:
                 k = parent[k]
-            if k in dead:
+            if k in zero:
                 target |= 1 << b
             elif k in seen:
                 return None
