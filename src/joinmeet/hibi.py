@@ -44,6 +44,12 @@ by normal forms otherwise.  claim_check reads colon_in_H's report for the
 colon of a poset ideal at one of its maximal elements.  degree2_move reads
 the degree-2 part of a search move's colon off the join and meet tables,
 with no ring: it rejects some moves and names the only target of the rest.
+Modulo I_L, x_a·x_b ≡ x_{a∨b}·x_{a∧b}, so the degree-2 classes are the
+fibres of (a, b) ↦ (a∨b, a∧b), and a move is rejected when two products
+x_b·x_x share a class that is not zero.  Hence the check rejects some move
+of L iff L is not distributive: L is distributive iff b∨x = b'∨x and
+b∧x = b'∧x force b = b' (Birkhoff), and where that fails, b and b' are
+incomparable to x and the move ({x}, x) puts x_b − x_b' in 0 : x_x.
 
 JoinMeetIdeal is a frozen plain class, compared and hashed by its fields
 (poly._Frozen); the reports ResidueColonReport and ClaimReport compare by
@@ -340,19 +346,11 @@ def _substituted_basis(J, f):
     if len(f.terms) != 1:
         return False
     L = J.lattice
-    # J's variable set, read from the split of its lift, which the colon
-    # makes next anyway, rather than from a second echelon form of its span
-    A = _elements_of(L, J.lift._split[0])
+    A = J.variable_set()
     if A is None:
         return False
     e = L.linear_extension[f.terms[0][0].index(1)]
-    lower = L._lower
-    return (
-        e not in A
-        and lower[e] <= A
-        and all(lower[a] <= A for a in A)
-        and L.is_distributive()
-    )
+    return e not in A and L._lower[e] <= A and L.is_poset_ideal(A) and L.is_distributive()
 
 
 def cyclic_generator(J, I):
@@ -395,60 +393,48 @@ def degree2_move(L, mask, x):
     variable set it can be generated by.
 
     The degree-2 part of (I_L, x_A) is spanned by the basic binomials and
-    the products that meet A (Hibi 1987), so the quotient in degree 2 has
-    one basis vector per class of a union-find over the degree-2 monomials
-    outside (x_A) (Eisenbud–Sturmfels 1996): a binomial whose two sides
-    avoid A joins them, and one with exactly one side in (x_A) marks the
-    other side's class zero.  A linear form Σ c_b x_b lies in the colon
-    when Σ c_b x_b x_x is zero there, so the colon's linear part is x_A,
-    x_b for each product x_b x_x in a zero class, and x_b − x_b' for two
-    products in one unmarked class; with such a pair the colon is not
-    generated by variables.  Whether it is (I_L, x_T) for the returned T
-    depends on higher degrees, which only the colon decides.
+    the products that meet A (Hibi 1987).  Each binomial ab − (a∨b)(a∧b)
+    joins an incomparable product to a comparable one, so the classes of
+    the degree-2 monomials modulo I_L are the fibres of (a, b) ↦ (a∨b, a∧b):
+    one comparable product and the incomparable ones with its join and
+    meet.  Modulo x_A too, a class is zero when one of its products meets
+    A.  A linear form Σ c_b x_b lies in the colon when Σ c_b x_b x_x is zero
+    there, so the colon's linear part is x_A, x_b for each product x_b x_x
+    in a zero class, and x_b − x_b' for two products in one nonzero class;
+    with such a pair the colon is not generated by variables.  Whether it
+    is (I_L, x_T) for the returned T depends on higher degrees, which only
+    the colon decides.
+
+    So the check rejects some move of L iff L is not distributive.  A
+    lattice is distributive iff b∨x = b'∨x and b∧x = b'∧x force b = b'
+    (Birkhoff, Lattice Theory), and the products x_b x_x and x_b' x_x share
+    a class iff b and b' share that join and meet with x.  If the law fails
+    at x with b ≠ b', both are incomparable to x, and the move ({x}, x) puts
+    x_b − x_b' in 0 : x_x.
 
     A monomial x_a x_b is keyed by the bitmask of {a, b}, unique in degree
-    2, so a side meets A when its key does.  The (ab, (a∨b)(a∧b)) key pairs
-    are built once per lattice and kept in L._cache.
+    2.  The fibre table maps the key of each comparable product (a∨b)(a∧b)
+    to the union of the keys of its incomparable products; it is built once
+    per lattice and kept in L._cache.  The key of the comparable product in
+    x_b x_x's class is 1 << b∨x | 1 << b∧x, for b comparable to x and for
+    b = x too.
     """
-    rows = L._cache.get("degree2_rows")
-    if rows is None:
+    fibres = L._cache.get("degree2_fibres")
+    if fibres is None:
         join, meet = L._join, L._meet
-        rows = L._cache.setdefault(
-            "degree2_rows",
-            tuple(
-                ((1 << a) | (1 << b), (1 << join[a][b]) | (1 << meet[a][b]))
-                for a, b in L.incomparable_pairs()
-            ),
-        )
+        table = {}
+        for a, b in L.incomparable_pairs():
+            k = 1 << join[a][b] | 1 << meet[a][b]
+            table[k] = table.get(k, 0) | 1 << a | 1 << b
+        fibres = L._cache.setdefault("degree2_fibres", table)
     A = mask & ~(1 << x)
-    parent = {}
-    marked = []
-    for ab, jm in rows:
-        if ab & A:
-            if not jm & A:
-                marked.append(jm)
-        elif jm & A:
-            marked.append(ab)
-        else:
-            while ab in parent:
-                ab = parent[ab]
-            while jm in parent:
-                jm = parent[jm]
-            if ab != jm:
-                parent[ab] = jm
-    zero = set()
-    for k in marked:
-        while k in parent:
-            k = parent[k]
-        zero.add(k)
+    join, meet = L._join[x], L._meet[x]
     target = A
     seen = set()
     for b in range(L.n):
         if not A >> b & 1:
-            k = 1 << b | 1 << x
-            while k in parent:
-                k = parent[k]
-            if k in zero:
+            k = 1 << join[b] | 1 << meet[b]
+            if k & A or fibres.get(k, 0) & A:
                 target |= 1 << b
             elif k in seen:
                 return None

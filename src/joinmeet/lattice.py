@@ -63,6 +63,8 @@ class Lattice:
             raise NotALattice("a lattice needs at least one element")
         if len(set(labels)) != len(labels):
             raise InputError("labels must be distinct")
+        if "" in labels:
+            raise InputError("labels must not be empty")
         n = len(labels)
         self.labels = labels
 
@@ -117,9 +119,8 @@ class Lattice:
         canon = []
         for b in range(n):
             for a in down[b]:
-                if a == b:
-                    continue
-                if not any(c != a and c != b and a in down[c] and c in down[b] for c in down[b]):
+                # b covers a when the interval [a, b] is {a, b}
+                if len(down[b] & up[a]) == 2:
                     canon.append((a, b))
         self.covers = tuple(sorted(canon))
         self._hash = hash((labels, self.covers))
@@ -421,8 +422,9 @@ class Lattice:
         return ideals
 
     def is_poset_ideal(self, members):
-        members = set(members)
-        return all(u in members for v in members for u in self._down[v])
+        # down-closed iff closed under lower covers, by induction on the order
+        members = frozenset(members)
+        return all(self._lower[v] <= members for v in members)
 
     def poset_ideal(self, members):
         members = frozenset(members)

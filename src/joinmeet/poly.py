@@ -261,6 +261,8 @@ class Ring(_Frozen):
     def __init__(self, names, order):
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
+        if "" in names:
+            raise ValueError("variable names must not be empty")
         if len(order.priority) != len(names):
             raise ValueError("order priority size must match variable count")
         d = self.__dict__

@@ -279,13 +279,18 @@ def test_oversized_coefficient_is_an_input_error(capsys):
     assert err.startswith("error:") and "bits" in err and "Traceback" not in err
 
 
-def test_closed_stdout_pipe_ends_quietly():
+def _cli_env():
+    """The environment for a joinmeet.cli subprocess: this checkout's src
+    first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_closed_stdout_pipe_ends_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "joinmeet.cli", "posetideals", "--builtin", "boolean", "--n", "5"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     assert proc.stdout.readline() == b"7581 poset ideals:\n"
     proc.stdout.close()
@@ -294,6 +299,21 @@ def test_closed_stdout_pipe_ends_quietly():
     proc.stderr.close()
     assert code not in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err
+
+
+def test_an_empty_label_is_an_input_error(tmp_path):
+    # "" would match at every position of a polynomial's text without
+    # advancing, so reading --by would grow its token list without end;
+    # the lattice refuses the label before any polynomial is read
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"elements": ["", "a"], "covers": [["", "a"]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "joinmeet.cli", "colon", "--input", str(path), "--by", "2c"],
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "must not be empty" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_oversized_builtin_is_refused_at_once(capsys):

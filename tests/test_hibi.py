@@ -280,6 +280,21 @@ def test_the_degree2_check_agrees_with_the_oracle_and_every_colon():
     assert oracles.degree2_cross_check(lattices) == (8129, 206, 82)
 
 
+def test_the_degree2_check_rejects_a_move_iff_the_lattice_is_not_distributive():
+    # x_b x_x and x_b' x_x share a degree-2 class iff b and b' have the same
+    # join and meet with x, so the moves ({x}, x) find every failure of
+    # Birkhoff's cancellation law, and a distributive lattice, where the law
+    # holds, has no move the check rejects
+    for L in [*enumerated_lattices(6), boolean(4), divisor_lattice(60)]:
+        singletons = [hibi.degree2_move(L, 1 << x, x) for x in range(L.n)]
+        assert L.is_distributive() == (None not in singletons), L.labels
+        if L.is_distributive():
+            for mask in range(1, 1 << L.n):
+                for x in range(L.n):
+                    if mask >> x & 1:
+                        assert hibi.degree2_move(L, mask, x) is not None, (L.labels, mask, x)
+
+
 def test_the_degree2_check_reads_only_the_lattice_tables():
     # M3-on-M3's annihilators 0 : x_x and 0 : x_p are rejected: in degree 2
     # the colon holds a difference of two atoms' variables.  The check
@@ -288,8 +303,9 @@ def test_the_degree2_check_reads_only_the_lattice_tables():
     for label in ("x", "p"):
         x = L.index(label)
         assert hibi.degree2_move(L, 1 << x, x) is None
-    assert set(L._cache) == {"degree2_rows"}
-    assert len(L._cache["degree2_rows"]) == len(L.incomparable_pairs())
+    assert set(L._cache) == {"degree2_fibres"}
+    fibres = {(L.join(a, b), L.meet(a, b)) for a, b in L.incomparable_pairs()}
+    assert len(L._cache["degree2_fibres"]) == len(fibres)
     # in boolean(2) the move b of {o, a, b} has the colon (o, a) : b = (o, a),
     # and the check names that set
     B = boolean(2)

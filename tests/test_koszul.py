@@ -704,6 +704,36 @@ def test_a_colon_that_contradicts_the_degree2_check_is_an_internal_error(monkeyp
     assert "degree-2 check" in err
 
 
+@pytest.mark.parametrize(
+    "module, name, broken, message",
+    [
+        (linalg, "row_space_contains", lambda rows, other: False, "does not lie inside"),
+        (koszul, "_orbit_moves", lambda L, ideal: lambda mask, x: None, "none by orbits"),
+    ],
+    ids=["witness-outside-its-member", "memo-files-none"],
+)
+def test_an_orbit_verdict_that_contradicts_a_colon_is_an_internal_error(
+    monkeypatch, capsys, module, name, broken, message
+):
+    # axiom (3) reads a combinatorial family's witnesses from the move memo;
+    # a witness whose span lies outside its member, or a member the memo
+    # gives no witness that a direct colon finds, means the engine is wrong,
+    # which must never come out as a verdict (exit 1)
+    import json
+
+    from joinmeet import cli
+
+    monkeypatch.setattr(module, name, broken)
+    L = boolean(2)
+    with pytest.raises(RuntimeError, match=message):
+        verify_filtration(L, poset_ideal_filtration(L))
+    argv = ["posetideals", "--builtin", "boolean", "--n", "2", "--verify", "--format", "json"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["kind"] == "internal"
+    assert message in err
+
+
 def test_a_map_that_is_no_automorphism_is_an_internal_error(monkeypatch, capsys):
     # element 0 is the bottom of divisor(12) and element 1 an atom, so the
     # swap preserves neither join nor meet; filing a colon under its orbit

@@ -415,8 +415,9 @@ def test_poset_ideals_stop_past_the_bound(monkeypatch):
         (lambda: Lattice(["a", "a"], []), "labels must be distinct"),
         (lambda: Lattice(["a", "b"], [(0, 2)]), r"cover pair \(0, 2\) out of range"),
         (lambda: divisor_lattice(0), "n must be positive"),
+        (lambda: Lattice(["", "a"], [(0, 1)]), "labels must not be empty"),
     ],
-    ids=["duplicate-labels", "cover-out-of-range", "divisor-0"],
+    ids=["duplicate-labels", "cover-out-of-range", "divisor-0", "empty-label"],
 )
 def test_malformed_lattice_input_is_an_input_error(build, message):
     with pytest.raises(InputError, match=message):

@@ -374,6 +374,13 @@ def test_mixed_rings_rejected(R):
         R.var("x") + other.var("x")
 
 
+def test_a_ring_refuses_an_empty_variable_name():
+    # the reader tries names longest first, and "" matches at every position
+    # without advancing, so a ring with it could never read a polynomial
+    with pytest.raises(ValueError, match="must not be empty"):
+        Ring(("", "x"), degrevlex(2))
+
+
 # ---------------------------------------------------------------------------
 # the ring's monomial table: one exponent tuple per monomial
 
