@@ -86,7 +86,13 @@ that colon is generated by I's nonlinear generators and its linear part, it
 is C = I.with_linear((I : l)_1), whose cached reduced basis is returned with
 no second Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon
 report reads next.  intersect and the colon take an Ideal, never a bare
-generator list.
+generator list.  The Ideal keeps, in _colons, the reduced basis of I : l for
+each form l that intersect has taken it by, so a second colon of one Ideal
+object by one form computes nothing (the replay of a search takes its colons
+on the search's own members), and colon_element reads the colon there
+instead of dividing intersect's products back by l.  The map is keyed by the
+form alone and freed with its Ideal; a ring-level map keyed by (generator
+set, form) would keep a frozenset of generators alive per key.
 
 A caller that knows more than the engine may skip the x-last Buchberger run:
 colon_element, intersect and the colon take substituted_basis, off by
@@ -151,6 +157,12 @@ class Ideal(_Frozen):
     def _split(self):
         """_split_linear of the generators, kept for every colon by a form."""
         return _split_linear(self.generators)
+
+    @cached_property
+    def _colons(self):
+        """The reduced basis of I : l for each linear form l that intersect
+        has divided this ideal by, keyed by the form."""
+        return {}
 
     @cached_property
     def _nonlinear(self):
@@ -667,10 +679,12 @@ def ideal_equal(I, J):
 
 def intersect(I, J, *, substituted_basis=False):
     """I ∩ (l) for a homogeneous Ideal I and the Ideal J = (l) of one linear
-    form l: l times the reduced basis of I : l (_colon_by_linear_form), which
-    is registered in the ring's cache as the basis of the colon.  Any other
-    pair raises ValueError.  substituted_basis is passed to the colon (see
-    the module docstring).
+    form l: l times the reduced basis of I : l.  That basis is kept in
+    I._colons under l; only a form not yet there runs
+    _colon_by_linear_form, whose basis is also registered in the ring's
+    cache as the basis of the colon.  Any other pair raises ValueError.
+    substituted_basis is passed to the colon (see the module docstring); it
+    is not part of the key, since both routes give the one reduced basis.
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
@@ -680,8 +694,11 @@ def intersect(I, J, *, substituted_basis=False):
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
     l = J.generators[0]
-    colon = _colon_by_linear_form(I, l, substituted_basis=substituted_basis)
-    ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
+    colons = I._colons
+    colon = colons.get(l)
+    if colon is None:
+        colon = colons[l] = _colon_by_linear_form(I, l, substituted_basis=substituted_basis)
+        ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
     return ideal(ring, tuple(l * g for g in colon.basis))
 
 
@@ -776,14 +793,15 @@ def _colon_by_linear_form(I, l, *, substituted_basis=False):
 
 def colon_element(I, f, *, substituted_basis=False):
     """I : f = { g : g·f ∈ I } for a homogeneous I and a linear form f,
-    computed as (1/f) · (I ∩ (f)).
+    which is (1/f) · (I ∩ (f)).
 
-    intersect's generators are f times the reduced basis of the colon, so the
-    quotients here are that basis and the cache already holds it.  Any other
-    I or f raises ValueError, as in intersect.  substituted_basis is passed
-    to the colon (see the module docstring).
+    intersect's generators are f times the reduced basis of the colon, which
+    intersect keeps in I._colons under f, so that basis is read there, not
+    divided back out of the products, and the ring's cache already holds
+    it.  Any other I or f raises ValueError, as in intersect.
+    substituted_basis is passed to the colon (see the module docstring).
     """
     if not f:
         raise ZeroDivisorArgument("colon by the zero polynomial")
-    inter = intersect(I, ideal(I.ring, (f,)), substituted_basis=substituted_basis)
-    return ideal(I.ring, tuple(divide_exact(g, f) for g in inter.generators))
+    intersect(I, ideal(I.ring, (f,)), substituted_basis=substituted_basis)
+    return ideal(I.ring, I._colons[f].basis)

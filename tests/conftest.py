@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from joinmeet import groebner
 from joinmeet.hibi import join_meet_ideal
 from joinmeet.lattice import (
     Lattice,
@@ -79,6 +80,21 @@ def cold_copy(L):
     copy = Lattice(L.labels, L.covers)
     assert copy == L and not join_meet_ideal(copy).ring._bases
     return copy
+
+
+def count_computed_colons(monkeypatch):
+    """The list of colons the engine computes from here on, one entry per
+    run of groebner._colon_by_linear_form: a colon kept on its ideal (see
+    groebner.intersect) is read again, not computed."""
+    runs = []
+    real = groebner._colon_by_linear_form
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_colon_by_linear_form", counted)
+    return runs
 
 
 def enumerated_lattices(max_n):

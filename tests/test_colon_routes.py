@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cold_copy, enumerated_lattices, m3_on_m3
+from conftest import cold_copy, count_computed_colons, enumerated_lattices, m3_on_m3
 from joinmeet import groebner, hibi
 from joinmeet.groebner import (
     GroebnerBasis,
@@ -41,6 +41,7 @@ from joinmeet.groebner import (
     divide_exact,
     groebner_basis,
     ideal,
+    intersect,
     normal_form,
     reduce_basis,
 )
@@ -382,6 +383,38 @@ def test_gate_refuses_a_move_where_skipping_would_be_wrong(L, a, e, added):
     given, full = _x_last_basis(J, x)
     assert len(full) - len(given) == added
     assert full[: len(given)] == given
+
+
+def test_kept_colon_matches_the_products_divided_back(monkeypatch):
+    # every move (A, x) of the 51 labelled lattices of at most 6 elements,
+    # A any set of elements and x outside it: colon_element reads the basis
+    # intersect keeps on the ideal, and it must equal intersect's products
+    # divided back by f, generator for generator.  That older route runs on
+    # a second cold copy, so it computes its own colon, and a second
+    # colon_element on one ideal computes none
+    lattices = enumerated_lattices(6)
+    assert len(lattices) == 51
+    runs = count_computed_colons(monkeypatch)
+    moves = 0
+    for L in lattices:
+        fast, slow = join_meet_ideal(cold_copy(L)), join_meet_ideal(cold_copy(L))
+        for mask in range(1 << L.n):
+            A = [a for a in range(L.n) if mask >> a & 1]
+            I = fast.ideal.with_linear(fast.variables[a] for a in A)
+            K = slow.ideal.with_linear(slow.variables[a] for a in A)
+            for x in range(L.n):
+                if mask >> x & 1:
+                    continue
+                moves += 1
+                f, g = fast.variables[x], slow.variables[x]
+                runs.clear()
+                got = colon_element(I, f).generators
+                assert len(runs) == 1, (L, mask, x)
+                assert colon_element(I, f).generators == got, (L, mask, x)
+                assert len(runs) == 1, (L, mask, x)
+                inter = intersect(K, ideal(K.ring, (g,)))
+                assert got == tuple(divide_exact(h, g) for h in inter.generators), (L, mask, x)
+    assert moves == 8129
 
 
 def test_colon_report_reads_the_basis_the_colon_cached(monkeypatch):

@@ -282,6 +282,21 @@ def test_colon_bidirectional_contract_sampled(R, IL):
         assert ideal_member(g, c) == ideal_member(g * f, IL)
 
 
+def test_kept_colons_live_and_die_with_their_ideal():
+    # intersect keeps I : f on the Ideal object, keyed by the form alone:
+    # an equal ideal built apart keeps none, and the ring gains no attribute
+    I = join_meet_ideal(cold_copy(pentagon())).ideal
+    ring = I.ring
+    before = set(ring.__dict__)
+    f = ring.var("e")
+    colon = colon_element(I, f)
+    assert set(I._colons) == {f}
+    assert I._colons[f].basis == colon.generators
+    apart = ideal(ring, I.generators)
+    assert apart == I and apart._colons == {}
+    assert set(ring.__dict__) == before
+
+
 # ---------------------------------------------------------------------------
 # degree-1 part
 

@@ -4,6 +4,7 @@ from conftest import (
     DATA,
     cold_copy,
     corpus,
+    count_computed_colons,
     data_lattice,
     enumerated_lattices,
     m3_on_m3,
@@ -283,6 +284,20 @@ def _count_colons(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("d, searched, replayed", [(36, 14, 8), (60, 32, 15)])
+def test_replay_reads_the_colons_the_search_kept(monkeypatch, d, searched, replayed):
+    # the replay takes its colons on the search's own members, so a colon
+    # the search computed on a member's lift is read from that lift; the
+    # replay still decides every move by colon_in_H_by_ideal
+    runs = count_computed_colons(monkeypatch)
+    L = divisor_lattice(d)
+    fam = search_combinatorial(L)
+    assert len(runs) == searched
+    runs.clear()
+    assert verify_filtration(L, fam).passed
+    assert len(runs) == replayed
+
+
 def test_found_search_makes_one_move_per_member(monkeypatch):
     calls = _count_colons(monkeypatch)
     fam = search_combinatorial(divisor_lattice(36))
@@ -319,12 +334,17 @@ def test_pentagon_times_a_two_chain_runs_the_fixpoint_and_replays(monkeypatch):
     # data/pentagon_c2.json is not modular; its walk meets a dead end, and
     # the fixpoint's colons include ones that are not linear-generated
     calls = _count_colons(monkeypatch)
+    runs = count_computed_colons(monkeypatch)
     L = data_lattice("pentagon_c2")
     assert L.n == 10 and not L.is_modular()
     fam = search_combinatorial(L)
-    assert len(calls) == 742
+    assert len(calls) == len(runs) == 742
+    runs.clear()
     rep = verify_filtration(L, fam)
+    # the replay computes only the colons the search never took
+    assert len(runs) == 12
     assert rep.passed and rep.replay(fam)
+    assert len(runs) == 12
 
 
 @pytest.mark.parametrize("d", [60, 72])
