@@ -23,6 +23,13 @@ exists.  With no bytecode cache every interpreter compiles the package
 again, so records made in different bytecode states are not comparable, and
 the start-up cost follows the size of the source: ``src_lines`` records the
 physical line count of each ``src/joinmeet/*.py`` and their total.
+
+Then it runs each of HEAVY_CASES once, as ``python -m joinmeet.cli`` with
+``PYTHONPATH=src`` in the checkout, and records its exit code, wall time and
+peak RSS, read from ``os.wait4`` for that child alone.  The lattices these
+cases read come from the ``data`` directory beside this script, so a
+recording of an older checkout runs the same inputs.  A case that exits
+with a code other than the one it lists stops the recording with exit 1.
 """
 
 from __future__ import annotations
@@ -42,6 +49,18 @@ STARTUP_RUNS = 20
 STARTUP_COMMANDS = {
     "import_cli": ["-c", "import joinmeet.cli"],
     "check_pentagon": ["-m", "joinmeet.cli", "check", "--builtin", "pentagon"],
+}
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# name: (CLI arguments, expected exit code); a certified none exits 1
+HEAVY_CASES = {
+    "m3_c3_cap15": (["filtration", "search", "--input", DATA / "m3_c3.json", "--cap", "15"], 1),
+    "pentagon_c2": (["filtration", "search", "--input", DATA / "pentagon_c2.json"], 0),
+    "m3_on_m3_chain": (["filtration", "search", "--input", DATA / "m3_on_m3_chain.json"], 1),
+    "m3_c4_cap20": (["filtration", "search", "--input", DATA / "m3_c4.json", "--cap", "20"], 1),
+    "pentagon_c3_cap15": (
+        ["filtration", "search", "--input", DATA / "pentagon_c3.json", "--cap", "15"], 0),
+    "divisor720_verify": (["posetideals", "--builtin", "divisor", "--n", "720", "--verify"], 0),
 }
 
 
@@ -77,6 +96,29 @@ def startup_floor(root):
                 sys.exit(f"start-up {name}: exit {done.returncode}\n{done.stderr.decode()}")
             times[name].append(elapsed)
     return {name: {"unit": "s", **summary(values)} for name, values in times.items()}
+
+
+def heavy_cases(root):
+    """Exit code, wall seconds and peak RSS of each heavy case, run once;
+    exits on an unexpected exit code."""
+    env = dict(os.environ, PYTHONPATH="src")
+    cases = {}
+    for name, (args, expected) in HEAVY_CASES.items():
+        argv = [sys.executable, "-m", "joinmeet.cli", *map(str, args)]
+        started = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.PIPE)
+        stderr = child.stderr.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        elapsed = time.perf_counter() - started
+        code = os.waitstatus_to_exitcode(status)
+        if code != expected:
+            sys.exit(f"heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
+        # ru_maxrss is in KiB on Linux
+        cases[name] = {"argv": " ".join(map(str, args)), "exit": code, "wall_s": elapsed,
+                       "peak_rss_mb": usage.ru_maxrss / 1024}
+        print(f"{name}: {elapsed:.2f} s, {usage.ru_maxrss / 1024:.1f} MB", file=sys.stderr)
+    return cases
 
 
 def bytecode_state(root):
@@ -151,6 +193,7 @@ def main(argv=None):
         "src_lines": source_lines(root),
         "startup": startup,
         "workloads": workloads,
+        "heavy": heavy_cases(root),
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -85,14 +85,22 @@ monomial table serve every colon by x, and it is freed with the ring.  When
 that colon is generated by I's nonlinear generators and its linear part, it
 is C = I.with_linear((I : l)_1), whose cached reduced basis is returned with
 no second Buchberger run; for I = (I_L, x_R) that is the basis hibi's colon
-report reads next.  intersect and the colon take an Ideal, never a bare
-generator list.  The Ideal keeps, in _colons, the reduced basis of I : l for
-each form l that intersect has taken it by, so a second colon of one Ideal
-object by one form computes nothing (the replay of a search takes its colons
-on the search's own members), and colon_element reads the colon there
-instead of dividing intersect's products back by l.  The map is keyed by the
-form alone and freed with its Ideal; a ring-level map keyed by (generator
-set, form) would keep a frozenset of generators alive per key.
+report reads next.  Otherwise the colon is known to differ from C at the
+first quotient outside C, and its reduced basis, a second Buchberger run,
+is deferred: the colon is kept as an _Unreduced, its degree-1 part and its
+quotients of higher degree, and reduced only when something reads its
+basis.  A search reads no more of such a colon than its verdict, so a move
+it rejects costs one Buchberger run.  intersect and the colon take an
+Ideal, never a bare generator list.  The Ideal keeps, in _colons, each
+colon I : l that _kept_colon has computed, keyed by l, so a second colon of
+one Ideal object by one form computes nothing (the replay of a search takes
+its colons on the search's own members).  intersect reduces an _Unreduced
+colon there once and keeps the reduced basis in its place, and
+colon_element reads that basis instead of dividing intersect's products
+back by l; hibi's colon_in_H reads the kept colon first, and builds the
+report of an _Unreduced one from its degree-1 part.  The map is keyed by
+the form alone and freed with its Ideal; a ring-level map keyed by
+(generator set, form) would keep a frozenset of generators alive per key.
 
 A caller that knows more than the engine may skip the x-last Buchberger run:
 colon_element, intersect and the colon take substituted_basis, off by
@@ -160,8 +168,9 @@ class Ideal(_Frozen):
 
     @cached_property
     def _colons(self):
-        """The reduced basis of I : l for each linear form l that intersect
-        has divided this ideal by, keyed by the form."""
+        """I : l for each linear form l that this ideal has been divided by,
+        keyed by the form: its reduced basis, or an _Unreduced colon (see
+        _kept_colon)."""
         return {}
 
     @cached_property
@@ -609,9 +618,14 @@ def _split_linear(gens):
 
 
 def _reduced_basis(gens, ring):
-    """The reduced basis of (gens), uncached: the linear part joined with the
-    reduced basis of the substituted rest."""
-    linear, rest = _split_linear(gens)
+    """The reduced basis of (gens), uncached: _split_reduced of their
+    _split_linear."""
+    return _split_reduced(*_split_linear(gens), ring)
+
+
+def _split_reduced(linear, rest, ring):
+    """The reduced basis of (linear, rest), split as _split_linear splits:
+    the linear part joined with the reduced basis of the substituted rest."""
     gb = reduce_basis(buchberger(rest, ring=ring))
     if not linear:
         return gb
@@ -619,7 +633,7 @@ def _reduced_basis(gens, ring):
         # a constant or a leading variable can still reduce the linear part
         return reduce_basis(GroebnerBasis(ring, tuple(linear) + gb.basis))
     key = ring.key
-    joined = sorted(linear + list(gb.basis), key=lambda g: key(g.leading_monomial()))
+    joined = sorted([*linear, *gb.basis], key=lambda g: key(g.leading_monomial()))
     return GroebnerBasis(ring, tuple(joined))
 
 
@@ -680,9 +694,8 @@ def ideal_equal(I, J):
 def intersect(I, J, *, substituted_basis=False):
     """I ∩ (l) for a homogeneous Ideal I and the Ideal J = (l) of one linear
     form l: l times the reduced basis of I : l.  That basis is kept in
-    I._colons under l; only a form not yet there runs
-    _colon_by_linear_form, whose basis is also registered in the ring's
-    cache as the basis of the colon.  Any other pair raises ValueError.
+    I._colons under l (see _kept_colon); a colon kept unreduced is reduced
+    here, once, and kept in its place.  Any other pair raises ValueError.
     substituted_basis is passed to the colon (see the module docstring); it
     is not part of the key, since both routes give the one reduced basis.
     """
@@ -694,12 +707,50 @@ def intersect(I, J, *, substituted_basis=False):
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
     l = J.generators[0]
-    colons = I._colons
-    colon = colons.get(l)
-    if colon is None:
-        colon = colons[l] = _colon_by_linear_form(I, l, substituted_basis=substituted_basis)
-        ring._bases.setdefault(ideal(ring, colon.basis)._gb_key, colon)
+    colon = _kept_colon(I, l, substituted_basis)
+    if isinstance(colon, _Unreduced):
+        colon = _keep_basis(I, l, colon.reduced(ring))
     return ideal(ring, tuple(l * g for g in colon.basis))
+
+
+class _Unreduced:
+    """A colon I : l that is not generated by its linear part, kept before
+    its reduced basis: degree1, the reduced echelon form of its linear part,
+    which is the degree-1 part of that basis, and higher, the quotients of
+    higher degree with degree1 substituted out, whose _split_reduced with
+    degree1 is that basis."""
+
+    __slots__ = ("degree1", "higher")
+
+    def __init__(self, degree1, higher):
+        self.degree1 = degree1
+        self.higher = higher
+
+    def reduced(self, ring):
+        return _split_reduced(self.degree1, self.higher, ring)
+
+
+def _keep_basis(I, l, colon):
+    """Keep colon, the reduced basis of I : l, in I._colons under l, and
+    register it in the ring's cache as the basis of the colon."""
+    I._colons[l] = colon
+    I.ring._bases.setdefault(ideal(I.ring, colon.basis)._gb_key, colon)
+    return colon
+
+
+def _kept_colon(I, l, substituted_basis=False):
+    """I._colons' entry for l, computed by _compute_colon on a miss: the
+    reduced basis of I : l, or an _Unreduced colon, which intersect reduces
+    when its basis is asked for.  A search reads no more of such a colon
+    than that it is not generated by its linear part."""
+    colon = I._colons.get(l)
+    if colon is None:
+        colon = _compute_colon(I, l, substituted_basis)
+        if isinstance(colon, _Unreduced):
+            I._colons[l] = colon
+        else:
+            _keep_basis(I, l, colon)
+    return colon
 
 
 def _same(m):
@@ -732,7 +783,16 @@ def _substitute(f, v, image):
 
 
 def _colon_by_linear_form(I, l, *, substituted_basis=False):
-    """Reduced basis of I : l, for a homogeneous Ideal I and a linear form l.
+    """Reduced basis of I : l, for a homogeneous Ideal I and a linear form l:
+    _compute_colon's colon, reduced when it comes unreduced."""
+    colon = _compute_colon(I, l, substituted_basis)
+    return colon.reduced(I.ring) if isinstance(colon, _Unreduced) else colon
+
+
+def _compute_colon(I, l, substituted_basis=False):
+    """I : l for a homogeneous Ideal I and a linear form l: its reduced
+    basis, or an _Unreduced colon when it is not generated by its linear
+    part.
 
     1. Split off the linear generators of I as their reduced basis (row
        echelon form) and substitute it out of the rest and out of l.  If l
@@ -752,8 +812,11 @@ def _colon_by_linear_form(I, l, *, substituted_basis=False):
        reduced echelon form of I's linear part and the linear quotients,
        lies inside I : l.  If no quotient is a constant and every quotient
        reduces to 0 modulo C's reduced basis, then I : l = C, and that
-       cached basis is the answer.  Otherwise add the linear generators to
-       the quotients and reduce in ring's own order.
+       cached basis is the answer.  If one lies outside C, then I : l ≠ C,
+       as the linear generators and the quotients generate I : l, and the
+       answer is an _Unreduced colon: the split of those generators, whose
+       reduced basis takes a second Buchberger run.  A constant quotient
+       gives the unit ideal, whose basis is built here.
     """
     ring = I.ring
     _codec_of(ring)  # refuse a ring the kernel cannot pack before any work
@@ -787,7 +850,7 @@ def _colon_by_linear_form(I, l, *, substituted_basis=False):
         # a quotient and its substituted form differ by a member of C
         if all(ideal_member(q, C) for q in higher):
             return groebner_basis(C)
-    # the quotients may include linear forms, which split off in turn
+        return _Unreduced(tuple(degree1), higher)
     return _reduced_basis(linear + quotients, ring)
 
 

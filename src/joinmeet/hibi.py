@@ -22,9 +22,13 @@ never by its generator list, so two presentations of the same ideal compare
 equal; the full reduced basis of a lift is computed only when a colon or a
 nonlinear membership test needs it.
 
-colon_in_H is colon_element on the lift of J: it checks its input, makes one
-engine call and builds one report, whose verdicts are read from the degree-1
-part of the colon's reduced basis, a reduced echelon form.  When L is
+colon_in_H is colon_element on the lift of J: it checks its input, reads the
+colon the engine keeps on the lift and builds one report, whose verdicts
+are read from the degree-1 part of the colon's reduced basis, a reduced
+echelon form.  A colon that is not generated by its linear part is kept
+unreduced (see groebner), as a search reads only its verdict; its report
+is built from its degree-1 part, and its reduced basis is built, through
+colon_element, only when the report's lift is read.  When L is
 distributive, J = (x_A) for a poset ideal A and f = c·x_e for a minimal
 element e of L ∖ A, it tells the engine that I_L with x_A set to zero is
 already a Groebner basis with x_e the smallest variable, so the colon runs
@@ -64,6 +68,7 @@ from .errors import InputError
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _kept_colon,
     _split_linear,
     colon_element,
     groebner_basis,
@@ -271,6 +276,13 @@ class ResidueColonReport(_Record):
     linear-generated colon is named by ``degree1``, its span, as a
     ResidueIdeal is; only another colon is named by its reduced basis (see
     semantic_key).  Reports compare by their fields (see poly._Record).
+
+    The report of a colon that the engine keeps unreduced (see colon_in_H)
+    is built from its degree-1 part alone: it is neither linear- nor
+    variable-generated, ``variables`` is None and it is not the unit ideal.
+    Its ``lift``, ``groebner`` and ``nonlinear_witness`` fill on first read,
+    as does every read through them (``semantic_key``, ``==``, the repr),
+    with the values the report of the reduced colon holds.
     """
 
     _fields = (
@@ -286,6 +298,41 @@ class ResidueColonReport(_Record):
         "nonlinear_witness",
     )
 
+    @classmethod
+    def _unreduced(cls, J, f, degree1):
+        """The report of J : f when the colon is not generated by its linear
+        part, whose reduced echelon form is degree1: lift, groebner and
+        nonlinear_witness fill on first read."""
+        report = cls.__new__(cls)
+        vars(report).update(
+            lattice=J.lattice,
+            divisors=(f,),
+            degree1=degree1,
+            linear_generated=False,
+            variable_generated=False,
+            variables=None,
+            whole_ring=False,
+            _colon_of=(J, f),
+        )
+        return report
+
+    # the fields an unreduced report fills on first read; a report built
+    # with all its fields holds them in its __dict__, which these do not
+    # override
+    @cached_property
+    def lift(self):
+        J, f = self._colon_of
+        return colon_element(J.lift, f)
+
+    @cached_property
+    def groebner(self):
+        return groebner_basis(self.lift)
+
+    @cached_property
+    def nonlinear_witness(self):
+        linear_lift = self._colon_of[0].base.ideal.with_linear(self.degree1)
+        return _nonlinear_witness(self.groebner, linear_lift)
+
     def semantic_key(self):
         """The key of the colon's lift, comparable with ResidueIdeal's: a
         linear-generated colon is (I_L, degree1), named by its span like a
@@ -299,6 +346,13 @@ class ResidueColonReport(_Record):
         return sorted(self.lattice.labels[e] for e in self.variables)
 
 
+def _nonlinear_witness(gb, linear_lift):
+    """The first element of the reduced basis gb of degree other than 1
+    outside linear_lift, or None."""
+    nonlinear = (g for g in gb.basis if g.total_degree() != 1)
+    return next((g for g in nonlinear if not ideal_member(g, linear_lift)), None)
+
+
 def _colon_report(J, divisors, lifted):
     """The report of a colon ``lifted`` of J's lift, read against J's I_L."""
     L, base = J.lattice, J.base
@@ -309,10 +363,6 @@ def _colon_report(J, divisors, lifted):
     linear_lift = base.ideal.with_linear(degree1)
     linear_generated = ideal_equal(lifted, linear_lift)
     variables = _elements_of(L, degree1) if linear_generated else None
-    witness = None
-    if not linear_generated:
-        nonlinear = (g for g in gb.basis if g.total_degree() != 1)
-        witness = next((g for g in nonlinear if not ideal_member(g, linear_lift)), None)
     return ResidueColonReport(
         lattice=L,
         divisors=divisors,
@@ -323,20 +373,27 @@ def _colon_report(J, divisors, lifted):
         variable_generated=variables is not None,
         variables=variables,
         whole_ring=any(g.total_degree() == 0 for g in gb.basis),
-        nonlinear_witness=witness,
+        nonlinear_witness=None if linear_generated else _nonlinear_witness(gb, linear_lift),
     )
 
 
 def colon_in_H(J, f):
-    """(J̄) : f̄ in H[L] for a linear form f, via the lifted colon in K[L]."""
+    """(J̄) : f̄ in H[L] for a linear form f, via the lifted colon in K[L].
+    A colon that the engine keeps unreduced, as it is not generated by its
+    linear part, gets a report built from its degree-1 part, and no reduced
+    basis is built until the report's lift is read."""
     if isinstance(f, str):
         f = J.ring.parse(f)
     if not f:
         raise NotLinear("colon by the zero form")
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
-    lifted = colon_element(J.lift, f, substituted_basis=_substituted_basis(J, f))
-    return _colon_report(J, (f,), lifted)
+    lift = J.lift
+    substituted = _substituted_basis(J, f)
+    colon = _kept_colon(lift, f, substituted)
+    if not isinstance(colon, GroebnerBasis):
+        return ResidueColonReport._unreduced(J, f, colon.degree1)
+    return _colon_report(J, (f,), colon_element(lift, f, substituted_basis=substituted))
 
 
 def _substituted_basis(J, f):

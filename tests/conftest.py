@@ -84,16 +84,17 @@ def cold_copy(L):
 
 def count_computed_colons(monkeypatch):
     """The list of colons the engine computes from here on, one entry per
-    run of groebner._colon_by_linear_form: a colon kept on its ideal (see
-    groebner.intersect) is read again, not computed."""
+    run of groebner._compute_colon, the step that computes the quotients: a
+    colon kept on its ideal (see groebner._kept_colon) is read again, not
+    computed, and reducing a colon kept unreduced computes no quotient."""
     runs = []
-    real = groebner._colon_by_linear_form
+    real = groebner._compute_colon
 
     def counted(*args, **kwargs):
         runs.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_colon_by_linear_form", counted)
+    monkeypatch.setattr(groebner, "_compute_colon", counted)
     return runs
 
 

@@ -20,6 +20,7 @@ exactly when the colon equals C.
 """
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -46,6 +47,7 @@ from joinmeet.groebner import (
     reduce_basis,
 )
 from joinmeet.hibi import colon_in_H, join_meet_ideal, lattice_ring, variable_ideal
+from joinmeet.koszul import search_combinatorial
 from joinmeet.lattice import Lattice, boolean, chain, diamond, divisor_lattice, pentagon
 from joinmeet.poly import MonomialOrder, Ring, degrevlex
 from oracles import naturally_labeled_posets, poset_covers, poset_is_lattice
@@ -447,6 +449,127 @@ def test_colon_report_reads_the_basis_the_colon_cached(monkeypatch):
     assert seen[False] > 0
     # the colons themselves ran Buchberger, so the reports read cold work
     assert colon_runs > 0
+
+
+def _colons_in_H(monkeypatch):
+    """The list of (J, f, report, unreduced) for each colon_in_H from here
+    on, unreduced telling whether the report came without its reduced
+    basis: its lift, groebner and nonlinear_witness not yet filled."""
+    calls = []
+    real = hibi.colon_in_H
+
+    def recording(J, f):
+        report = real(J, f)
+        unreduced = not {"lift", "groebner", "nonlinear_witness"} & set(vars(report))
+        calls.append((J, f, report, unreduced))
+        return report
+
+    monkeypatch.setattr(hibi, "colon_in_H", recording)
+    return calls
+
+
+def _assert_unreduced_report_is_the_eager_one(J, f, report, slow):
+    """An unreduced report of J : f, read field by field, equals the report
+    built from the colon's reduced basis at once on the cold copy slow of
+    J's lattice, and its lift has the elimination colon as reduced basis."""
+    assert {"lift", "groebner", "nonlinear_witness"}.isdisjoint(vars(report))
+    assert not (report.linear_generated or report.variable_generated or report.whole_ring)
+    assert report.variables is None
+    K = hibi.residue_ideal(slow, [str(g) for g in J.linear_generators])
+    g = K.ring.parse(str(f))
+    eager = hibi._colon_report(K, (g,), colon_element(K.lift, g))
+    for name in hibi.ResidueColonReport._fields:
+        assert getattr(report, name) == getattr(eager, name), (name, J, f)
+    assert report.semantic_key() == eager.semantic_key()
+    assert report == eager
+    assert groebner_basis(report.lift).basis == elimination_colon(J.lift, f)
+
+
+def test_unreduced_reports_of_the_reference_searches_equal_the_eager_ones(monkeypatch):
+    # every colon the search of each reference lattice takes: a colon not
+    # generated by its linear part comes without its reduced basis, and
+    # each field read later is the one the eager report holds
+    from test_hibi import REFERENCE_LATTICES
+
+    unreduced = {}
+    for name, build in sorted(REFERENCE_LATTICES.items()):
+        L = cold_copy(build())
+        slow = cold_copy(L)
+        with monkeypatch.context() as m:
+            calls = _colons_in_H(m)
+            search_combinatorial(L)
+        for J, f, report, deferred in calls:
+            # a report comes unreduced exactly when it is not linear-generated
+            assert deferred == (not report.linear_generated), (name, J, f)
+            if deferred:
+                _assert_unreduced_report_is_the_eager_one(J, f, report, slow)
+        unreduced[name] = sum(deferred for *_, deferred in calls), len(calls)
+    assert unreduced == {
+        "boolean(3)": (0, 9),
+        "diamond": (2, 6),
+        "divisor(12)": (0, 9),
+        "m3_on_m3": (7, 15),
+        "pentagon": (2, 29),
+    }
+
+
+def test_unreduced_reports_of_every_small_move_equal_the_eager_ones(monkeypatch):
+    # every move (A, x) of the 51 labelled lattices of at most 6 elements,
+    # A any set of elements and x outside it
+    lattices = enumerated_lattices(6)
+    moves = unreduced = 0
+    for L in lattices:
+        fast, slow = cold_copy(L), cold_copy(L)
+        for mask in range(1 << L.n):
+            J = variable_ideal(fast, [a for a in range(L.n) if mask >> a & 1])
+            for x in range(L.n):
+                if mask >> x & 1:
+                    continue
+                moves += 1
+                f = J.base.variables[x]
+                report = colon_in_H(J, f)
+                if "lift" not in vars(report):
+                    unreduced += 1
+                    _assert_unreduced_report_is_the_eager_one(J, f, report, slow)
+                else:
+                    assert report.linear_generated or report.whole_ring, (L, mask, x)
+    assert (len(lattices), moves, unreduced) == (51, 8129, 124)
+
+
+def test_a_rejected_move_builds_no_reduced_basis(monkeypatch):
+    # the certified none on M3-on-M3 takes 15 colons, 7 of them not
+    # generated by their linear parts: the search reads only their
+    # verdicts, so the colon route reduces none of them.  Reading a
+    # report's lift reduces its colon once, in intersect, from the split
+    # the route kept
+    route, kept = [], []
+    real_reduced, real_split = groebner._reduced_basis, groebner._split_reduced
+
+    def reduced(gens, ring):
+        # groebner_basis reduces the ideals it is asked for; count the rest
+        if sys._getframe(1).f_code.co_name != "groebner_basis":
+            route.append(gens)
+        return real_reduced(gens, ring)
+
+    def split(linear, rest, ring):
+        if sys._getframe(1).f_code.co_name != "_reduced_basis":
+            kept.append(rest)
+        return real_split(linear, rest, ring)
+
+    monkeypatch.setattr(groebner, "_reduced_basis", reduced)
+    monkeypatch.setattr(groebner, "_split_reduced", split)
+    calls = _colons_in_H(monkeypatch)
+    L = cold_copy(m3_on_m3())
+    assert search_combinatorial(L) is None
+    assert len(calls) == 15 and route == kept == []
+    unreduced = [report for _, _, report, deferred in calls if deferred]
+    assert len(unreduced) == 7
+    for k, report in enumerate(unreduced, 1):
+        report.lift
+        report.semantic_key()
+        report.nonlinear_witness
+        assert len(kept) == k
+    assert route == []
 
 
 def _small_lattices():

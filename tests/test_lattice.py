@@ -232,6 +232,27 @@ def test_shipped_search_lattices_are_modular_and_not_distributive(name, n):
     assert L.is_modular() and not L.is_distributive()
 
 
+@pytest.mark.parametrize(
+    "name, factor, k, modular",
+    [("m3_c4", diamond, 4, True), ("pentagon_c3", pentagon, 3, False)],
+)
+def test_shipped_products_above_the_cap(name, factor, k, modular):
+    # diamond x chain(4) (20 elements) and pentagon x chain(3) (15): a_b is
+    # the pair of a in the factor and b in the chain, listed a by a, and
+    # (a, b) < (a', b') is covered when one coordinate is a cover and the
+    # other equal.  Neither is distributive, so only the product of the
+    # modular diamond must certify none
+    L = data_lattice(name)
+    A, C = factor(), chain(k)
+    pairs = [(a, b) for a in A.labels for b in C.labels]
+    assert L.labels == tuple(f"{a}_{b}" for a, b in pairs)
+    covers = {(f"{A.labels[x]}_{b}", f"{A.labels[y]}_{b}") for x, y in A.covers for b in C.labels}
+    covers |= {(f"{a}_{C.labels[x]}", f"{a}_{C.labels[y]}") for a in A.labels for x, y in C.covers}
+    assert {(L.labels[x], L.labels[y]) for x, y in L.covers} == covers
+    assert L.n == A.n * k
+    assert L.is_modular() == modular and not L.is_distributive()
+
+
 def test_distributive_implies_modular():
     for L in corpus():
         if L.is_distributive():
