@@ -24,12 +24,17 @@ again, so records made in different bytecode states are not comparable, and
 the start-up cost follows the size of the source: ``src_lines`` records the
 physical line count of each ``src/joinmeet/*.py`` and their total.
 
-Then it runs each of HEAVY_CASES once, as ``python -m joinmeet.cli`` with
-``PYTHONPATH=src`` in the checkout, and records its exit code, wall time and
-peak RSS, read from ``os.wait4`` for that child alone.  The lattices these
-cases read come from the ``data`` directory beside this script, so a
-recording of an older checkout runs the same inputs.  A case that exits
-with a code other than the one it lists stops the recording with exit 1.
+Then it runs each of HEAVY_CASES HEAVY_RUNS times, as ``python -m
+joinmeet.cli`` with ``PYTHONPATH=src`` in the checkout, in rounds that take
+every case once, and records its exit code, the wall time of each run and
+their median, and the largest peak RSS of its runs, read from ``os.wait4``
+for each child alone.  One run follows the load of the machine at that
+moment; the median of rounds spread over the recording follows it less.
+The lattices these cases read come from the ``data`` directory beside this
+script, so a recording of an older checkout runs the same inputs, and each
+search case gives its ``--cap``, so an older checkout whose cap refused a
+lattice before its walk runs it too.  A case that exits with a code other
+than the one it lists stops the recording with exit 1.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+HEAVY_RUNS = 3
 STARTUP_RUNS = 20
 STARTUP_COMMANDS = {
     "import_cli": ["-c", "import joinmeet.cli"],
@@ -61,6 +67,12 @@ HEAVY_CASES = {
     "pentagon_c3_cap15": (
         ["filtration", "search", "--input", DATA / "pentagon_c3.json", "--cap", "15"], 0),
     "divisor720_verify": (["posetideals", "--builtin", "divisor", "--n", "720", "--verify"], 0),
+    "divisor360_cap24": (
+        ["filtration", "search", "--builtin", "divisor", "--n", "360", "--cap", "24"], 0),
+    "divisor720_cap30": (
+        ["filtration", "search", "--builtin", "divisor", "--n", "720", "--cap", "30"], 0),
+    "boolean5_cap32": (
+        ["filtration", "search", "--builtin", "boolean", "--n", "5", "--cap", "32"], 0),
 }
 
 
@@ -98,26 +110,39 @@ def startup_floor(root):
     return {name: {"unit": "s", **summary(values)} for name, values in times.items()}
 
 
-def heavy_cases(root):
-    """Exit code, wall seconds and peak RSS of each heavy case, run once;
-    exits on an unexpected exit code."""
+def heavy_run(root, name, args, expected):
+    """Wall seconds and peak RSS in MB of one run of a heavy case; exits on
+    an unexpected exit code."""
     env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "-m", "joinmeet.cli", *map(str, args)]
+    started = time.perf_counter()
+    child = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE)
+    stderr = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    elapsed = time.perf_counter() - started
+    code = os.waitstatus_to_exitcode(status)
+    if code != expected:
+        sys.exit(f"heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
+    # ru_maxrss is in KiB on Linux
+    return elapsed, usage.ru_maxrss / 1024
+
+
+def heavy_cases(root):
+    """Exit code, wall seconds of each run and their median, and the largest
+    peak RSS of each heavy case, over HEAVY_RUNS rounds of all cases."""
+    runs = {name: [] for name in HEAVY_CASES}
+    for round_ in range(HEAVY_RUNS):
+        for name, (args, expected) in HEAVY_CASES.items():
+            runs[name].append(heavy_run(root, name, args, expected))
+            elapsed, peak = runs[name][-1]
+            print(f"{name} run {round_ + 1}: {elapsed:.2f} s, {peak:.1f} MB", file=sys.stderr)
     cases = {}
     for name, (args, expected) in HEAVY_CASES.items():
-        argv = [sys.executable, "-m", "joinmeet.cli", *map(str, args)]
-        started = time.perf_counter()
-        child = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                                 stderr=subprocess.PIPE)
-        stderr = child.stderr.read()
-        _, status, usage = os.wait4(child.pid, 0)
-        elapsed = time.perf_counter() - started
-        code = os.waitstatus_to_exitcode(status)
-        if code != expected:
-            sys.exit(f"heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
-        # ru_maxrss is in KiB on Linux
-        cases[name] = {"argv": " ".join(map(str, args)), "exit": code, "wall_s": elapsed,
-                       "peak_rss_mb": usage.ru_maxrss / 1024}
-        print(f"{name}: {elapsed:.2f} s, {usage.ru_maxrss / 1024:.1f} MB", file=sys.stderr)
+        walls = [elapsed for elapsed, _ in runs[name]]
+        cases[name] = {"argv": " ".join(map(str, args)), "exit": expected,
+                       "wall_s": statistics.median(walls), "wall_s_runs": walls,
+                       "peak_rss_mb": max(peak for _, peak in runs[name])}
     return cases
 
 

@@ -401,8 +401,12 @@ def build_parser():
 
     s = fsub.add_parser("search", help="exhaustive combinatorial filtration search")
     _add_common(s)
+    # the walk from the full set takes any lattice of up to WALK_LIMIT (32);
+    # the cap bounds only the fixpoint over all 2^n subsets that a walk
+    # which dead-ends falls back to, and a lattice over it then exits 2
     s.add_argument("--cap", type=int, default=None,
-                   help=f"max lattice size (default {DEFAULT_SEARCH_CAP})")
+                   help="max lattice size for the fixpoint a dead-ended walk runs "
+                        f"(default {DEFAULT_SEARCH_CAP})")
     s.add_argument("--out", help="write the found filtration to this file")
     return parser
 

@@ -39,7 +39,8 @@ smallest first (Hibi 1987); setting the smallest variables x_A to zero keeps
 a degrevlex Groebner basis (Bayer–Stillman 1987), and on monomials free of
 x_A that order is K[L]'s with x_e moved last.  _substituted_basis checks the
 five conditions exactly, cheapest first; on a distributive lattice every
-colon that verify_filtration takes on the poset-ideal family passes them.
+colon that verify_filtration takes on the poset-ideal family passes them,
+and so does every colon of the search's walk (see koszul).
 colon_in_H_by_ideal is colon_in_H by the one generator g of I outside J's
 span, since J : I = J : g when I ⊆ J + (g); a Koszul filtration's axiom (3)
 only asks for such a cyclic I/J, and its witness records the same g, chosen

@@ -36,7 +36,15 @@ subsets, unseeded and sharing the walk's memoised moves.  The fixpoint
 scans the subsets in increasing mask order and deletes each one with no
 surviving move as soon as it is found, so a move whose piece S∖{x} is
 already dead is passed over without a colon; one helper picks a subset's
-first move for the walk, the fixpoint scans and the closure.
+first move for the walk, the fixpoint scans and the closure, trying the
+moves x in the reverse of L.linear_extension.  On a distributive lattice
+that order keeps the walk among poset ideals, each step deleting a maximal
+element, so every colon takes hibi's substituted basis and runs no
+Buchberger, and the replay computes none (see search_combinatorial); on any
+lattice it changes only the witness found, never the verdict.  The walk
+takes any lattice of at most WALK_LIMIT elements, and the cap bounds only
+the fixpoint: a lattice over the cap is refused (CapExceeded) only once its
+walk has dead-ended.
 
 The search and verification decide a move through one memo, _orbit_moves,
 by one colon: S admits the move x ∈ S when J : I, for J and I the ideals
@@ -89,7 +97,8 @@ class MalformedFamily(InputError):
 
 
 class CapExceeded(InputError):
-    """The lattice is larger than the configured search cap."""
+    """The lattice is larger than the search takes: over WALK_LIMIT
+    elements, or over the fixpoint's cap once the walk has dead-ended."""
 
 
 class FiltrationSpec(_Record):
@@ -323,6 +332,9 @@ def poset_ideal_filtration(L):
 
 
 DEFAULT_SEARCH_CAP = 12
+# the largest lattice the walk takes, refused before any work so that a huge
+# builtin fails fast; boolean(5) has 32 elements
+WALK_LIMIT = 32
 
 
 def _image_table(sigma):
@@ -424,13 +436,32 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     exists, because deletion only removes subsets that belong to no valid
     family.
 
-    The search first walks from the full set, each subset taking its first
-    valid move and pushing both pieces.  If every subset reached has one, the
-    reached set is a post-fixed point, so it lies inside the greatest
-    fixpoint; each first valid move then has both pieces surviving, so it is
-    the move the witness closure takes, and the reached set is that closure.
-    At the first subset with no valid move the walk stops and the fixpoint
-    runs over all 2^n subsets, sharing the move memo.
+    A subset's moves x are tried in the reverse of L.linear_extension, by
+    the walk, the fixpoint and the closure alike.  The search first walks
+    from the full set, each subset taking its first valid move and pushing
+    both pieces.  If every subset reached has one, the reached set is a
+    post-fixed point, so it lies inside the greatest fixpoint; each first
+    valid move then has both pieces surviving, so it is the move the witness
+    closure takes, and the reached set is that closure.  At the first subset
+    with no valid move the walk stops and the fixpoint runs over all 2^n
+    subsets, sharing the move memo.
+
+    On a distributive lattice the walk never stops there and reaches only
+    poset ideals.  The full set is a poset ideal.  In a poset ideal P the
+    first x in reverse linear-extension order is maximal in P: anything
+    above x in P comes later in the extension, so earlier in reverse.  So
+    A = P∖{x} is a poset ideal holding x's lower covers, all five
+    conditions of hibi._substituted_basis hold, and the colon runs no
+    Buchberger.  It is generated by the variables of {a : a ≱ x}, again a
+    poset ideal (hibi.claim_check's span), so the move is valid and both
+    pieces are poset ideals.  The replay then reads every witness colon
+    from the members' lifts.  On any other lattice the order changes only
+    the witness found and the moves that take a colon, never the verdict.
+
+    The walk takes any lattice of at most WALK_LIMIT elements; a larger one
+    is refused (CapExceeded) before any work.  The cap bounds only the
+    fixpoint: when the walk dead-ends on a lattice of more than cap
+    elements, CapExceeded, with no fixpoint run.
 
     The fixpoint is a chaotic iteration: it scans the subsets in increasing
     mask order, so each S∖{x} comes before S, deletes a subset as soon as it
@@ -449,16 +480,18 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     n = L.n
     if cap < 1:
         raise InputError(f"the search cap must be at least 1, not {cap}")
-    if n > cap:
-        raise CapExceeded(f"|L| = {n} exceeds the search cap {cap}")
+    if n > WALK_LIMIT:
+        raise CapExceeded(f"|L| = {n} exceeds {WALK_LIMIT}, the largest lattice the search takes")
     full = (1 << n) - 1
     everything = range(1 << n)
+    order = L.linear_extension[::-1]
     subset_ideal = cache(lambda mask: variable_ideal(L, (a for a in range(n) if mask >> a & 1)))
     move = _orbit_moves(L, subset_ideal)
 
     def first_move(mask, alive):
-        """The pieces (rest, target) of mask's first move inside alive."""
-        for x in range(n):
+        """The pieces (rest, target) of mask's first move inside alive, its
+        moves tried in reverse linear-extension order."""
+        for x in order:
             rest = mask & ~(1 << x)
             if mask >> x & 1 and rest in alive:
                 target = move(mask, x)
@@ -483,6 +516,11 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
 
     reached = closure(everything)
     if reached is None:
+        if n > cap:
+            raise CapExceeded(
+                f"the walk from the full set dead-ends, and |L| = {n} exceeds "
+                f"the search cap {cap} on the fixpoint over all 2^n subsets"
+            )
         survivors = set(everything)
         deleted = True
         while deleted:

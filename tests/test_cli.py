@@ -372,7 +372,10 @@ def test_search_json_carries_filtration_document(capsys):
 def test_search_cap_option(capsys):
     code, out, err = run(capsys, "filtration", "search", "--builtin", "pentagon", "--cap", "3")
     assert (code, out) == (2, "")
-    assert err == "error: |L| = 5 exceeds the search cap 3\n"
+    assert err == (
+        "error: the walk from the full set dead-ends, and |L| = 5 exceeds "
+        "the search cap 3 on the fixpoint over all 2^n subsets\n"
+    )
     code, out, _ = run(capsys, "filtration", "search", "--builtin", "pentagon",
                        "--cap", "5", "--format", "json")
     assert code == 0 and json.loads(out)["config"]["cap"] == 5
@@ -491,9 +494,9 @@ combinatorial Koszul filtration found (8 members, 32 subsets examined):
   (y)
   (e, y)
   (y, f)
-  (x, y, f)
-  (y, z, f)
-  (x, y, z, f)
+  (e, x, y)
+  (e, y, z)
+  (e, x, y, z)
   (e, x, y, z, f)
 replay verification: pass
 """),

@@ -284,11 +284,13 @@ def _count_colons(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d, searched, replayed", [(36, 14, 8), (60, 32, 15)])
+@pytest.mark.parametrize("d, searched, replayed", [(36, 14, 0), (60, 32, 0)])
 def test_replay_reads_the_colons_the_search_kept(monkeypatch, d, searched, replayed):
     # the replay takes its colons on the search's own members, so a colon
     # the search computed on a member's lift is read from that lift; the
-    # replay still decides every move by colon_in_H_by_ideal
+    # replay still decides every move by colon_in_H_by_ideal.  On these
+    # distributive lattices the walk's family is made of poset ideals and
+    # every witness colon is one the search took, so the replay computes none
     runs = count_computed_colons(monkeypatch)
     L = divisor_lattice(d)
     fam = search_combinatorial(L)
@@ -323,7 +325,7 @@ def test_certified_none_makes_the_fixpoints_moves(monkeypatch):
         (data_lattice("m3_on_m3_chain"), False, 46),
         (stacked_diamond(), False, 17),
         (diamond(), False, 6),
-        (pentagon(), True, 29),
+        (pentagon(), True, 28),
     ]:
         calls.clear()
         assert (search_combinatorial(L) is not None) == found, L
@@ -338,13 +340,13 @@ def test_pentagon_times_a_two_chain_runs_the_fixpoint_and_replays(monkeypatch):
     L = data_lattice("pentagon_c2")
     assert L.n == 10 and not L.is_modular()
     fam = search_combinatorial(L)
-    assert len(calls) == len(runs) == 742
+    assert len(calls) == len(runs) == 739
     runs.clear()
     rep = verify_filtration(L, fam)
     # the replay computes only the colons the search never took
-    assert len(runs) == 12
+    assert len(runs) == 0
     assert rep.passed and rep.replay(fam)
-    assert len(runs) == 12
+    assert len(runs) == 0
 
 
 @pytest.mark.parametrize("d", [60, 72])
@@ -356,9 +358,37 @@ def test_twelve_element_search_verifies_and_replays(d):
     assert rep.passed and rep.replay(fam)
 
 
-def test_search_respects_cap():
-    with pytest.raises(CapExceeded):
-        search_combinatorial(boolean(2), cap=3)
+def test_search_respects_cap(monkeypatch):
+    # the cap bounds only the fixpoint: boolean(2)'s walk reaches a family,
+    # so it needs none, and the pentagon's walk dead-ends; a lattice over
+    # koszul.WALK_LIMIT is refused before it takes a colon
+    fam = search_combinatorial(boolean(2), cap=3)
+    assert fam is not None and verify_filtration(boolean(2), fam).passed
+    with pytest.raises(CapExceeded, match="walk from the full set dead-ends, and .* cap 3"):
+        search_combinatorial(pentagon(), cap=3)
+    runs = count_computed_colons(monkeypatch)
+    assert koszul.WALK_LIMIT == 32
+    with pytest.raises(CapExceeded, match="33 exceeds 32, the largest lattice"):
+        search_combinatorial(chain(33), cap=40)
+    assert not runs
+
+
+def test_a_distributive_walk_reaches_only_poset_ideals(monkeypatch):
+    # the walk tries each subset's moves in reverse linear-extension order,
+    # so from a poset ideal it first deletes a maximal element: the colon
+    # runs no Buchberger (hibi._substituted_basis), its target is again a
+    # poset ideal, and the replay reads every colon from the members' lifts
+    runs = count_computed_colons(monkeypatch)
+    lattices = [L for L in enumerated_lattices(7) if L.is_distributive()]
+    assert len(lattices) == 33
+    for L in lattices + [divisor_lattice(60), divisor_lattice(72), boolean(4)]:
+        runs.clear()
+        fam = search_combinatorial(L, cap=16)
+        assert all(L.is_poset_ideal(m.variable_set()) for m in fam.members), L
+        assert all(substituted for _, _, substituted in runs), L
+        runs.clear()
+        assert verify_filtration(L, fam).passed
+        assert not runs, L
 
 
 def test_verification_is_deterministic():
@@ -396,7 +426,8 @@ def test_search_consistent_on_all_lattices_up_to_5():
 
 def reference_search_combinatorial(L):
     """The fixpoint search with its witness closure found by a second scan of
-    the moves, and its subset ideals parsed from element labels."""
+    the moves, each subset's moves tried in reverse linear-extension order,
+    and its subset ideals parsed from element labels."""
     n = L.n
     full = (1 << n) - 1
     ideal_of = {}
@@ -418,7 +449,7 @@ def reference_search_combinatorial(L):
         return moves[(mask, x)]
 
     def first_move(mask, survivors):
-        for x in range(n):
+        for x in reversed(L.linear_extension):
             rest = mask & ~(1 << x)
             if mask >> x & 1 and rest in survivors:
                 ok, target = move(mask, x)
