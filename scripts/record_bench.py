@@ -67,6 +67,7 @@ HEAVY_CASES = {
     "pentagon_c3_cap15": (
         ["filtration", "search", "--input", DATA / "pentagon_c3.json", "--cap", "15"], 0),
     "divisor720_verify": (["posetideals", "--builtin", "divisor", "--n", "720", "--verify"], 0),
+    "boolean5_verify": (["posetideals", "--builtin", "boolean", "--n", "5", "--verify"], 0),
     "divisor360_cap24": (
         ["filtration", "search", "--builtin", "divisor", "--n", "360", "--cap", "24"], 0),
     "divisor720_cap30": (

@@ -70,9 +70,18 @@ Linear generators are split off before Buchberger runs: their reduced basis
 is a row echelon form, and substituting it out of the other generators leaves
 a smaller system in the remaining variables.  An Ideal keeps that split, its
 nonlinear generators and its homogeneity once computed, so the colons of one
-ideal by several forms compute them once.  Ideal.with_linear is the one
-construction of an ideal's nonlinear generators plus given linear forms, so
-every lift (I_L, V) has one generator set, and so one cache key.
+ideal by several forms, and groebner_basis on a miss, compute them once.
+Ideal.with_linear is the one construction of an ideal's nonlinear
+generators plus given linear forms, so every lift (I_L, V) has one
+generator set, and so one cache key.  A lift inherits what depends on I
+alone: it takes I's tuple of nonlinear generators, its homogeneity (the
+forms are linear by contract, so homogeneous) and I's support bitmask of
+each term of those generators, computed once on the first ideal lifted
+(for K[L], I_L) and shared by every lift and every lift of a lift.  When
+the forms are all single terms c·x_v, as in a variable lift, a colon's
+target C and a colon report's linear lift, the lift's split keeps a term
+iff its mask misses the forms' variables, one AND per term with no
+exponent tuple read; other forms take _split_linear.
 
 Every colon is a colon by one linear form l, and every intersection is
 I ∩ (l) = l·(I : l) for a homogeneous I.  Modulo the linear generators of I,
@@ -163,8 +172,25 @@ class Ideal(_Frozen):
 
     @cached_property
     def _split(self):
-        """_split_linear of the generators, kept for every colon by a form."""
-        return _split_linear(self.generators)
+        """_split_linear of the generators, kept for every colon by a form
+        and read by groebner_basis.  A lift that with_linear built from
+        forms that are all single terms c·x_v reads it off its nonlinear
+        generators' term masks: a term survives iff its mask meets none of
+        those variables, one AND per term."""
+        forms = vars(self).get("_linear")
+        if forms is None or not all(len(g.terms) == 1 for g in forms):
+            return _split_linear(self.generators)
+        leads, linear = _variable_echelon(self.ring, forms)
+        killed = sum(1 << m.index(1) for m in leads)
+        kept = []
+        for g, masks in zip(self._nonlinear, self._term_masks):
+            if not any(map(killed.__and__, masks)):
+                kept.append(g)
+            else:
+                terms = tuple(t for t, s in zip(g.terms, masks) if not s & killed)
+                if terms:
+                    kept.append(Polynomial(self.ring, terms))
+        return linear, kept
 
     @cached_property
     def _colons(self):
@@ -183,10 +209,43 @@ class Ideal(_Frozen):
         """Whether every generator is homogeneous."""
         return all(g.is_homogeneous() for g in self.generators)
 
+    @cached_property
+    def _term_masks(self):
+        """Per nonlinear generator, the support bitmask of each of its terms
+        (bit v for the variable v), read by the split of each lift."""
+        return tuple(
+            tuple(sum(1 << v for v, e in enumerate(m) if e) for m, _ in g.terms)
+            for g in self._nonlinear
+        )
+
     def with_linear(self, forms):
-        """This ideal's nonlinear generators plus the linear forms given: for
-        I_L, the lift (I_L, V) of a linear-form ideal of H[L]."""
-        return ideal(self.ring, self._nonlinear + tuple(forms))
+        """This ideal's nonlinear generators plus the nonzero forms given:
+        for I_L, the lift (I_L, V) of a linear-form ideal of H[L].
+
+        The forms must be linear; that is not tested again.  The lift is
+        the Ideal that ideal() builds from those generators, with the same
+        tuple, so it compares, hashes and is cached alike, but it is built
+        without reading this ideal's generators again: only the forms'
+        rings are checked, and the lift takes this ideal's _nonlinear,
+        _homogeneous and _term_masks (computed once, on the first ideal
+        lifted, and shared by the lifts of its lifts).  It keeps the forms
+        as _linear for its _split."""
+        ring = self.ring
+        forms = tuple(g for g in forms if g)
+        for g in forms:
+            if g.ring is not ring and g.ring != ring:
+                raise ValueError("generator from a different ring")
+        nonlinear = self._nonlinear
+        lift = Ideal.__new__(Ideal)
+        vars(lift).update(
+            ring=ring,
+            generators=nonlinear + forms,
+            _nonlinear=nonlinear,
+            _homogeneous=self._homogeneous,
+            _term_masks=self._term_masks,
+            _linear=forms,
+        )
+        return lift
 
 
 def ideal(ring, gens):
@@ -596,8 +655,7 @@ def _split_linear(gens):
         return [], rest
     ring = linear[0].ring
     if all(len(g.terms) == 1 for g in linear):
-        monic = {g.terms[0][0]: g for g in linear if g.terms[0][1] == 1}
-        leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
+        leads, echelon = _variable_echelon(ring, linear)
         killed = [m.index(1) for m in leads]
         kept = []
         for g in rest:
@@ -606,7 +664,7 @@ def _split_linear(gens):
                 kept.append(g)
             elif terms:
                 kept.append(Polynomial(ring, terms))
-        return [monic.get(m) or Polynomial(ring, ((m, ONE),)) for m in leads], kept
+        return echelon, kept
     echelon = _Divisors(_codec_of(ring))
     for g in linear:
         r = normal_form(g, echelon)
@@ -615,6 +673,15 @@ def _split_linear(gens):
     echelon = reduce_basis(echelon)
     rest = [r for r in (normal_form(g, echelon) for g in rest) if r]
     return list(echelon.basis), rest
+
+
+def _variable_echelon(ring, linear):
+    """The leading monomials of linear forms that are each one term c·x_v,
+    in ring-key order, and their reduced echelon form: those variables,
+    monic, each the given form itself when it is already monic."""
+    monic = {g.terms[0][0]: g for g in linear if g.terms[0][1] == 1}
+    leads = sorted({g.terms[0][0] for g in linear}, key=ring.key)
+    return leads, [monic.get(m) or Polynomial(ring, ((m, ONE),)) for m in leads]
 
 
 def _reduced_basis(gens, ring):
@@ -638,7 +705,8 @@ def _split_reduced(linear, rest, ring):
 
 
 def groebner_basis(I):
-    """Reduced Groebner basis of I, cached on I's ring object.
+    """Reduced Groebner basis of I, cached on I's ring object, reduced on a
+    miss from the split I keeps (Ideal._split).
 
     The cache is the ring's ``_bases``, keyed by I's set of generators, so it
     is freed with the ring; an equal ring built apart does not share it.
@@ -651,7 +719,7 @@ def groebner_basis(I):
     got = bases.get(key)
     if got is not None:
         return got
-    return bases.setdefault(key, _reduced_basis(I.generators, I.ring))
+    return bases.setdefault(key, _split_reduced(*I._split, I.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ JoinMeetIdeal it was built from, and its lift and colons read I_L from
 there, so the cache is looked up once per ideal.  Every lift (I_L, V), a
 ResidueIdeal's and the linear lift a colon report compares against, is
 I_L's Ideal.with_linear(V), so its reduced basis is cached once, on the
-ring, keyed by the lift.
+ring, keyed by the lift, and the lift is built from what I_L's Ideal
+keeps, never by reading the basic binomials again (see groebner).
 
 Residue-class ideals of H[L] are handled through their lifts (I_L, gens) in
 K[L].  I_L is generated by the quadrics ab − (a∨b)(a∧b) (Hibi 1987), so the
@@ -19,8 +20,9 @@ linear part of a lift (I_L, V) is exactly V: two lifts are equal iff their
 spans are, and a linear form lies in a lift iff it lies in the span.  A
 linear-form ideal is therefore named by its span, in reduced echelon form,
 never by its generator list, so two presentations of the same ideal compare
-equal; the full reduced basis of a lift is computed only when a colon or a
-nonlinear membership test needs it.
+equal; a variable ideal's form is its variables in ring order.  The full
+reduced basis of a lift is computed only when a colon or a nonlinear
+membership test needs it.
 
 colon_in_H is colon_element on the lift of J: it checks its input, reads the
 colon the engine keeps on the lift and builds one report, whose verdicts
@@ -201,9 +203,15 @@ class ResidueIdeal:
         once.  I_L is generated by quadrics, so this span is the whole linear
         part of the lift and determines the lift; the form equals the degree-1
         part of the lift's reduced basis, polynomial for polynomial, with no
-        Buchberger run."""
+        Buchberger run.  A variable ideal's form is its variables in ring
+        order, read with no echelon form."""
         if self._span is None:
-            self._span = tuple(_split_linear(self.linear_generators)[0])
+            A = self._variables
+            if A:
+                variables = self.base.variables
+                self._span = tuple(variables[e] for e in self.lattice.linear_extension if e in A)
+            else:
+                self._span = tuple(_split_linear(self.linear_generators)[0])
         return self._span
 
     @property

@@ -475,7 +475,10 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     there.  A move whose piece S∖{x} is already dead is skipped without a
     colon, so deaths cascade up the masks.  The memo files each colon's
     verdict under the whole Aut(L) orbit of its move, so it makes one colon
-    per orbit, and none for an orbit the degree-2 check rejects.
+    per orbit, and none for an orbit the degree-2 check rejects.  The
+    survivors are a bytearray of 2^n flags, one byte per subset (a set of
+    2^20 ints took 85 MB on M3×C4); the walk takes every subset as alive
+    and allocates nothing of size 2^n.
     """
     n = L.n
     if cap < 1:
@@ -483,25 +486,25 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
     if n > WALK_LIMIT:
         raise CapExceeded(f"|L| = {n} exceeds {WALK_LIMIT}, the largest lattice the search takes")
     full = (1 << n) - 1
-    everything = range(1 << n)
     order = L.linear_extension[::-1]
     subset_ideal = cache(lambda mask: variable_ideal(L, (a for a in range(n) if mask >> a & 1)))
     move = _orbit_moves(L, subset_ideal)
 
     def first_move(mask, alive):
         """The pieces (rest, target) of mask's first move inside alive, its
-        moves tried in reverse linear-extension order."""
+        moves tried in reverse linear-extension order.  alive is None for
+        every subset, else a flag per mask."""
         for x in order:
             rest = mask & ~(1 << x)
-            if mask >> x & 1 and rest in alive:
+            if mask >> x & 1 and (alive is None or alive[rest]):
                 target = move(mask, x)
-                if target is not None and target in alive:
+                if target is not None and (alive is None or alive[target]):
                     return rest, target
         return None
 
     def closure(alive):
-        """The subsets reached from the full set by first moves inside alive,
-        or None if one of them has no such move."""
+        """The subsets reached from the full set by first moves inside alive
+        (None for every subset), or None if one of them has no such move."""
         reached = {0, full}
         stack = [full]
         while stack:
@@ -514,22 +517,22 @@ def search_combinatorial(L, cap=DEFAULT_SEARCH_CAP):
                     stack.append(piece)
         return reached
 
-    reached = closure(everything)
+    reached = closure(None)
     if reached is None:
         if n > cap:
             raise CapExceeded(
                 f"the walk from the full set dead-ends, and |L| = {n} exceeds "
                 f"the search cap {cap} on the fixpoint over all 2^n subsets"
             )
-        survivors = set(everything)
+        survivors = bytearray(b"\x01") * (1 << n)
         deleted = True
         while deleted:
             deleted = False
-            for m in everything:
-                if m and m in survivors and first_move(m, survivors) is None:
-                    survivors.discard(m)
+            for m in range(1, 1 << n):
+                if survivors[m] and first_move(m, survivors) is None:
+                    survivors[m] = 0
                     deleted = True
-            if full not in survivors:
+            if not survivors[full]:
                 return None
         reached = closure(survivors)
     members = [subset_ideal(m) for m in sorted(reached, key=lambda m: (bin(m).count("1"), m))]
