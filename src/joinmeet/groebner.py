@@ -33,7 +33,9 @@ coefficient, and the packed tail terms.  A GroebnerBasis caches its
 divisors on first use and packs them again only after the ring's codec has
 widened, and an Ideal builds its cache key once, from generators that
 each keep their own hash, so repeated queries against one basis or one
-Ideal object pay neither again.
+Ideal object pay neither again; a lift's key copies its parent's set of
+nonlinear generators and adds its forms, so no generator of I_L is hashed
+again per lift.
 A plain sequence is packed per division.  A list that grows between
 divisions (Buchberger's basis, the elements reduce_basis has kept, the
 echelon form of linear generators) is a _Divisors list from the start, and
@@ -41,7 +43,10 @@ adds a row as each element is appended.  A lead whose support is not inside
 a term's support cannot divide it and is skipped with one AND; the first
 dividing lead in order does the division.  Division by a monic lead skips
 the coefficient quotient, and an S-polynomial is formed from the two tails
-in one pass.
+in one pass.  Every coefficient quotient (monic, a division step, an
+S-polynomial, divide_exact, the colon's 1/c) is poly.exact_quotient, an int
+when two ints divide, so over I_L's ±1 binomials the kernel computes on
+ints, and on Fractions only where an input has one.
 
 groebner_basis caches each reduced basis on the ring object of its ideal,
 keyed by the ideal's set of generators, so the cache is freed with the ring
@@ -138,7 +143,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import add, le, sub
 
-from .poly import ONE, MonomialOrder, Polynomial, Ring, _Frozen, _Overflow
+from .poly import ONE, MonomialOrder, Polynomial, Ring, _Frozen, _Overflow, exact_quotient
 
 
 class ZeroDivisorArgument(ValueError):
@@ -166,9 +171,19 @@ class Ideal(_Frozen):
     @cached_property
     def _gb_key(self):
         """The key of this ideal's reduced basis in its ring's cache of
-        bases: the set of generators, each of which keeps its own hash, so
-        generators shared between ideals (I_L's) are hashed once."""
-        return frozenset(self.generators)
+        bases: the set of generators, each of which keeps its own hash.  A
+        lift that with_linear built joins its parent's _nonlinear_key with
+        the set of its forms, a copy of the first set's table that hashes
+        none of I_L's generators again."""
+        forms = vars(self).get("_linear")
+        if forms is None:
+            return frozenset(self.generators)
+        return self._nonlinear_key | frozenset(forms)
+
+    @cached_property
+    def _nonlinear_key(self):
+        """The set of the nonlinear generators, shared by every lift."""
+        return frozenset(self._nonlinear)
 
     @cached_property
     def _split(self):
@@ -228,8 +243,8 @@ class Ideal(_Frozen):
         without reading this ideal's generators again: only the forms'
         rings are checked, and the lift takes this ideal's _nonlinear,
         _homogeneous and _term_masks (computed once, on the first ideal
-        lifted, and shared by the lifts of its lifts).  It keeps the forms
-        as _linear for its _split."""
+        lifted, and shared by the lifts of its lifts) and _nonlinear_key.
+        It keeps the forms as _linear for its _split and _gb_key."""
         ring = self.ring
         forms = tuple(g for g in forms if g)
         for g in forms:
@@ -243,6 +258,7 @@ class Ideal(_Frozen):
             _nonlinear=nonlinear,
             _homogeneous=self._homogeneous,
             _term_masks=self._term_masks,
+            _nonlinear_key=self._nonlinear_key,
             _linear=forms,
         )
         return lift
@@ -394,7 +410,7 @@ def _remainder_terms(f, G, codec):
         for support, e, lm, lc, tail in rows:
             if not support & outside and (x - e) & H == H:
                 q = m - lm
-                qc = c if lc is None else c / lc
+                qc = c if lc is None else exact_quotient(c, lc)
                 for mg, cg in tail:
                     mm = q + mg
                     v = work.get(mm)
@@ -461,9 +477,9 @@ def divide_exact(f, g):
     if len(g.terms) == 1:
         if not all(all(map(le, lm, m)) for m, _ in f.terms):
             raise ArithmeticError("inexact polynomial division")
-        return Polynomial(
-            ring, tuple((tuple(map(sub, m, lm)), c if lc == 1 else c / lc) for m, c in f.terms)
-        )
+        return Polynomial(ring, tuple(
+            (tuple(map(sub, m, lm)), c if lc == 1 else exact_quotient(c, lc)) for m, c in f.terms
+        ))
     key = ring.key
     work = dict(f.terms)
     quotient = {}
@@ -473,7 +489,7 @@ def divide_exact(f, g):
         if not all(map(le, lm, m)):
             raise ArithmeticError("inexact polynomial division")
         q = tuple(map(sub, m, lm))
-        qc = c / lc
+        qc = exact_quotient(c, lc)
         quotient[q] = qc
         for mg, cg in g.terms[1:]:
             mm = tuple(map(add, q, mg))
@@ -500,10 +516,10 @@ def _s_polynomial(codec, f, g):
     lcm = codec.lcm(ef, eg)
     a = lcm - lmf
     b = lcm - lmg
-    work = {a + m: c if lcf is None else c / lcf for m, c in tf}
+    work = {a + m: c if lcf is None else exact_quotient(c, lcf) for m, c in tf}
     for m, c in tg:
         if lcg is not None:
-            c = c / lcg
+            c = exact_quotient(c, lcg)
         mm = b + m
         v = work.get(mm)
         v = -c if v is None else v - c
@@ -840,14 +856,15 @@ def _ring_with_last(ring, v):
 
 def _substitute(f, v, image):
     """f with variable v replaced by the polynomial image."""
-    powers = [f.ring.one()]
+    ring = f.ring
+    powers = [Polynomial(ring, (((0,) * ring.nvars, ONE),))]
     acc = {}
     for m, c in f.terms:
         while len(powers) <= m[v]:
             powers.append(powers[-1] * image)
         for mm, cc in powers[m[v]].shift(m[:v] + (0,) + m[v + 1 :], c).terms:
             acc[mm] = acc.get(mm, 0) + cc
-    return f.ring.from_dict(acc)
+    return ring.from_dict(acc)
 
 
 def _colon_by_linear_form(I, l, *, substituted_basis=False):
@@ -896,7 +913,7 @@ def _compute_colon(I, l, substituted_basis=False):
     v = lead.index(1)
     x = Polynomial(ring, ((lead, ONE),))
     if r:
-        rest = [_substitute(g, v, (x - r) * (1 / c)) for g in rest]
+        rest = [_substitute(g, v, (x - r) * exact_quotient(1, c)) for g in rest]
     if substituted_basis:
         # x divides the x-last lead of a homogeneous element iff it divides
         # every term, a test that needs no x-last ring

@@ -1,6 +1,11 @@
 """Exact multivariate polynomials under degrevlex.
 
-One variable per lattice element; every coefficient is a Fraction.
+One variable per lattice element; every coefficient is exact: an int where
+the engine derived it from integral coefficients (the variables, I_L's basic
+binomials and everything computed from them), a Fraction where a caller
+wrote one or a division did not divide, and never a float.  An integral
+Fraction and the equal int compare and hash alike, so the two kinds mix
+freely in sums, keys and output.
 Exponent vectors are dense tuples, the public form of a monomial: terms,
 printing and parsing use them.  The Groebner kernel works on packed-integer
 monomials instead, through the codec each degrevlex Ring holds (see
@@ -29,16 +34,28 @@ class PolyParseError(InputError):
 # ---------------------------------------------------------------------------
 # coefficients: exact rationals
 
-ONE = Fraction(1)
+ONE = 1
 
 
 def coefficient(value):
-    """value as a Fraction; only ints, Fractions and strings like "-2/3"."""
+    """value as a Fraction; only ints, Fractions and strings like "-2/3".
+    The numbers a caller writes (the parser, Ring.monomial, Ring.constant)
+    come through here, so they are Fractions; the engine's own coefficients
+    stay ints while they are integral (see exact_quotient)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} into a rational coefficient")
+
+
+def exact_quotient(a, b):
+    """a / b for ints and Fractions: an int when both are ints and b divides
+    a, else a Fraction; never the float that int / int gives."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +435,7 @@ class Polynomial:
         if not self.terms or self.terms[0][1] == ONE:
             return self
         lc = self.terms[0][1]
-        return Polynomial(self.ring, tuple((m, c / lc) for m, c in self.terms))
+        return Polynomial(self.ring, tuple((m, exact_quotient(c, lc)) for m, c in self.terms))
 
     # -- arithmetic
 
@@ -447,7 +464,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = coefficient(other)
+            c = other if other.__class__ is int else coefficient(other)
             if not c:
                 return self.ring.zero()
             return Polynomial(self.ring, tuple((m, cc * c) for m, cc in self.terms))

@@ -39,6 +39,9 @@ def _check_lift(parent, forms, lift):
     assert lift == slow and hash(lift) == hash(slow)
     assert lift.generators == slow.generators
     assert lift._gb_key == slow._gb_key
+    # the key joins the parent's set of nonlinear generators, shared by
+    # every lift, with the forms
+    assert lift._nonlinear_key is parent._nonlinear_key
     assert lift._nonlinear == slow._nonlinear
     assert lift._homogeneous == slow._homogeneous
     assert lift._split == _split_linear(slow.generators)

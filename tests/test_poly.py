@@ -423,7 +423,7 @@ def test_a_query_stream_holds_each_monomial_once():
 
 
 # ---------------------------------------------------------------------------
-# every coefficient stays an exact Fraction
+# every coefficient stays exact: an int or a Fraction, never a float
 
 
 TERM_TEXTS = st.builds(
@@ -436,19 +436,24 @@ TERM_TEXTS = st.builds(
 DIVISORS = [RAND.parse("x^2 - 2*y*z"), RAND.parse("3*y - 1/2*z")]
 
 
-def all_fractions(f):
-    return all(type(c) is Fraction for _, c in f.terms)
+def all_exact(f):
+    return all(type(c) in (int, Fraction) for _, c in f.terms)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(TERM_TEXTS, min_size=1, max_size=4),
        st.lists(TERM_TEXTS, min_size=1, max_size=4), st.integers(-4, 4))
-def test_coefficients_stay_fractions(left, right, k):
-    # an int/int division anywhere on these paths would leave a float
+def test_coefficients_stay_exact(left, right, k):
+    # an int/int division anywhere on these paths would leave a float; the
+    # parsed polynomials carry Fractions, and h, built from the variables,
+    # ints, so both kinds meet in the products and divisions
     f, g = RAND.parse(" + ".join(left)), RAND.parse(" - ".join(right))
+    x, y, z = RAND.gens()
+    h = 2 * x * y - 3 * z ** 2
     gb = groebner_basis(ideal(RAND, DIVISORS))
-    products = [f * g, f * k, k * g, f - 1, 2 + g]
+    products = [f * g, f * k, k * g, f - 1, 2 + g, f * h, k * h]
     reduced = [normal_form(p, DIVISORS) for p in products]
     reduced += [normal_form(p, gb) for p in products]
-    for p in [f, g, *products, *reduced, *gb.basis]:
-        assert all_fractions(p) and all_fractions(p.monic()), p
+    reduced += [normal_form(p, [h]) for p in products]
+    for p in [f, g, h, *products, *reduced, *gb.basis]:
+        assert all_exact(p) and all_exact(p.monic()), p

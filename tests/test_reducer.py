@@ -58,8 +58,12 @@ from joinmeet.groebner import (
     s_polynomial,
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
-from joinmeet.poly import ONE, Ring, degrevlex
+from joinmeet.poly import Ring, degrevlex
 from joinmeet.lattice import boolean, diamond, divisor_lattice, pentagon
+
+# the reference kernel computes on Fractions alone: an engine coefficient
+# may be an int, and int / int is a float
+ONE = Fraction(1)
 
 
 def reference_normal_form(f, G):
@@ -77,7 +81,7 @@ def reference_normal_form(f, G):
         for lm, lc, g in leads:
             if all(x <= y for x, y in zip(lm, m)):
                 q = tuple(x - y for x, y in zip(m, lm))
-                qc = c / lc
+                qc = Fraction(c) / lc
                 for mg, cg in g.terms[1:]:
                     mm = tuple(x + y for x, y in zip(q, mg))
                     v = work.get(mm)
@@ -664,10 +668,10 @@ def reference_divide_exact(f, g):
         if not all(x <= y for x, y in zip(lm, m)):
             raise ArithmeticError("inexact polynomial division")
         q = tuple(x - y for x, y in zip(m, lm))
-        quotient[q] = c / lc
+        quotient[q] = Fraction(c) / lc
         for mg, cg in g.terms[1:]:
             mm = tuple(x + y for x, y in zip(q, mg))
-            v = work.get(mm, 0) - c / lc * cg
+            v = work.get(mm, 0) - Fraction(c) / lc * cg
             if v:
                 work[mm] = v
             else:
