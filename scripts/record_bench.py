@@ -27,9 +27,12 @@ physical line count of each ``src/joinmeet/*.py`` and their total.
 Then it runs each of HEAVY_CASES HEAVY_RUNS times, as ``python -m
 joinmeet.cli`` with ``PYTHONPATH=src`` in the checkout, in rounds that take
 every case once, and records its exit code, the wall time of each run and
-their median, and the largest peak RSS of its runs, read from ``os.wait4``
-for each child alone.  One run follows the load of the machine at that
-moment; the median of rounds spread over the recording follows it less.
+their median, the CPU seconds of each run (user plus system) and their
+median, and the largest peak RSS of its runs; CPU time and peak RSS are read
+from ``os.wait4`` for each child alone.  One run follows the load of the
+machine at that moment; the median of rounds spread over the recording
+follows it less, and CPU time, which leaves out the time the child waited
+for a processor, less again.
 The lattices these cases read come from the ``data`` directory beside this
 script, so a recording of an older checkout runs the same inputs, and each
 search case gives its ``--cap``, so an older checkout whose cap refused a
@@ -112,8 +115,8 @@ def startup_floor(root):
 
 
 def heavy_run(root, name, args, expected):
-    """Wall seconds and peak RSS in MB of one run of a heavy case; exits on
-    an unexpected exit code."""
+    """Wall seconds, CPU seconds and peak RSS in MB of one run of a heavy
+    case; exits on an unexpected exit code."""
     env = dict(os.environ, PYTHONPATH="src")
     argv = [sys.executable, "-m", "joinmeet.cli", *map(str, args)]
     started = time.perf_counter()
@@ -126,24 +129,26 @@ def heavy_run(root, name, args, expected):
     if code != expected:
         sys.exit(f"heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
     # ru_maxrss is in KiB on Linux
-    return elapsed, usage.ru_maxrss / 1024
+    return elapsed, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
 def heavy_cases(root):
-    """Exit code, wall seconds of each run and their median, and the largest
-    peak RSS of each heavy case, over HEAVY_RUNS rounds of all cases."""
+    """Exit code, wall and CPU seconds of each run and their medians, and the
+    largest peak RSS of each heavy case, over HEAVY_RUNS rounds of all cases."""
     runs = {name: [] for name in HEAVY_CASES}
     for round_ in range(HEAVY_RUNS):
         for name, (args, expected) in HEAVY_CASES.items():
             runs[name].append(heavy_run(root, name, args, expected))
-            elapsed, peak = runs[name][-1]
-            print(f"{name} run {round_ + 1}: {elapsed:.2f} s, {peak:.1f} MB", file=sys.stderr)
+            elapsed, cpu, peak = runs[name][-1]
+            print(f"{name} run {round_ + 1}: {elapsed:.2f} s, {cpu:.2f} s CPU, {peak:.1f} MB",
+                  file=sys.stderr)
     cases = {}
     for name, (args, expected) in HEAVY_CASES.items():
-        walls = [elapsed for elapsed, _ in runs[name]]
+        walls, cpus, peaks = zip(*runs[name])
         cases[name] = {"argv": " ".join(map(str, args)), "exit": expected,
-                       "wall_s": statistics.median(walls), "wall_s_runs": walls,
-                       "peak_rss_mb": max(peak for _, peak in runs[name])}
+                       "wall_s": statistics.median(walls), "wall_s_runs": list(walls),
+                       "cpu_s": statistics.median(cpus), "cpu_s_runs": list(cpus),
+                       "peak_rss_mb": max(peaks)}
     return cases
 
 

@@ -7,7 +7,9 @@ ideal and the string "m" abbreviates the maximal graded ideal.
 
 Each command computes one result dict: the "result" of the JSON document,
 and the only thing its text rendering reads.  All arithmetic is exact,
-over the rationals.
+over the rationals.  A command line is parsed by its command's parser alone;
+the full argparse tree is built only for a line that parser cannot take
+whole, so every usage, help and error text is the tree's.
 
 Exit codes: 0 success / pass, 1 fail or certified-none verdicts, 2 input
 errors, 3 internal errors (message and traceback on stderr).  With --format
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from .errors import InputError
 from .groebner import groebner_basis
@@ -325,13 +326,28 @@ def text_posetideals(r):
     return lines
 
 
+# each command's run and render functions, help line and own options, as
+# (name, add_argument keywords); "filtration" holds its two subcommands
 COMMANDS = {
-    "check": (cmd_check, text_check),
-    "ideal": (cmd_ideal, text_ideal),
-    "colon": (cmd_colon, text_colon),
-    "posetideals": (cmd_posetideals, text_posetideals),
-    "filtration verify": (cmd_filtration_verify, text_filtration_verify),
-    "filtration search": (cmd_filtration_search, text_filtration_search),
+    "check": (cmd_check, text_check, "order-theoretic report for a lattice", ()),
+    "ideal": (cmd_ideal, text_ideal, "print the join-meet ideal and its reduced basis", ()),
+    "colon": (cmd_colon, text_colon, "colon of residue ideals in H[L]", (
+        ("--j", {"default": "", "help": "comma-separated linear generators of J"}),
+        ("--by", {"required": True, "help": "linear form to colon by"}))),
+    "posetideals": (cmd_posetideals, text_posetideals, "enumerate poset ideals", (
+        ("--verify", {"action": "store_true",
+                      "help": "also verify the poset-ideal family as a Koszul filtration"}),)),
+    "filtration": (None, None, "verify or search Koszul filtrations", None),
+    "filtration verify": (cmd_filtration_verify, text_filtration_verify,
+                          "check the three axioms for a filtration file",
+                          (("file", {"help": "filtration JSON file"}),)),
+    "filtration search": (cmd_filtration_search, text_filtration_search,
+                          "exhaustive combinatorial filtration search", (
+        # the walk takes any lattice of up to WALK_LIMIT (32); over the cap, a dead end exits 2
+        ("--cap", {"type": int, "default": None,
+                   "help": "max lattice size for the fixpoint a dead-ended walk runs "
+                           f"(default {DEFAULT_SEARCH_CAP})"}),
+        ("--out", {"help": "write the found filtration to this file"}))),
 }
 
 
@@ -361,54 +377,47 @@ def emit(config, result, render, started):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+SHARED = (
+    ("--builtin", {"help": "pentagon, diamond, chain, boolean, divisor"}),
+    ("--n", {"type": int, "help": "parameter for chain/boolean/divisor"}),
+    ("--input", {"help": "lattice JSON file"}),
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+)
 
-def _add_common(parser):
-    parser.add_argument("--builtin", help="pentagon, diamond, chain, boolean, divisor")
-    parser.add_argument("--n", type=int, help="parameter for chain/boolean/divisor")
-    parser.add_argument("--input", help="lattice JSON file")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+def _add_options(parser, command):
+    for name, keywords in SHARED + COMMANDS[command][3]:
+        parser.add_argument(name, **keywords)
 
 
 def build_parser():
+    """The full argparse tree, with a subparser per command."""
     parser = argparse.ArgumentParser(
-        prog="joinmeet",
-        description="Join-meet ideals, colon ideals in H[L], Koszul filtrations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="order-theoretic report for a lattice")
-    _add_common(p)
-
-    p = sub.add_parser("ideal", help="print the join-meet ideal and its reduced basis")
-    _add_common(p)
-
-    p = sub.add_parser("colon", help="colon of residue ideals in H[L]")
-    _add_common(p)
-    p.add_argument("--j", default="", help="comma-separated linear generators of J")
-    p.add_argument("--by", required=True, help="linear form to colon by")
-
-    p = sub.add_parser("posetideals", help="enumerate poset ideals")
-    _add_common(p)
-    p.add_argument("--verify", action="store_true",
-                   help="also verify the poset-ideal family as a Koszul filtration")
-
-    p = sub.add_parser("filtration", help="verify or search Koszul filtrations")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-
-    v = fsub.add_parser("verify", help="check the three axioms for a filtration file")
-    _add_common(v)
-    v.add_argument("file", help="filtration JSON file")
-
-    s = fsub.add_parser("search", help="exhaustive combinatorial filtration search")
-    _add_common(s)
-    # the walk from the full set takes any lattice of up to WALK_LIMIT (32);
-    # the cap bounds only the fixpoint over all 2^n subsets that a walk
-    # which dead-ends falls back to, and a lattice over it then exits 2
-    s.add_argument("--cap", type=int, default=None,
-                   help="max lattice size for the fixpoint a dead-ended walk runs "
-                        f"(default {DEFAULT_SEARCH_CAP})")
-    s.add_argument("--out", help="write the found filtration to this file")
+        prog="joinmeet", description="Join-meet ideals, colon ideals in H[L], Koszul filtrations")
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (_, _, help_line, options) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        sub = groups[group].add_parser(name, help=help_line)
+        if options is None:
+            groups[command] = sub.add_subparsers(dest="subcommand", required=True)
+        else:
+            _add_options(sub, command)
     return parser
+
+
+def parse_args(argv=None):
+    """build_parser().parse_args(argv), by the named command's parser where it can."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = argv[:2 if argv[:1] == ["filtration"] else 1]
+    command = " ".join(words)
+    if command.split(" ") == words and command in COMMANDS and COMMANDS[command][0]:
+        parser = argparse.ArgumentParser(prog=f"joinmeet {command}")
+        _add_options(parser, command)
+        known = argparse.Namespace(**dict(zip(("command", "subcommand"), words)))
+        args, rest = parser.parse_known_args(argv[len(words):], known)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _config(args):
@@ -427,7 +436,7 @@ def _config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     config = _config(args)
     try:
         code = _run(args, config)
@@ -442,7 +451,7 @@ def main(argv=None):
 
 def _run(args, config):
     """Run one command and write its document; the exit code."""
-    run, render = COMMANDS[config["command"]]
+    run, render, _, _ = COMMANDS[config["command"]]
     started = time.perf_counter()
     try:
         code, result = run(load_lattice(args), args)
@@ -454,6 +463,7 @@ def _run(args, config):
             print(f"{'error' if kind == 'input' else 'internal error'}: {exc}", file=sys.stderr)
         if kind == "input":
             return 2
+        import traceback  # imported here: no other path needs it
         traceback.print_exc()
         return 3
     emit(config, result, render, started)

@@ -28,7 +28,6 @@ STDLIB_USED = (
     "os",
     "sys",
     "time",
-    "traceback",
     "warnings",
 )
 
