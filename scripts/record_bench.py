@@ -33,10 +33,15 @@ from ``os.wait4`` for each child alone.  One run follows the load of the
 machine at that moment; the median of rounds spread over the recording
 follows it less, and CPU time, which leaves out the time the child waited
 for a processor, less again.
-The lattices these cases read come from the ``data`` directory beside this
-script, so a recording of an older checkout runs the same inputs, and each
-search case gives its ``--cap``, so an older checkout whose cap refused a
-lattice before its walk runs it too.  A case that exits with a code other
+The lattices these cases read come from the ``data`` and ``bench/data``
+directories of the checkout holding this script, which they only read, so a
+recording of an older checkout runs the same inputs, and each search case
+over the default cap gives its ``--cap``, so an older checkout whose cap
+refused a lattice before its walk runs it too.  The cases include the CLI
+runs the ROADMAP's north star lists: the searches on ``m3_on_m3`` (the
+bench's ``search-none`` lattice), ``m3_on_m3_chain``, boolean(3) and
+divisor(30), (36) and (60), and the poset-ideal verification of
+divisor(60).  A case that exits with a code other
 than the one it lists stops the recording with exit 1.
 """
 
@@ -61,8 +66,15 @@ STARTUP_COMMANDS = {
 }
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+BENCH_DATA = DATA.parent / "bench" / "data"
 # name: (CLI arguments, expected exit code); a certified none exits 1
 HEAVY_CASES = {
+    "m3_on_m3": (["filtration", "search", "--input", BENCH_DATA / "m3_on_m3.json"], 1),
+    "boolean3": (["filtration", "search", "--builtin", "boolean", "--n", "3"], 0),
+    "divisor30": (["filtration", "search", "--builtin", "divisor", "--n", "30"], 0),
+    "divisor36": (["filtration", "search", "--builtin", "divisor", "--n", "36"], 0),
+    "divisor60": (["filtration", "search", "--builtin", "divisor", "--n", "60"], 0),
+    "divisor60_verify": (["posetideals", "--builtin", "divisor", "--n", "60", "--verify"], 0),
     "m3_c3_cap15": (["filtration", "search", "--input", DATA / "m3_c3.json", "--cap", "15"], 1),
     "pentagon_c2": (["filtration", "search", "--input", DATA / "pentagon_c2.json"], 0),
     "m3_on_m3_chain": (["filtration", "search", "--input", DATA / "m3_on_m3_chain.json"], 1),

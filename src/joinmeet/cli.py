@@ -291,14 +291,30 @@ def cmd_filtration_search(L, args):
     return 0 if rep.passed else 1, result
 
 
+# text mode lists a found family whole up to SEARCH_LISTED members; a longer
+# one shows its first and last SEARCH_ENDS members and a count of the rest,
+# which --out writes (boolean(5)'s family has 318)
+SEARCH_LISTED = 50
+SEARCH_ENDS = 5
+
+
 def text_filtration_search(r):
     subsets = r["subsets_examined"]
     if not r["found"]:
         return [f"no combinatorial Koszul filtration: none (certified, {subsets} subsets examined)"]
+    ideals = r["filtration"]["ideals"]
+    if len(ideals) <= SEARCH_LISTED:
+        listed = [f"  {_parens(m)}" for m in ideals]
+    else:
+        listed = [
+            *(f"  {_parens(m)}" for m in ideals[:SEARCH_ENDS]),
+            f"  ... {len(ideals) - 2 * SEARCH_ENDS} more members; --out FILE writes them all",
+            *(f"  {_parens(m)}" for m in ideals[-SEARCH_ENDS:]),
+        ]
     lines = [
         f"combinatorial Koszul filtration found ({r['members']} members, "
         f"{subsets} subsets examined):",
-        *(f"  {_parens(m)}" for m in r["filtration"]["ideals"]),
+        *listed,
         f"replay verification: {'pass' if r['replay_passed'] else 'FAIL'}",
     ]
     if "written_to" in r:

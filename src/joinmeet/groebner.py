@@ -63,6 +63,11 @@ hashes ints, not exponent tuples.  A query built by sums carries its ring's
 own monomial tuples (see poly.Ring), so its lookups in the forms succeed on
 identity, and 20,000 queries over three lattices hold each distinct
 monomial once: the bench's member workload peaks at 34.7 MB, not 48.9 MB.
+The sum is one pass over f's terms that reads each coefficient once, an int
+as it is and a Fraction as one as_integer_ratio(), and keeps a running
+common denominator: the partial sums are rescaled only when a denominator
+arrives that does not divide it, so the sum is integer arithmetic over
+integer forms, with no separate pass for the lcm of f's denominators.
 
 Buchberger's pair queue orders pairs by their packed lcms, which sort by
 degree, then in the ring's order, and ties by creation.  Two leads are
@@ -138,7 +143,7 @@ that order does.
 from __future__ import annotations
 
 import heapq
-import math
+from math import gcd
 from functools import cached_property
 from itertools import combinations
 from operator import add, le, sub
@@ -746,15 +751,20 @@ def ideal_member(f, I):
     """Whether f lies in I: whether Σ c·NF(x^m) over f's terms, f's
     remainder, is zero, with each monomial's form kept on the basis and
     naming its standard monomials by their ids in the basis's _ids, so the
-    sum is keyed by ints.  f is scaled by the lcm of its denominators, which
-    leaves membership unchanged, so over forms with integer coefficients the
-    sum is integer arithmetic."""
+    sum is keyed by ints.
+
+    One pass over f's terms reads each coefficient once, an int as it is
+    and a Fraction as one as_integer_ratio(), and sums scale·c·NF(x^m) for
+    a running common denominator scale, 1 at the start.  A denominator d
+    that does not divide scale multiplies scale and the partial sums by
+    d // gcd(scale, d), so the final sum is f's remainder times the lcm of
+    its denominators, which leaves membership unchanged, and over forms
+    with integer coefficients the sum is integer arithmetic."""
     if f.ring is not I.ring and f.ring != I.ring:
         raise ValueError("mixed rings")
     gb = groebner_basis(I)
     forms = gb._forms
-    # a list: a starred generator raised member-bench peak RSS by 1.0 MB
-    scale = math.lcm(*[c.denominator for _, c in f.terms])
+    scale = 1
     acc = {}
     for m, c in f.terms:
         form = forms.get(m)
@@ -764,8 +774,16 @@ def ideal_member(f, I):
                 (ids.setdefault(mm, len(ids)), cc.numerator if cc.denominator == 1 else cc)
                 for mm, cc in normal_form(Polynomial(f.ring, ((m, ONE),)), gb).terms
             )
-        d = c.denominator
-        c = c.numerator if d == scale else c.numerator * (scale // d)
+        if type(c) is int:
+            c *= scale
+        else:
+            c, d = c.as_integer_ratio()
+            if scale % d:
+                k = d // gcd(scale, d)
+                scale *= k
+                for i in acc:
+                    acc[i] *= k
+            c *= scale // d
         for i, cc in form:
             acc[i] = acc.get(i, 0) + c * cc
     return not any(acc.values())

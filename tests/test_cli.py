@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from joinmeet.cli import main
+from joinmeet.cli import SEARCH_ENDS, SEARCH_LISTED, main, text_filtration_search
 from joinmeet.lattice import MAX_POSET_IDEALS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -367,6 +367,47 @@ def test_search_json_carries_filtration_document(capsys):
     assert doc["result"]["found"] is True
     assert doc["result"]["subsets_examined"] == 32
     assert isinstance(doc["result"]["filtration"]["ideals"], list)
+
+
+BOOLEAN4_SEARCH = """\
+combinatorial Koszul filtration found (72 members, 65536 subsets examined):
+  ()
+  (o)
+  (o, a)
+  (o, b)
+  (o, a, b)
+  ... 62 more members; --out FILE writes them all
+  (o, a, b, c, d, ab, ac, bc, ad, bd, cd, abc, abd, bcd)
+  (o, a, b, c, d, ab, ac, bc, ad, bd, cd, abc, acd, bcd)
+  (o, a, b, c, d, ab, ac, bc, ad, bd, cd, abd, acd, bcd)
+  (o, a, b, c, d, ab, ac, bc, ad, bd, cd, abc, abd, acd, bcd)
+  (o, a, b, c, d, ab, ac, bc, ad, bd, cd, abc, abd, acd, bcd, abcd)
+replay verification: pass
+"""
+
+
+def test_search_text_shortens_a_long_family(tmp_path, capsys):
+    # boolean(4)'s family has 72 members: text shows the first and last
+    # five and counts the rest, while --out and JSON keep all 72
+    argv = ["filtration", "search", "--builtin", "boolean", "--n", "4"]
+    assert run(capsys, *argv) == (0, BOOLEAN4_SEARCH, "")
+    out_path = tmp_path / "b4.filt"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == BOOLEAN4_SEARCH.replace("pass\n", f"pass\nfiltration written to {out_path}\n")
+    assert len(json.loads(out_path.read_text())["ideals"]) == 72
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert len(json.loads(out)["result"]["filtration"]["ideals"]) == 72
+
+
+@pytest.mark.parametrize("size, lines", [(SEARCH_LISTED, SEARCH_LISTED),
+                                         (SEARCH_LISTED + 1, 2 * SEARCH_ENDS + 1)])
+def test_search_text_lists_up_to_the_limit_whole(size, lines):
+    result = {"found": True, "subsets_examined": 1 << 12, "members": size,
+              "replay_passed": True, "filtration": {"ideals": [["x"]] * size}}
+    listed = text_filtration_search(result)[1:-1]
+    assert len(listed) == lines
+    assert ("more members" in listed[SEARCH_ENDS]) == (size > SEARCH_LISTED)
 
 
 def test_search_cap_option(capsys):

@@ -58,7 +58,7 @@ from joinmeet.groebner import (
     s_polynomial,
 )
 from joinmeet.hibi import join_meet_ideal, lattice_ring
-from joinmeet.poly import Ring, degrevlex
+from joinmeet.poly import Polynomial, Ring, degrevlex
 from joinmeet.lattice import boolean, diamond, divisor_lattice, pentagon
 
 # the reference kernel computes on Fractions alone: an engine coefficient
@@ -608,6 +608,61 @@ def test_membership_matches_the_remainder_on_corpus_bases():
     warm = [ideal_member(f, I) for I, f, _ in stream]
     assert warm == cold
     assert any(cold) and not all(cold)
+
+
+def _one_class(I):
+    """Five monomials of one degree, largest first in the ring's order, whose
+    normal forms modulo I are nonzero multiples λ of one standard monomial,
+    with their λ: the smallest degree that has such a class."""
+    ring = I.ring
+    gb = groebner_basis(I)
+    for degree in range(2, 6):
+        classes = {}
+        for m in oracles._monomials_of_degree(ring.nvars, degree):
+            terms = normal_form(ring.monomial(m), gb).terms
+            if len(terms) == 1:
+                classes.setdefault(terms[0][0], []).append((m, terms[0][1]))
+        for members in classes.values():
+            if len(members) >= 5:
+                return sorted(members, key=lambda t: ring.key(t[0]), reverse=True)[:5]
+    raise AssertionError("no class of five monomials up to degree 5")
+
+
+def test_membership_rescales_the_partial_sums_exactly():
+    # ideal_member keeps a running common denominator and rescales its
+    # partial sums when a denominator arrives that does not divide it.
+    # f = c1·lead(g) + c2·tail(g) for each generator g: an int term before
+    # and after a new denominator, and forms that share an id; then sums
+    # over five monomials of one class (forms λ·s) whose denominators
+    # arrive in the order 2, 3, 6, 4, the fifth term cancelling the class
+    # or not, and a sum with int coefficients alone
+    jm = join_meet_ideal(cold_copy(divisor_lattice(36)))
+    ideals = [jm.ideal, jm.ideal.with_linear(jm.variables[4:5]), PENTAGON_IDEALS[4]]
+    pairs = [(1, Fraction(1, 2)), (Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 2)),
+             (Fraction(1, 3), Fraction(2, 6)), (2, 1)]
+    stream, expected = [], []
+    for I in ideals:
+        ring = I.ring
+        for g in I.generators:
+            lead, tail = Polynomial(ring, g.terms[:1]), Polynomial(ring, g.terms[1:])
+            stream += [(I, c1 * lead + c2 * tail) for c1, c2 in pairs]
+        cls = _one_class(I)
+        first = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 4)]
+        cancel = -sum(c * lam for c, (_, lam) in zip(first, cls)) / cls[4][1]
+        ints = [1, -2, 3, 4, -6]
+        for coeffs in (first + [cancel], first + [cancel + 1], ints):
+            f = ring.from_dict({m: c for c, (m, _) in zip(coeffs, cls)})
+            if coeffs is ints:
+                assert all(type(c) is int for _, c in f.terms)
+            else:
+                assert [c.denominator for _, c in f.terms][:4] == [2, 3, 6, 4]
+            # theory: f lies in I iff Σ c·λ over the class is zero
+            expected.append((len(stream), not sum(c * lam for c, (_, lam) in zip(coeffs, cls))))
+            stream.append((I, f))
+    cold = [_assert_membership_matches(f, I, I.ring.nvars <= 6) for I, f in stream]
+    assert [ideal_member(f, I) for I, f in stream] == cold
+    assert [cold[k] for k, _ in expected] == [want for _, want in expected]
+    assert [want for _, want in expected][:6] == [True, False, True, True, False, True]
 
 
 # ---------------------------------------------------------------------------
