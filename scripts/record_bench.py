@@ -37,12 +37,11 @@ The lattices these cases read come from the ``data`` and ``bench/data``
 directories of the checkout holding this script, which they only read, so a
 recording of an older checkout runs the same inputs, and each search case
 over the default cap gives its ``--cap``, so an older checkout whose cap
-refused a lattice before its walk runs it too.  The cases include the CLI
-runs the ROADMAP's north star lists: the searches on ``m3_on_m3`` (the
-bench's ``search-none`` lattice), ``m3_on_m3_chain``, boolean(3) and
-divisor(30), (36) and (60), and the poset-ideal verification of
-divisor(60).  A case that exits with a code other
-than the one it lists stops the recording with exit 1.
+refused a lattice before its walk runs it too.  Beside the heavy runs, the
+cases time the short CLI verdicts: the searches on ``m3_on_m3`` (the
+bench's ``search-none`` lattice), boolean(3) and divisor(30), (36) and (60),
+and the poset-ideal verification of divisor(60).  A case that exits with a
+code other than the one it lists stops the recording with exit 1.
 """
 
 from __future__ import annotations

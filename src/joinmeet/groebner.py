@@ -143,9 +143,9 @@ that order does.
 from __future__ import annotations
 
 import heapq
-from math import gcd
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from operator import add, le, sub
 
 from .poly import ONE, MonomialOrder, Polynomial, Ring, _Frozen, _Overflow, exact_quotient
