@@ -22,7 +22,12 @@ the bytecode state at the start and the end of the recording, that is
 exists.  With no bytecode cache every interpreter compiles the package
 again, so records made in different bytecode states are not comparable, and
 the start-up cost follows the size of the source: ``src_lines`` records the
-physical line count of each ``src/joinmeet/*.py`` and their total.
+physical line count of each ``src/joinmeet/*.py`` and their total.  Beside
+it, ``code_lines`` records, per module and in total, the lines that hold a
+token of code: a token from ``tokenize`` that is neither a comment nor part
+of a module, class or function docstring, which ``ast`` finds.  Blank lines,
+comment lines and docstrings count in ``src_lines`` only, so a change that
+removes prose lowers ``src_lines`` and leaves ``code_lines`` as it was.
 
 Then it runs each of HEAVY_CASES HEAVY_RUNS times, as ``python -m
 joinmeet.cli`` with ``PYTHONPATH=src`` in the checkout, in rounds that take
@@ -47,6 +52,8 @@ code other than the one it lists stops the recording with exit 1.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -54,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
@@ -177,6 +185,43 @@ def source_lines(root):
     return {"files": counts, "total": sum(counts.values())}
 
 
+# tokens that hold no code: layout, comments and the encoding marker
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_line_count(source):
+    """The number of lines of source that hold a token of code: not a
+    comment, and not a string of a module, class or function docstring.
+    A docstring is known by where ast puts its first string; the strings
+    that follow it up to the end of its statement belong to it too."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add((first.lineno, first.col_offset))
+    lines = set()
+    in_docstring = False
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.STRING and (in_docstring or token.start in docstrings):
+            in_docstring = True
+        elif token.type not in NOT_CODE:
+            in_docstring = False
+            lines.update(range(token.start[0], token.end[0] + 1))
+        elif token.type == tokenize.NEWLINE:
+            in_docstring = False
+    return len(lines)
+
+
+def code_lines(root):
+    """code_line_count of each module of the package, and the total."""
+    counts = {path.name: code_line_count(path.read_text(encoding="utf-8"))
+              for path in sorted((root / "src" / "joinmeet").glob("*.py"))}
+    return {"files": counts, "total": sum(counts.values())}
+
+
 def commit_of(root):
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return done.stdout.strip() or None
@@ -233,6 +278,7 @@ def main(argv=None):
         "nproc": len(os.sched_getaffinity(0)),
         "bytecode": {"start": bytecode_at_start, "end": bytecode_state(root)},
         "src_lines": source_lines(root),
+        "code_lines": code_lines(root),
         "startup": startup,
         "workloads": workloads,
         "heavy": heavy_cases(root),

@@ -44,9 +44,9 @@ a term's support cannot divide it and is skipped with one AND; the first
 dividing lead in order does the division.  Division by a monic lead skips
 the coefficient quotient, and an S-polynomial is formed from the two tails
 in one pass.  Every coefficient quotient (monic, a division step, an
-S-polynomial, divide_exact, the colon's 1/c) is poly.exact_quotient, an int
-when two ints divide, so over I_L's ±1 binomials the kernel computes on
-ints, and on Fractions only where an input has one.
+S-polynomial, the colon's 1/c) is poly.exact_quotient, an int when two ints
+divide, so over I_L's ±1 binomials the kernel computes on ints, and on
+Fractions only where an input has one.
 
 groebner_basis caches each reduced basis on the ring object of its ideal,
 keyed by the ideal's set of generators, so the cache is freed with the ring
@@ -121,20 +121,24 @@ report of an _Unreduced one from its degree-1 part.  The map is keyed by
 the form alone and freed with its Ideal; a ring-level map keyed by
 (generator set, form) would keep a frozenset of generators alive per key.
 
-A caller that knows more than the engine may skip the x-last Buchberger run:
-colon_element, intersect and the colon take substituted_basis, off by
-default, the caller's word that I's nonlinear generators with its linear
-part substituted out are already a Groebner basis with x last.  Then the
-colon takes them as the basis, since Buchberger would add nothing to them,
-and divides by x those that x divides term by term: for a homogeneous
-element that is whether x divides its lead with x last, so the division
-stays in the ring's own order and builds no x-last ring.  The test against
-C and the fallback run as before.  hibi gives that word for a colon of
-(I_L, x_A) by x_e with L distributive, A a poset ideal and e a minimal
+Both routes take the quotients by one step, _divided_by: an element that x
+divides term by term is divided by x, and for a homogeneous element that is
+whether x divides its lead with x last.  The x-last route divides in the
+x-last ring, before the map back, so that the map back, through
+Ring.from_dict, gives the quotients the ring's own monomial tuples (see
+poly.Ring), not a new tuple per quotient term.  hibi alone may skip the
+x-last Buchberger run: its colon_in_H passes substituted_basis to
+_kept_colon, off by default and taken by no public function, its word that
+I's nonlinear generators with its linear part substituted out are already a
+Groebner basis with x last.  Then the colon takes them as the basis, since
+Buchberger would add nothing to them, and divides them in the ring's own
+order, with no x-last ring; a wrong word would give a wrong colon.  The test
+against C and the fallback run as before.  hibi gives that word for a colon
+of (I_L, x_A) by x_e with L distributive, A a poset ideal and e a minimal
 element of L ∖ A: A's elements in the fixed linear extension, then e, then
 the rest of L in that order, is again a linear extension, so I_L's basic
-binomials are a degrevlex Groebner basis with those variables smallest
-first (Hibi 1987), and setting the smallest variables x_A to zero keeps a
+binomials are a degrevlex Groebner basis with those variables smallest first
+(Hibi 1987), and setting the smallest variables x_A to zero keeps a
 degrevlex Groebner basis (Bayer–Stillman 1987).  No generator then has a
 term in x_A, and the ring with x_e last orders the remaining monomials as
 that order does.
@@ -146,7 +150,6 @@ import heapq
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from operator import add, le, sub
 
 from .poly import ONE, MonomialOrder, Polynomial, Ring, _Frozen, _Overflow, exact_quotient
 
@@ -470,43 +473,6 @@ def _normal_form(codec, f, G):
     return Polynomial(f.ring, tuple([(unpack(m), c) for m, c in _remainder_terms(f, G, codec)]))
 
 
-def divide_exact(f, g):
-    """Quotient f/g when g divides f exactly (members of (g) always do).
-
-    A monomial g divides term by term, which keeps f's term order.
-    """
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    lm, lc = g.leading_term()
-    if len(g.terms) == 1:
-        if not all(all(map(le, lm, m)) for m, _ in f.terms):
-            raise ArithmeticError("inexact polynomial division")
-        return Polynomial(ring, tuple(
-            (tuple(map(sub, m, lm)), c if lc == 1 else exact_quotient(c, lc)) for m, c in f.terms
-        ))
-    key = ring.key
-    work = dict(f.terms)
-    quotient = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not all(map(le, lm, m)):
-            raise ArithmeticError("inexact polynomial division")
-        q = tuple(map(sub, m, lm))
-        qc = exact_quotient(c, lc)
-        quotient[q] = qc
-        for mg, cg in g.terms[1:]:
-            mm = tuple(map(add, q, mg))
-            v = work.get(mm)
-            v = -qc * cg if v is None else v - qc * cg
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
-    return ring.from_dict(quotient)
-
-
 def s_polynomial(f, g):
     """x^a·f/lc(f) − x^b·g/lc(g), with x^a·lm(f) = x^b·lm(g) = lcm of the
     leads.  The leading terms cancel, so it is formed from the two tails in
@@ -705,12 +671,6 @@ def _variable_echelon(ring, linear):
     return leads, [monic.get(m) or Polynomial(ring, ((m, ONE),)) for m in leads]
 
 
-def _reduced_basis(gens, ring):
-    """The reduced basis of (gens), uncached: _split_reduced of their
-    _split_linear."""
-    return _split_reduced(*_split_linear(gens), ring)
-
-
 def _split_reduced(linear, rest, ring):
     """The reduced basis of (linear, rest), split as _split_linear splits:
     the linear part joined with the reduced basis of the substituted rest."""
@@ -793,13 +753,11 @@ def ideal_equal(I, J):
     return groebner_basis(I).basis == groebner_basis(J).basis
 
 
-def intersect(I, J, *, substituted_basis=False):
+def intersect(I, J):
     """I ∩ (l) for a homogeneous Ideal I and the Ideal J = (l) of one linear
     form l: l times the reduced basis of I : l.  That basis is kept in
     I._colons under l (see _kept_colon); a colon kept unreduced is reduced
     here, once, and kept in its place.  Any other pair raises ValueError.
-    substituted_basis is passed to the colon (see the module docstring); it
-    is not part of the key, since both routes give the one reduced basis.
     """
     if I.ring != J.ring:
         raise ValueError("mixed rings")
@@ -809,9 +767,9 @@ def intersect(I, J, *, substituted_basis=False):
         raise ValueError("intersect needs a homogeneous I")
     ring = I.ring
     l = J.generators[0]
-    colon = _kept_colon(I, l, substituted_basis)
+    colon = _kept_colon(I, l)
     if isinstance(colon, _Unreduced):
-        colon = _keep_basis(I, l, colon.reduced(ring))
+        colon = _keep_basis(I, l, _split_reduced(colon.degree1, colon.higher, ring))
     return ideal(ring, tuple(l * g for g in colon.basis))
 
 
@@ -828,9 +786,6 @@ class _Unreduced:
         self.degree1 = degree1
         self.higher = higher
 
-    def reduced(self, ring):
-        return _split_reduced(self.degree1, self.higher, ring)
-
 
 def _keep_basis(I, l, colon):
     """Keep colon, the reduced basis of I : l, in I._colons under l, and
@@ -844,7 +799,10 @@ def _kept_colon(I, l, substituted_basis=False):
     """I._colons' entry for l, computed by _compute_colon on a miss: the
     reduced basis of I : l, or an _Unreduced colon, which intersect reduces
     when its basis is asked for.  A search reads no more of such a colon
-    than that it is not generated by its linear part."""
+    than that it is not generated by its linear part.  substituted_basis,
+    which only hibi's colon_in_H passes, goes to _compute_colon (see the
+    module docstring); it is not part of the key, since both routes give
+    the one reduced basis."""
     colon = I._colons.get(l)
     if colon is None:
         colon = _compute_colon(I, l, substituted_basis)
@@ -885,11 +843,13 @@ def _substitute(f, v, image):
     return ring.from_dict(acc)
 
 
-def _colon_by_linear_form(I, l, *, substituted_basis=False):
-    """Reduced basis of I : l, for a homogeneous Ideal I and a linear form l:
-    _compute_colon's colon, reduced when it comes unreduced."""
-    colon = _compute_colon(I, l, substituted_basis)
-    return colon.reduced(I.ring) if isinstance(colon, _Unreduced) else colon
+def _divided_by(g, v):
+    """g / x_v when x_v divides every term of g, else g itself.  Dividing
+    every term by one variable keeps g's term order."""
+    terms = g.terms
+    if not all(m[v] for m, _ in terms):
+        return g
+    return Polynomial(g.ring, tuple([(m[:v] + (m[v] - 1,) + m[v + 1 :], c) for m, c in terms]))
 
 
 def _compute_colon(I, l, substituted_basis=False):
@@ -907,19 +867,23 @@ def _compute_colon(I, l, substituted_basis=False):
     2. In degrevlex with x last, divide by x every element of a Groebner
        basis that x divides: that is a basis of the colon by x
        (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).
-       With substituted_basis the substituted generators are that basis,
-       and Buchberger does not run; the elements are homogeneous, so x
-       divides one's x-last lead iff it divides every term, and they are
-       divided in ring's own order, with no x-last ring.
+       With substituted_basis (from hibi, through _kept_colon) the
+       substituted generators are that basis, and Buchberger does not run.
+       The elements are homogeneous, so x divides one's x-last lead iff it
+       divides every term, and _divided_by divides either route's elements
+       in the ring they are in: ring's own order with substituted_basis,
+       else the x-last ring, before the map back.
     3. Map back.  C = I + (I : l)_1, the nonlinear generators of I with the
        reduced echelon form of I's linear part and the linear quotients,
-       lies inside I : l.  If no quotient is a constant and every quotient
-       reduces to 0 modulo C's reduced basis, then I : l = C, and that
-       cached basis is the answer.  If one lies outside C, then I : l ≠ C,
-       as the linear generators and the quotients generate I : l, and the
-       answer is an _Unreduced colon: the split of those generators, whose
-       reduced basis takes a second Buchberger run.  A constant quotient
-       gives the unit ideal, whose basis is built here.
+       lies inside I : l.  I is homogeneous (intersect refuses any other,
+       and hibi's lifts are I_L plus linear forms), so the rest is
+       homogeneous of degree at least 2, and every basis element and every
+       quotient has positive degree.  If every quotient reduces to 0 modulo
+       C's reduced basis, then I : l = C, and that cached basis is the
+       answer.  If one lies outside C, then I : l ≠ C, as the linear
+       generators and the quotients generate I : l, and the answer is an
+       _Unreduced colon: the split of those generators, whose reduced basis
+       takes a second Buchberger run.
     """
     ring = I.ring
     _codec_of(ring)  # refuse a ring the kernel cannot pack before any work
@@ -933,31 +897,25 @@ def _compute_colon(I, l, substituted_basis=False):
     if r:
         rest = [_substitute(g, v, (x - r) * exact_quotient(1, c)) for g in rest]
     if substituted_basis:
-        # x divides the x-last lead of a homogeneous element iff it divides
-        # every term, a test that needs no x-last ring
-        quotients = [divide_exact(g, x) if all(m[v] for m, _ in g.terms) else g for g in rest]
+        quotients = [_divided_by(g, v) for g in rest]
     else:
         ring_x = _ring_with_last(ring, v)
-        var = ring_x.var(ring.names[v])
         if ring_x is not ring:
             rest = [g.map_exponents(ring_x, _same) for g in rest]
-        gb = buchberger(rest, ring=ring_x)
-        quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
+        quotients = [_divided_by(g, v) for g in buchberger(rest, ring=ring_x).basis]
         if ring_x is not ring:
             quotients = [q.map_exponents(ring, _same) for q in quotients]
     if r:
         quotients = [_substitute(q, v, l) for q in quotients]
-    if all(q.total_degree() > 0 for q in quotients):
-        degree1, higher = _split_linear(linear + quotients)
-        C = I.with_linear(degree1)
-        # a quotient and its substituted form differ by a member of C
-        if all(ideal_member(q, C) for q in higher):
-            return groebner_basis(C)
-        return _Unreduced(tuple(degree1), higher)
-    return _reduced_basis(linear + quotients, ring)
+    degree1, higher = _split_linear(linear + quotients)
+    C = I.with_linear(degree1)
+    # a quotient and its substituted form differ by a member of C
+    if all(ideal_member(q, C) for q in higher):
+        return groebner_basis(C)
+    return _Unreduced(tuple(degree1), higher)
 
 
-def colon_element(I, f, *, substituted_basis=False):
+def colon_element(I, f):
     """I : f = { g : g·f ∈ I } for a homogeneous I and a linear form f,
     which is (1/f) · (I ∩ (f)).
 
@@ -965,9 +923,8 @@ def colon_element(I, f, *, substituted_basis=False):
     intersect keeps in I._colons under f, so that basis is read there, not
     divided back out of the products, and the ring's cache already holds
     it.  Any other I or f raises ValueError, as in intersect.
-    substituted_basis is passed to the colon (see the module docstring).
     """
     if not f:
         raise ZeroDivisorArgument("colon by the zero polynomial")
-    intersect(I, ideal(I.ring, (f,)), substituted_basis=substituted_basis)
+    intersect(I, ideal(I.ring, (f,)))
     return ideal(I.ring, I._colons[f].basis)

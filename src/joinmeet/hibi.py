@@ -398,11 +398,10 @@ def colon_in_H(J, f):
     if not f.is_linear_form():
         raise NotLinear(f"{f} is not a linear form")
     lift = J.lift
-    substituted = _substituted_basis(J, f)
-    colon = _kept_colon(lift, f, substituted)
+    colon = _kept_colon(lift, f, _substituted_basis(J, f))
     if not isinstance(colon, GroebnerBasis):
         return ResidueColonReport._unreduced(J, f, colon.degree1)
-    return _colon_report(J, (f,), colon_element(lift, f, substituted_basis=substituted))
+    return _colon_report(J, (f,), colon_element(lift, f))
 
 
 def _substituted_basis(J, f):

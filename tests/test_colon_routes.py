@@ -33,13 +33,11 @@ from conftest import cold_copy, count_computed_colons, enumerated_lattices, m3_o
 from joinmeet import groebner, hibi
 from joinmeet.groebner import (
     GroebnerBasis,
-    _colon_by_linear_form,
-    _reduced_basis,
     _ring_with_last,
     _split_linear,
+    _split_reduced,
     buchberger,
     colon_element,
-    divide_exact,
     groebner_basis,
     ideal,
     intersect,
@@ -201,13 +199,15 @@ def test_route_is_chosen_by_the_reduced_divisor():
     # a form that is a multiple of one variable modulo (y) colons as that
     # variable does
     I = ideal(R, I_L.generators + (y,))
-    assert _colon_by_linear_form(I, x + 2 * y).basis == _colon_by_linear_form(I, x).basis
+    assert (
+        groebner_basis(colon_element(I, x + 2 * y)).basis
+        == groebner_basis(colon_element(I, x)).basis
+    )
     # a form that stays a sum of two variables takes the substitution, and
     # matches elimination
-    assert _colon_by_linear_form(I_L, y - z).basis == elimination_colon(I_L, y - z)
     assert groebner_basis(colon_element(I_L, y - z)).basis == elimination_colon(I_L, y - z)
     # a form inside the ideal gives the unit ideal
-    assert _colon_by_linear_form(ideal(R, (y, z)), y - z).basis == (R.one(),)
+    assert groebner_basis(colon_element(ideal(R, (y, z)), y - z)).basis == (R.one(),)
 
 
 def test_split_linear_basis_edge_cases():
@@ -236,9 +236,11 @@ def reference_colon_by_linear_form(I, l):
     var = ring_x.var(ring.names[v])
     rest = [g.map_exponents(ring_x, lambda m: m) for g in rest]
     gb = buchberger(rest, ring=ring_x)
-    quotients = [divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis]
+    quotients = [
+        reference_divide_exact(g, var) if g.leading_monomial()[v] else g for g in gb.basis
+    ]
     quotients = [q.map_exponents(ring, lambda m: m) for q in quotients]
-    return _reduced_basis(linear + quotients, ring)
+    return _split_reduced(*_split_linear(linear + quotients), ring)
 
 
 def test_colon_by_a_variable_matches_the_reference_on_every_move():
@@ -259,7 +261,7 @@ def test_colon_by_a_variable_matches_the_reference_on_every_move():
                 if mask >> x & 1:
                     continue
                 want = reference_colon_by_linear_form(I, jm.variables[x])
-                got = _colon_by_linear_form(I, jm.variables[x])
+                got = groebner_basis(colon_element(I, jm.variables[x]))
                 assert got == want, (name, mask, x)
                 C = groebner_basis(ideal(jm.ring, jm.generators + want.degree1))
                 assert (got is C) == (C.basis == want.basis), (name, mask, x)
@@ -415,7 +417,8 @@ def test_kept_colon_matches_the_products_divided_back(monkeypatch):
                 assert colon_element(I, f).generators == got, (L, mask, x)
                 assert len(runs) == 1, (L, mask, x)
                 inter = intersect(K, ideal(K.ring, (g,)))
-                assert got == tuple(divide_exact(h, g) for h in inter.generators), (L, mask, x)
+                want = tuple(reference_divide_exact(h, g) for h in inter.generators)
+                assert got == want, (L, mask, x)
     assert moves == 8129
 
 
@@ -542,28 +545,20 @@ def test_a_rejected_move_builds_no_reduced_basis(monkeypatch):
     # verdicts, so the colon route reduces none of them.  Reading a
     # report's lift reduces its colon once, in intersect, from the split
     # the route kept.  groebner_basis reduces the ideals it is asked for,
-    # each from the split it keeps, and _reduced_basis splits its own
-    # generators; neither counts
-    route, kept = [], []
-    real_reduced, real_split = groebner._reduced_basis, groebner._split_reduced
-
-    def reduced(gens, ring):
-        # groebner_basis reduces the ideals it is asked for; count the rest
-        if sys._getframe(1).f_code.co_name != "groebner_basis":
-            route.append(gens)
-        return real_reduced(gens, ring)
+    # each from the split it keeps; that does not count
+    kept = []
+    real_split = groebner._split_reduced
 
     def split(linear, rest, ring):
-        if sys._getframe(1).f_code.co_name not in ("_reduced_basis", "groebner_basis"):
+        if sys._getframe(1).f_code.co_name != "groebner_basis":
             kept.append(rest)
         return real_split(linear, rest, ring)
 
-    monkeypatch.setattr(groebner, "_reduced_basis", reduced)
     monkeypatch.setattr(groebner, "_split_reduced", split)
     calls = _colons_in_H(monkeypatch)
     L = cold_copy(m3_on_m3())
     assert search_combinatorial(L) is None
-    assert len(calls) == 15 and route == kept == []
+    assert len(calls) == 15 and kept == []
     unreduced = [report for _, _, report, deferred in calls if deferred]
     assert len(unreduced) == 7
     for k, report in enumerate(unreduced, 1):
@@ -571,7 +566,54 @@ def test_a_rejected_move_builds_no_reduced_basis(monkeypatch):
         report.semantic_key()
         report.nonlinear_witness
         assert len(kept) == k
-    assert route == []
+
+
+def test_every_colon_divides_a_homogeneous_ideal_into_positive_degrees(monkeypatch):
+    # _compute_colon has no branch for a constant quotient: its I is
+    # homogeneous, so the rest has degree at least 2 once the linear part
+    # is split off, and every quotient has positive degree.  Checked on
+    # every move (A, x) of the 51 labelled lattices of at most 6 elements,
+    # through colon_in_H, which takes both routes, and on the two-term and
+    # rational colons of test_int_coefficients and the diamond's y − z
+    from test_int_coefficients import RATIONAL_COLONS, RATIONAL_FORM_LATTICES, rational_form_cases
+
+    real_colon, real_divided = groebner._compute_colon, groebner._divided_by
+    routes = {False: 0, True: 0}
+    quotients = []
+
+    def colon(I, l, substituted_basis=False):
+        assert I._homogeneous, (I.generators, l)
+        routes[substituted_basis] += 1
+        return real_colon(I, l, substituted_basis)
+
+    def divided(g, v):
+        q = real_divided(g, v)
+        assert q.total_degree() >= 1, (g, v)
+        quotients.append(q)
+        return q
+
+    monkeypatch.setattr(groebner, "_compute_colon", colon)
+    monkeypatch.setattr(groebner, "_divided_by", divided)
+    lattices = enumerated_lattices(6)
+    moves = 0
+    for L in lattices:
+        L = cold_copy(L)
+        for mask in range(1 << L.n):
+            J = variable_ideal(L, [a for a in range(L.n) if mask >> a & 1])
+            for x in range(L.n):
+                if not mask >> x & 1:
+                    moves += 1
+                    colon_in_H(J, J.base.variables[x])
+    assert (len(lattices), moves) == (51, 8129)
+    assert routes[False] and routes[True]
+    for L, j, by in RATIONAL_COLONS + [(diamond(), [], "y - z")]:
+        L = cold_copy(L)
+        I = hibi.residue_ideal(L, j).lift if j else join_meet_ideal(L).ideal
+        colon_element(I, lattice_ring(L).parse(by))
+    for name in RATIONAL_FORM_LATTICES:
+        for I, f in rational_form_cases(name):
+            colon_element(I, f)
+    assert quotients
 
 
 def _small_lattices():

@@ -6,8 +6,8 @@ import pytest
 from joinmeet.groebner import (
     ZeroDivisorArgument,
     buchberger,
+    _divided_by,
     colon_element,
-    divide_exact,
     groebner_basis,
     ideal,
     ideal_equal,
@@ -22,7 +22,7 @@ from joinmeet.lattice import boolean, chain, diamond, pentagon
 from joinmeet.poly import Ring, degrevlex
 from conftest import cold_copy
 from oracles import macaulay_member
-from test_reducer import reference_buchberger, reference_reduce_basis
+from test_reducer import reference_buchberger, reference_divide_exact, reference_reduce_basis
 
 
 @pytest.fixture
@@ -315,15 +315,17 @@ def test_degree1_of_reduced_basis_spans_linear_part(R):
 # division helper
 
 
-def test_divide_exact(R):
-    f = R.parse("x*z - e*f")
-    q = R.parse("x^2 - 3*y + 1/2")
-    assert divide_exact(f * q, f) == q
-    with pytest.raises(ArithmeticError):
-        divide_exact(R.var("x"), R.var("y"))
-    # by a two-term form, inexact at the first term no lead divides
-    with pytest.raises(ArithmeticError, match="inexact"):
-        divide_exact(R.parse("x^2 + y*z"), R.parse("x + y"))
+def test_divided_by(R):
+    # the colon's quotient by one variable x: exact when x divides every
+    # term, else the polynomial itself, for a term free of x or for zero
+    x, v = R.var("x"), R.names.index("x")
+    for q in (R.parse("x*z - e*f"), R.parse("x^2 - 3*y + 1/2"), R.parse("2/3*x")):
+        got = _divided_by(q * x, v)
+        assert got == reference_divide_exact(q * x, x) == q
+        assert got * x == q * x
+    for g in (R.parse("x*z - e*f"), R.parse("x^2 - 3*y"), R.var("y"), R.one()):
+        assert _divided_by(g, v) is g
+    assert _divided_by(R.zero(), v) == R.zero()
 
 
 # ---------------------------------------------------------------------------

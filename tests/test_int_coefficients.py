@@ -90,12 +90,28 @@ def test_corpus_coefficients_stay_ints(monkeypatch):
         assert _kinds(polys) <= {int}, L
 
 
-@pytest.mark.parametrize("lattice, j, by", [
+# the CLI's colon --j ... --by ...: a lift of ints by a rational form
+RATIONAL_COLONS = [
     (pentagon(), ["x"], "1/2*y - 3*z"),
     (diamond(), ["x - y"], "2/5*z"),
-])
+]
+RATIONAL_FORM_LATTICES = ["pentagon", "diamond", "boolean3", "divisor12"]
+
+
+def rational_form_cases(name):
+    """test_colon_routes' random lifts and forms on a cold copy of
+    CORPUS[name], each form scaled by 2/3 and its lift given a generator
+    with a rational coefficient."""
+    L = cold_copy(CORPUS[name])
+    rng = random.Random(f"{L.labels}/ints")
+    ring = lattice_ring(L)
+    for I, f in cases(L, rng) + long_form_cases(L, rng):
+        a, b = rng.sample(ring.gens(), 2)
+        yield ideal(ring, I.generators + (Fraction(1, 2) * a - 3 * b,)), Fraction(2, 3) * f
+
+
+@pytest.mark.parametrize("lattice, j, by", RATIONAL_COLONS)
 def test_rational_colons_match_the_fraction_reference(lattice, j, by):
-    # the CLI's colon --j ... --by ...: a lift of ints by a rational form
     L = cold_copy(lattice)
     J = residue_ideal(L, j)
     f = lattice_ring(L).parse(by)
@@ -106,18 +122,10 @@ def test_rational_colons_match_the_fraction_reference(lattice, j, by):
     assert _kinds(colon.generators) <= {int, Fraction}
 
 
-@pytest.mark.parametrize("name", ["pentagon", "diamond", "boolean3", "divisor12"])
+@pytest.mark.parametrize("name", RATIONAL_FORM_LATTICES)
 def test_rational_forms_match_the_fraction_reference(name):
-    # test_colon_routes' random lifts and forms, each form scaled by 2/3
-    # and its lift given a generator with a rational coefficient
-    L = cold_copy(CORPUS[name])
-    rng = random.Random(f"{L.labels}/ints")
-    ring = lattice_ring(L)
-    for I, f in cases(L, rng) + long_form_cases(L, rng):
-        a, b = rng.sample(ring.gens(), 2)
-        I = ideal(ring, I.generators + (Fraction(1, 2) * a - 3 * b,))
-        f = Fraction(2, 3) * f
-        assert groebner_basis(I).basis == reference_reduced_basis(I.generators, ring)
+    for I, f in rational_form_cases(name):
+        assert groebner_basis(I).basis == reference_reduced_basis(I.generators, I.ring)
         colon = colon_element(I, f)
         assert colon.generators == elimination_colon(I, f), (I.generators, f)
         assert _kinds(colon.generators) <= {int, Fraction}

@@ -24,7 +24,9 @@ and adding.  buchberger must return the same basis, element for element.
 reference_split_linear substitutes the echelon form of the linear generators
 out of the others by normal_form, which _split_linear skips when every linear
 generator is one term.  reference_product and reference_divide_exact are the
-general product and division loops, which a one-term factor or divisor skips.
+general product and division loops: a one-term factor skips the first, and
+the colon's quotient by one variable, _divided_by, must agree with the
+second.
 """
 
 import heapq
@@ -43,13 +45,13 @@ from joinmeet.groebner import (
     GroebnerBasis,
     Ideal,
     _codec_of,
+    _divided_by,
     _Divisors,
     _divisors_of,
     _remainder_terms,
     _ring_with_last,
     _split_linear,
     buchberger,
-    divide_exact,
     groebner_basis,
     ideal,
     ideal_member,
@@ -734,13 +736,6 @@ def reference_divide_exact(f, g):
     return ring.from_dict(quotient)
 
 
-def _quotient(divide, f, g):
-    try:
-        return divide(f, g)
-    except ArithmeticError:
-        return "inexact"
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     f=_polys(PENTAGON_RING, 5),
@@ -749,15 +744,19 @@ def _quotient(divide, f, g):
     monic=st.booleans(),
 )
 def test_one_term_products_and_quotients_match_the_general_routes(f, g, h, monic):
-    # g is one term, h any polynomial; a product by g and a quotient by g
-    # keep the term order, and a quotient by g is inexact exactly when the
-    # general loop finds it so
+    # g is one term, h any polynomial; a product by g keeps the term order.
+    # A quotient by a variable x keeps it too: it is the general loop's
+    # exact quotient when x divides every term, and f itself otherwise
     if monic:
         g = g.monic()
     for a, b in ((f, g), (g, f), (h, g), (f, h)):
         assert a * b == reference_product(a, b)
-    assert divide_exact(f * g, g) == f
-    assert _quotient(divide_exact, f, g) == _quotient(reference_divide_exact, f, g)
+    for v, x in enumerate(PENTAGON_RING.gens()):
+        assert _divided_by(f * x, v) == reference_divide_exact(f * x, x) == f
+        if all(m[v] for m, _ in f.terms):
+            assert _divided_by(f, v) == reference_divide_exact(f, x)
+        else:
+            assert _divided_by(f, v) is f
 
 
 # ---------------------------------------------------------------------------
