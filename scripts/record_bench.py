@@ -185,9 +185,9 @@ def source_lines(root):
     return {"files": counts, "total": sum(counts.values())}
 
 
-# tokens that hold no code: layout, comments and the encoding marker
+# tokens that hold no code: layout and comments
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-            tokenize.ENDMARKER, tokenize.ENCODING}
+            tokenize.ENDMARKER}
 
 
 def code_line_count(source):
