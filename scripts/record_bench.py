@@ -1,23 +1,31 @@
-"""Record the benchmark's end-to-end metrics of one checkout in BENCH_<label>.json.
+"""Record the benchmark's end-to-end metrics of a parent checkout and of a
+change, alternated, in BENCH_<label>_parent.json and BENCH_<label>.json.
 
-    python3 scripts/record_bench.py --label NAME [--root CHECKOUT] [--out FILE]
+    python3 scripts/record_bench.py --label NAME --parent CHECKOUT [--root CHECKOUT]
 
-Runs the command of the checkout's BENCHMARK.json with ``--workload W
---seed S --seconds T`` in the checkout, for each workload W it lists, T its
-``run_seconds`` and the seeds S = 1, 2 and 3, one run at a time, and writes,
-per workload and metric, the value of each run and their median and
-quartiles, with the seeds, the Python version, ``nproc``, the checkout's
-commit and, as ``dirty``, the paths ``git status --porcelain`` lists at the
-start, empty when the working tree is the commit.  The checkout defaults to
-the one holding this script, and the file to BENCH_<label>.json at its
-root.  A run that fails or reports ``correct: false`` stops the recording
-with exit 1.
+The change is the checkout at ``--root``, by default the one holding this
+script, and both files are written at its root.  Each measurement below runs
+in rounds (run_order): a round runs every command once in the parent and
+once in the change, back to back, and the checkout that goes first
+alternates from one round to the next, so the two records meet the same
+load of the machine and neither is always first.
+
+For each workload W that the change's BENCHMARK.json lists, it runs the
+command of each checkout's own BENCHMARK.json with ``--workload W --seed S
+--seconds T`` in that checkout, T the file's ``run_seconds``, in one round
+per seed S = 1, 2 and 3, one run at a time, and writes, per workload and
+metric, the value of each run and their median and quartiles, with the
+seeds, the Python version, ``nproc``, the checkout's commit and, as
+``dirty``, the paths ``git status --porcelain`` lists at the start, empty
+when the working tree is the commit. A run that fails or reports ``correct:
+false`` stops the recording with exit 1.
 
 It also records the start-up floor, which is most of each short CLI time:
 the wall time of STARTUP_RUNS fresh interpreters that only import
 joinmeet.cli, and of as many that run ``check --builtin pentagon``, the
-cheapest command, alternated, with ``PYTHONPATH=src`` in the checkout; and
-the bytecode state at the start and the end of the recording, that is
+cheapest command, in STARTUP_RUNS rounds, with ``PYTHONPATH=src`` in the
+checkout; and the bytecode state at the start and the end of the recording,
+that is
 ``PYTHONDONTWRITEBYTECODE`` and whether ``src/joinmeet/__pycache__``
 exists.  With no bytecode cache every interpreter compiles the package
 again, so records made in different bytecode states are not comparable, and
@@ -30,8 +38,8 @@ comment lines and docstrings count in ``src_lines`` only, so a change that
 removes prose lowers ``src_lines`` and leaves ``code_lines`` as it was.
 
 Then it runs each of HEAVY_CASES HEAVY_RUNS times, as ``python -m
-joinmeet.cli`` with ``PYTHONPATH=src`` in the checkout, in rounds that take
-every case once, and records its exit code, the wall time of each run and
+joinmeet.cli`` with ``PYTHONPATH=src`` in the checkout, in HEAVY_RUNS
+rounds, and records its exit code, the wall time of each run and
 their median, the CPU seconds of each run (user plus system) and their
 median, and the largest peak RSS of its runs; CPU time and peak RSS are read
 from ``os.wait4`` for each child alone.  One run follows the load of the
@@ -99,16 +107,27 @@ HEAVY_CASES = {
 }
 
 
+SIDES = ("parent", "change")
+
+
+def run_order(rounds, names):
+    """(round, name, side) of each run, in the order they run: each round
+    runs every name in both checkouts, back to back, and the checkout that
+    goes first alternates from one round to the next."""
+    return [(round_, name, side) for round_ in range(rounds) for name in names
+            for side in (SIDES if round_ % 2 == 0 else SIDES[::-1])]
+
+
 def run_bench(root, command, workload, seed, seconds):
     """The last line of one bench run, parsed; exits on a failed run."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"{workload} seed {seed}: exit {done.returncode}\n{done.stderr}")
+        sys.exit(f"{root}: {workload} seed {seed}: exit {done.returncode}\n{done.stderr}")
     doc = json.loads(lines[-1])
     if doc.get("correct") is not True:
-        sys.exit(f"{workload} seed {seed}: correct is not true\n{done.stdout}")
+        sys.exit(f"{root}: {workload} seed {seed}: correct is not true\n{done.stdout}")
     return doc
 
 
@@ -117,20 +136,44 @@ def summary(values):
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def startup_floor(root):
-    """The wall seconds of each start-up command, STARTUP_RUNS fresh
-    interpreters each, alternated; exits on a failed run."""
+def workload_runs(roots, benches):
+    """Per side, each workload's attempted and failed operations and the
+    summary of each metric over the seeds, one round per seed."""
+    names = [w["name"] for w in benches["change"]["workloads"]]
+    runs = {side: {name: [] for name in names} for side in SIDES}
+    for round_, name, side in run_order(len(SEEDS), names):
+        bench = benches[side]
+        doc = run_bench(roots[side], bench["command"], name, SEEDS[round_], bench["run_seconds"])
+        runs[side][name].append(doc)
+        print(f"{side} {name} seed {SEEDS[round_]}: verdict_s "
+              f"{doc['metrics']['verdict_s']['value']:.4f}", file=sys.stderr)
+    workloads = {side: {} for side in SIDES}
+    for side in SIDES:
+        for name, docs in runs[side].items():
+            metrics = {metric: {"unit": first["unit"],
+                                **summary([d["metrics"][metric]["value"] for d in docs])}
+                       for metric, first in docs[0]["metrics"].items()}
+            workloads[side][name] = {"attempted": sum(d["attempted"] for d in docs),
+                                     "failed": sum(d["failed"] for d in docs),
+                                     "metrics": metrics}
+    return workloads
+
+
+def startup_floor(roots):
+    """Per side, the wall seconds of each start-up command, STARTUP_RUNS
+    fresh interpreters each, in rounds; exits on a failed run."""
     env = dict(os.environ, PYTHONPATH="src")
-    times = {name: [] for name in STARTUP_COMMANDS}
-    for _ in range(STARTUP_RUNS):
-        for name, args in STARTUP_COMMANDS.items():
-            started = time.perf_counter()
-            done = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True)
-            elapsed = time.perf_counter() - started
-            if done.returncode != 0:
-                sys.exit(f"start-up {name}: exit {done.returncode}\n{done.stderr.decode()}")
-            times[name].append(elapsed)
-    return {name: {"unit": "s", **summary(values)} for name, values in times.items()}
+    times = {side: {name: [] for name in STARTUP_COMMANDS} for side in SIDES}
+    for _, name, side in run_order(STARTUP_RUNS, STARTUP_COMMANDS):
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, *STARTUP_COMMANDS[name]], cwd=roots[side],
+                              env=env, capture_output=True)
+        elapsed = time.perf_counter() - started
+        if done.returncode != 0:
+            sys.exit(f"{side} start-up {name}: exit {done.returncode}\n{done.stderr.decode()}")
+        times[side][name].append(elapsed)
+    return {side: {name: {"unit": "s", **summary(values)} for name, values in by_name.items()}
+            for side, by_name in times.items()}
 
 
 def heavy_run(root, name, args, expected):
@@ -146,28 +189,30 @@ def heavy_run(root, name, args, expected):
     elapsed = time.perf_counter() - started
     code = os.waitstatus_to_exitcode(status)
     if code != expected:
-        sys.exit(f"heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
+        sys.exit(f"{root}: heavy case {name}: exit {code}, not {expected}\n{stderr.decode()}")
     # ru_maxrss is in KiB on Linux
     return elapsed, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
-def heavy_cases(root):
-    """Exit code, wall and CPU seconds of each run and their medians, and the
-    largest peak RSS of each heavy case, over HEAVY_RUNS rounds of all cases."""
-    runs = {name: [] for name in HEAVY_CASES}
-    for round_ in range(HEAVY_RUNS):
+def heavy_cases(roots):
+    """Per side, the exit code, wall and CPU seconds of each run and their
+    medians, and the largest peak RSS of each heavy case, over HEAVY_RUNS
+    rounds."""
+    runs = {side: {name: [] for name in HEAVY_CASES} for side in SIDES}
+    for round_, name, side in run_order(HEAVY_RUNS, HEAVY_CASES):
+        args, expected = HEAVY_CASES[name]
+        elapsed, cpu, peak = heavy_run(roots[side], name, args, expected)
+        runs[side][name].append((elapsed, cpu, peak))
+        print(f"{side} {name} run {round_ + 1}: {elapsed:.2f} s, {cpu:.2f} s CPU, "
+              f"{peak:.1f} MB", file=sys.stderr)
+    cases = {side: {} for side in SIDES}
+    for side in SIDES:
         for name, (args, expected) in HEAVY_CASES.items():
-            runs[name].append(heavy_run(root, name, args, expected))
-            elapsed, cpu, peak = runs[name][-1]
-            print(f"{name} run {round_ + 1}: {elapsed:.2f} s, {cpu:.2f} s CPU, {peak:.1f} MB",
-                  file=sys.stderr)
-    cases = {}
-    for name, (args, expected) in HEAVY_CASES.items():
-        walls, cpus, peaks = zip(*runs[name])
-        cases[name] = {"argv": " ".join(map(str, args)), "exit": expected,
-                       "wall_s": statistics.median(walls), "wall_s_runs": list(walls),
-                       "cpu_s": statistics.median(cpus), "cpu_s_runs": list(cpus),
-                       "peak_rss_mb": max(peaks)}
+            walls, cpus, peaks = zip(*runs[side][name])
+            cases[side][name] = {"argv": " ".join(map(str, args)), "exit": expected,
+                                 "wall_s": statistics.median(walls), "wall_s_runs": list(walls),
+                                 "cpu_s": statistics.median(cpus), "cpu_s_runs": list(cpus),
+                                 "peak_rss_mb": max(peaks)}
     return cases
 
 
@@ -239,52 +284,44 @@ def dirty_paths(root):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
+    parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    out = args.out or root / f"BENCH_{args.label}.json"
-    bench = json.loads((root / "BENCHMARK.json").read_text())
-    command, seconds = bench["command"], bench["run_seconds"]
+    roots = {"parent": args.parent.resolve(), "change": args.root.resolve()}
+    benches = {side: json.loads((root / "BENCHMARK.json").read_text())
+               for side, root in roots.items()}
 
-    dirty = dirty_paths(root)
-    bytecode_at_start = bytecode_state(root)
-    startup = startup_floor(root)
-    print("start-up: " + ", ".join(f"{name} {m['median']:.4f} s" for name, m in startup.items()),
-          file=sys.stderr)
-    workloads = {}
-    for workload in (w["name"] for w in bench["workloads"]):
-        runs = []
-        for seed in SEEDS:
-            runs.append(run_bench(root, command, workload, seed, seconds))
-            print(f"{workload} seed {seed}: verdict_s "
-                  f"{runs[-1]['metrics']['verdict_s']['value']:.4f}", file=sys.stderr)
-        metrics = {}
-        for name, first in runs[0]["metrics"].items():
-            metrics[name] = {"unit": first["unit"],
-                             **summary([r["metrics"][name]["value"] for r in runs])}
-        workloads[workload] = {
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": metrics,
+    dirty = {side: dirty_paths(root) for side, root in roots.items()}
+    bytecode_at_start = {side: bytecode_state(root) for side, root in roots.items()}
+    startup = startup_floor(roots)
+    for side in SIDES:
+        print(f"{side} start-up: " + ", ".join(f"{name} {m['median']:.4f} s"
+                                               for name, m in startup[side].items()),
+              file=sys.stderr)
+    workloads = workload_runs(roots, benches)
+    heavy = heavy_cases(roots)
+    labels = {"parent": f"{args.label}_parent", "change": args.label}
+    for side, root in roots.items():
+        bench = benches[side]
+        doc = {
+            "label": labels[side],
+            "commit": commit_of(root),
+            "dirty": dirty[side],
+            "command": " ".join(bench["command"])
+            + f" --workload W --seed S --seconds {bench['run_seconds']}",
+            "seeds": list(SEEDS),
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "bytecode": {"start": bytecode_at_start[side], "end": bytecode_state(root)},
+            "src_lines": source_lines(root),
+            "code_lines": code_lines(root),
+            "startup": startup[side],
+            "workloads": workloads[side],
+            "heavy": heavy[side],
         }
-    doc = {
-        "label": args.label,
-        "commit": commit_of(root),
-        "dirty": dirty,
-        "command": " ".join(command) + f" --workload W --seed S --seconds {seconds}",
-        "seeds": list(SEEDS),
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "bytecode": {"start": bytecode_at_start, "end": bytecode_state(root)},
-        "src_lines": source_lines(root),
-        "code_lines": code_lines(root),
-        "startup": startup,
-        "workloads": workloads,
-        "heavy": heavy_cases(root),
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+        out = roots["change"] / f"BENCH_{labels[side]}.json"
+        out.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

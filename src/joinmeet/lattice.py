@@ -16,6 +16,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import InputError
+from .poly import OPERATORS
 
 
 class NotALattice(InputError):
@@ -65,6 +66,10 @@ class Lattice:
             raise InputError("labels must be distinct")
         if "" in labels:
             raise InputError("labels must not be empty")
+        for label in labels:
+            if label[0].isspace() or label[0] in OPERATORS:
+                raise InputError(f"label {label!r} starts with whitespace or one of "
+                                 f"{' '.join(OPERATORS)}, so no polynomial can name it")
         n = len(labels)
         self.labels = labels
 

@@ -21,7 +21,9 @@ import and code generation cost every fresh interpreter milliseconds.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import cached_property
 from operator import add, itemgetter, lshift
 
 from .errors import InputError
@@ -270,7 +272,8 @@ class Ring(_Frozen):
     by variable index v, the ring with v moved to the end of the order that
     a colon by v computes in (groebner._ring_with_last), so each such ring,
     with its codec and monomial table, is built once per ring object and
-    freed with it.
+    freed with it.  ``_token``, the parser's pattern, is compiled on the
+    ring's first parse and kept the same way.
     """
 
     _fields = ("names", "order")
@@ -364,6 +367,17 @@ class Ring(_Frozen):
 
     def parse(self, text):
         return _parse(self, text)
+
+    @cached_property
+    def _token(self):
+        """One token of a polynomial over this ring, as _parse reads it:
+        whitespace, an operator, a variable's name (the longest first, so
+        that a name wins over its prefixes and over integer literals), a run
+        of decimal digits, or any other character."""
+        names = "|".join(map(re.escape, sorted(self.names, key=len, reverse=True)))
+        # (?!) matches nothing: a ring with no variables has no names to match
+        return re.compile(rf"(?P<space>\s+)|(?P<op>[{re.escape(OPERATORS)}])"
+                          rf"|(?P<name>{names or '(?!)'})|(?P<int>\d+)|(?P<other>.)")
 
 
 class Polynomial:
@@ -548,150 +562,98 @@ class Polynomial:
 # parsing
 #
 # grammar: poly := [sign] term ((+|-) term)* ; term := factor ((* | juxtapose) factor)*
-#          factor := coefficient | NAME [^ INT] ; coefficient := INT [/ INT]
-# Variable names are matched longest-first, so labels take precedence over
-# integer literals (relevant in divisor lattices whose labels are numerals).
+#          factor := coefficient | NAME [^ INT] ; coefficient := INT [/ INT | ^ INT]
+# With no parentheses, a polynomial is a flat sequence of signed terms and a
+# term a sequence of factors.  The whole text is split into tokens (see
+# Ring._token) before the grammar is read, so an unknown character is
+# reported before any grammar error.  Variable names are matched
+# longest-first and before integer literals, so labels take precedence
+# (relevant in divisor lattices, whose labels are numerals).  A name that
+# starts with whitespace or an operator can never match, so Lattice refuses
+# such a label.  Numeral labels cost one thing: a printed coefficient times
+# a variable can read as a product of variables (in divisor(12)'s ring
+# 2·x_3 prints as "2*3", which parses back as x_2·x_3).
 # An exponent literal above MAX_EXPONENT is rejected before any power is taken,
 # and so is a coefficient whose numerator or denominator has more than
 # MAX_COEFFICIENT_BITS bits: such a rational soon prints to more digits than
 # Python's int-to-string limit allows.
 
+OPERATORS = "+-*^/"
 MAX_EXPONENT = 1000
 MAX_COEFFICIENT_BITS = 1024
 
 
-def _tokenize(ring, text):
-    names_by_len = sorted(ring.names, key=len, reverse=True)
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        matched = None
-        for name in names_by_len:
-            if text.startswith(name, i):
-                matched = name
-                break
-        if matched is not None:
-            tokens.append(("name", matched))
-            i += len(matched)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            try:
-                tokens.append(("int", int(text[i:j])))
-            except ValueError as exc:  # digits int() refuses: too many, or not ASCII
-                raise PolyParseError(str(exc)) from None
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} at position {i} in {text!r}")
-    return tokens
+def _parse(ring, text):
+    def fail(why):
+        raise PolyParseError(f"{why} in {text!r}")
 
-
-class _Parser:
-    def __init__(self, ring, tokens, text):
-        self.ring = ring
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, why):
-        raise PolyParseError(f"{why} in {self.text!r}")
-
-    def bounded(self, c):
+    def bounded(c):
         if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS:
-            self.fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
+            fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
         return c
 
-    def parse(self):
-        result = self.ring.zero()
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        if self.peek()[0] is None:
-            self.fail("empty polynomial")
-        while True:
-            result = result + self.term() * sign
-            kind, val = self.peek()
-            if kind is None:
-                for _, c in result.terms:
-                    self.bounded(c)
-                return result
-            if kind == "op" and val in "+-":
-                self.take()
-                sign = -1 if val == "-" else 1
-            else:
-                self.fail(f"expected + or - before {val!r}")
+    # (kind, value) pairs, kind "op", "name" or "int", then (None, None)
+    tokens = []
+    for m in ring._token.finditer(text):
+        kind, val = m.lastgroup, m[0]
+        if kind == "other" and not val.isdigit():
+            fail(f"unexpected character {val!r} at position {m.start()}")
+        if kind in ("int", "other"):
+            try:
+                tokens.append(("int", int(val)))
+            except ValueError as exc:  # digits int() refuses: too many, or not decimal
+                raise PolyParseError(str(exc)) from None
+        elif kind != "space":
+            tokens.append((kind, val))
+    tokens.append((None, None))
 
-    def exponent(self):
-        kind, val = self.take()
-        if kind != "int":
-            self.fail("bad exponent")
-        if val > MAX_EXPONENT:
-            self.fail(f"exponent {val} is above {MAX_EXPONENT}")
-        return val
-
-    def term(self):
+    sign = -1 if tokens[0] == ("op", "-") else 1
+    i = 1 if tokens[0] in (("op", "+"), ("op", "-")) else 0
+    if tokens[i][0] is None:
+        fail("empty polynomial")
+    result = ring.zero()
+    while True:
         coeff = ONE
-        exps = [0] * self.ring.nvars
-        while True:
-            kind, val = self.take()
-            if kind == "int":
-                c = coefficient(val)
-                nk, nv = self.peek()
-                if nk == "op" and nv == "/":
-                    self.take()
-                    dk, dv = self.take()
-                    if dk != "int" or dv == 0:
-                        self.fail("bad rational coefficient")
-                    c = c / dv
-                elif nk == "op" and nv == "^":
-                    self.take()
-                    e = self.exponent()
-                    # val ** e has at least (bits(val) - 1) * e + 1 bits
-                    if (val.bit_length() - 1) * e >= MAX_COEFFICIENT_BITS:
-                        self.fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
-                    c = coefficient(val ** e)
-                coeff = self.bounded(coeff * c)
-            elif kind == "name":
-                e = 1
-                nk, nv = self.peek()
-                if nk == "op" and nv == "^":
-                    self.take()
-                    e = self.exponent()
-                exps[self.ring.index(val)] += e
+        exps = [0] * ring.nvars
+        while True:  # the factors of one term
+            kind, val = tokens[i]
+            if kind not in ("name", "int"):
+                fail("expected a coefficient or variable")
+            following = tokens[i + 1]
+            e = 1
+            if following == ("op", "^"):
+                kind_e, e = tokens[i + 2]
+                if kind_e != "int":
+                    fail("bad exponent")
+                if e > MAX_EXPONENT:
+                    fail(f"exponent {e} is above {MAX_EXPONENT}")
+                # val ** e has at least (bits(val) - 1) * e + 1 bits
+                if kind == "int" and (val.bit_length() - 1) * e >= MAX_COEFFICIENT_BITS:
+                    fail(f"a coefficient has more than {MAX_COEFFICIENT_BITS} bits")
+                i += 2
+            if kind == "name":
+                exps[ring.index(val)] += e
             else:
-                self.fail("expected a coefficient or variable")
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                continue
-            if kind in ("name", "int"):
-                continue  # juxtaposition
-            break
-        return self.ring.monomial(tuple(exps), coeff)
-
-
-def _parse(ring, text):
-    tokens = _tokenize(ring, text)
-    if not tokens:
-        raise PolyParseError(f"empty polynomial in {text!r}")
-    return _Parser(ring, tokens, text).parse()
+                c = coefficient(val ** e)
+                if following == ("op", "/"):
+                    dk, dv = tokens[i + 2]
+                    if dk != "int" or dv == 0:
+                        fail("bad rational coefficient")
+                    c /= dv
+                    i += 2
+                coeff = bounded(coeff * c)
+            i += 1
+            if tokens[i] == ("op", "*"):
+                i += 1
+            elif tokens[i][0] not in ("name", "int"):  # else juxtaposition
+                break
+        result = result + ring.monomial(tuple(exps), coeff) * sign
+        kind, val = tokens[i]
+        if kind is None:
+            for _, c in result.terms:
+                bounded(c)
+            return result
+        if val not in ("+", "-"):
+            fail(f"expected + or - before {val!r}")
+        sign = -1 if val == "-" else 1
+        i += 1

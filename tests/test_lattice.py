@@ -437,8 +437,9 @@ def test_poset_ideals_stop_past_the_bound(monkeypatch):
         (lambda: Lattice(["a", "b"], [(0, 2)]), r"cover pair \(0, 2\) out of range"),
         (lambda: divisor_lattice(0), "n must be positive"),
         (lambda: Lattice(["", "a"], [(0, 1)]), "labels must not be empty"),
+        (lambda: Lattice(["o", "-a"], [(0, 1)]), "label '-a' starts with whitespace or one of"),
     ],
-    ids=["duplicate-labels", "cover-out-of-range", "divisor-0", "empty-label"],
+    ids=["duplicate-labels", "cover-out-of-range", "divisor-0", "empty-label", "operator-label"],
 )
 def test_malformed_lattice_input_is_an_input_error(build, message):
     with pytest.raises(InputError, match=message):

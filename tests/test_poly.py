@@ -27,7 +27,8 @@ from joinmeet.poly import (
     _Overflow,
     degrevlex,
 )
-from joinmeet.lattice import boolean
+from joinmeet.hibi import lattice_ring
+from joinmeet.lattice import boolean, chain
 from oracles import member_queries
 
 
@@ -133,15 +134,22 @@ def test_numeric_labels():
 
 
 def test_parse_errors(R):
-    for bad in ["", "   ", "x +", "* x", "x ^ q", "x + $"]:
-        with pytest.raises(PolyParseError):
-            R.parse(bad)
+    # every message the parser has; a bad character is found before the grammar is read
     for bad, message in [
-        ("x²", "invalid literal"),
+        ("", "empty polynomial"),
+        ("   ", "empty polynomial"),
         ("-", "empty polynomial"),
+        ("x +", "expected a coefficient or variable"),
+        ("* x", "expected a coefficient or variable"),
+        ("x ^ q", "unexpected character 'q' at position 4"),
+        ("* x + $", "unexpected character '\\$' at position 6"),
+        ("x²", "invalid literal"),
+        ("9" * 5000, "integer string conversion"),
         ("x / y", "expected \\+ or - before '/'"),
         ("x^y", "bad exponent"),
+        (f"x^{MAX_EXPONENT + 1}", f"exponent {MAX_EXPONENT + 1} is above {MAX_EXPONENT}"),
         ("1/0", "bad rational coefficient"),
+        (f"{2**MAX_COEFFICIENT_BITS}*x", f"more than {MAX_COEFFICIENT_BITS} bits"),
     ]:
         with pytest.raises(PolyParseError, match=message):
             R.parse(bad)
@@ -223,6 +231,13 @@ def test_canonicalization_idempotent(f):
     # each monomial is the ring's own tuple, and its key the order's
     assert all(m is RAND._key_cache[m][1] for m, _ in f.terms)
     assert keys == [RAND.order.key(m) for m, _ in f.terms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([lattice_ring(boolean(3)), lattice_ring(chain(12))]).flatmap(polys))
+def test_parse_inverts_printing(f):
+    # labels that share prefixes: boolean(3)'s a, ab and abc, chain(12)'s c1 and c10
+    assert f.ring.parse(str(f)) == f
 
 
 MONOMS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))

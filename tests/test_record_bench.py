@@ -1,9 +1,12 @@
-"""scripts/record_bench.py's count of code lines.
+"""scripts/record_bench.py's count of code lines, and the order of its runs.
 
 code_line_count counts the lines that hold a token of code: comments,
 blank lines and the docstrings of modules, classes and functions do not
 count, while a string that is no docstring does, on every line it spans,
 and a line that holds a docstring and code counts once.
+
+run_order runs each command in the parent and in the change back to back,
+and alternates which of the two goes first from round to round.
 """
 
 import importlib.util
@@ -62,3 +65,13 @@ def test_code_lines_count_each_module_and_the_total(tmp_path):
     (package / "b.py").write_text('"""Doc."""\n\nX = 1\n')
     got = _record_bench().code_lines(tmp_path)
     assert got == {"files": {"a.py": 9, "b.py": 1}, "total": 10}
+
+
+def test_rounds_run_both_checkouts_back_to_back_and_alternate_the_first():
+    order = _record_bench().run_order(4, ["a", "b"])
+    assert order[:8] == [
+        (0, "a", "parent"), (0, "a", "change"), (0, "b", "parent"), (0, "b", "change"),
+        (1, "a", "change"), (1, "a", "parent"), (1, "b", "change"), (1, "b", "parent"),
+    ]
+    assert order[8:] == [(round_ + 2, name, side) for round_, name, side in order[:8]]
+    assert _record_bench().run_order(0, ["a"]) == []

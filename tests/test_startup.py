@@ -26,6 +26,7 @@ STDLIB_USED = (
     "math",
     "operator",
     "os",
+    "re",
     "sys",
     "time",
     "warnings",
